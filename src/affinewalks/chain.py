@@ -26,8 +26,8 @@ import numpy as np
 from . import _linalg
 from .algebra import (AffineAlgebra, Weight, classify_weight, inner_product,
                       weyl_vector)
-from .characters import (EvalResult, Specialization, delta_pairing,
-                         eval_character, gaussian_lattice_tail)
+from .characters import (ConvergenceError, EvalResult, Specialization,
+                         delta_pairing, eval_character, gaussian_lattice_tail)
 from .highestweight import (branching_mult, character_series_oracle,
                             _tensor_cached)
 from .weyl import apply, enumerate_bounded, finite_group
@@ -509,7 +509,7 @@ class FastBarredKernel:
 def reflection_discrete_residual(alg: AffineAlgebra, omega: Weight,
                                  s: Specialization, n_steps: int,
                                  lam0: Weight, beta0: Weight,
-                                 depth: int) -> float:
+                                 depth: int, max_radius: float = 400.0) -> float:
     """Relative gap between the two expressions for the n-step projected
     dominant-weight kernel:
 
@@ -519,7 +519,9 @@ def reflection_discrete_residual(alg: AffineAlgebra, omega: Weight,
                Pbar^n(bar(w(lam0+rho)-rho), beta0)`` (walk route),
 
     with ``hhat = ch * exp(-<.,h>)``.  Both sides use matching depth
-    truncations; the Weyl sum is cut by a certified Gaussian shell bound.
+    truncations; the Weyl sum is cut by a certified Gaussian shell bound,
+    and :class:`ConvergenceError` is raised when the translation radius
+    passes ``max_radius`` before the tail is certified.
     """
     _require_positive_level(omega)
     lam0, beta0 = lam0.bar(), beta0.bar()
@@ -572,6 +574,9 @@ def reflection_discrete_residual(alg: AffineAlgebra, omega: Weight,
             alg, a_coef, bnorm, radius)
         if tail <= 1e-13 * max(abs(total), 1e-300):
             break
+        if radius > max_radius:
+            raise ConvergenceError(
+                "reflected Weyl sum tail not certified in radius cap")
         radius += step
     hhat_ratio = math.exp(
         (_log_ch(alg, beta0, s) - float(inner_product(alg, beta0, p)))

@@ -9,8 +9,10 @@ root coordinates, chosen once per algebra).  The module provides:
 * free and drifted heat kernels on level slices,
 * the survival function (alternating Weyl sum) and its gradient,
 * reflected densities for the killed process (three equivalent forms),
-* Euler-Maruyama sampling of the drifted and of the conditioned process,
-  with recursive near-boundary step halving,
+* Euler-Maruyama sampling of the drifted process, with a Brownian-bridge
+  wall-crossing test on each coarse step (exit times are resolved to the
+  end of the step), and of the conditioned process, with recursive
+  near-boundary step halving,
 * finite-difference verifiers for the harmonic identity and for the
   translation-covariance identity of the free kernel.
 
@@ -105,6 +107,7 @@ class _Frame:
         rows = np.array([[float(a[i][j]) for j in range(1, l + 1)]
                          for i in range(l + 1)])
         self.pairing = rows @ self.LT_inv    # coroot pairings of the z part
+        self.wall_var = (self.pairing ** 2).sum(axis=1)  # |pairing_i|^2
         self.l = l
 
     def to_orth(self, zfrac) -> np.ndarray:
@@ -366,10 +369,11 @@ def harmonic_residual(alg: AffineAlgebra, w: AffineWeylElement,
 # -- sampling ------------------------------------------------------------------------
 
 
-def _margins(f: _Frame, s: float, z: np.ndarray) -> np.ndarray:
+def _wall_margins(f: _Frame, s: float, z: np.ndarray) -> np.ndarray:
+    """Coroot pairings of each path with every wall, shape (n_paths, rank+1)."""
     vals = z @ f.pairing.T
     vals[:, 0] += s
-    return vals.min(axis=1)
+    return vals
 
 
 class _TermArrays:
@@ -392,6 +396,8 @@ class _TermArrays:
         return f.rho_o[None, :] + grad / h[:, None]
 
 
+# least recently used entries are evicted beyond this many
+_TERM_ARRAYS_MAX = 16
 _TERM_ARRAYS: dict[tuple, _TermArrays] = {}
 
 
@@ -399,30 +405,64 @@ def _term_arrays(alg: AffineAlgebra, s_min: float, z_norm: float,
                  rtol: float) -> _TermArrays:
     terms, _ = _terms_for(alg, s_min, z_norm, rtol)
     key = (alg.cartan.entries, len(terms))
-    hit = _TERM_ARRAYS.get(key)
+    hit = _TERM_ARRAYS.pop(key, None)
     if hit is None:
         hit = _TermArrays(terms)
-        _TERM_ARRAYS[key] = hit
+        if len(_TERM_ARRAYS) >= _TERM_ARRAYS_MAX:
+            del _TERM_ARRAYS[next(iter(_TERM_ARRAYS))]
+    _TERM_ARRAYS[key] = hit
     return hit
+
+
+def _bridge_step(f: _Frame, rng: np.random.Generator, z: np.ndarray,
+                 exit_times: np.ndarray, idx: np.ndarray, s_now: float,
+                 t_now: float, dt: float) -> None:
+    """One free Euler step of size ``dt`` for the index set, with the
+    Brownian-bridge wall-crossing test for the paths not yet exited.
+
+    Wall margin i is a Brownian motion with variance rate
+    ``|pairing_i|^2``; given margins ``a, b > 0`` at the two ends it stayed
+    positive with probability ``1 - exp(-2ab / (|pairing_i|^2 dt))``.  The
+    product over the walls is Gobet's approximation for the alcove.
+    """
+    zi = z[idx]
+    znew = zi + f.rho_o * dt + rng.normal(0.0, math.sqrt(dt), zi.shape)
+    z[idx] = znew
+    fresh = np.isinf(exit_times[idx])
+    if not np.any(fresh):
+        return
+    before = np.maximum(_wall_margins(f, s_now, zi[fresh]), 0.0)
+    after = np.maximum(_wall_margins(f, s_now + f.hv * dt, znew[fresh]), 0.0)
+    stay = np.prod(-np.expm1(-2.0 * before * after / (f.wall_var * dt)), axis=1)
+    crossed = rng.random(stay.size) >= stay
+    exit_times[idx[fresh][crossed]] = t_now + dt
 
 
 def sample_path_batch(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,
                       dt: float, n_paths: int, seed: int,
                       conditioned: bool, record: bool = False,
                       record_times: tuple[float, ...] = ()) -> PathBatch:
-    """Euler-Maruyama batch with recursive near-boundary step halving.
+    """Euler-Maruyama batch on the grid ``k*dt``.
 
     The level coordinate advances deterministically by ``h_vee * dt``.
-    When a not-yet-exited path's chamber margin drops below
+
+    Free paths (``conditioned=False``) take one Gaussian step per grid
+    interval with the constant drift rho.  A Brownian-bridge test on the
+    margins at both ends of the step detects wall crossings between grid
+    points (see :func:`_bridge_step`); the exit time is the end of the
+    coarse step in which the crossing was detected.  A recorded free path
+    keeps evolving after its exit (exit is a stopping time of the free
+    process, not an absorbing state); without recording it is frozen.
+
+    Conditioned paths follow the Doob drift with recursive near-boundary
+    step halving: when a path's chamber margin drops below
     ``10*sqrt(dt_local)`` the step is retried as two halves, down to
     ``dt/1024``.  A conditioned path still that close to the wall at the
     floor resolution is aborted and flagged (discretization-failure
-    diagnostic); an unconditioned path records its first exit time and
-    keeps evolving (exit is a stopping time of the free process, not an
-    absorbing state).
+    diagnostic).
     """
     f = _frame(alg)
-    inside, margin = chamber_test(alg, x0)
+    _, margin = chamber_test(alg, x0)
     if conditioned and margin <= 0:
         raise OutsideChamberError("conditioned sampling needs an interior start")
     rng = np.random.Generator(np.random.Philox(seed))
@@ -450,12 +490,13 @@ def sample_path_batch(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,
         return arrays_cache["arrays"].drift(f, s_now, zi)
 
     def advance(idx, s_now, t_now, dt_loc):
-        """One step of size dt_loc for the index set (recursive halving)."""
+        """One conditioned step of size dt_loc for the index set
+        (recursive halving)."""
         if idx.size == 0:
             return
         zi = z[idx]
         fresh = np.isinf(exit_times[idx])
-        margins = _margins(f, s_now, zi)
+        margins = _wall_margins(f, s_now, zi).min(axis=1)
         careful = fresh & (margins < 10.0 * math.sqrt(dt_loc))
         if dt_loc > dt_min and np.any(careful):
             near, far = idx[careful], idx[~careful]
@@ -464,31 +505,25 @@ def sample_path_batch(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,
             advance(near, s_now + f.hv * dt_loc / 2, t_now + dt_loc / 2,
                     dt_loc / 2)
             return
-        if conditioned:
-            drift = drift_for(s_now, zi)
-            nanmask = np.isnan(drift).any(axis=1)
-            drift = np.nan_to_num(drift)
-        else:
-            drift = np.broadcast_to(f.rho_o, zi.shape)
-            nanmask = np.zeros(len(zi), dtype=bool)
+        drift = drift_for(s_now, zi)
+        nanmask = np.isnan(drift).any(axis=1)
+        drift = np.nan_to_num(drift)
         znew = zi + drift * dt_loc + rng.normal(0.0, math.sqrt(dt_loc), zi.shape)
         z[idx] = znew
-        out = (_margins(f, s_now + f.hv * dt_loc, znew) < 0) | nanmask
+        out = ((_wall_margins(f, s_now + f.hv * dt_loc, znew).min(axis=1) < 0)
+               | nanmask)
         newly = out & np.isinf(exit_times[idx])
         if not np.any(newly):
             return
         bad = idx[newly]
-        if conditioned:
-            if dt_loc <= dt_min:
-                aborted[bad] = True
-                exit_times[bad] = t_now + dt_loc
-            else:
-                z[bad] = zi[newly]
-                advance(bad, s_now, t_now, dt_loc / 2)
-                advance(bad, s_now + f.hv * dt_loc / 2, t_now + dt_loc / 2,
-                        dt_loc / 2)
-        else:
+        if dt_loc <= dt_min:
+            aborted[bad] = True
             exit_times[bad] = t_now + dt_loc
+        else:
+            z[bad] = zi[newly]
+            advance(bad, s_now, t_now, dt_loc / 2)
+            advance(bad, s_now + f.hv * dt_loc / 2, t_now + dt_loc / 2,
+                    dt_loc / 2)
 
     # without recording, an exited free path has nothing left to contribute
     freeze_exited = (not conditioned) and not record and not rec_idx
@@ -496,7 +531,12 @@ def sample_path_batch(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,
         live = ~aborted
         if freeze_exited:
             live &= np.isinf(exit_times)
-        advance(np.flatnonzero(live), float(svals[k]), float(times[k]), dt)
+        idx = np.flatnonzero(live)
+        if conditioned:
+            advance(idx, float(svals[k]), float(times[k]), dt)
+        else:
+            _bridge_step(f, rng, z, exit_times, idx, float(svals[k]),
+                         float(times[k]), dt)
         if record or (k + 1) in rec_idx:
             recorded[k + 1] = z.copy()
 

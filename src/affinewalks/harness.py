@@ -507,9 +507,7 @@ def _cmd_diffusion(args) -> int:
     for _ in range(GOLDEN.creflect_samples):
         t = 0.3 + 1.5 * rng.random()
         s0 = 1.0 + 2.0 * rng.random()
-        x = diffusion.SpaceTimePoint(s0, None)
-        zx = _random_interior(alg, s0, rng)
-        x = diffusion.SpaceTimePoint(s0, zx)
+        x = diffusion.SpaceTimePoint(s0, _random_interior(alg, s0, rng))
         sy = s0 + t * alg.dual_coxeter
         y = diffusion.SpaceTimePoint(sy, _random_interior(alg, sy, rng))
         d1 = diffusion.reflected_density(alg, x, y, t, "drifted-by-x")
@@ -537,8 +535,11 @@ def _cmd_experiment(args) -> int:
         print("error: --seed (or a config carrying one) is required for "
               "stochastic commands", file=sys.stderr)
         return 2
-    cfg = ExperimentConfig.from_json(open(args.config).read()) if args.config \
-        else ExperimentConfig()
+    if args.config:
+        with open(args.config) as fh:
+            cfg = ExperimentConfig.from_json(fh.read())
+    else:
+        cfg = ExperimentConfig()
     if args.seed is not None:
         cfg.seed = args.seed
     if args.samples:

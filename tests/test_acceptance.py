@@ -1,6 +1,7 @@
 """Acceptance gate: every criterion at its frozen tolerance, one pass/fail
 line per criterion (run pytest with -s to watch them stream)."""
 
+import numpy as np
 import pytest
 
 from affinewalks import acceptance
@@ -15,6 +16,14 @@ def test_criterion(number, name, fn):
     RESULTS[number] = result
     print(result.line(), flush=True)
     assert result.passed, result.line()
+
+
+def test_survival_boundary_skips_points_outside_by_rounding():
+    # this seed draws an affine-wall point that rounding puts just outside
+    alg = acceptance._a1()
+    ok, detail = acceptance._survival_on_boundary(alg, np.random.default_rng(6))
+    assert ok, detail
+    assert detail.startswith("1 boundary points")
 
 
 def test_zz_summary():

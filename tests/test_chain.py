@@ -183,6 +183,15 @@ def test_reflection_small(a1):
     assert res < 1e-10
 
 
+def test_reflection_radius_cap(a1, monkeypatch):
+    # a tail bound that never certifies must stop at the radius cap
+    monkeypatch.setattr(cn, "gaussian_lattice_tail", lambda *args: math.inf)
+    s = ch.rho_specialization(a1, 3)
+    with pytest.raises(ch.ConvergenceError):
+        cn.reflection_discrete_residual(a1, omega(a1), s, 0, a1.Lambda0(),
+                                        a1.Lambda0(), 20, max_radius=6.0)
+
+
 def test_doob_composition_matches_tensor_route(a1):
     # two-step kernel by composing rows equals the tensor-power branching
     # route (associativity of the decomposition)

@@ -108,3 +108,16 @@ def test_experiment_walk_and_report(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["kind"] == "walk-scaling"
     assert report["per_time"]
+
+
+def test_experiment_config_file_matches_flags(tmp_path):
+    from affinewalks.harness import ExperimentConfig
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(ExperimentConfig(seed=9).to_json())
+    reports = []
+    for extra in (["--seed", "9"], ["--config", str(cfg_path)]):
+        out = tmp_path / "report.json"
+        run_cli(["experiment", "walk", "--n", "30", "--samples", "1500",
+                 "--out", str(out)] + extra)
+        reports.append(json.loads(out.read_text()))
+    assert reports[0] == reports[1]

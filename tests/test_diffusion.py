@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from affinewalks import algebra as al, diffusion as df, weyl as wy
+from affinewalks import acceptance as ac, algebra as al, diffusion as df, weyl as wy
 from affinewalks.algebra import Weight
 
 
@@ -192,6 +192,39 @@ def test_boundary_start_exits_quickly(a1):
         fracs.append(b.exit_fraction(0.05))
     assert fracs[-1] > 0.995
     assert fracs[0] <= fracs[-1] + 0.01
+
+
+def test_bridge_exit_matches_quadrature(a1):
+    # coarse steps (dt=0.1) from a start 0.21 from the wall: an endpoint-only
+    # exit test reads about 0.58 here, the bridge test recovers the crossings
+    x0 = df.SpaceTimePoint(2.0, np.array([0.15]))
+    horizon, n_paths = 1.0, 20_000
+    batch = df.sample_path_batch(a1, x0, horizon, 0.1, n_paths, seed=3,
+                                 conditioned=False)
+    p_mc = batch.exit_fraction(horizon)
+    f = df._frame(a1)
+    hi = (x0.s + horizon * f.hv) / 2.0 * float(f.LT[0, 0])
+    stay, quad_err = ac._slice_quadrature(a1, x0, horizon, 0.0, hi)
+    se = math.sqrt(p_mc * (1 - p_mc) / n_paths)
+    assert abs(p_mc - (1.0 - stay)) < 3 * se + quad_err
+
+
+def test_bridge_exit_times_on_coarse_grid(a1, rho1):
+    batch = df.sample_path_batch(a1, df.weight_to_point(a1, rho1), 1.0, 0.05,
+                                 500, seed=8, conditioned=False)
+    hit = batch.exit_times[np.isfinite(batch.exit_times)]
+    assert hit.size > 0
+    assert np.allclose(hit / 0.05, np.round(hit / 0.05))
+
+
+def test_term_arrays_cache_bounded(a1, monkeypatch):
+    monkeypatch.setattr(df, "_TERM_ARRAYS", {})
+    monkeypatch.setattr(df, "_TERM_ARRAYS_MAX", 2)
+    sizes = set()
+    for z_norm in (1.0, 5.0, 10.0, 20.0, 1.0):
+        sizes.add(len(df._term_arrays(a1, 2.0, z_norm, 1e-12).signs))
+        assert len(df._TERM_ARRAYS) <= 2
+    assert len(sizes) == 4
 
 
 def test_conditioned_against_rejection(a1, rho1):
