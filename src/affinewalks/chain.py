@@ -505,11 +505,14 @@ class FastBarredKernel:
 
 # -- discrete reflection principle --------------------------------------------------
 
+# translation radius past which the reflected Weyl sum gives up
+_REFLECTION_MAX_RADIUS = 400.0
+
 
 def reflection_discrete_residual(alg: AffineAlgebra, omega: Weight,
                                  s: Specialization, n_steps: int,
                                  lam0: Weight, beta0: Weight,
-                                 depth: int, max_radius: float = 400.0) -> float:
+                                 depth: int) -> float:
     """Relative gap between the two expressions for the n-step projected
     dominant-weight kernel:
 
@@ -521,7 +524,7 @@ def reflection_discrete_residual(alg: AffineAlgebra, omega: Weight,
     with ``hhat = ch * exp(-<.,h>)``.  Both sides use matching depth
     truncations; the Weyl sum is cut by a certified Gaussian shell bound,
     and :class:`ConvergenceError` is raised when the translation radius
-    passes ``max_radius`` before the tail is certified.
+    passes ``_REFLECTION_MAX_RADIUS`` before the tail is certified.
     """
     _require_positive_level(omega)
     lam0, beta0 = lam0.bar(), beta0.bar()
@@ -574,7 +577,7 @@ def reflection_discrete_residual(alg: AffineAlgebra, omega: Weight,
             alg, a_coef, bnorm, radius)
         if tail <= 1e-13 * max(abs(total), 1e-300):
             break
-        if radius > max_radius:
+        if radius > _REFLECTION_MAX_RADIUS:
             raise ConvergenceError(
                 "reflected Weyl sum tail not certified in radius cap")
         radius += step

@@ -85,8 +85,10 @@ class PathBatch:
     seed: int
 
     def exit_fraction(self, horizon: float) -> float:
+        # free exit times are grid points k*dt, which can round one ulp
+        # past a horizon written in decimal (3*0.1 > 0.3)
         ok = ~self.aborted
-        return float(np.mean(self.exit_times[ok] <= horizon))
+        return float(np.mean(self.exit_times[ok] <= horizon + 1e-6 * self.dt))
 
 
 # -- orthonormal frame -------------------------------------------------------------
@@ -416,9 +418,10 @@ def _term_arrays(alg: AffineAlgebra, s_min: float, z_norm: float,
 
 def _bridge_step(f: _Frame, rng: np.random.Generator, z: np.ndarray,
                  exit_times: np.ndarray, idx: np.ndarray, s_now: float,
-                 t_now: float, dt: float) -> None:
+                 t_next: float, dt: float) -> None:
     """One free Euler step of size ``dt`` for the index set, with the
-    Brownian-bridge wall-crossing test for the paths not yet exited.
+    Brownian-bridge wall-crossing test for the paths not yet exited; a
+    crossing is recorded at the grid time ``t_next`` ending the step.
 
     Wall margin i is a Brownian motion with variance rate
     ``|pairing_i|^2``; given margins ``a, b > 0`` at the two ends it stayed
@@ -435,7 +438,7 @@ def _bridge_step(f: _Frame, rng: np.random.Generator, z: np.ndarray,
     after = np.maximum(_wall_margins(f, s_now + f.hv * dt, znew[fresh]), 0.0)
     stay = np.prod(-np.expm1(-2.0 * before * after / (f.wall_var * dt)), axis=1)
     crossed = rng.random(stay.size) >= stay
-    exit_times[idx[fresh][crossed]] = t_now + dt
+    exit_times[idx[fresh][crossed]] = t_next
 
 
 def sample_path_batch(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,
@@ -536,7 +539,7 @@ def sample_path_batch(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,
             advance(idx, float(svals[k]), float(times[k]), dt)
         else:
             _bridge_step(f, rng, z, exit_times, idx, float(svals[k]),
-                         float(times[k]), dt)
+                         float(times[k + 1]), dt)
         if record or (k + 1) in rec_idx:
             recorded[k + 1] = z.copy()
 

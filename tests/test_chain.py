@@ -186,10 +186,11 @@ def test_reflection_small(a1):
 def test_reflection_radius_cap(a1, monkeypatch):
     # a tail bound that never certifies must stop at the radius cap
     monkeypatch.setattr(cn, "gaussian_lattice_tail", lambda *args: math.inf)
+    monkeypatch.setattr(cn, "_REFLECTION_MAX_RADIUS", 6.0)
     s = ch.rho_specialization(a1, 3)
     with pytest.raises(ch.ConvergenceError):
         cn.reflection_discrete_residual(a1, omega(a1), s, 0, a1.Lambda0(),
-                                        a1.Lambda0(), 20, max_radius=6.0)
+                                        a1.Lambda0(), 20)
 
 
 def test_doob_composition_matches_tensor_route(a1):

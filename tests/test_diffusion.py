@@ -214,7 +214,18 @@ def test_bridge_exit_times_on_coarse_grid(a1, rho1):
                                  500, seed=8, conditioned=False)
     hit = batch.exit_times[np.isfinite(batch.exit_times)]
     assert hit.size > 0
-    assert np.allclose(hit / 0.05, np.round(hit / 0.05))
+    assert np.isin(hit, batch.times[1:]).all()
+
+
+def test_exit_fraction_counts_last_step(a1):
+    # 3*0.1 rounds above 0.3: exits in the last step must still count
+    x0 = df.SpaceTimePoint(2.0, np.array([0.15]))
+    batch = df.sample_path_batch(a1, x0, 0.3, 0.1, 400, seed=3,
+                                 conditioned=False)
+    assert batch.times[-1] > 0.3
+    last = batch.exit_times == batch.times[-1]
+    assert last.any()
+    assert batch.exit_fraction(0.3) == np.isfinite(batch.exit_times).mean()
 
 
 def test_term_arrays_cache_bounded(a1, monkeypatch):
