@@ -210,6 +210,28 @@ def _null_marks(matrix: AffineCartanMatrix) -> tuple[int, ...]:
     return vec
 
 
+def _highest_root(matrix: AffineCartanMatrix) -> tuple[int, ...]:
+    """Root coordinates of the highest root of the finite part (nodes 1..l).
+
+    Reflecting a simple root up to the dominant chamber gives the dominant
+    root of its Weyl orbit; the highest root is the tallest of these.
+    """
+    a, l = matrix.entries, matrix.rank
+    best: list[int] = []
+    for s in range(l):
+        beta = [int(j == s) for j in range(l)]
+        while True:
+            pairings = [sum(a[i + 1][j + 1] * beta[j] for j in range(l))
+                        for i in range(l)]
+            i = next((i for i, p in enumerate(pairings) if p < 0), None)
+            if i is None:
+                break
+            beta[i] -= pairings[i]
+        if sum(beta) > sum(best):
+            best = beta
+    return tuple(best)
+
+
 def build_algebra(matrix: AffineCartanMatrix, name: str | None = None) -> AffineAlgebra:
     """Assemble marks, comarks, Coxeter numbers and the bilinear form.
 
@@ -217,11 +239,17 @@ def build_algebra(matrix: AffineCartanMatrix, name: str | None = None) -> Affine
     ``(coroot_i | coroot_j) = (a_j / a∨_j) a_ij``, ``(coroot_i | d) = a_0 δ_{i0}``
     and ``(d | d) = 0``; it is pushed to the dual space through the
     isomorphism ``nu``.  Matrices whose integer null space is not spanned by
-    a single strictly positive vector are rejected.
+    a single strictly positive vector are rejected, and so are twisted types:
+    the matrix must be untwisted with node 0 the affine node, i.e.
+    ``a_0 = 1`` and ``marks[1:]`` the highest root of the finite part.
     """
     if not isinstance(matrix, AffineCartanMatrix):
         matrix = AffineCartanMatrix(tuple(tuple(int(x) for x in row) for row in matrix))
     marks = _null_marks(matrix)
+    if marks[0] != 1 or marks[1:] != _highest_root(matrix):
+        raise NotAffineError(
+            f"twisted affine types are not supported: marks {marks} are not "
+            "a_0 = 1 followed by the highest root of the finite part")
     comarks = _null_marks(matrix.transpose())
     l = matrix.rank
     a = matrix.entries

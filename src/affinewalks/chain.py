@@ -75,6 +75,9 @@ def _require_positive_level(omega: Weight) -> None:
         raise ValueError("kernel construction requires level(omega) > 0")
 
 
+# least-recently-used character values; the full test suite holds at most
+# 66 at once (the exact-rows benchmark pass 21), so nothing there evicts
+_CH_CACHE_MAX = 512
 _CH_CACHE: dict[tuple, EvalResult] = {}
 
 
@@ -83,10 +86,12 @@ def _log_ch(alg: AffineAlgebra, w: Weight, s: Specialization,
     """log character value; cached on the barred representative."""
     canon = w.bar()
     key = (alg.cartan.entries, canon, s.point, eps)
-    res = _CH_CACHE.get(key)
+    res = _CH_CACHE.pop(key, None)
     if res is None:
         res = eval_character(alg, canon, s, eps=eps)
-        _CH_CACHE[key] = res
+        if len(_CH_CACHE) >= _CH_CACHE_MAX:
+            del _CH_CACHE[next(iter(_CH_CACHE))]
+    _CH_CACHE[key] = res
     shift = float(w.b) * float(delta_pairing(alg, s))
     return res.log_value + shift
 
@@ -348,6 +353,11 @@ class FastBarredKernel:
 
     Rows sum to one up to the recorded defect; a row whose defect exceeds
     the threshold refuses to sample rather than renormalizing.
+
+    ``row`` builds the rows of a batch of source states in one pass over the
+    Weyl terms, and ``sample`` calls it once per step for the occupied
+    states.  Rows are not cached: the level grows by ``level(omega)`` every
+    step, so no ``(level, q)`` is visited twice in one ``sample`` call.
     """
 
     def __init__(self, alg: AffineAlgebra, omega: Weight, s: Specialization,
@@ -363,12 +373,10 @@ class FastBarredKernel:
         self.atoms = increment_atoms(alg, self.omega, s)
         self.rho = weyl_vector(alg)
         self.c = float(delta_pairing(alg, s))
-        self.kp = float(delta_pairing(alg, s))
         self.g11 = float(alg.finite_gram[0][0])
         self.pz = float(s.point.z[0])
         self.om_q2 = int(2 * self.omega.z[0])      # omega finite part, half-units
         self.rho_q2 = int(2 * self.rho.z[0])
-        self._rows: dict[tuple, tuple] = {}
         self._terms: dict[int, list] = {}
         self._nhat_cache: dict[int, np.ndarray] = {}
 
@@ -398,14 +406,14 @@ class FastBarredKernel:
         """Per term, exponent of e^{<w(mu)-mu, h>} for the grid ``z = q2/2``.
 
         With ``w = t_{r alpha} w_eps``:  b-part = -(eps*z*r*g + r^2 g k/2),
-        finite part = (eps-1)z + k r; exponent = kp*b + (finite | p).
+        finite part = (eps-1)z + k r; exponent = c*b + (finite | p).
         """
         z = q2 / 2.0
         out = []
         for sign, eps, r in self._weyl_terms(k_mu):
             bpart = -(eps * z * r * self.g11 + 0.5 * r * r * self.g11 * k_mu)
             fin = (eps - 1.0) * z + k_mu * r
-            out.append((sign, self.kp * bpart + fin * self.g11 * self.pz))
+            out.append((sign, self.c * bpart + fin * self.g11 * self.pz))
         return out
 
     def _nhat_grid(self, level: int) -> np.ndarray:
@@ -425,55 +433,60 @@ class FastBarredKernel:
         self._nhat_cache[level] = total
         return total
 
-    def row(self, level: int, q: int):
-        """(probabilities over next-level q' = 0..level+k_omega, cdf, defect)."""
-        key = (level, q)
-        hit = self._rows.get(key)
-        if hit is not None:
-            return hit
+    def row(self, level: int, q):
+        """(probabilities over next-level q' = 0..level+k_omega, cdf, defect)
+        for the source state ``q``, or stacked per source state (one row per
+        entry, defects as an array) when ``q`` is an int array."""
+        qs = np.atleast_1d(np.asarray(q, dtype=np.int64))
         k_om = int(self.omega.k)
         k_mu = level + int(self.rho.k)
         nxt = level + k_om
         q2_next = np.arange(nxt + 1)
-        raw = np.zeros(nxt + 1)
-        zq2 = q + self.rho_q2                  # half-units of lam0 + rho
+        raw = np.zeros((qs.size, nxt + 1))
+        zq2 = qs + self.rho_q2                 # half-units of lam0 + rho
+        z = zq2 / 2.0
+        prob = self.atoms.prob
         lo = self.atoms.lo[0]
-        hi = lo + self.atoms.prob.size - 1
         for sign, eps, r in self._weyl_terms(k_mu):
-            z = zq2 / 2.0
             bpart = -(eps * z * r * self.g11 + 0.5 * r * r * self.g11 * k_mu)
             fin = eps * z + k_mu * r
-            e_w = sign * math.exp(self.kp * bpart
-                                  + (fin - z) * self.g11 * self.pz)
+            expo = self.c * bpart + (fin - z) * self.g11 * self.pz
+            e_w = np.array([sign * math.exp(x) for x in expo.tolist()])
             # source = bar(w(lam0+rho) - rho) in half-units, then the atom
             # offset zeta = omega - (beta - src) must be integral
             src_q2 = eps * zq2 + 2 * k_mu * r - self.rho_q2
-            zeta2 = self.om_q2 - (q2_next - src_q2)
-            mask = (zeta2 % 2 == 0)
-            m = zeta2[mask] // 2
-            ok = (m >= lo) & (m <= hi)
-            vals = np.zeros(m.size)
-            vals[ok] = self.atoms.prob[m[ok] - lo]
-            raw[mask] += e_w * vals
-        probs = raw * self._nhat_grid(nxt) / self._nhat_grid(level)[q]
-        neg = float(probs.min())
-        if neg < -1e-10:
-            raise ChainDefectError(
-                f"fast row negative mass {neg:.3e} at level={level} q={q}")
+            zeta2 = self.om_q2 - (q2_next[None, :] - src_q2[:, None])
+            idx = zeta2 // 2 - lo
+            hit = (zeta2 % 2 == 0) & (idx >= 0) & (idx < prob.size)
+            vals = np.where(hit, prob[np.where(hit, idx, 0)], 0.0)
+            raw += e_w[:, None] * vals
+        probs = raw * self._nhat_grid(nxt) / self._nhat_grid(level)[qs][:, None]
+        neg = probs.min(axis=1)
         np.clip(probs, 0.0, None, out=probs)
-        defect = abs(1.0 - float(probs.sum()))
-        if defect > self.defect_threshold:
-            raise ChainDefectError(
-                f"fast row defect {defect:.3e} above threshold at "
-                f"level={level} q={q}")
-        out = (probs, np.cumsum(probs), defect)
-        self._rows[key] = out
-        return out
+        defect = np.abs(1.0 - probs.sum(axis=1))
+        for i in range(qs.size):
+            if neg[i] < -1e-10:
+                raise ChainDefectError(
+                    f"fast row negative mass {neg[i]:.3e} at level={level} "
+                    f"q={qs[i]}")
+            if defect[i] > self.defect_threshold:
+                raise ChainDefectError(
+                    f"fast row defect {defect[i]:.3e} above threshold at "
+                    f"level={level} q={qs[i]}")
+        cdf = np.cumsum(probs, axis=1)
+        if np.ndim(q) == 0:
+            return probs[0], cdf[0], float(defect[0])
+        return probs, cdf, defect
 
     def sample(self, start: Weight, steps: int, n_paths: int, seed: int,
                record_steps=()) -> dict[int, np.ndarray]:
         """Simulate the projected chain; returns the finite coordinate (in
-        root units, float) of every path at the requested steps."""
+        root units, float) of every path at the requested steps.
+
+        Each step builds the rows of all occupied states in one batched
+        call and draws one uniform per path, handed out in stable-sorted
+        state order.
+        """
         start = start.bar()
         if not classify_weight(self.alg, start).dominant:
             raise ValueError("start must be dominant integral")
@@ -488,14 +501,16 @@ class FastBarredKernel:
         if 0 in record_steps:
             recorded[0] = cur / 2.0
         for k in range(1, steps + 1):
+            order = np.argsort(cur, kind="stable")
+            states, counts = np.unique(cur, return_counts=True)
+            _, cdfs, _ = self.row(level, states)
+            u = rng.random(n_paths)
             new = np.empty_like(cur)
-            for uid in np.unique(cur):
-                sel = np.flatnonzero(cur == uid)
-                _, cdf, _ = self.row(level, int(uid))
-                picks = np.searchsorted(cdf, rng.random(sel.size))
-                if np.any(picks >= cdf.size):
-                    raise ChainDefectError("draw landed in the defect mass")
-                new[sel] = picks
+            stop = np.cumsum(counts)
+            for cdf, a, b in zip(cdfs, stop - counts, stop):
+                new[order[a:b]] = np.searchsorted(cdf, u[a:b])
+            if new.max() >= cdfs.shape[1]:
+                raise ChainDefectError("draw landed in the defect mass")
             cur = new
             level += k_om
             if k in record_steps:

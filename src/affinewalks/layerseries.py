@@ -22,7 +22,10 @@ One subtlety: near criticality the two orbit sums individually cancel to
 ``exp(-O(1/c))`` while their terms are O(1), far below float64 resolution.
 Their size is known in advance from the stable product form of the
 denominator, so the grid evaluation runs in mpmath at exactly the needed
-precision; the O(1) ratio is then downcast and FFT'd in float64.
+precision.  Each orbit sum is a DFT of its coefficients folded onto
+``m mod grid``, so its values on the whole power-of-two torus grid come
+from one radix-2 mp FFT per axis; the O(1) ratio is then downcast and
+inverted by the float64 FFT.
 """
 
 from __future__ import annotations
@@ -98,16 +101,59 @@ def _mp_terms(alg, mu, s, depth_cut, c_frac: Fraction):
     return out
 
 
+def _fft_mp(x: list, roots: list) -> list:
+    """Radix-2 forward DFT ``X[k] = sum_r x[r] roots[k*r mod n]`` in mp
+    arithmetic; ``roots[j] = exp(-2 pi i j / n)`` and ``n`` a power of two."""
+    n = len(x)
+    if n == 1:
+        return list(x)
+    even = _fft_mp(x[0::2], roots[0::2])
+    odd = _fft_mp(x[1::2], roots[0::2])
+    half = n // 2
+    out = [None] * n
+    for k in range(half):
+        t = roots[k] * odd[k]
+        out[k] = even[k] + t
+        out[k + half] = even[k] - t
+    return out
+
+
+def _torus_values(terms, l: int, roots: list) -> np.ndarray:
+    """``sum_k cf_k roots[idx.m_k mod grid]`` at every torus point ``idx``.
+
+    The coefficients are folded onto ``m mod grid`` (mp additions at the
+    working precision), and the folded array is transformed by the 1-D mp
+    FFT along each of the ``l`` axes.
+    """
+    grid = len(roots)
+    arr = np.empty((grid,) * l, dtype=object)
+    arr.fill(mp.mpf(0))
+    for m, cf in terms:
+        idx = tuple(int(x) % grid for x in m)
+        arr[idx] = arr[idx] + cf
+    for ax in range(l):
+        moved = np.moveaxis(arr, ax, -1)
+        lines = np.empty((moved.size // grid, grid), dtype=object)
+        for i, line in enumerate(moved.reshape(-1, grid)):
+            lines[i, :] = _fft_mp(list(line), roots)
+        arr = np.moveaxis(lines.reshape(moved.shape), -1, ax)
+    return arr
+
+
 def increment_atoms(alg: AffineAlgebra, omega: Weight, s: Specialization,
                     grid: int | None = None) -> IncrementAtoms:
     """Fourier inversion of the normalized character on the torus.
 
-    ``grid`` is the FFT size per finite axis (default scales with the
-    Gaussian spread of the atoms).  The orbit sums at the torus origin
-    cancel all the way down to the denominator product value, so both the
-    delta-depth cutoff and the working precision are sized from the stable
-    log of that product.
+    ``grid`` is the FFT size per finite axis and must be a power of two
+    (default scales with the Gaussian spread of the atoms).  The orbit sums
+    at the torus origin cancel all the way down to the denominator product
+    value, so both the delta-depth cutoff and the working precision are
+    sized from the stable log of that product.  Both sums are evaluated on
+    the whole torus at once: their mp coefficients are folded onto
+    ``m mod grid`` and transformed by a radix-2 mp FFT along each axis.
     """
+    if grid is not None and (grid < 2 or grid & (grid - 1)):
+        raise ValueError(f"grid must be a power of two, got {grid}")
     if not classify_weight(alg, omega).dominant or omega.k <= 0:
         raise ValueError("increments need a dominant weight of positive level")
     l = alg.rank
@@ -129,24 +175,14 @@ def increment_atoms(alg: AffineAlgebra, omega: Weight, s: Specialization,
     c_frac = delta_pairing(alg, s)
 
     with mp.workdps(dps):
-        num_terms = _mp_terms(alg, omega + rho, s, depth_cut, c_frac)
-        den_terms = _mp_terms(alg, rho, s, depth_cut, c_frac)
         roots = [mp.e ** (-2j * mp.pi * mp.mpf(j) / grid) for j in range(grid)]
-
-        shape = (grid,) * l
-        f = np.zeros(shape, dtype=complex)
-        for idx in np.ndindex(shape):
-            num = mp.mpc(0)
-            for m, cf in num_terms:
-                pw = sum(idx[ax] * m[ax] for ax in range(l)) % grid
-                num += cf * roots[pw]
-            den = mp.mpc(0)
-            for m, cf in den_terms:
-                pw = sum(idx[ax] * m[ax] for ax in range(l)) % grid
-                den += cf * roots[pw]
-            if den == 0:
-                raise ArithmeticError("denominator vanished on the torus")
-            f[idx] = complex(num / den)
+        num = _torus_values(
+            _mp_terms(alg, omega + rho, s, depth_cut, c_frac), l, roots)
+        den = _torus_values(_mp_terms(alg, rho, s, depth_cut, c_frac), l, roots)
+        if any(v == 0 for v in den.flat):
+            raise ArithmeticError("denominator vanished on the torus")
+        f = np.array([complex(a / b) for a, b in zip(num.flat, den.flat)],
+                     dtype=complex).reshape(num.shape)
 
     f0 = f[(0,) * l].real
     if not (f0 >= 1.0 - 1e-9):

@@ -123,3 +123,26 @@ def test_weight_dimension_mismatch(a1, a2):
     lam2 = a2.Lambda0()
     with pytest.raises(ValueError):
         al.inner_product(a1, lam2, lam2)
+
+
+@pytest.mark.parametrize("rows", [
+    [[2, -2, 0], [-1, 2, -1], [0, -2, 2]],      # D3^(2), marks (1, 1, 1)
+    [[2, -4], [-1, 2]],                         # A2^(2), a_0 = 2
+    [[2, -1], [-4, 2]],                         # A2^(2) labelled from the other end
+])
+def test_twisted_matrices_refused(rows):
+    with pytest.raises(al.NotAffineError, match="twisted"):
+        al.build_algebra(rows)
+    with pytest.raises(al.NotAffineError, match="twisted"):
+        al.algebra_from_json({"rank": len(rows) - 1, "matrix": rows})
+
+
+def test_untwisted_matrices_build():
+    for name in ("A1~", "A2~", "A3~"):
+        alg = al.algebra_from_name(name)
+        assert alg.marks == (1,) * (alg.rank + 1)
+    alg = al.algebra_from_json({"rank": 1, "matrix": [[2, -2], [-2, 2]]})
+    assert alg.marks == (1, 1)
+    # C2^(1): marks (1, 2, 1), the highest root 2 alpha_1 + alpha_2 of C2
+    c2 = al.build_algebra([[2, -1, 0], [-2, 2, -2], [0, -1, 2]])
+    assert c2.marks == (1, 2, 1)

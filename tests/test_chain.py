@@ -239,3 +239,55 @@ def test_fast_kernel_defect_guard(a1):
     fk = cn.FastBarredKernel(a1, omega(a1), s, defect_threshold=1e-30)
     with pytest.raises(cn.ChainDefectError):
         fk.row(1, 0)
+
+
+def test_fast_kernel_defect_guard_batched(a1):
+    s = ch.rho_specialization(a1, 5)
+    fk = cn.FastBarredKernel(a1, omega(a1), s, defect_threshold=1e-30)
+    with pytest.raises(cn.ChainDefectError, match="level=1 q=0"):
+        fk.row(1, np.array([0, 1]))
+
+
+def test_fast_kernel_batched_rows_match_scalar(a1):
+    fk = cn.FastBarredKernel(a1, omega(a1), ch.rho_specialization(a1, 20))
+    qs = np.arange(0, 61, 3)
+    probs, cdf, defect = fk.row(60, qs)
+    assert probs.shape == cdf.shape == (qs.size, 63)
+    for i, q in enumerate(qs):
+        p1, c1, d1 = fk.row(60, int(q))
+        assert np.array_equal(probs[i], p1)
+        assert np.array_equal(cdf[i], c1)
+        assert defect[i] == d1 and isinstance(d1, float)
+
+
+def test_fast_kernel_sample_matches_scalar_reference(a1):
+    # the per-state loop of scalar rows, each state's paths drawing their
+    # uniforms in path order, states in ascending order
+    fk = cn.FastBarredKernel(a1, omega(a1), ch.rho_specialization(a1, 20))
+    start = Weight.make(40, (10,), 0)
+    n_paths, steps, seed = 300, 20, 11
+    got = fk.sample(start, steps, n_paths, seed, record_steps=range(steps + 1))
+    rng = np.random.Generator(np.random.Philox(seed))
+    cur = np.full(n_paths, 20, dtype=np.int64)
+    level = 40
+    for k in range(1, steps + 1):
+        new = np.empty_like(cur)
+        for uid in np.unique(cur):
+            sel = np.flatnonzero(cur == uid)
+            _, cdf, _ = fk.row(level, int(uid))
+            new[sel] = np.searchsorted(cdf, rng.random(sel.size))
+        cur = new
+        level += 2
+        assert np.array_equal(got[k], cur / 2.0)
+    assert np.array_equal(got[0], np.full(n_paths, 10.0))
+
+
+def test_ch_cache_bounded(a1, monkeypatch):
+    monkeypatch.setattr(cn, "_CH_CACHE", {})
+    monkeypatch.setattr(cn, "_CH_CACHE_MAX", 2)
+    s = ch.rho_specialization(a1, 2)
+    states = cn.dominant_states(a1, 3)
+    first = [cn._log_ch(a1, w, s) for w in states]
+    assert len(cn._CH_CACHE) == 2
+    assert [cn._log_ch(a1, w, s) for w in states] == first
+    assert len(cn._CH_CACHE) == 2
