@@ -63,6 +63,25 @@ def invert(m: Mat) -> Mat:
     return tuple(tuple(row[n:]) for row in aug)
 
 
+def det(m: Mat) -> Fraction:
+    """Determinant by fraction-exact elimination."""
+    work = [[Fraction(x) for x in row] for row in m]
+    n = len(work)
+    out = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            out = -out
+        out *= work[col][col]
+        for r in range(col + 1, n):
+            f = work[r][col] / work[col][col]
+            work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    return out
+
+
 def solve(a: Mat, b) -> Vec:
     return mat_vec(invert(a), as_fraction_vector(b))
 

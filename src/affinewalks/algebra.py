@@ -190,6 +190,14 @@ class AffineAlgebra:
 
     # -- exact numeric helpers -------------------------------------------------
 
+    def finite_covector(self, z) -> tuple[Fraction, ...]:
+        """``G z`` for the finite Gram matrix ``G``, so that
+        ``finite_inner(m, z) == sum(m_i * (G z)_i)``: contract a fixed
+        point once, then pair it with many offsets."""
+        g = self.finite_gram
+        return tuple(sum(g[i][j] * z[j] for j in range(self.rank))
+                     for i in range(self.rank))
+
     def finite_inner(self, z1, z2) -> Fraction:
         g = self.finite_gram
         return sum(z1[i] * sum(g[i][j] * z2[j] for j in range(self.rank))
@@ -313,28 +321,8 @@ def _check_form(alg: AffineAlgebra) -> None:
     g = [list(row) for row in alg.finite_gram]
     for m in range(1, l + 1):
         sub = tuple(tuple(g[i][j] for j in range(m)) for i in range(m))
-        if _det(sub) <= 0:
+        if _linalg.det(sub) <= 0:
             raise NotAffineError("finite Gram block is not positive definite")
-
-
-def _det(m) -> Fraction:
-    m = [list(row) for row in m]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv_p = Fraction(1) / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c] != 0:
-                f = m[r][c] * inv_p
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
 
 
 # -- form and pairings ---------------------------------------------------------

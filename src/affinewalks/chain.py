@@ -26,11 +26,11 @@ import numpy as np
 from . import _linalg
 from .algebra import (AffineAlgebra, Weight, classify_weight, inner_product,
                       weyl_vector)
-from .characters import (ConvergenceError, EvalResult, Specialization,
-                         delta_pairing, eval_character, gaussian_lattice_tail)
+from .characters import (EvalResult, Specialization, _geometric_tail,
+                         _orbit_exponents, delta_pairing, eval_character)
 from .highestweight import (branching_mult, character_series_oracle,
                             _tensor_cached)
-from .weyl import apply, enumerate_bounded, finite_group
+from .weyl import certified_sum, certified_terms, finite_group
 
 __all__ = [
     "DiscreteDistribution",
@@ -214,29 +214,6 @@ def q_omega_row(alg: AffineAlgebra, lam: Weight, omega: Weight,
     return KernelRow(source=lam, entries=entries, defect=beyond + tail)
 
 
-def _geometric_tail(layer_mass: dict[int, float], resolution: int) -> float:
-    """Envelope for the mass beyond ``resolution``: factor-two safety margin
-    on the worst trailing ratio of nonzero layer masses (gap-corrected)."""
-    pts = sorted((d, v) for d, v in layer_mass.items() if v > 0)
-    if not pts:
-        return 0.0
-    window = [p for p in pts if p[0] >= resolution - max(6, resolution // 3)]
-    if len(window) < 3:
-        window = pts[-4:]
-    qs = []
-    for (d0, v0), (d1, v1) in zip(window, window[1:]):
-        qs.append((v1 / v0) ** (1.0 / (d1 - d0)))
-    if not qs:
-        return math.inf
-    q = max(qs)
-    if q >= 1.0:
-        return math.inf
-    last_d, last_v = pts[-1]
-    # geometric continuation from the last computed layer
-    lead = last_v * q ** (resolution + 1 - last_d)
-    return 2.0 * lead / (1.0 - q)
-
-
 def barred_row(alg: AffineAlgebra, lam0: Weight, omega: Weight,
                s: Specialization, depth: int, **kw) -> dict[Weight, float]:
     """Row of the projected kernel: aggregate an exact row over delta shifts."""
@@ -377,7 +354,6 @@ class FastBarredKernel:
         self.pz = float(s.point.z[0])
         self.om_q2 = int(2 * self.omega.z[0])      # omega finite part, half-units
         self.rho_q2 = int(2 * self.rho.z[0])
-        self._terms: dict[int, list] = {}
         self._nhat_cache: dict[int, np.ndarray] = {}
 
     # dominant states of level K are q/2*alpha_1 with q = 0..K (half-units)
@@ -385,22 +361,13 @@ class FastBarredKernel:
     def _weyl_terms(self, k_mu: int):
         """(sign, eps, r) data with certified radius for level-``k_mu`` sums:
         the element ``t_{r alpha} w_eps`` with ``w_eps z = eps*z``."""
-        hit = self._terms.get(k_mu)
-        if hit is not None:
-            return hit
-        a_coef = 0.5 * k_mu * self.c
         zmax = (k_mu / 2.0 + 1.0) * math.sqrt(self.g11)
         pnorm = math.sqrt(self.g11) * abs(self.pz)
-        b = k_mu * pnorm + self.c * zmax
-        radius = b / max(a_coef, 1e-300) + 2.0
-        while gaussian_lattice_tail(self.alg, a_coef, b, radius) * \
-                2 * math.exp(2 * zmax * pnorm) > 1e-13:
-            radius += 1.0
-        rmax = int(radius / math.sqrt(self.g11)) + 1
-        out = [(1 if eps > 0 else -1, eps, r)
-               for r in range(-rmax, rmax + 1) for eps in (1, -1)]
-        self._terms[k_mu] = out
-        return out
+        terms, _ = certified_terms(
+            self.alg, 0.5 * k_mu * self.c, k_mu * pnorm + self.c * zmax,
+            2 * math.exp(2 * zmax * pnorm), 1e-13)
+        return list(zip(terms.sign.tolist(), terms.matrix[:, 0, 0].tolist(),
+                        terms.trans[:, 0].tolist()))
 
     def _exponents(self, k_mu: int, q2: np.ndarray):
         """Per term, exponent of e^{<w(mu)-mu, h>} for the grid ``z = q2/2``.
@@ -520,9 +487,6 @@ class FastBarredKernel:
 
 # -- discrete reflection principle --------------------------------------------------
 
-# translation radius past which the reflected Weyl sum gives up
-_REFLECTION_MAX_RADIUS = 400.0
-
 
 def reflection_discrete_residual(alg: AffineAlgebra, omega: Weight,
                                  s: Specialization, n_steps: int,
@@ -537,9 +501,9 @@ def reflection_discrete_residual(alg: AffineAlgebra, omega: Weight,
                Pbar^n(bar(w(lam0+rho)-rho), beta0)`` (walk route),
 
     with ``hhat = ch * exp(-<.,h>)``.  Both sides use matching depth
-    truncations; the Weyl sum is cut by a certified Gaussian shell bound,
-    and :class:`ConvergenceError` is raised when the translation radius
-    passes ``_REFLECTION_MAX_RADIUS`` before the tail is certified.
+    truncations; the Weyl sum is cut by a certified Gaussian shell bound
+    (:func:`affinewalks.weyl.certified_sum`, which raises
+    :class:`~affinewalks.weyl.ConvergenceError` at its radius cap).
     """
     _require_positive_level(omega)
     lam0, beta0 = lam0.bar(), beta0.bar()
@@ -570,32 +534,26 @@ def reflection_discrete_residual(alg: AffineAlgebra, omega: Weight,
     # reflected side
     mu = lam0 + rho
     kf = float(mu.k)
-    a_coef = 0.5 * kf * c
     z_mu = math.sqrt(float(alg.finite_norm2(mu.z)))
     p_norm = math.sqrt(float(alg.finite_norm2(p.z)))
-    bnorm = kf * p_norm + c * z_mu
-    const = 2.0 * z_mu * p_norm
-    group_n = len(finite_group(alg))
-    from .weyl import lattice_basis
-    step = max(math.sqrt(float(alg.finite_norm2([Fraction(x) for x in bb])))
-               for bb in lattice_basis(alg))
-    radius = max(2.0 * step, bnorm / max(a_coef, 1e-300) + 2.0)
-    while True:
+
+    def shell_sum(terms) -> float:
         total = 0.0
-        for w in enumerate_bounded(alg, radius):
-            img = apply(alg, w, mu)
-            e_w = math.exp(float(inner_product(alg, img - mu, p)))
-            src = (img - rho).bar()
+        for sign, m, alpha, e in zip(terms.sign.tolist(), terms.matrix.tolist(),
+                                     terms.trans.tolist(),
+                                     _orbit_exponents(alg, mu, s, terms).tolist()):
+            # bar(w(mu) - rho): the finite part of t_alpha w0 is w0(z) + k*alpha
+            src = Weight.make(mu.k - rho.k, [
+                sum(mij * zj for mij, zj in zip(row, mu.z)) + mu.k * a - r
+                for row, a, r in zip(m, alpha, rho.z)], 0)
             pb = pbar_power(alg, omega, s, n_steps, src, beta0, depth)
-            total += w.sign * e_w * pb
-        tail = group_n * math.exp(const) * gaussian_lattice_tail(
-            alg, a_coef, bnorm, radius)
-        if tail <= 1e-13 * max(abs(total), 1e-300):
-            break
-        if radius > _REFLECTION_MAX_RADIUS:
-            raise ConvergenceError(
-                "reflected Weyl sum tail not certified in radius cap")
-        radius += step
+            total += sign * math.exp(e) * pb
+        return total
+
+    total, _, _ = certified_sum(
+        alg, 0.5 * kf * c, kf * p_norm + c * z_mu,
+        len(finite_group(alg)) * math.exp(2.0 * z_mu * p_norm), 1e-13,
+        shell_sum)
     hhat_ratio = math.exp(
         (_log_ch(alg, beta0, s) - float(inner_product(alg, beta0, p)))
         - (_log_ch(alg, lam0, s) - float(inner_product(alg, lam0, p))))

@@ -9,8 +9,10 @@ zero, which for the ``rho/n`` family means large ``n``.
 Two tail-bound regimes are used.  Character series have no elementary
 closed-form growth envelope, so the discarded mass is bounded by a fitted
 geometric envelope of the observed layer masses with a factor-two safety
-margin.  Lattice (theta / Weyl-orbit) sums decay like a Gaussian in the
-translation norm and get a fully certified shell-count comparison bound.
+margin (:func:`_geometric_tail`, shared with the kernel rows of
+:mod:`affinewalks.chain`).  Lattice (theta / Weyl-orbit) sums decay like a
+Gaussian in the translation norm and are summed by
+:func:`affinewalks.weyl.certified_sum` with its certified shell bound.
 """
 
 from __future__ import annotations
@@ -19,13 +21,14 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+
+import numpy as np
 
 from .algebra import (AffineAlgebra, Weight, classify_weight, inner_product,
                       weyl_vector)
 from .highestweight import (alternant_terms, character_series_oracle,
                             denominator_product_series)
-from .weyl import finite_apply, finite_group, lattice_basis, translation_vectors
+from .weyl import ConvergenceError, certified_sum, finite_group
 
 __all__ = [
     "Specialization",
@@ -39,16 +42,11 @@ __all__ = [
     "denominator_residual",
     "weyl_alternating_value",
     "character_ratio",
-    "gaussian_lattice_tail",
 ]
 
 
 class SpecializationError(ValueError):
     """Evaluation point outside the convergence half-space."""
-
-
-class ConvergenceError(RuntimeError):
-    """Requested accuracy not reachable within the depth/radius caps."""
 
 
 @dataclass(frozen=True)
@@ -96,92 +94,40 @@ def _require_convergent(alg: AffineAlgebra, s: Specialization) -> Fraction:
     return c
 
 
-def _finite_dot_float(alg: AffineAlgebra, z1, z2) -> float:
-    return float(alg.finite_inner([Fraction(x) for x in z1],
-                                  [Fraction(x) for x in z2]))
-
-
-# -- certified Gaussian lattice tail ------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _lattice_geometry(alg: AffineAlgebra):
-    basis = lattice_basis(alg)
-    l = alg.rank
-    gram = [[float(alg.finite_inner([Fraction(x) for x in basis[i]],
-                                    [Fraction(x) for x in basis[j]]))
-             for j in range(l)] for i in range(l)]
-    det = 1.0
-    work = [row[:] for row in gram]
-    for c in range(l):
-        piv = work[c][c]
-        det *= piv
-        for r in range(c + 1, l):
-            f = work[r][c] / piv
-            for j in range(c, l):
-                work[r][j] -= f * work[c][j]
-            det *= 1.0
-    covol = math.sqrt(det)
-    rho_f = 0.5 * sum(math.sqrt(gram[i][i]) for i in range(l))
-    ball_vol = math.pi ** (l / 2) / math.gamma(l / 2 + 1)
-    return covol, rho_f, ball_vol
-
-
-def gaussian_lattice_tail(alg: AffineAlgebra, a: float, b: float, start: float) -> float:
-    """Upper bound on ``sum_{alpha in M, |alpha| >= start} exp(-a|alpha|^2 + b|alpha|)``.
-
-    Shells ``[j, j+1)`` are counted by a volume bound and each point is
-    dominated by the shell's left endpoint, valid once the integrand is
-    decreasing there.  Returns ``inf`` when ``start`` is too small for the
-    bound to apply; the caller should then enlarge its explicit sum.
-    """
-    if a <= 0:
-        return math.inf
-    covol, rho_f, ball_vol = _lattice_geometry(alg)
-    l = alg.rank
-    j = max(int(math.floor(start)), 0)
-    if j < b / (2 * a) + 1:
-        return math.inf
-
-    def count(r):
-        return ball_vol * (r + 1 + rho_f) ** l / covol
-
-    term = count(j) * math.exp(-a * j * j + b * j)
-    nxt = count(j + 1) * math.exp(-a * (j + 1) ** 2 + b * (j + 1))
-    if term <= 0:
-        return 0.0
-    ratio = nxt / term
-    if ratio >= 1.0:
-        return math.inf
-    return term / (1.0 - ratio)
-
-
 # -- character evaluation ------------------------------------------------------------
 
 
 def _layer_masses(alg: AffineAlgebra, lam: Weight, s: Specialization,
                   depth: int, c: float):
     table = character_series_oracle(alg, lam, depth)
-    p = s.point
+    gp = alg.finite_covector(s.point.z)
     masses = [0.0] * (depth + 1)
     for (d, m), v in table.entries.items():
-        masses[d] += v * math.exp(-d * c - _finite_dot_float(alg, m, p.z))
+        masses[d] += v * math.exp(-d * c - float(sum(x * y for x, y in zip(m, gp))))
     return masses
 
 
-def _envelope_tail(masses, depth) -> tuple[float, float]:
-    """Fitted geometric envelope: (q_hat, tail_bound_relative_units)."""
-    window = max(3, depth // 3)
-    ratios = []
-    for d in range(max(1, depth - window + 1), depth + 1):
-        if masses[d - 1] > 0 and masses[d] > 0:
-            ratios.append(masses[d] / masses[d - 1])
-    if not ratios:
-        return math.inf, math.inf
-    q = max(ratios)
+def _geometric_tail(layer_mass: dict[int, float], resolution: int) -> float:
+    """Envelope for the mass beyond ``resolution``: factor-two safety margin
+    on the worst trailing ratio of nonzero layer masses (gap-corrected)."""
+    pts = sorted((d, v) for d, v in layer_mass.items() if v > 0)
+    if not pts:
+        return 0.0
+    window = [p for p in pts if p[0] >= resolution - max(6, resolution // 3)]
+    if len(window) < 3:
+        window = pts[-4:]
+    qs = []
+    for (d0, v0), (d1, v1) in zip(window, window[1:]):
+        qs.append((v1 / v0) ** (1.0 / (d1 - d0)))
+    if not qs:
+        return math.inf
+    q = max(qs)
     if q >= 1.0:
-        return q, math.inf
-    return q, 2.0 * masses[depth] * q / (1.0 - q)
+        return math.inf
+    last_d, last_v = pts[-1]
+    # geometric continuation from the last computed layer
+    lead = last_v * q ** (resolution + 1 - last_d)
+    return 2.0 * lead / (1.0 - q)
 
 
 def eval_character(alg: AffineAlgebra, lam: Weight, s: Specialization,
@@ -191,8 +137,9 @@ def eval_character(alg: AffineAlgebra, lam: Weight, s: Specialization,
 
     The series is summed over delta-depth layers; the discarded mass is
     bounded by a geometric envelope fitted to the trailing observed layer
-    ratios with a factor-two safety margin, and the truncation depth grows
-    until that bound drops below ``eps`` times the partial sum.
+    ratios with a factor-two safety margin (gap-corrected over layers of
+    zero mass), and the truncation depth grows until that bound drops
+    below ``eps`` times the partial sum.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -203,7 +150,7 @@ def eval_character(alg: AffineAlgebra, lam: Weight, s: Specialization,
     while True:
         masses = _layer_masses(alg, lam, s, depth, c)
         partial = math.fsum(masses)
-        q, tail = _envelope_tail(masses, depth)
+        tail = _geometric_tail(dict(enumerate(masses)), depth)
         if tail <= eps * partial:
             base = float(inner_product(alg, lam, s.point))
             log_value = base + math.log(partial)
@@ -213,8 +160,7 @@ def eval_character(alg: AffineAlgebra, lam: Weight, s: Specialization,
                               log_value=log_value)
         if depth >= max_depth:
             raise ConvergenceError(
-                f"character tail bound stuck above eps at depth {depth} "
-                f"(q_hat={q:.4f})")
+                f"character tail bound stuck above eps at depth {depth}")
         depth = min(max_depth, 2 * depth)
 
 
@@ -228,13 +174,14 @@ def character_ratio(num: EvalResult, den: EvalResult) -> tuple[float, float]:
 
 
 def eval_theta(alg: AffineAlgebra, lam: Weight, s: Specialization,
-               eps: float = 1e-10, max_radius: float = 400.0) -> EvalResult:
+               eps: float = 1e-10) -> EvalResult:
     """Classical theta function of a positive-level weight:
 
     ``exp(-(lam|lam)/(2k) * (delta|p)) * sum_{alpha in M} exp((t_alpha(lam)|p))``.
 
     The lattice sum is truncated by translation norm with the certified
-    Gaussian shell bound for the discarded part.
+    Gaussian shell bound for the discarded part; ``truncation_depth`` is
+    the translation radius.
     """
     k = inner_product(alg, alg.delta(), lam)
     if k <= 0:
@@ -244,48 +191,24 @@ def eval_theta(alg: AffineAlgebra, lam: Weight, s: Specialization,
     kf = float(k)
     a_coef = 0.5 * kf * c
     # exponent(alpha) - (lam|p) = (alpha | k*p - c*lam)_finite - a|alpha|^2
-    drift = [kf * float(x) - c * float(y) for x, y in zip(p.z, lam.z)]
-    g = [[float(alg.finite_gram[i][j]) for j in range(alg.rank)]
-         for i in range(alg.rank)]
-    bnorm = math.sqrt(max(sum(drift[i] * sum(g[i][j] * drift[j]
-                                             for j in range(alg.rank))
-                              for i in range(alg.rank)), 0.0))
-    covol, rho_f, _ = _lattice_geometry(alg)
-    step = max(math.sqrt(float(alg.finite_norm2([Fraction(x) for x in bb])))
-               for bb in lattice_basis(alg))
+    drift = kf * np.array(p.z, dtype=float) - c * np.array(lam.z, dtype=float)
+    g_drift = np.array(alg.finite_gram, dtype=float) @ drift
+    bnorm = math.sqrt(max(float(drift @ g_drift), 0.0))
+    n_w = len(finite_group(alg))
 
-    radius = max(2.0 * step, bnorm / max(a_coef, 1e-300) + 2.0)
-    while True:
-        partial = 0.0
-        for vec in translation_vectors(alg, radius):
-            zvec = _lattice_to_z(alg, vec)
-            quad = _finite_dot_float(alg, zvec, zvec)
-            lin = _finite_dot_vec(alg, zvec, drift)
-            partial += math.exp(lin - a_coef * quad)
-        tail = gaussian_lattice_tail(alg, a_coef, bnorm, radius)
-        if tail <= eps * partial:
-            break
-        if radius > max_radius:
-            raise ConvergenceError("theta tail bound not reached within radius cap")
-        radius += step
+    def shell_sum(terms) -> float:
+        # one term per translation: the identity opens each finite block
+        return float(np.exp(terms.trans[::n_w] @ g_drift
+                            - a_coef * terms.norm2[::n_w]).sum())
+
+    partial, tail, radius = certified_sum(alg, a_coef, bnorm, 1.0, eps,
+                                          shell_sum)
     log_base = (float(inner_product(alg, lam, p))
                 - float(inner_product(alg, lam, lam) / (2 * k)) * c)
     log_value = log_base + math.log(partial)
     value = math.exp(log_value)
-    return EvalResult(value=value, truncation_depth=int(radius),
+    return EvalResult(value=value, truncation_depth=radius,
                       tail_bound=math.exp(log_base) * tail, log_value=log_value)
-
-
-def _lattice_to_z(alg: AffineAlgebra, coeffs):
-    basis = lattice_basis(alg)
-    return tuple(sum(coeffs[i] * basis[i][j] for i in range(alg.rank))
-                 for j in range(alg.rank))
-
-
-def _finite_dot_vec(alg: AffineAlgebra, z1, v2) -> float:
-    g = alg.finite_gram
-    return sum(float(z1[i]) * sum(float(g[i][j]) * v2[j] for j in range(alg.rank))
-               for i in range(alg.rank))
 
 
 # -- denominator identity -------------------------------------------------------------
@@ -302,13 +225,12 @@ def denominator_residual(alg: AffineAlgebra, s: Specialization, depth: int) -> f
     equal coefficient-by-coefficient, so the evaluated residual sits at
     floating-point noise whenever the coefficients agree.
     """
-    c = _require_convergent(alg, s)
-    p = s.point
-    cf = float(c)
+    cf = float(_require_convergent(alg, s))
+    gp = alg.finite_covector(s.point.z)
 
     def evaluate(series) -> float:
         return math.fsum(
-            coeff * math.exp(-d * cf - _finite_dot_float(alg, m, p.z))
+            coeff * math.exp(-d * cf - float(sum(x * y for x, y in zip(m, gp))))
             for (d, m), coeff in series.items())
 
     prod = evaluate(denominator_product_series(alg, depth))
@@ -319,8 +241,26 @@ def denominator_residual(alg: AffineAlgebra, s: Specialization, depth: int) -> f
 # -- alternating Weyl-orbit values (numerator route) ----------------------------------
 
 
+def _orbit_exponents(alg: AffineAlgebra, mu: Weight, s: Specialization,
+                     terms) -> np.ndarray:
+    """``(w(mu) - mu | p)`` in float arithmetic for each ``w = t_alpha w0``
+    of the stacked :class:`~affinewalks.weyl.WeylTerms`.
+
+    ``w(mu) - mu`` has finite part ``w0(z) + k*alpha - z`` and delta part
+    ``-((w0(z)|alpha) + k|alpha|^2/2)``, which pairs with ``(delta|p)``.
+    """
+    g = np.array(alg.finite_gram, dtype=float)
+    z = np.array(mu.z, dtype=float)
+    k = float(mu.k)
+    alpha = terms.trans.astype(float)
+    wz = terms.matrix @ z
+    db = -(((wz @ g) * alpha).sum(axis=1) + 0.5 * k * terms.norm2)
+    return (float(delta_pairing(alg, s)) * db
+            + (wz + k * alpha - z) @ (g @ np.array(s.point.z, dtype=float)))
+
+
 def weyl_alternating_value(alg: AffineAlgebra, mu: Weight, s: Specialization,
-                           rtol: float = 1e-13, max_radius: float = 400.0) -> float:
+                           rtol: float = 1e-13) -> float:
     """Certified value of ``sum_w det(w) exp((w(mu) - mu | p))``.
 
     For strictly dominant ``mu`` this equals ``exp(-(mu|p))`` times the
@@ -330,39 +270,12 @@ def weyl_alternating_value(alg: AffineAlgebra, mu: Weight, s: Specialization,
     """
     c = float(_require_convergent(alg, s))
     kf = float(mu.k)
-    a_coef = 0.5 * kf * c
-    p = s.point
-    group = finite_group(alg)
     z_mu_norm = math.sqrt(float(alg.finite_norm2(mu.z)))
-    p_norm = math.sqrt(float(alg.finite_norm2(p.z)))
+    p_norm = math.sqrt(float(alg.finite_norm2(s.point.z)))
     # |exp argument + a|alpha|^2| <= const + b|alpha|
     bnorm = kf * p_norm + c * z_mu_norm
     const = 2.0 * z_mu_norm * p_norm
-    step = max(math.sqrt(float(alg.finite_norm2([Fraction(x) for x in bb])))
-               for bb in lattice_basis(alg))
-    radius = max(2.0 * step, bnorm / max(a_coef, 1e-300) + 2.0)
-
-    while True:
-        total = 0.0
-        for vec in translation_vectors(alg, radius):
-            zvec = _lattice_to_z(alg, vec)
-            for w in group:
-                img = _translate_fast(alg, zvec, finite_apply(alg, w, mu))
-                e = float(inner_product(alg, img - mu, p))
-                total += w.sign * math.exp(e)
-        tail = len(group) * math.exp(const) * gaussian_lattice_tail(
-            alg, a_coef, bnorm, radius)
-        if tail <= rtol * max(abs(total), 1e-300):
-            return total
-        if radius > max_radius:
-            raise ConvergenceError("alternating sum tail not certified in radius cap")
-        radius += step
-
-
-def _translate_fast(alg: AffineAlgebra, alpha_z, lam: Weight) -> Weight:
-    alpha = [Fraction(x) for x in alpha_z]
-    pair = alg.finite_inner(lam.z, alpha)
-    halfnorm = alg.finite_norm2(alpha) / 2
-    return Weight(lam.k,
-                  tuple(a + lam.k * b for a, b in zip(lam.z, alpha)),
-                  lam.b - (pair + halfnorm * lam.k))
+    total, _, _ = certified_sum(
+        alg, 0.5 * kf * c, bnorm, len(finite_group(alg)) * math.exp(const),
+        rtol, lambda t: math.fsum(t.sign * np.exp(_orbit_exponents(alg, mu, s, t))))
+    return total

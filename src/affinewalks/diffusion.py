@@ -17,7 +17,7 @@ root coordinates, chosen once per algebra).  The module provides:
   translation-covariance identity of the free kernel.
 
 All Weyl sums are truncated by translation norm with the certified
-Gaussian shell bound from :mod:`affinewalks.characters`.
+Gaussian shell bound of :func:`affinewalks.weyl.certified_terms`.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import AffineAlgebra, Weight, weyl_vector
-from .characters import gaussian_lattice_tail
-from .weyl import (AffineWeylElement, apply, finite_group, lattice_basis,
-                   translation_vectors)
+from .weyl import AffineWeylElement, apply, certified_terms, finite_group
 
 __all__ = [
     "SpaceTimePoint",
@@ -140,43 +138,19 @@ def chamber_test(alg: AffineAlgebra, p: SpaceTimePoint) -> tuple[bool, float]:
 
 
 @dataclass
-class _Term:
-    sign: float
-    alpha: np.ndarray             # translation in orthonormal coordinates
+class _Terms:
+    """Weyl terms ``t_alpha w`` in orthonormal coordinates, one row each."""
+
+    sign: np.ndarray              # det(w)
+    alpha: np.ndarray             # translation
     rot: np.ndarray               # finite part as an orthogonal matrix
-    wrho: np.ndarray              # finite part of w(rho)
-    b_wrho: float                 # delta coordinate of w(rho)
-    cw: np.ndarray                # wrho - rho
-    alpha_norm2: float
-
-
-@lru_cache(maxsize=None)
-def _weyl_terms(alg: AffineAlgebra, radius_key: int) -> tuple[_Term, ...]:
-    """All terms with translation norm <= radius_key (integer-quantized)."""
-    f = _frame(alg)
-    radius = float(radius_key)
-    basis = lattice_basis(alg)
-    terms = []
-    for coeffs in translation_vectors(alg, radius):
-        z_alpha = [sum(coeffs[i] * basis[i][j] for i in range(alg.rank))
-                   for j in range(alg.rank)]
-        alpha_o = f.to_orth(z_alpha)
-        for w in finite_group(alg):
-            m = np.array([[float(w.matrix[i][j]) for j in range(alg.rank)]
-                          for i in range(alg.rank)])
-            rot = f.LT @ m @ f.LT_inv
-            wrho = rot @ f.rho_o + f.hv * alpha_o
-            b_wrho = -(float((rot @ f.rho_o) @ alpha_o)
-                       + 0.5 * float(alpha_o @ alpha_o) * f.hv)
-            terms.append(_Term(
-                sign=float(w.sign), alpha=alpha_o, rot=rot, wrho=wrho,
-                b_wrho=b_wrho, cw=wrho - f.rho_o,
-                alpha_norm2=float(alpha_o @ alpha_o)))
-    return tuple(terms)
+    alpha_norm2: np.ndarray
+    b_wrho: np.ndarray            # delta coordinate of w(rho)
+    cw: np.ndarray                # finite part of w(rho) - rho
 
 
 def _terms_for(alg: AffineAlgebra, s_min: float, z_norm: float,
-               rtol: float) -> tuple[tuple[_Term, ...], float]:
+               rtol: float) -> tuple[_Terms, float]:
     """Terms plus certified bound on everything beyond the chosen radius.
 
     The survival-type summand obeys ``|term| <= exp(const + b r - a r^2)``
@@ -191,15 +165,20 @@ def _terms_for(alg: AffineAlgebra, s_min: float, z_norm: float,
     rho_norm = float(np.linalg.norm(f.rho_o))
     b = s_min * rho_norm + f.hv * z_norm
     const = 2.0 * z_norm * rho_norm
-    group = len(finite_group(alg))
-    radius = max(2.0, b / a + 2.0)
-    while True:
-        tail = group * math.exp(const) * gaussian_lattice_tail(alg, a, b, radius)
-        if tail <= rtol:
-            return _weyl_terms(alg, int(math.ceil(radius))), tail
-        radius += 1.0
-        if radius > 500:
-            raise RuntimeError("Weyl sum radius cap exceeded")
+    terms, tail = certified_terms(
+        alg, a, b, len(finite_group(alg)) * math.exp(const), rtol)
+    alpha = terms.trans.astype(float) @ f.LT.T
+    rot = f.LT @ terms.matrix.astype(float) @ f.LT_inv
+    rot_rho = rot @ f.rho_o
+    norm2 = np.einsum("ni,ni->n", alpha, alpha)
+    b_wrho = -(np.einsum("ni,ni->n", rot_rho, alpha) + 0.5 * norm2 * f.hv)
+    cw = (rot_rho + f.hv * alpha) - f.rho_o
+    return _Terms(terms.sign.astype(float), alpha, rot, norm2, b_wrho, cw), tail
+
+
+def _exp_terms(terms: _Terms, s: float, z: np.ndarray) -> np.ndarray:
+    """Signed ``exp((x, w(rho) - rho))`` per path (rows of ``z``) and term."""
+    return np.exp(s * terms.b_wrho[None, :] + z @ terms.cw.T) * terms.sign[None, :]
 
 
 # -- survival function ---------------------------------------------------------------
@@ -217,10 +196,7 @@ def survival(alg: AffineAlgebra, p: SpaceTimePoint, eps: float = 1e-12):
     if not inside:
         raise OutsideChamberError(f"point outside the chamber (margin {margin:.3g})")
     terms, tail = _terms_for(alg, p.s, float(np.linalg.norm(p.z)), eps)
-    total = 0.0
-    for t in terms:
-        total += t.sign * math.exp(p.s * t.b_wrho + float(t.cw @ p.z))
-    return total, tail
+    return float(_exp_terms(terms, p.s, p.z[None, :]).sum()), tail
 
 
 def survival_gradient(alg: AffineAlgebra, p: SpaceTimePoint,
@@ -232,13 +208,8 @@ def survival_gradient(alg: AffineAlgebra, p: SpaceTimePoint,
     # coefficient growth is linear in the translation radius; one extra
     # order of magnitude on the tail keeps the differentiated sum certified
     terms, _ = _terms_for(alg, p.s, float(np.linalg.norm(p.z)), eps * 1e-2)
-    ds = 0.0
-    dz = np.zeros_like(p.z)
-    for t in terms:
-        e = t.sign * math.exp(p.s * t.b_wrho + float(t.cw @ p.z))
-        ds += e * t.b_wrho
-        dz += e * t.cw
-    return ds, dz
+    e = _exp_terms(terms, p.s, p.z[None, :])[0]
+    return float(e @ terms.b_wrho), e @ terms.cw
 
 
 # -- heat kernels --------------------------------------------------------------------
@@ -272,34 +243,26 @@ def reflected_density(alg: AffineAlgebra, x: SpaceTimePoint, y: SpaceTimePoint,
     f = _frame(alg)
     if abs(y.s - x.s - t * f.hv) > 1e-9:
         raise ValueError("level slice mismatch: need y.s = x.s + t*h_vee")
+    if mode not in ("drifted-by-x", "drifted-by-y", "undrifted"):
+        raise ValueError(f"unknown mode {mode!r}")
     base = x if mode != "drifted-by-y" else y
-    terms, _ = _terms_for(alg, base.s, float(np.linalg.norm(base.z)),
-                          rtol * heat_density_scale(alg, t))
-    norm = 1.0 / (2 * math.pi * t) ** (f.l / 2)
-    total = 0.0
-    for tm in terms:
-        if mode == "drifted-by-x":
-            wx = tm.rot @ x.z + x.s * tm.alpha
-            b_wx = -(float((tm.rot @ x.z) @ tm.alpha)
-                     + 0.5 * tm.alpha_norm2 * x.s)
-            pref = b_wx * f.hv + float((wx - x.z) @ f.rho_o)
-            disp = y.z - t * f.rho_o - wx
-        elif mode == "drifted-by-y":
-            wy = tm.rot @ y.z + y.s * tm.alpha
-            b_wy = -(float((tm.rot @ y.z) @ tm.alpha)
-                     + 0.5 * tm.alpha_norm2 * y.s)
-            pref = -b_wy * f.hv - float((wy - y.z) @ f.rho_o)
-            disp = wy - t * f.rho_o - x.z
-        elif mode == "undrifted":
-            wx = tm.rot @ x.z + x.s * tm.alpha
-            b_wx = -(float((tm.rot @ x.z) @ tm.alpha)
-                     + 0.5 * tm.alpha_norm2 * x.s)
-            pref = b_wx * f.hv
-            disp = y.z - wx
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        total += tm.sign * math.exp(pref - float(disp @ disp) / (2 * t)) * norm
-    return total
+    norm = heat_density_scale(alg, t)
+    tm, _ = _terms_for(alg, base.s, float(np.linalg.norm(base.z)), rtol * norm)
+    # finite and delta parts of w(base) for every term
+    rot_z = tm.rot @ base.z
+    w_z = rot_z + base.s * tm.alpha
+    b_w = -(np.einsum("ni,ni->n", rot_z, tm.alpha) + 0.5 * tm.alpha_norm2 * base.s)
+    if mode == "drifted-by-x":
+        pref = b_w * f.hv + (w_z - x.z) @ f.rho_o
+        disp = y.z - t * f.rho_o - w_z
+    elif mode == "drifted-by-y":
+        pref = -b_w * f.hv - (w_z - y.z) @ f.rho_o
+        disp = w_z - t * f.rho_o - x.z
+    else:
+        pref = b_w * f.hv
+        disp = y.z - w_z
+    e = np.exp(pref - np.einsum("ni,ni->n", disp, disp) / (2 * t))
+    return float(tm.sign @ e) * norm
 
 
 def heat_density_scale(alg: AffineAlgebra, t: float) -> float:
@@ -378,42 +341,14 @@ def _wall_margins(f: _Frame, s: float, z: np.ndarray) -> np.ndarray:
     return vals
 
 
-class _TermArrays:
-    """Stacked Weyl-term coefficients for vectorized survival sums."""
-
-    def __init__(self, terms):
-        self.signs = np.array([t.sign for t in terms])
-        self.b = np.array([t.b_wrho for t in terms])
-        self.C = np.stack([t.cw for t in terms])
-
-    def survival(self, s: float, z: np.ndarray) -> np.ndarray:
-        e = np.exp(s * self.b[None, :] + z @ self.C.T)
-        return e @ self.signs
-
-    def drift(self, f: _Frame, s: float, z: np.ndarray) -> np.ndarray:
-        e = np.exp(s * self.b[None, :] + z @ self.C.T) * self.signs[None, :]
-        h = e.sum(axis=1)
-        grad = e @ self.C
-        h = np.where(h <= 0, np.nan, h)
-        return f.rho_o[None, :] + grad / h[:, None]
-
-
-# least recently used entries are evicted beyond this many
-_TERM_ARRAYS_MAX = 16
-_TERM_ARRAYS: dict[tuple, _TermArrays] = {}
-
-
-def _term_arrays(alg: AffineAlgebra, s_min: float, z_norm: float,
-                 rtol: float) -> _TermArrays:
-    terms, _ = _terms_for(alg, s_min, z_norm, rtol)
-    key = (alg.cartan.entries, len(terms))
-    hit = _TERM_ARRAYS.pop(key, None)
-    if hit is None:
-        hit = _TermArrays(terms)
-        if len(_TERM_ARRAYS) >= _TERM_ARRAYS_MAX:
-            del _TERM_ARRAYS[next(iter(_TERM_ARRAYS))]
-    _TERM_ARRAYS[key] = hit
-    return hit
+def _doob_drift(f: _Frame, terms: _Terms, s: float, z: np.ndarray) -> np.ndarray:
+    """rho plus the gradient of log survival, per path; NaN rows where the
+    truncated survival sum is not positive."""
+    e = _exp_terms(terms, s, z)
+    h = e.sum(axis=1)
+    grad = e @ terms.cw
+    h = np.where(h <= 0, np.nan, h)
+    return f.rho_o[None, :] + grad / h[:, None]
 
 
 def _bridge_step(f: _Frame, rng: np.random.Generator, z: np.ndarray,
@@ -481,16 +416,16 @@ def sample_path_batch(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,
     rec_idx = {int(round(t / dt)) for t in record_times}
     recorded = {0: z.copy()} if (record or 0 in rec_idx) else {}
 
-    # term arrays are refreshed only when the batch outgrows the radius
-    # they were certified for (the certificate is monotone in |z|)
-    arrays_cache = {"zn": -1.0, "arrays": None}
+    # terms are refreshed only when the batch outgrows the radius they were
+    # certified for (the certificate is monotone in |z|)
+    terms_cache = {"zn": -1.0, "terms": None}
 
     def drift_for(s_now, zi):
         znorm = float(np.abs(zi).max()) * math.sqrt(f.l)
-        if arrays_cache["arrays"] is None or znorm > arrays_cache["zn"]:
-            arrays_cache["arrays"] = _term_arrays(alg, x0.s, znorm + 2.0, 1e-12)
-            arrays_cache["zn"] = znorm + 2.0
-        return arrays_cache["arrays"].drift(f, s_now, zi)
+        if terms_cache["terms"] is None or znorm > terms_cache["zn"]:
+            terms_cache["terms"], _ = _terms_for(alg, x0.s, znorm + 2.0, 1e-12)
+            terms_cache["zn"] = znorm + 2.0
+        return _doob_drift(f, terms_cache["terms"], s_now, zi)
 
     def advance(idx, s_now, t_now, dt_loc):
         """One conditioned step of size dt_loc for the index set

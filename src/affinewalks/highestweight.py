@@ -29,7 +29,7 @@ from functools import lru_cache
 from . import _linalg
 from .algebra import (AffineAlgebra, Weight, classify_weight,
                       pairing_coroot, weyl_vector)
-from .weyl import apply, enumerate_bounded, finite_group, lattice_basis
+from .weyl import _lattice_gram, apply, enumerate_bounded, finite_group
 
 __all__ = [
     "MultiplicityTable",
@@ -111,7 +111,13 @@ def _is_positive(vec) -> bool:
     return all(x >= 0 for x in vec) and any(x > 0 for x in vec)
 
 
-@lru_cache(maxsize=None)
+# keyed by depth, each entry about (rank + |finite roots|) * depth roots
+# (18 000 at the depth 6001 that rho/200 needs); the full test suite holds
+# at most 22 depths at once, so nothing there evicts
+_POSITIVE_ROOTS_MAX = 64
+
+
+@lru_cache(maxsize=_POSITIVE_ROOTS_MAX)
 def positive_roots(alg: AffineAlgebra, depth: int):
     """Positive roots with delta-depth <= depth, as ``(n, r, mult)`` triples.
 
@@ -412,18 +418,22 @@ def tensor_power_table(alg: AffineAlgebra, omega: Weight, n: int, depth: int,
     return MultiplicityTable(top, depth, acc, kind=f"tensor-power(omega,{n})")
 
 
+# least-recently-used tensor-power tables; the full test suite holds at
+# most 3 at once, so nothing there evicts
+_TENSOR_CACHE_MAX = 16
 _TENSOR_CACHE: dict[tuple, MultiplicityTable] = {}
 
 
 def _tensor_cached(alg: AffineAlgebra, omega: Weight, n: int, depth: int) -> MultiplicityTable:
     key = (alg.cartan.entries, omega, n)
-    hit = _TENSOR_CACHE.get(key)
-    if hit is not None and hit.depth >= depth:
-        return hit
-    grown = max(depth, 2 * hit.depth if hit is not None else depth)
-    table = tensor_power_table(alg, omega, n, grown)
-    _TENSOR_CACHE[key] = table
-    return table
+    hit = _TENSOR_CACHE.pop(key, None)
+    if hit is None or hit.depth < depth:
+        grown = max(depth, 2 * hit.depth if hit is not None else depth)
+        hit = tensor_power_table(alg, omega, n, grown)
+        if len(_TENSOR_CACHE) >= _TENSOR_CACHE_MAX:
+            del _TENSOR_CACHE[next(iter(_TENSOR_CACHE))]
+    _TENSOR_CACHE[key] = hit
+    return hit
 
 
 # -- branching via the alternating sum --------------------------------------------
@@ -477,9 +487,8 @@ def branching_mult(alg: AffineAlgebra, lam: Weight, omega: Weight, n: int,
     cq = n * n * c_om * c_om + 2 * n * k_om * d_off - c1 * c1
     disc = bq * bq + 4 * aq * max(cq, 0.0)
     rstar = (bq + math.sqrt(disc)) / (2 * aq)
-    basis_norms = [math.sqrt(float(alg.finite_norm2([Fraction(x) for x in b])))
-                   for b in lattice_basis(alg)]
-    shell = max(basis_norms)
+    gram = [[float(x) for x in row] for row in _lattice_gram(alg)]
+    shell = math.sqrt(max(gram[i][i] for i in range(l)))   # longest basis vector
     radius = rstar * 1.02 + shell
 
     omega_bar = omega.barbar()
@@ -511,7 +520,7 @@ def branching_mult(alg: AffineAlgebra, lam: Weight, omega: Weight, n: int,
             max_depth = max(max_depth, res[1])
     # boundary-shell certificate: one more shell must contribute nothing
     for welem in enumerate_bounded(alg, radius + shell):
-        q = sum(welem.trans[i] * sum(float(_lat_gram(alg)[i][j]) * welem.trans[j]
+        q = sum(welem.trans[i] * sum(gram[i][j] * welem.trans[j]
                                      for j in range(l)) for i in range(l))
         if q <= radius * radius:
             continue
@@ -527,16 +536,6 @@ def branching_mult(alg: AffineAlgebra, lam: Weight, omega: Weight, n: int,
         raise ArithmeticError(
             f"negative branching multiplicity {total}: enumeration incomplete")
     return total
-
-
-@lru_cache(maxsize=None)
-def _lat_gram(alg: AffineAlgebra):
-    basis = lattice_basis(alg)
-    l = alg.rank
-    return tuple(
-        tuple(alg.finite_inner([Fraction(x) for x in basis[i]],
-                               [Fraction(x) for x in basis[j]])
-              for j in range(l)) for i in range(l))
 
 
 # -- independent decomposition of a character product ------------------------------

@@ -76,10 +76,10 @@ def _log_denominator_value(alg: AffineAlgebra, s: Specialization,
                            depth: int) -> float:
     """Stable log of the alternating denominator sum via the product form."""
     c = delta_pairing(alg, s)
+    gp = alg.finite_covector(s.point.z)
     out = 0.0
     for (n, r, mult) in positive_roots(alg, depth):
-        pairing = float(n * c + alg.finite_inner(
-            [Fraction(x) for x in r], s.point.z))
+        pairing = float(n * c + sum(x * y for x, y in zip(r, gp)))
         out += mult * math.log1p(-math.exp(-pairing))
     return out
 
@@ -92,10 +92,10 @@ def _mp_terms(alg, mu, s, depth_cut, c_frac: Fraction):
     which the near-total cancellation of the sums then amplifies.
     """
     terms = alternant_terms(alg, mu, depth_cut)
+    gp = alg.finite_covector(s.point.z)
     out = []
     for (d, m), coeff in terms.items():
-        logw = -(d * c_frac) - alg.finite_inner(
-            [Fraction(x) for x in m], s.point.z)
+        logw = -(d * c_frac) - sum(x * y for x, y in zip(m, gp))
         w = mp.e ** (mp.mpf(logw.numerator) / logw.denominator)
         out.append((m, coeff * w))
     return out

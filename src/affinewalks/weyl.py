@@ -6,6 +6,12 @@ Elements are kept in translation-first normal form ``t_alpha * w`` with
 ``w`` a finite Weyl element acting on the finite coordinates.  Composition
 uses the semidirect rule, so no reduced-word machinery is needed beyond the
 breadth-first enumeration of the finite group.
+
+Alternating sums over the group (theta functions, Weyl-orbit sums, the
+survival function and reflected densities) are cut off by translation norm.
+:func:`certified_terms` and :func:`certified_sum` own that cutoff: one
+radius policy, the certified Gaussian shell bound for everything beyond it,
+and the stacked term arrays in a bounded cache.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from . import _linalg
 from .algebra import AffineAlgebra, Weight, pairing_coroot
@@ -34,11 +42,21 @@ __all__ = [
     "translation_vectors",
     "dominant_representative",
     "WeylEnumerationError",
+    "ConvergenceError",
+    "WeylTerms",
+    "weyl_terms",
+    "gaussian_lattice_tail",
+    "certified_terms",
+    "certified_sum",
 ]
 
 
 class WeylEnumerationError(RuntimeError):
     """Finite Weyl group larger than the configured enumeration cap."""
+
+
+class ConvergenceError(RuntimeError):
+    """Requested accuracy not reachable within the depth/radius caps."""
 
 
 @dataclass(frozen=True)
@@ -254,6 +272,140 @@ def enumerate_bounded(alg: AffineAlgebra, radius):
     for coeffs in translation_vectors(alg, radius):
         for w in group:
             yield AffineWeylElement(coeffs, w)
+
+
+# -- certified Weyl sums ------------------------------------------------------------
+
+# translation radius past which a certified Weyl sum gives up
+_MAX_RADIUS = 500.0
+# least recently used term arrays are evicted beyond this many radii; the
+# full test suite touches 12 (radius at most 11), so nothing there evicts
+_TERMS_MAX = 64
+_TERMS: dict[tuple, "WeylTerms"] = {}
+
+
+@dataclass(frozen=True)
+class WeylTerms:
+    """Every ``t_alpha w`` with ``|alpha| <= radius``, stacked in
+    ``translation_vectors`` x ``finite_group`` order (the identity first in
+    each block of ``len(finite_group)`` terms).
+
+    ``sign`` is det(w), ``matrix`` the finite part on root coordinates,
+    ``trans`` the translation ``alpha`` in root coordinates (all integer)
+    and ``norm2`` the float ``|alpha|^2``.  Slicing keeps the arrays aligned.
+    """
+
+    sign: np.ndarray
+    matrix: np.ndarray
+    trans: np.ndarray
+    norm2: np.ndarray
+
+    def __getitem__(self, sl) -> "WeylTerms":
+        return WeylTerms(self.sign[sl], self.matrix[sl], self.trans[sl],
+                         self.norm2[sl])
+
+
+def weyl_terms(alg: AffineAlgebra, radius: int) -> WeylTerms:
+    """Stacked terms with translation norm at most the integer ``radius``;
+    a smaller radius gives a prefix of a larger one."""
+    key = (alg, radius)
+    hit = _TERMS.pop(key, None)
+    if hit is None:
+        group = finite_group(alg)
+        l, n_w = alg.rank, len(group)
+        zs = [tuple(int(x) for x in _trans_to_z(alg, c))
+              for c in translation_vectors(alg, radius)]
+        hit = WeylTerms(
+            sign=np.tile([w.sign for w in group], len(zs)),
+            matrix=np.tile(np.array([w.matrix for w in group], dtype=np.int64),
+                           (len(zs), 1, 1)),
+            trans=np.repeat(np.array(zs, dtype=np.int64).reshape(-1, l), n_w,
+                            axis=0),
+            norm2=np.repeat([float(alg.finite_norm2(z)) for z in zs], n_w))
+        if len(_TERMS) >= _TERMS_MAX:
+            del _TERMS[next(iter(_TERMS))]
+    _TERMS[key] = hit
+    return hit
+
+
+@lru_cache(maxsize=None)
+def _lattice_geometry(alg: AffineAlgebra) -> tuple[float, float, float]:
+    """Covolume, half the sum of the basis norms, volume of the unit ball."""
+    gram = _lattice_gram(alg)
+    l = alg.rank
+    covol = math.sqrt(float(_linalg.det(gram)))
+    rho_f = 0.5 * sum(math.sqrt(float(gram[i][i])) for i in range(l))
+    ball_vol = math.pi ** (l / 2) / math.gamma(l / 2 + 1)
+    return covol, rho_f, ball_vol
+
+
+def gaussian_lattice_tail(alg: AffineAlgebra, a: float, b: float, start: float) -> float:
+    """Upper bound on ``sum_{alpha in M, |alpha| >= start} exp(-a|alpha|^2 + b|alpha|)``.
+
+    Shells ``[j, j+1)`` are counted by a volume bound and each point is
+    dominated by the shell's left endpoint, valid once the integrand is
+    decreasing there.  Returns ``inf`` when ``start`` is too small for the
+    bound to apply.
+    """
+    if a <= 0:
+        return math.inf
+    covol, rho_f, ball_vol = _lattice_geometry(alg)
+    l = alg.rank
+    j = max(int(math.floor(start)), 0)
+    if j < b / (2 * a) + 1:
+        return math.inf
+
+    def count(r):
+        return ball_vol * (r + 1 + rho_f) ** l / covol
+
+    term = count(j) * math.exp(-a * j * j + b * j)
+    nxt = count(j + 1) * math.exp(-a * (j + 1) ** 2 + b * (j + 1))
+    if term <= 0:
+        return 0.0
+    ratio = nxt / term
+    if ratio >= 1.0:
+        return math.inf
+    return term / (1.0 - ratio)
+
+
+def _radii(a: float, b: float):
+    """The radius policy: ``b/a + 2``, then steps of one up to the cap."""
+    r = b / a + 2.0 if a > 0 else math.inf
+    while r <= _MAX_RADIUS:
+        yield r
+        r += 1.0
+    raise ConvergenceError(
+        f"Weyl sum tail not certified within translation radius {_MAX_RADIUS}")
+
+
+def certified_terms(alg: AffineAlgebra, a: float, b: float, scale: float,
+                    tol: float) -> tuple[WeylTerms, float]:
+    """Terms of a Weyl sum whose summands obey
+    ``|term| <= scale * exp(-a|alpha|^2 + b|alpha|)``, cut at the first
+    radius whose tail bound is at most ``tol``; returns ``(terms, bound)``.
+    """
+    for r in _radii(a, b):
+        tail = scale * gaussian_lattice_tail(alg, a, b, r)
+        if tail <= tol:
+            return weyl_terms(alg, math.ceil(r)), tail
+
+
+def certified_sum(alg: AffineAlgebra, a: float, b: float, scale: float,
+                  rtol: float, shell_sum) -> tuple[float, float, int]:
+    """Sum ``shell_sum(terms)`` over the Weyl terms, adding one shell per
+    radius step, until the tail bound (summands as in
+    :func:`certified_terms`) is at most ``rtol`` times the total; returns
+    ``(total, bound, radius)``.
+    """
+    total, done = 0.0, 0
+    for r in _radii(a, b):
+        radius = math.ceil(r)
+        terms = weyl_terms(alg, radius)
+        total += shell_sum(terms[done:])
+        done = terms.sign.size
+        tail = scale * gaussian_lattice_tail(alg, a, b, r)
+        if tail <= rtol * abs(total):
+            return total, tail, radius
 
 
 def dominant_representative(alg: AffineAlgebra, lam: Weight, max_steps: int = 100000):

@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from affinewalks import algebra as al, chain as cn, characters as ch
+from affinewalks import algebra as al, chain as cn, characters as ch, weyl as wy
 from affinewalks.algebra import Weight
 
 
@@ -185,8 +185,8 @@ def test_reflection_small(a1):
 
 def test_reflection_radius_cap(a1, monkeypatch):
     # a tail bound that never certifies must stop at the radius cap
-    monkeypatch.setattr(cn, "gaussian_lattice_tail", lambda *args: math.inf)
-    monkeypatch.setattr(cn, "_REFLECTION_MAX_RADIUS", 6.0)
+    monkeypatch.setattr(wy, "gaussian_lattice_tail", lambda *args: math.inf)
+    monkeypatch.setattr(wy, "_MAX_RADIUS", 6.0)
     s = ch.rho_specialization(a1, 3)
     with pytest.raises(ch.ConvergenceError):
         cn.reflection_discrete_residual(a1, omega(a1), s, 0, a1.Lambda0(),

@@ -79,6 +79,24 @@ def test_positive_roots_structure(a1, a2):
         assert imag == list(range(1, 5))
 
 
+def test_positive_roots_cache_bounded(a1):
+    depths = range(hw._POSITIVE_ROOTS_MAX + 3)
+    first = [hw.positive_roots(a1, d) for d in depths]
+    assert hw.positive_roots.cache_info().currsize == hw._POSITIVE_ROOTS_MAX
+    assert [hw.positive_roots(a1, d) for d in depths] == first
+    assert hw.positive_roots.cache_info().currsize == hw._POSITIVE_ROOTS_MAX
+
+
+def test_tensor_cache_bounded(a1, monkeypatch):
+    monkeypatch.setattr(hw, "_TENSOR_CACHE", {})
+    monkeypatch.setattr(hw, "_TENSOR_CACHE_MAX", 2)
+    om = Weight.make(1, (0,), 0)
+    first = [hw._tensor_cached(a1, om, n, 4).entries for n in (1, 2, 3)]
+    assert len(hw._TENSOR_CACHE) == 2
+    assert [hw._tensor_cached(a1, om, n, 4).entries for n in (1, 2, 3)] == first
+    assert len(hw._TENSOR_CACHE) == 2
+
+
 def test_alternant_depth0(a1, rho1):
     # only the finite Weyl group survives at depth zero
     terms = hw.alternant_terms(a1, a1.Lambda0() + rho1, 0)

@@ -3,9 +3,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from affinewalks import algebra as al, weyl as wy
+from affinewalks import (algebra as al, chain as cn, characters as ch,
+                         diffusion as df, weyl as wy)
 from affinewalks.algebra import Weight
 
 
@@ -137,3 +139,47 @@ def test_element_json(a1):
     import json
     obj = json.loads(e.to_json())
     assert set(obj) == {"alpha", "word"}
+
+
+def test_weyl_terms_follow_enumeration(a2):
+    # stacked arrays: translation_vectors x finite_group order, and a
+    # smaller radius is a prefix of a larger one
+    terms = wy.weyl_terms(a2, 3)
+    elems = list(wy.enumerate_bounded(a2, 3))
+    assert terms.sign.size == len(elems)
+    for i, e in enumerate(elems):
+        assert terms.sign[i] == e.sign
+        assert tuple(map(tuple, terms.matrix[i].tolist())) == e.finite.matrix
+        assert tuple(terms.trans[i].tolist()) == wy._trans_to_z(a2, e.trans)
+        assert terms.norm2[i] == float(a2.finite_norm2(wy._trans_to_z(a2, e.trans)))
+    small = wy.weyl_terms(a2, 2)
+    assert (terms.trans[:small.sign.size] == small.trans).all()
+
+
+def _spec(a1):
+    return ch.rho_specialization(a1, 3)
+
+
+_OMEGA = Weight.make(2, (0,), 0)
+_CAP_CALLS = {
+    "eval_theta": lambda a1: ch.eval_theta(
+        a1, Weight.make(2, (Fraction(1, 2),), 0), _spec(a1)),
+    "weyl_alternating_value": lambda a1: ch.weyl_alternating_value(
+        a1, al.weyl_vector(a1), _spec(a1)),
+    "reflection_discrete_residual": lambda a1: cn.reflection_discrete_residual(
+        a1, _OMEGA, _spec(a1), 0, a1.Lambda0(), a1.Lambda0(), 20),
+    "survival": lambda a1: df.survival(
+        a1, df.SpaceTimePoint(2.0, np.array([0.6]))),
+    "FastBarredKernel.row": lambda a1: cn.FastBarredKernel(
+        a1, _OMEGA, ch.rho_specialization(a1, 5)).row(2, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_CAP_CALLS))
+def test_radius_cap_raises(a1, monkeypatch, name):
+    # a tail bound that never certifies must stop at the radius cap with
+    # the typed error, in every caller of the certified Weyl sum
+    monkeypatch.setattr(wy, "gaussian_lattice_tail", lambda *args: math.inf)
+    monkeypatch.setattr(wy, "_MAX_RADIUS", 8.0)
+    with pytest.raises(wy.ConvergenceError):
+        _CAP_CALLS[name](a1)
