@@ -82,10 +82,6 @@ def det(m: Mat) -> Fraction:
     return out
 
 
-def solve(a: Mat, b) -> Vec:
-    return mat_vec(invert(a), as_fraction_vector(b))
-
-
 def nullspace(m) -> list[Vec]:
     """Basis of the right null space of a rational matrix."""
     m = [list(row) for row in as_fraction_matrix(m)]

@@ -155,22 +155,30 @@ def check_row_stochasticity(fast=False):
 # -- 5: discrete reflection principle -------------------------------------------------
 
 
+def _reflection_residuals(alg, s, n_steps, lam0, depth):
+    """``(beta0, residual)`` of the discrete reflection principle for each
+    dominant ``beta0`` at the level ``n_steps`` steps of the omega chain
+    reach from ``lam0``; targets the chain cannot reach are skipped."""
+    om = _omega(alg)
+    out = []
+    for b0 in chain.dominant_states(alg, int(lam0.k) + n_steps * int(om.k)):
+        if chain.pbar_power(alg, om, s, n_steps, lam0, b0, 40) <= 0:
+            continue
+        out.append((b0, chain.reflection_discrete_residual(
+            alg, om, s, n_steps, lam0, b0, depth)))
+    return out
+
+
 def check_discrete_reflection(fast=False):
     alg = _a1()
-    om = _omega(alg)
     s = characters.rho_specialization(alg, GOLDEN.reflection_spec_n)
     lam0 = alg.Lambda0()
     steps = (1, 2) if fast else GOLDEN.reflection_steps
+    depth = GOLDEN.reflection_depth if not fast else 80
     worst = 0.0
     pairs = 0
     for n_steps in steps:
-        level = int(lam0.k) + n_steps * int(om.k)
-        depth = GOLDEN.reflection_depth if not fast else 80
-        for b0 in chain.dominant_states(alg, level):
-            if chain.pbar_power(alg, om, s, n_steps, lam0, b0, 40) <= 0:
-                continue
-            res = chain.reflection_discrete_residual(
-                alg, om, s, n_steps, lam0, b0, depth)
+        for _, res in _reflection_residuals(alg, s, n_steps, lam0, depth):
             worst = max(worst, res)
             pairs += 1
     ok = worst < GOLDEN.reflection_rtol and pairs >= (
@@ -181,21 +189,24 @@ def check_discrete_reflection(fast=False):
 # -- 6: translation covariance of the free kernel -------------------------------------
 
 
-def check_wonpt(fast=False):
-    alg = _a1()
+def check_wonpt(fast=False, alg=None):
+    alg = alg or _a1()
     rng = np.random.default_rng(61)
-    alpha_norm = math.sqrt(float(alg.finite_norm2([Fraction(1)])))
+    alpha_norm = math.sqrt(float(alg.finite_norm2(alg.alpha(1).z)))
     els = list(enumerate_bounded(alg, GOLDEN.wonpt_radius_alpha1 * alpha_norm
                                  + 1e-9))
     worst = 0.0
     count = GOLDEN.wonpt_samples if not fast else 25
+
+    def quarters():
+        return tuple(Fraction(int(rng.integers(-8, 8)), 4)
+                     for _ in range(alg.rank))
+
     for _ in range(count):
-        x = Weight.make(Fraction(int(rng.integers(1, 5))),
-                        (Fraction(int(rng.integers(-8, 8)), 4),),
+        x = Weight.make(Fraction(int(rng.integers(1, 5))), quarters(),
                         Fraction(int(rng.integers(-8, 8)), 4))
         dt_lvl = Fraction(int(rng.integers(1, 40)), 10)
-        y = Weight.make(x.k + dt_lvl * alg.dual_coxeter,
-                        (Fraction(int(rng.integers(-8, 8)), 4),),
+        y = Weight.make(x.k + dt_lvl * alg.dual_coxeter, quarters(),
                         Fraction(int(rng.integers(-8, 8)), 4))
         t = float(dt_lvl)
         w = els[int(rng.integers(0, len(els)))]
@@ -207,8 +218,8 @@ def check_wonpt(fast=False):
 # -- 7: continuous reflection + Girsanov ----------------------------------------------
 
 
-def check_continuous_reflection(fast=False):
-    alg = _a1()
+def check_continuous_reflection(fast=False, alg=None):
+    alg = alg or _a1()
     rng = np.random.default_rng(71)
     frame = diffusion._frame(alg)
     count = GOLDEN.creflect_samples if not fast else 15
@@ -236,8 +247,8 @@ def check_continuous_reflection(fast=False):
 # -- 8: harmonicity -------------------------------------------------------------------
 
 
-def check_harmonicity(fast=False):
-    alg = _a1()
+def check_harmonicity(fast=False, alg=None):
+    alg = alg or _a1()
     rng = np.random.default_rng(81)
     els = [w for w in enumerate_bounded(alg, 3.0)][:GOLDEN.harmonic_elements]
     step = GOLDEN.harmonic_step

@@ -15,7 +15,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import _linalg
 
@@ -155,11 +155,18 @@ class AffineAlgebra:
     def rank(self) -> int:
         return self.cartan.rank
 
-    @property
+    @cached_property
     def finite_gram(self) -> _linalg.Mat:
         l = self.rank
         return tuple(tuple(self.gram_hstar[i][j] for j in range(1, l + 1))
                      for i in range(1, l + 1))
+
+    @cached_property
+    def _finite_cartan_inverse(self) -> _linalg.Mat:
+        l = self.rank
+        return _linalg.invert(tuple(tuple(Fraction(self.cartan.entries[i][j])
+                                          for j in range(1, l + 1))
+                                    for i in range(1, l + 1)))
 
     # -- distinguished weights ------------------------------------------------
 
@@ -355,14 +362,21 @@ def pairing_coroot(alg: AffineAlgebra, lam: Weight, i: int) -> Fraction:
     return val
 
 
+def weight_from_pairings(alg: AffineAlgebra, pairings) -> Weight:
+    """Weight with the given coroot pairings (q_0..q_l) and no delta part."""
+    vals = [Fraction(str(x)) for x in pairings]
+    if len(vals) != alg.rank + 1:
+        raise ValueError(f"need {alg.rank + 1} pairings")
+    level = sum(Fraction(alg.comarks[i]) * vals[i] for i in range(alg.rank + 1))
+    z = _linalg.mat_vec(alg._finite_cartan_inverse, vals[1:])
+    return Weight.make(level, z, 0)
+
+
 @lru_cache(maxsize=None)
 def weyl_vector(alg: AffineAlgebra) -> Weight:
     """The weight with all coroot pairings 1, level h∨, and no delta part."""
     l = alg.rank
-    finite = tuple(tuple(Fraction(alg.cartan.entries[i][j])
-                         for j in range(1, l + 1)) for i in range(1, l + 1))
-    zbar = _linalg.solve(finite, [1] * l)
-    rho = Weight.make(alg.dual_coxeter, zbar, 0)
+    rho = weight_from_pairings(alg, [1] * (l + 1))
     for i in range(l + 1):
         if pairing_coroot(alg, rho, i) != 1:
             raise AssertionError("Weyl vector pairing check failed")

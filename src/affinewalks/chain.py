@@ -23,9 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _linalg
 from .algebra import (AffineAlgebra, Weight, classify_weight, inner_product,
-                      weyl_vector)
+                      weight_from_pairings, weyl_vector)
 from .characters import (EvalResult, Specialization, _geometric_tail,
                          _orbit_exponents, delta_pairing, eval_character)
 from .highestweight import (branching_mult, character_series_oracle,
@@ -121,17 +120,13 @@ def dominant_states(alg: AffineAlgebra, level: int) -> list[Weight]:
     l = alg.rank
     if level < 0:
         return []
-    finite = tuple(tuple(Fraction(alg.cartan.entries[i][j])
-                         for j in range(1, l + 1)) for i in range(1, l + 1))
-    inv = _linalg.invert(finite)
     out = []
     ranges = [range(0, level // alg.comarks[i] + 1) for i in range(1, l + 1)]
     for q in itertools.product(*ranges):
         q0 = level - sum(alg.comarks[i + 1] * q[i] for i in range(l))
         if q0 < 0 or q0 % alg.comarks[0] != 0:
             continue
-        z = _linalg.mat_vec(inv, [Fraction(x) for x in q])
-        out.append(Weight.make(level, z, 0))
+        out.append(weight_from_pairings(alg, (q0 // alg.comarks[0],) + q))
     out.sort(key=lambda w: w.z)
     return out
 

@@ -72,11 +72,12 @@ class SpaceTimePath:
 
 @dataclass
 class PathBatch:
-    """Vectorized trajectories: ``z[k]`` holds all paths at grid time k*dt."""
+    """Vectorized trajectories: ``z[k]`` holds all paths at grid time k*dt
+    for each recorded grid index ``k``."""
 
     times: np.ndarray
     s: np.ndarray                 # level coordinate per grid time
-    z: np.ndarray | None          # (n_times, n_paths, l) when recorded
+    z: dict[int, np.ndarray] | None   # index -> (n_paths, l); None if none
     exit_times: np.ndarray        # +inf where no exit observed
     aborted: np.ndarray           # conditioned paths that hit dt_min
     dt: float
@@ -398,6 +399,10 @@ def sample_path_batch(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,
     ``dt/1024``.  A conditioned path still that close to the wall at the
     floor resolution is aborted and flagged (discretization-failure
     diagnostic).
+
+    ``record=True`` records every grid index, ``record_times`` the indices
+    nearest those times; ``PathBatch.z`` maps each recorded index to the
+    positions of all paths.
     """
     f = _frame(alg)
     _, margin = chamber_test(alg, x0)
@@ -413,8 +418,9 @@ def sample_path_batch(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,
     exit_times = np.full(n_paths, np.inf)
     aborted = np.zeros(n_paths, dtype=bool)
 
-    rec_idx = {int(round(t / dt)) for t in record_times}
-    recorded = {0: z.copy()} if (record or 0 in rec_idx) else {}
+    rec_idx = (set(range(n_steps + 1)) if record
+               else {int(round(t / dt)) for t in record_times})
+    recorded = {0: z.copy()} if 0 in rec_idx else {}
 
     # terms are refreshed only when the batch outgrows the radius they were
     # certified for (the certificate is monotone in |z|)
@@ -464,7 +470,7 @@ def sample_path_batch(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,
                     dt_loc / 2)
 
     # without recording, an exited free path has nothing left to contribute
-    freeze_exited = (not conditioned) and not record and not rec_idx
+    freeze_exited = (not conditioned) and not rec_idx
     for k in range(n_steps):
         live = ~aborted
         if freeze_exited:
@@ -475,16 +481,11 @@ def sample_path_batch(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,
         else:
             _bridge_step(f, rng, z, exit_times, idx, float(svals[k]),
                          float(times[k + 1]), dt)
-        if record or (k + 1) in rec_idx:
+        if (k + 1) in rec_idx:
             recorded[k + 1] = z.copy()
 
-    zrec = None
-    if record:
-        zrec = np.stack([recorded[k] for k in range(n_steps + 1)])
-    elif rec_idx:
-        zrec = {k: v for k, v in recorded.items()}
-    return PathBatch(times=times, s=svals, z=zrec, exit_times=exit_times,
-                     aborted=aborted, dt=dt, seed=seed)
+    return PathBatch(times=times, s=svals, z=recorded or None,
+                     exit_times=exit_times, aborted=aborted, dt=dt, seed=seed)
 
 
 def sample_paths(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,

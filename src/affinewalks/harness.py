@@ -26,8 +26,7 @@ import numpy as np
 from . import characters, chain, diffusion
 from .algebra import (AffineAlgebra, Weight, algebra_from_json,
                       algebra_from_name, classify_weight, pairing_coroot,
-                      weyl_vector)
-from ._linalg import invert, mat_vec
+                      weight_from_pairings, weyl_vector)
 from .layerseries import increment_atoms
 from .thresholds import GOLDEN
 from .weyl import dominant_representative
@@ -160,19 +159,6 @@ def _compare_samples(za: np.ndarray, zb: np.ndarray, sigmas: float,
 # -- weight helpers ------------------------------------------------------------------
 
 
-def weight_from_pairings(alg: AffineAlgebra, pairings) -> Weight:
-    """Weight with the given coroot pairings (q_0..q_l) and no delta part."""
-    vals = [Fraction(str(x)) for x in pairings]
-    if len(vals) != alg.rank + 1:
-        raise ValueError(f"need {alg.rank + 1} pairings")
-    level = sum(Fraction(alg.comarks[i]) * vals[i] for i in range(alg.rank + 1))
-    finite = tuple(tuple(Fraction(alg.cartan.entries[i][j])
-                         for j in range(1, alg.rank + 1))
-                   for i in range(1, alg.rank + 1))
-    z = mat_vec(invert(finite), vals[1:])
-    return Weight.make(level, z, 0)
-
-
 def round_to_dominant(alg: AffineAlgebra, x: Weight, n: int) -> Weight:
     """Nearest dominant integral weight to ``n*x`` (componentwise pairing
     rounding with dominance repair through the Weyl group)."""
@@ -180,11 +166,9 @@ def round_to_dominant(alg: AffineAlgebra, x: Weight, n: int) -> Weight:
     q = [round(float(pairing_coroot(alg, target, i)))
          for i in range(1, alg.rank + 1)]
     level = round(float(n * x.k))
-    finite = tuple(tuple(Fraction(alg.cartan.entries[i][j])
-                         for j in range(1, alg.rank + 1))
-                   for i in range(1, alg.rank + 1))
-    z = mat_vec(invert(finite), [Fraction(v) for v in q])
-    cand = Weight.make(level, z, 0)
+    q0 = Fraction(level - sum(alg.comarks[i] * q[i - 1]
+                              for i in range(1, alg.rank + 1)), alg.comarks[0])
+    cand = weight_from_pairings(alg, [q0] + q)
     cls = classify_weight(alg, cand)
     if not cls.dominant:
         cand, _ = dominant_representative(alg, cand)
@@ -410,13 +394,19 @@ def _cmd_characters(args) -> int:
     return 0
 
 
+def _missing_seed() -> int:
+    print("error: --seed is required for stochastic commands", file=sys.stderr)
+    return 2
+
+
 def _cmd_chain(args) -> int:
     alg = _load_algebra(args)
     s = characters.rho_specialization(alg, args.n)
-    omega = Weight.make(alg.dual_coxeter, (0,) * alg.rank, 0)
     if args.action == "simulate":
-        start = _weight_arg(alg, args.start) if args.start \
-            else Weight.make(alg.dual_coxeter, (0,) * alg.rank, 0)
+        if args.seed is None:
+            return _missing_seed()
+        omega = Weight.make(alg.dual_coxeter, (0,) * alg.rank, 0)
+        start = _weight_arg(alg, args.start) if args.start else omega
         traj = chain.simulate_chain(alg, start, omega, s, args.steps,
                                     args.seed, depth=args.depth)
         with open(args.out, "w", newline="") as fh:
@@ -428,28 +418,30 @@ def _cmd_chain(args) -> int:
                                 + [str(w.b)])
         print(json.dumps({"steps": args.steps, "out": args.out}))
         return 0
-    # verify-reflection
+    # verify-reflection: criterion 5's loop at one step count
+    from . import acceptance
     lam0 = _weight_arg(alg, args.start) if args.start else alg.Lambda0()
-    reports = []
-    worst = 0.0
-    for level_states in [chain.dominant_states(
-            alg, int(lam0.k) + args.steps * alg.dual_coxeter)]:
-        for b0 in level_states:
-            if chain.pbar_power(alg, omega, s, args.steps, lam0, b0, 40) <= 0:
-                continue
-            res = chain.reflection_discrete_residual(
-                alg, omega, s, args.steps, lam0, b0, args.depth)
-            worst = max(worst, res)
-            reports.append({"beta0": [str(x) for x in b0.z], "residual": res})
+    cases = acceptance._reflection_residuals(alg, s, args.steps, lam0,
+                                             args.depth)
+    worst = max([0.0] + [res for _, res in cases])
+    reports = [{"beta0": [str(x) for x in b0.z], "residual": res}
+               for b0, res in cases]
     print(json.dumps({"steps": args.steps, "worst": worst,
                       "cases": reports}, indent=2))
     return 0 if worst < GOLDEN.reflection_rtol else 1
+
+
+# acceptance criterion run by each ``diffusion verify-*`` action
+_DIFFUSION_CRITERIA = {"verify-wonpt": 6, "verify-reflection": 7,
+                       "verify-harmonic": 8}
 
 
 def _cmd_diffusion(args) -> int:
     alg = _load_algebra(args)
     rho = weyl_vector(alg)
     if args.action == "sample":
+        if args.seed is None:
+            return _missing_seed()
         x0 = diffusion.weight_to_point(alg, rho)
         paths = diffusion.sample_paths(alg, x0, args.horizon, args.dt,
                                        args.paths, args.seed,
@@ -463,59 +455,21 @@ def _cmd_diffusion(args) -> int:
                     writer.writerow([j, k * path.dt, pt.s] + list(pt.z))
         print(json.dumps({"paths": args.paths, "out": args.out}))
         return 0
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     if args.action == "survival":
         pt = diffusion.weight_to_point(alg, rho.scale(Fraction(str(args.scale))))
         v, tail = diffusion.survival(alg, pt)
         print(json.dumps({"value": v, "tail_bound": tail}))
         return 0
-    if args.action == "verify-wonpt":
-        from .weyl import enumerate_bounded
-        worst = 0.0
-        alpha_norm = math.sqrt(float(alg.finite_norm2(
-            [Fraction(1)] + [Fraction(0)] * (alg.rank - 1))))
-        els = list(enumerate_bounded(alg, GOLDEN.wonpt_radius_alpha1 * alpha_norm))
-        for _ in range(GOLDEN.wonpt_samples):
-            t = 0.2 + 1.8 * rng.random()
-            x = Weight.make(Fraction(rng.integers(1, 5)),
-                            [Fraction(int(rng.integers(-8, 8)), 4)
-                             for _ in range(alg.rank)],
-                            Fraction(int(rng.integers(-8, 8)), 4))
-            y = Weight.make(x.k + Fraction(str(round(t, 6))) * alg.dual_coxeter,
-                            [Fraction(int(rng.integers(-8, 8)), 4)
-                             for _ in range(alg.rank)],
-                            Fraction(int(rng.integers(-8, 8)), 4))
-            t = float(y.k - x.k) / alg.dual_coxeter
-            w = els[int(rng.integers(0, len(els)))]
-            worst = max(worst, diffusion.wonpt_residual(alg, x, y, t, w))
-        print(json.dumps({"worst": worst, "samples": GOLDEN.wonpt_samples}))
-        return 0 if worst < GOLDEN.wonpt_rtol else 1
-    if args.action == "verify-harmonic":
-        from .weyl import enumerate_bounded
-        els = list(enumerate_bounded(alg, 3.0))[:GOLDEN.harmonic_elements]
-        worst = 0.0
-        for w in els:
-            for _ in range(3):
-                p = diffusion.SpaceTimePoint(
-                    1.0 + 3.0 * rng.random(), rng.normal(0, 1, alg.rank))
-                worst = max(worst, abs(diffusion.harmonic_residual(
-                    alg, w, p, GOLDEN.harmonic_step)))
-        print(json.dumps({"worst": worst}))
-        return 0 if worst < GOLDEN.harmonic_rtol else 1
-    # verify-reflection (continuous)
-    worst = 0.0
-    for _ in range(GOLDEN.creflect_samples):
-        t = 0.3 + 1.5 * rng.random()
-        s0 = 1.0 + 2.0 * rng.random()
-        x = diffusion.SpaceTimePoint(s0, _random_interior(alg, s0, rng))
-        sy = s0 + t * alg.dual_coxeter
-        y = diffusion.SpaceTimePoint(sy, _random_interior(alg, sy, rng))
-        d1 = diffusion.reflected_density(alg, x, y, t, "drifted-by-x")
-        d2 = diffusion.reflected_density(alg, x, y, t, "drifted-by-y")
-        if max(abs(d1), abs(d2)) > 1e-280:
-            worst = max(worst, abs(d1 - d2) / max(abs(d1), abs(d2)))
-    print(json.dumps({"worst": worst}))
-    return 0 if worst < GOLDEN.creflect_rtol else 1
+    if args.seed is not None:
+        print(f"error: {args.action} runs its acceptance criterion at the "
+              "criterion's fixed seed; --seed does not apply", file=sys.stderr)
+        return 2
+    from . import acceptance
+    number, name, fn = next(c for c in acceptance.CHECKS
+                            if c[0] == _DIFFUSION_CRITERIA[args.action])
+    result = acceptance._timed(number, name, lambda: fn(alg=alg))
+    print(result.line())
+    return 0 if result.passed else 1
 
 
 def _random_interior(alg, s, rng, margin_frac=0.15):
@@ -625,7 +579,7 @@ def run_cli(argv=None) -> int:
     p.add_argument("--depth", type=int, default=60)
     p.add_argument("--start", help="coroot pairings of the start weight")
     p.add_argument("--out", default="chain.csv")
-    p.set_defaults(func=_cmd_chain_dispatch)
+    p.set_defaults(func=_cmd_chain)
 
     p = sub.add_parser("diffusion", help="space-time chamber diffusion")
     p.add_argument("action", choices=["sample", "survival", "verify-reflection",
@@ -638,7 +592,7 @@ def run_cli(argv=None) -> int:
     p.add_argument("--conditioned", action="store_true")
     p.add_argument("--scale", default="1", help="start at scale*rho")
     p.add_argument("--out", default="paths.csv")
-    p.set_defaults(func=_cmd_diffusion_dispatch)
+    p.set_defaults(func=_cmd_diffusion)
 
     p = sub.add_parser("experiment", help="scaling-limit experiments")
     p.add_argument("kind", choices=["walk", "chain", "calibrate"])
@@ -658,22 +612,6 @@ def run_cli(argv=None) -> int:
 
     args = parser.parse_args(argv)
     return args.func(args)
-
-
-def _cmd_chain_dispatch(args) -> int:
-    if args.action == "simulate" and args.seed is None:
-        print("error: --seed is required for stochastic commands",
-              file=sys.stderr)
-        return 2
-    return _cmd_chain(args)
-
-
-def _cmd_diffusion_dispatch(args) -> int:
-    if args.action in ("sample",) and args.seed is None:
-        print("error: --seed is required for stochastic commands",
-              file=sys.stderr)
-        return 2
-    return _cmd_diffusion(args)
 
 
 def main() -> None:

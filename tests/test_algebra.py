@@ -74,6 +74,14 @@ def test_weyl_vector(a1, a2):
     assert rho2.k == 3 and rho2.b == 0
 
 
+def test_finite_gram_cached(a1, a2):
+    for alg in (a1, a2):
+        assert alg.finite_gram is alg.finite_gram
+        assert alg.finite_gram == tuple(
+            tuple(alg.gram_hstar[i][j] for j in range(1, alg.rank + 1))
+            for i in range(1, alg.rank + 1))
+
+
 def test_classify(a1):
     L0 = a1.Lambda0()
     c = al.classify_weight(a1, L0)

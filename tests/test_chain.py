@@ -291,3 +291,15 @@ def test_ch_cache_bounded(a1, monkeypatch):
     assert len(cn._CH_CACHE) == 2
     assert [cn._log_ch(a1, w, s) for w in states] == first
     assert len(cn._CH_CACHE) == 2
+
+
+def test_dominant_states_pairings(a1, a2):
+    for alg in (a1, a2):
+        for level in range(7):
+            states = cn.dominant_states(alg, level)
+            # type A: all comarks are 1, so one state per composition
+            assert len(states) == math.comb(level + alg.rank, alg.rank)
+            for w in states:
+                q = [al.pairing_coroot(alg, w, i) for i in range(alg.rank + 1)]
+                assert all(x.denominator == 1 and x >= 0 for x in q)
+                assert sum(c * x for c, x in zip(alg.comarks, q)) == level

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from affinewalks import acceptance
 from affinewalks.harness import run_cli
 
 
@@ -121,3 +122,50 @@ def test_experiment_config_file_matches_flags(tmp_path):
                  "--out", str(out)] + extra)
         reports.append(json.loads(out.read_text()))
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("depth,code", [(80, 0), (40, 1)])
+def test_chain_verify_reflection(depth, code, capsys):
+    assert run_cli(["chain", "verify-reflection", "--n", "3", "--steps", "1",
+                    "--depth", str(depth)]) == code
+    out = json.loads(capsys.readouterr().out)
+    assert out["steps"] == 1
+    assert [c["beta0"] for c in out["cases"]] == [["0"], ["1"]]
+    assert out["worst"] == max(c["residual"] for c in out["cases"])
+    if code == 0:
+        assert out["worst"] < 1e-13
+    else:                      # depth 40 truncates above the tolerance
+        assert out["worst"] == pytest.approx(2.5145e-7, rel=1e-4)
+
+
+@pytest.mark.parametrize("action,check", [
+    ("verify-wonpt", acceptance.check_wonpt),
+    ("verify-reflection", acceptance.check_continuous_reflection),
+    ("verify-harmonic", acceptance.check_harmonicity)])
+def test_diffusion_verify_runs_criterion(action, check, capsys):
+    assert run_cli(["diffusion", action, "--algebra", "A1~"]) == 0
+    line = capsys.readouterr().out
+    passed, detail = check()
+    assert passed
+    assert line.startswith("PASS") and f": {detail} (" in line
+
+
+def test_diffusion_verify_wonpt_a2(capsys):
+    assert run_cli(["diffusion", "verify-wonpt", "--algebra", "A2~"]) == 0
+    assert capsys.readouterr().out.startswith("PASS  [ 6]")
+
+
+def test_diffusion_verify_crash_is_fail_line(monkeypatch, capsys):
+    def broken(fast=False, alg=None):
+        raise RuntimeError("boom")
+    checks = [(n, name, broken if n == 8 else fn)
+              for n, name, fn in acceptance.CHECKS]
+    monkeypatch.setattr(acceptance, "CHECKS", checks)
+    assert run_cli(["diffusion", "verify-harmonic"]) == 1
+    assert capsys.readouterr().out.startswith(
+        "FAIL  [ 8] harmonicity of the chamber factors: RuntimeError: boom")
+
+
+def test_diffusion_verify_refuses_seed(capsys):
+    assert run_cli(["diffusion", "verify-wonpt", "--seed", "7"]) == 2
+    assert "--seed does not apply" in capsys.readouterr().err

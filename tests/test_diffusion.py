@@ -178,7 +178,8 @@ def test_sampler_reproducible(a1, rho1):
                               conditioned=False, record=True)
     b2 = df.sample_path_batch(a1, x0, 0.2, 1e-2, 50, seed=5,
                               conditioned=False, record=True)
-    assert np.array_equal(b1.z, b2.z)
+    assert b1.z.keys() == b2.z.keys() == set(range(21))
+    assert all(np.array_equal(b1.z[k], b2.z[k]) for k in b1.z)
     assert np.array_equal(b1.exit_times, b2.exit_times)
 
 
