@@ -35,6 +35,10 @@ __all__ = [
     "classify_weight",
 ]
 
+# caches keyed by an algebra keep this many algebras; the test suite
+# builds only a few
+_ALGEBRAS_MAX = 32
+
 
 class NotAffineError(ValueError):
     """The input matrix is not a generalized Cartan matrix of affine type."""
@@ -372,7 +376,7 @@ def weight_from_pairings(alg: AffineAlgebra, pairings) -> Weight:
     return Weight.make(level, z, 0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ALGEBRAS_MAX)
 def weyl_vector(alg: AffineAlgebra) -> Weight:
     """The weight with all coroot pairings 1, level h∨, and no delta part."""
     l = alg.rank
@@ -403,7 +407,7 @@ def registry_names(max_rank: int = 8) -> list[str]:
     return [f"A{n}~" for n in range(1, max_rank + 1)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ALGEBRAS_MAX)
 def algebra_from_name(name: str) -> AffineAlgebra:
     """Built-in untwisted type A registry: ``A1~``, ``A2~``, ..."""
     m = _NAME_RE.match(name)

@@ -11,8 +11,14 @@ root coordinates, chosen once per algebra).  The module provides:
 * reflected densities for the killed process (three equivalent forms),
 * Euler-Maruyama sampling of the drifted process, with a Brownian-bridge
   wall-crossing test on each coarse step (exit times are resolved to the
-  end of the step), and of the conditioned process, with recursive
+  end of the step), and of whole conditioned paths, with recursive
   near-boundary step halving,
+* exact sampling of the conditioned process at recorded times: one Doob
+  h-transform transition per gap, drawn by rejection from the free drifted
+  Gaussian (no time-step bias, no aborted path).  Whole paths keep
+  Euler-Maruyama because chaining the exact step at every grid time pays a
+  rejection loop per step: 200 paths x 1000 steps from rho take 3.6 s
+  against 0.86 s on A1~ and 33 s against 3.6 s on A2~ (2-CPU host),
 * finite-difference verifiers for the harmonic identity and for the
   translation-covariance identity of the free kernel.
 
@@ -28,8 +34,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import AffineAlgebra, Weight, weyl_vector
-from .weyl import AffineWeylElement, apply, certified_terms, finite_group
+from .algebra import _ALGEBRAS_MAX, AffineAlgebra, Weight, weyl_vector
+from .weyl import (AffineWeylElement, ConvergenceError, apply, certified_terms,
+                   finite_group)
 
 __all__ = [
     "SpaceTimePoint",
@@ -115,7 +122,7 @@ class _Frame:
         return self.LT @ np.array([float(x) for x in zfrac])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ALGEBRAS_MAX)
 def _frame(alg: AffineAlgebra) -> _Frame:
     return _Frame(alg)
 
@@ -249,10 +256,7 @@ def reflected_density(alg: AffineAlgebra, x: SpaceTimePoint, y: SpaceTimePoint,
     base = x if mode != "drifted-by-y" else y
     norm = heat_density_scale(alg, t)
     tm, _ = _terms_for(alg, base.s, float(np.linalg.norm(base.z)), rtol * norm)
-    # finite and delta parts of w(base) for every term
-    rot_z = tm.rot @ base.z
-    w_z = rot_z + base.s * tm.alpha
-    b_w = -(np.einsum("ni,ni->n", rot_z, tm.alpha) + 0.5 * tm.alpha_norm2 * base.s)
+    w_z, b_w = (a[0] for a in _images(tm, base.s, base.z[None, :]))
     if mode == "drifted-by-x":
         pref = b_w * f.hv + (w_z - x.z) @ f.rho_o
         disp = y.z - t * f.rho_o - w_z
@@ -264,6 +268,16 @@ def reflected_density(alg: AffineAlgebra, x: SpaceTimePoint, y: SpaceTimePoint,
         disp = y.z - w_z
     e = np.exp(pref - np.einsum("ni,ni->n", disp, disp) / (2 * t))
     return float(tm.sign @ e) * norm
+
+
+def _images(tm: _Terms, s: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Finite part, shape (n_paths, n_terms, l), and delta coordinate,
+    shape (n_paths, n_terms), of ``w(x)`` for each path ``x = (s, z)``
+    (rows of ``z``) and each term ``w``."""
+    rot_z = (tm.rot @ z.T).transpose(2, 0, 1)
+    w_z = rot_z + s * tm.alpha
+    b_w = -(np.einsum("pti,ti->pt", rot_z, tm.alpha) + 0.5 * tm.alpha_norm2 * s)
+    return w_z, b_w
 
 
 def heat_density_scale(alg: AffineAlgebra, t: float) -> float:
@@ -377,11 +391,78 @@ def _bridge_step(f: _Frame, rng: np.random.Generator, z: np.ndarray,
     exit_times[idx[fresh][crossed]] = t_next
 
 
+# rejection rounds one path may take part in per transition before the
+# exact conditioned sampler gives up; a round accepts with probability h(x)
+_MAX_ROUNDS = 10_000
+# path x term entries one rejection round evaluates at most
+_CHUNK = 1 << 18
+
+
+def _exact_step(alg: AffineAlgebra, rng: np.random.Generator, s: float,
+                z: np.ndarray, dt: float) -> np.ndarray:
+    """One exact transition of the conditioned process over ``dt`` for each
+    row of ``z`` (all at level ``s``), by rejection.
+
+    A path proposes ``y = x + dt*rho + N(0, dt)``, the free drifted
+    Gaussian ``p``.  A proposal inside the chamber is accepted with
+    probability ``(q/p)(x, y) h(y) <= 1``, ``q`` the killed density
+    (drifted-by-x form of :func:`reflected_density`) and ``h`` the
+    survival; the mean acceptance is ``h(x)`` and the accepted ``y`` has
+    density ``q(x, y) h(y) / h(x)``.  A ratio or survival value above 1 by
+    more than its certified tail plus rounding raises.
+    """
+    f = _frame(alg)
+    s_y = s + f.hv * dt
+    eps = np.finfo(float).eps
+    tm, tail = _terms_for(alg, s, float(np.linalg.norm(z, axis=1).max()), 1e-12)
+    rows = max(1, _CHUNK // tm.sign.size)
+    out = np.empty_like(z)
+    rounds = np.zeros(len(z), dtype=int)
+    pending = np.arange(len(z))
+    while pending.size:
+        idx = pending[:rows]
+        if rounds[idx].max() >= _MAX_ROUNDS:
+            raise ConvergenceError(
+                f"conditioned path not accepted within {_MAX_ROUNDS} "
+                "rejection rounds")
+        rounds[idx] += 1
+        x = z[idx]
+        d = rng.normal(0.0, math.sqrt(dt), x.shape)
+        y = x + f.rho_o * dt + d
+        u = rng.random(idx.size)
+        inside = np.flatnonzero(_wall_margins(f, s_y, y).min(axis=1) > 0)
+        accept = np.zeros(idx.size, dtype=bool)
+        if inside.size:
+            x, d, y_in = x[inside], d[inside], y[inside]
+            # q/p, with y - dt*rho - w(x) = d + (x - w(x)); the identity term is 1
+            w_z, b_w = _images(tm, s, x)
+            shift = x[:, None, :] - w_z
+            e = np.exp(b_w * f.hv - shift @ f.rho_o
+                       - (2 * np.einsum("pi,pti->pt", d, shift)
+                          + np.einsum("pti,pti->pt", shift, shift)) / (2 * dt))
+            ratio = e @ tm.sign
+            ratio_bound = (tail * np.exp(np.einsum("pi,pi->p", d, d) / (2 * dt))
+                           + tm.sign.size * eps * e.sum(axis=1))
+            ty, tail_y = _terms_for(
+                alg, s_y, float(np.linalg.norm(y_in, axis=1).max()), 1e-12)
+            e = _exp_terms(ty, s_y, y_in)
+            h = e.sum(axis=1)
+            h_bound = tail_y + ty.sign.size * eps * np.abs(e).sum(axis=1)
+            if np.any(ratio > 1 + ratio_bound) or np.any(h > 1 + h_bound):
+                raise FloatingPointError(
+                    "killed/free ratio or survival above 1 beyond its "
+                    "certified bound")
+            accept[inside] = u[inside] < ratio * h
+        out[idx[accept]] = y[accept]
+        pending = np.concatenate((idx[~accept], pending[rows:]))
+    return out
+
+
 def sample_path_batch(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,
                       dt: float, n_paths: int, seed: int,
                       conditioned: bool, record: bool = False,
                       record_times: tuple[float, ...] = ()) -> PathBatch:
-    """Euler-Maruyama batch on the grid ``k*dt``.
+    """Batch of paths on the grid ``k*dt``.
 
     The level coordinate advances deterministically by ``h_vee * dt``.
 
@@ -393,12 +474,18 @@ def sample_path_batch(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,
     keeps evolving after its exit (exit is a stopping time of the free
     process, not an absorbing state); without recording it is frozen.
 
-    Conditioned paths follow the Doob drift with recursive near-boundary
-    step halving: when a path's chamber margin drops below
-    ``10*sqrt(dt_local)`` the step is retried as two halves, down to
-    ``dt/1024``.  A conditioned path still that close to the wall at the
-    floor resolution is aborted and flagged (discretization-failure
-    diagnostic).
+    Conditioned paths recorded at ``record_times`` only are exact: each
+    recorded position is drawn from the previous one by one h-transform
+    transition over the gap (see :func:`_exact_step`), so ``dt`` only
+    places the recorded indices, and no path exits or aborts.
+
+    Whole conditioned paths (``record=True``) are Euler-Maruyama, since a
+    rejection loop per grid step costs more than the drift: they follow
+    the Doob drift with recursive near-boundary step halving.  When a
+    path's chamber margin drops below ``10*sqrt(dt_local)`` the step is
+    retried as two halves, down to ``dt/1024``.  A conditioned path still
+    that close to the wall at the floor resolution is aborted and flagged
+    (discretization-failure diagnostic).
 
     ``record=True`` records every grid index, ``record_times`` the indices
     nearest those times; ``PathBatch.z`` maps each recorded index to the
@@ -421,6 +508,17 @@ def sample_path_batch(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,
     rec_idx = (set(range(n_steps + 1)) if record
                else {int(round(t / dt)) for t in record_times})
     recorded = {0: z.copy()} if 0 in rec_idx else {}
+
+    if conditioned and not record:
+        # exact marginals: one h-transform transition per recorded gap
+        prev = 0
+        for k in sorted(i for i in rec_idx if 0 < i <= n_steps):
+            z = _exact_step(alg, rng, float(svals[prev]), z,
+                            float(times[k] - times[prev]))
+            recorded[k] = z
+            prev = k
+        return PathBatch(times=times, s=svals, z=recorded or None,
+                         exit_times=exit_times, aborted=aborted, dt=dt, seed=seed)
 
     # terms are refreshed only when the batch outgrows the radius they were
     # certified for (the certificate is monotone in |z|)

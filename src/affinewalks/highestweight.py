@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import _linalg
-from .algebra import (AffineAlgebra, Weight, classify_weight,
+from .algebra import (_ALGEBRAS_MAX, AffineAlgebra, Weight, classify_weight,
                       pairing_coroot, weyl_vector)
 from .weyl import _lattice_gram, apply, enumerate_bounded, finite_group
 
@@ -96,7 +96,7 @@ class MultiplicityTable:
 # -- root system to a given depth ------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ALGEBRAS_MAX)
 def finite_roots(alg: AffineAlgebra) -> tuple[tuple[int, ...], ...]:
     """All roots of the finite subsystem, as integer root coordinates."""
     roots: set[tuple[int, ...]] = set()

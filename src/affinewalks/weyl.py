@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _linalg
-from .algebra import AffineAlgebra, Weight, pairing_coroot
+from .algebra import _ALGEBRAS_MAX, AffineAlgebra, Weight, pairing_coroot
 
 __all__ = [
     "FiniteWeylElement",
@@ -102,7 +102,7 @@ def _simple_matrix(alg: AffineAlgebra, i: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ALGEBRAS_MAX)
 def finite_group(alg: AffineAlgebra, cap: int = 10**6) -> tuple[FiniteWeylElement, ...]:
     """Breadth-first closure of the finite Weyl group under the generators."""
     l = alg.rank
@@ -141,7 +141,7 @@ def finite_apply(alg: AffineAlgebra, w: FiniteWeylElement, lam: Weight) -> Weigh
     return Weight(lam.k, tuple(Fraction(x) for x in w.act_z(lam.z)), lam.b)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ALGEBRAS_MAX)
 def lattice_basis(alg: AffineAlgebra) -> tuple[tuple[int, ...], ...]:
     """Z-basis (in root coordinates) of the translation lattice.
 
@@ -200,7 +200,11 @@ def apply(alg: AffineAlgebra, w: AffineWeylElement, lam: Weight) -> Weight:
     return translate(alg, _trans_to_z(alg, w.trans), finite_apply(alg, w.finite, lam))
 
 
-@lru_cache(maxsize=None)
+# one matrix per finite Weyl element, for any of the cached algebras
+_ELEMENT_MATRICES_MAX = 4096
+
+
+@lru_cache(maxsize=_ELEMENT_MATRICES_MAX)
 def _finite_on_lattice(alg: AffineAlgebra, w: FiniteWeylElement) -> tuple[tuple[int, ...], ...]:
     """Matrix of w on lattice-basis coordinates (integer; the lattice is stable)."""
     basis = lattice_basis(alg)
@@ -230,7 +234,7 @@ def compose(alg: AffineAlgebra, w1: AffineWeylElement, w2: AffineWeylElement) ->
     return AffineWeylElement(trans, finite)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ALGEBRAS_MAX)
 def _lattice_gram(alg: AffineAlgebra) -> _linalg.Mat:
     basis = lattice_basis(alg)
     l = alg.rank
@@ -328,7 +332,7 @@ def weyl_terms(alg: AffineAlgebra, radius: int) -> WeylTerms:
     return hit
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ALGEBRAS_MAX)
 def _lattice_geometry(alg: AffineAlgebra) -> tuple[float, float, float]:
     """Covolume, half the sum of the basis norms, volume of the unit ball."""
     gram = _lattice_gram(alg)

@@ -1,8 +1,11 @@
+import importlib
 import json
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import affinewalks
 from affinewalks import algebra as al
 from affinewalks.algebra import Weight
 
@@ -154,3 +157,19 @@ def test_untwisted_matrices_build():
     # C2^(1): marks (1, 2, 1), the highest root 2 alpha_1 + alpha_2 of C2
     c2 = al.build_algebra([[2, -1, 0], [-2, 2, -2], [0, -1, 2]])
     assert c2.marks == (1, 2, 1)
+
+
+def test_caches_bounded():
+    # every lru_cache in the package, at module level or on a class
+    found = []
+    for info in pkgutil.iter_modules(affinewalks.__path__):
+        if info.name == "__main__":
+            continue
+        mod = importlib.import_module(f"affinewalks.{info.name}")
+        owners = [mod] + [c for c in vars(mod).values() if isinstance(c, type)]
+        for owner in owners:
+            for name, obj in vars(owner).items():
+                if hasattr(obj, "cache_info"):
+                    found.append((f"{info.name}.{name}", obj.cache_info().maxsize))
+    assert len(found) >= 10
+    assert [name for name, size in found if size is None] == []

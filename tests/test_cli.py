@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import affinewalks
 from affinewalks import acceptance
 from affinewalks.harness import run_cli
 
@@ -169,3 +174,13 @@ def test_diffusion_verify_crash_is_fail_line(monkeypatch, capsys):
 def test_diffusion_verify_refuses_seed(capsys):
     assert run_cli(["diffusion", "verify-wonpt", "--seed", "7"]) == 2
     assert "--seed does not apply" in capsys.readouterr().err
+
+
+def test_verify_all_refuses_other_algebras():
+    env = dict(os.environ, PYTHONPATH=str(Path(affinewalks.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "affinewalks", "verify-all", "--algebra", "A2~"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1

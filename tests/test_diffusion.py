@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from affinewalks import acceptance as ac, algebra as al, diffusion as df, weyl as wy
+from affinewalks import (acceptance as ac, algebra as al, diffusion as df,
+                         harness as hs, weyl as wy)
 from affinewalks.algebra import Weight
 
 
@@ -239,28 +240,73 @@ def test_term_arrays_cache_bounded(a1, monkeypatch):
 
 
 def test_conditioned_against_rejection(a1, rho1):
-    # short-horizon cross-check: conditioned marginal vs unconditioned paths
-    # accepted on long-horizon survival (documented approximation bias)
+    # conditioned marginal vs free paths alive at t_short weighted by h(Y_t):
+    # E[1{tau > t} h(Y_t) g(Y_t)] = h(x) E_cond[g(Y_t)]
     x0 = df.weight_to_point(a1, rho1.scale(2))
-    t_short, t_long = 0.4, 5.0
-    cond = df.sample_path_batch(a1, x0, t_short, 2e-3, 3000, seed=11,
+    t_short, dt = 0.4, 2e-3
+    k = int(round(t_short / dt))
+    cond = df.sample_path_batch(a1, x0, t_short, dt, 3000, seed=11,
                                 conditioned=True, record_times=(t_short,))
-    free = df.sample_path_batch(a1, x0, t_long, 2e-3, 12000, seed=12,
+    free = df.sample_path_batch(a1, x0, t_short, dt, 12000, seed=12,
                                 conditioned=False, record_times=(t_short,))
-    keep = free.exit_times > t_long
-    # reweight the survivors by their remaining survival probability
-    zc = cond.z[int(t_short / 2e-3)][~cond.aborted][:, 0]
-    zr = free.z[int(t_short / 2e-3)][keep][:, 0]
-    assert keep.sum() > 1500
-    se = math.sqrt(zc.var() / zc.size + zr.var() / zr.size)
-    # long-horizon acceptance only approximates conditioning; allow a bias
-    # allowance on top of 3 standard errors
-    assert abs(zc.mean() - zr.mean()) < 3 * se + 0.05
+    s_t = float(free.s[k])
+    zr = free.z[k][np.isinf(free.exit_times)]
+    w = np.array([df.survival(a1, df.SpaceTimePoint(s_t, z))[0] for z in zr])
+    h_x, _ = df.survival(a1, x0)
+    assert abs(w.sum() / free.z[k].shape[0] / h_x - 1.0) < 0.01
+    zc = cond.z[k][:, 0]
+    m = float(w @ zr[:, 0]) / w.sum()
+    se_w = math.sqrt(float(w**2 @ (zr[:, 0] - m) ** 2)) / w.sum()
+    se = math.sqrt(zc.var() / zc.size + se_w**2)
+    assert abs(zc.mean() - m) < 3 * se
+
+
+def test_conditioned_marginals_exact(a1):
+    # criterion 11's configuration: the sampled marginals against the
+    # quadrature CDF of q_t(x, y) h(y) / h(x) on the level slice
+    x0 = df.weight_to_point(a1, al.weight_from_pairings(a1, (1, 1)))
+    n, dt = 5000, 2e-3
+    batch = df.sample_path_batch(a1, x0, 1.0, dt, n, seed=1112,
+                                 conditioned=True, record_times=(0.5, 1.0))
+    assert not batch.aborted.any() and np.isinf(batch.exit_times).all()
+    f = df._frame(a1)
+    h_x, _ = df.survival(a1, x0)
+    for t in (0.5, 1.0):
+        s_t = x0.s + t * f.hv
+        z = batch.z[int(round(t / dt))]
+        assert (df._wall_margins(f, s_t, z) > 0).all()
+        grid = np.linspace(0.0, s_t / 2 * float(f.LT[0, 0]), 4001)
+        dens = np.zeros(grid.size)     # the killed density vanishes on the walls
+        for i in range(1, grid.size - 1):
+            y = df.SpaceTimePoint(s_t, grid[i:i + 1])
+            dens[i] = (df.reflected_density(a1, x0, y, t)
+                       * df.survival(a1, y)[0] / h_x)
+        cdf = np.concatenate(([0.0], np.cumsum(
+            0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))))
+        assert abs(cdf[-1] - 1.0) < 1e-4
+        ks = hs.ks_statistic(z[:, 0], lambda v: np.interp(v, grid, cdf))
+        assert ks < 1.95 / math.sqrt(n)
+
+
+def test_exact_conditioned_chunks_and_round_cap(a1, rho1, monkeypatch):
+    x0 = df.weight_to_point(a1, rho1)
+    f = df._frame(a1)
+    monkeypatch.setattr(df, "_CHUNK", 100)      # a few paths per round
+    batch = df.sample_path_batch(a1, x0, 0.5, 1e-2, 200, seed=4,
+                                 conditioned=True, record_times=(0.25, 0.5))
+    for k in (25, 50):
+        assert (df._wall_margins(f, batch.s[k], batch.z[k]) > 0).all()
+    # h(rho) is about 0.3, so some path is rejected in its only round
+    monkeypatch.setattr(df, "_MAX_ROUNDS", 1)
+    with pytest.raises(wy.ConvergenceError):
+        df.sample_path_batch(a1, x0, 0.5, 1e-2, 200, seed=4,
+                             conditioned=True, record_times=(0.5,))
 
 
 def test_conditioned_never_exits(a1, rho1):
+    # whole conditioned paths still come from the Euler-Maruyama sampler
     batch = df.sample_path_batch(a1, df.weight_to_point(a1, rho1), 0.5, 1e-3,
-                                 1000, seed=9, conditioned=True)
+                                 1000, seed=9, conditioned=True, record=True)
     assert batch.aborted.mean() < 0.01
 
 
