@@ -9,9 +9,10 @@ import math
 
 from affinewalks import algebra_from_name, weyl_vector
 from affinewalks.algebra import Weight, inner_product
-from affinewalks.characters import (denominator_residual, eval_character,
-                                    eval_theta, rho_specialization,
-                                    weyl_alternating_value)
+from affinewalks.characters import (delta_pairing, denominator_residual,
+                                    eval_character, eval_theta,
+                                    rho_specialization, weyl_alternating_value)
+from affinewalks.highestweight import character_series_oracle
 
 
 def main():
@@ -23,15 +24,19 @@ def main():
         s = rho_specialization(alg, n)
         r = eval_character(alg, L0, s, eps=1e-10)
         print(f"ch_[Lambda0](rho/{n:>2}) = {r.value:.10g}   "
-              f"(depth {r.truncation_depth}, rel tail {r.rel_bound:.1e})")
+              f"(radius {r.truncation_depth}, rel bound {r.rel_bound:.1e})")
 
+    # the quotient against the multiplicity series of the independent oracle
     s = rho_specialization(alg, 2)
     r = eval_character(alg, L0, s, eps=1e-13)
-    num = weyl_alternating_value(alg, L0 + rho, s)
-    den = weyl_alternating_value(alg, rho, s)
-    ratio = math.exp(float(inner_product(alg, L0, s.point))) * num / den
-    print(f"\ncharacter formula cross-check: series {r.value:.12g} "
-          f"vs orbit-sum ratio {ratio:.12g}")
+    c = float(delta_pairing(alg, s))
+    gp = [float(x) for x in alg.finite_covector(s.point.z)]
+    series = math.exp(float(inner_product(alg, L0, s.point))) * math.fsum(
+        v * math.exp(-d * c - sum(x * y for x, y in zip(m, gp)))
+        for (d, m), v in character_series_oracle(alg, L0, 60).entries.items())
+    print(f"\ncharacter formula cross-check: Weyl-Kac quotient {r.value:.12g} "
+          f"vs multiplicity series (depth 60) {series:.12g}")
+    print(f"denominator alternant at rho/2: {weyl_alternating_value(alg, rho, s):.12g}")
 
     lam = Weight.make(2, (1,), 0)
     th = eval_theta(alg, lam, s, eps=1e-11)

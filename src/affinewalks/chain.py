@@ -9,9 +9,9 @@ unprojected kernel rows keep exact weights, delta coordinate included.
 
 Row defects are estimated independently of the row-sum identity being
 tested: the mass beyond the requested depth is summed out to a resolution
-depth and the remainder is bounded by a fitted geometric envelope with a
-factor-two safety margin, so "mass + defect = 1" stays a genuine check of
-the character-product decomposition.
+depth and the remainder is estimated by a fitted geometric envelope with a
+factor-two safety margin (not a certified bound), so "mass + defect = 1"
+stays a genuine check of the character-product decomposition.
 """
 
 from __future__ import annotations
@@ -21,15 +21,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 
 from .algebra import (AffineAlgebra, Weight, classify_weight, inner_product,
                       weight_from_pairings, weyl_vector)
-from .characters import (EvalResult, Specialization, _geometric_tail,
-                         _orbit_exponents, delta_pairing, eval_character)
+from .characters import (EvalResult, Specialization, _alternant_terms,
+                         _working_dps, delta_pairing, eval_character)
 from .highestweight import (branching_mult, character_series_oracle,
                             _tensor_cached)
-from .weyl import certified_sum, certified_terms, finite_group
+from .weyl import certified_terms
 
 __all__ = [
     "DiscreteDistribution",
@@ -61,6 +62,10 @@ class DiscreteDistribution:
 
 @dataclass
 class KernelRow:
+    """Entries of one kernel row.  ``defect`` is the mass summed beyond the
+    requested depth plus a fitted geometric envelope (:func:`_geometric_tail`)
+    for the rest: an estimate, not a certified bound."""
+
     source: Weight
     entries: list[tuple[Weight, float]]
     defect: float
@@ -134,6 +139,30 @@ def dominant_states(alg: AffineAlgebra, level: int) -> list[Weight]:
 # -- kernel rows -------------------------------------------------------------------
 
 
+def _geometric_tail(layer_mass: dict[int, float], resolution: int) -> float:
+    """Estimate, not a certified bound, of the mass beyond ``resolution``:
+    factor-two safety margin on the worst trailing ratio of nonzero layer
+    masses (gap-corrected)."""
+    pts = sorted((d, v) for d, v in layer_mass.items() if v > 0)
+    if not pts:
+        return 0.0
+    window = [p for p in pts if p[0] >= resolution - max(6, resolution // 3)]
+    if len(window) < 3:
+        window = pts[-4:]
+    qs = []
+    for (d0, v0), (d1, v1) in zip(window, window[1:]):
+        qs.append((v1 / v0) ** (1.0 / (d1 - d0)))
+    if not qs:
+        return math.inf
+    q = max(qs)
+    if q >= 1.0:
+        return math.inf
+    last_d, last_v = pts[-1]
+    # geometric continuation from the last computed layer
+    lead = last_v * q ** (resolution + 1 - last_d)
+    return 2.0 * lead / (1.0 - q)
+
+
 def _row_candidates(alg: AffineAlgebra, lam: Weight, omega: Weight, depth: int):
     """Dominant candidates for components of V(lam) (x) V(omega), per depth.
 
@@ -167,7 +196,8 @@ def q_omega_row(alg: AffineAlgebra, lam: Weight, omega: Weight,
     ``M(beta) ch(beta) / (ch(lam) ch(omega))``.  The defect sums the same
     expression over ``depth < d <= resolution`` and adds a fitted geometric
     envelope for everything beyond, extending the resolution until the
-    envelope drops below ``defect_target`` (or a hard cap trips).
+    envelope drops below ``defect_target`` (or a hard cap trips).  The
+    envelope is an estimate, not a certificate, so neither is the defect.
     """
     _require_positive_level(omega)
     if not classify_weight(alg, lam).dominant:
@@ -231,6 +261,10 @@ def pbar_power(alg: AffineAlgebra, omega: Weight, s: Specialization,
 
     ``sum over delta-shifts`` of the tensor-power multiplicity at
     ``beta - lam0`` times the pairing exponential, over ``ch(omega)^n``.
+
+    With ``with_tail=True`` it returns ``(value, tail)``; ``tail`` is the
+    fitted geometric envelope of the layers beyond ``depth``, an estimate
+    rather than a certified bound.
     """
     _require_positive_level(omega)
     if n_steps < 0:
@@ -496,9 +530,11 @@ def reflection_discrete_residual(alg: AffineAlgebra, omega: Weight,
                Pbar^n(bar(w(lam0+rho)-rho), beta0)`` (walk route),
 
     with ``hhat = ch * exp(-<.,h>)``.  Both sides use matching depth
-    truncations; the Weyl sum is cut by a certified Gaussian shell bound
-    (:func:`affinewalks.weyl.certified_sum`, which raises
-    :class:`~affinewalks.weyl.ConvergenceError` at its radius cap).
+    truncations; the Weyl sum runs over the alternant terms of
+    :func:`affinewalks.characters._alternant_terms`, cut by the certified
+    Gaussian shell bound (which raises
+    :class:`~affinewalks.weyl.ConvergenceError` at its radius cap).  A
+    ``beta0`` the direct side does not reach is refused.
     """
     _require_positive_level(omega)
     lam0, beta0 = lam0.bar(), beta0.bar()
@@ -506,7 +542,6 @@ def reflection_discrete_residual(alg: AffineAlgebra, omega: Weight,
         if not classify_weight(alg, w_).dominant:
             raise ValueError(f"{nm} must be dominant integral")
     p = s.point
-    c = float(delta_pairing(alg, s))
     rho = weyl_vector(alg)
 
     # direct side: compose exact single-step barred rows (the n-step kernel
@@ -526,34 +561,22 @@ def reflection_discrete_residual(alg: AffineAlgebra, omega: Weight,
         dist = nxt
     direct = dist.get(beta0, 0.0)
 
-    # reflected side
-    mu = lam0 + rho
-    kf = float(mu.k)
-    z_mu = math.sqrt(float(alg.finite_norm2(mu.z)))
-    p_norm = math.sqrt(float(alg.finite_norm2(p.z)))
+    if direct == 0.0:
+        raise ValueError("beta0 is not reached from lam0 in n_steps steps")
 
-    def shell_sum(terms) -> float:
-        total = 0.0
-        for sign, m, alpha, e in zip(terms.sign.tolist(), terms.matrix.tolist(),
-                                     terms.trans.tolist(),
-                                     _orbit_exponents(alg, mu, s, terms).tolist()):
-            # bar(w(mu) - rho): the finite part of t_alpha w0 is w0(z) + k*alpha
-            src = Weight.make(mu.k - rho.k, [
-                sum(mij * zj for mij, zj in zip(row, mu.z)) + mu.k * a - r
-                for row, a, r in zip(m, alpha, rho.z)], 0)
-            pb = pbar_power(alg, omega, s, n_steps, src, beta0, depth)
-            total += sign * math.exp(e) * pb
-        return total
-
-    total, _, _ = certified_sum(
-        alg, 0.5 * kf * c, kf * p_norm + c * z_mu,
-        len(finite_group(alg)) * math.exp(2.0 * z_mu * p_norm), 1e-13,
-        shell_sum)
+    # reflected side: the alternant terms of mu = lam0 + rho, each weighted
+    # by the walk kernel from bar(w(mu) - rho), whose finite part is
+    # z - m - rho_z; truncated so that the tail moves the residual by 1e-13
     hhat_ratio = math.exp(
         (_log_ch(alg, beta0, s) - float(inner_product(alg, beta0, p)))
         - (_log_ch(alg, lam0, s) - float(inner_product(alg, lam0, p))))
-    reflected = hhat_ratio * total
-
-    if direct == 0.0 and reflected == 0.0:
-        return 0.0
-    return abs(direct - reflected) / abs(direct)
+    mu = lam0 + rho
+    log_tol = math.log(1e-13 * direct / hhat_ratio)
+    with mp.workdps(_working_dps(log_tol)):
+        terms, _, _ = _alternant_terms(alg, mu, s, log_tol)
+    total = math.fsum(
+        float(w) * pbar_power(alg, omega, s, n_steps, Weight.make(
+            mu.k - rho.k, [z - mi - r for z, mi, r in zip(mu.z, m, rho.z)], 0),
+            beta0, depth)
+        for m, w in terms)
+    return abs(direct - hhat_ratio * total) / direct

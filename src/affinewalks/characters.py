@@ -6,29 +6,31 @@ the form), so ``<mu, h> = (mu | p)``.  Everything converges on the half
 space ``(delta | p) > 0``; the rate degrades as that pairing approaches
 zero, which for the ``rho/n`` family means large ``n``.
 
-Two tail-bound regimes are used.  Character series have no elementary
-closed-form growth envelope, so the discarded mass is bounded by a fitted
-geometric envelope of the observed layer masses with a factor-two safety
-margin (:func:`_geometric_tail`, shared with the kernel rows of
-:mod:`affinewalks.chain`).  Lattice (theta / Weyl-orbit) sums decay like a
-Gaussian in the translation norm and are summed by
-:func:`affinewalks.weyl.certified_sum` with its certified shell bound.
+Every truncation is certified.  Lattice (theta / Weyl-orbit) sums decay
+like a Gaussian in the translation norm, and the Gaussian shell bound of
+:mod:`affinewalks.weyl` bounds what is cut off.  A character is the
+Weyl-Kac quotient ``e^{(lam|p)} A_{lam+rho}(p) / A_rho(p)`` of two
+alternants ``A_mu(p) = sum_w det(w) e^{(w(mu) - mu|p)}``.  Near the
+critical line both cancel to about ``A_rho(p)``, far below their order-one
+terms, so :func:`_alternant_terms` builds the terms in mpmath from exact
+rational exponents.  The stable product form of ``A_rho(p)`` gives a lower
+bound that sets the truncation tolerance and the working precision.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 
 from .algebra import (AffineAlgebra, Weight, classify_weight, inner_product,
                       weyl_vector)
-from .highestweight import (alternant_terms, character_series_oracle,
-                            denominator_product_series)
-from .weyl import ConvergenceError, certified_sum, finite_group
+from .highestweight import (alternant_terms, denominator_product_series,
+                            finite_roots, positive_roots)
+from .weyl import ConvergenceError, certified_terms, finite_group
 
 __all__ = [
     "Specialization",
@@ -86,82 +88,144 @@ def _require_convergent(alg: AffineAlgebra, s: Specialization) -> Fraction:
     if c <= 0:
         raise SpecializationError(
             f"(delta|point) = {c} <= 0: character series does not converge")
-    if c < Fraction(alg.dual_coxeter, 50):
-        warnings.warn(
-            "specialization is close to the critical line; series "
-            "truncations converge slowly (rho/n with n > 50)",
-            RuntimeWarning, stacklevel=3)
     return c
+
+
+# -- alternants --------------------------------------------------------------------
+
+
+def _log_denominator_value(alg: AffineAlgebra, s: Specialization) -> float:
+    """Lower bound on ``log A_rho(p)`` from the product form
+    ``prod_{alpha > 0} (1 - e^{-(alpha|p)})^{mult(alpha)}``.
+
+    Factors to delta-depth ``D = ceil(60/c) + 1`` are summed in float64; the
+    result is lowered by a bound on their rounding and on the omitted
+    factors, each of which pairs above ``(n - 1)c >= Dc``.  A point with a
+    positive root paired nonpositively is refused.
+    """
+    c = _require_convergent(alg, s)
+    cf = float(c)
+    depth = int(math.ceil(60.0 / cf)) + 1
+    gp = alg.finite_covector(s.point.z)
+    roots = positive_roots(alg, depth)
+    out = err = 0.0
+    for (n, r, mult) in roots:
+        pairing = float(n * c + sum(x * y for x, y in zip(r, gp)))
+        if pairing <= 0:
+            raise SpecializationError(
+                "the Weyl-Kac quotient needs every positive root paired "
+                "positively with the point")
+        term = mult * math.log1p(-math.exp(-pairing))
+        out += term
+        # rounding of exp(-x) seen through log1p near x = 0, and of log1p
+        err += mult * (1 + pairing) ** 2 * math.exp(-pairing) / pairing - 2 * term
+    omitted = (2 * (len(finite_roots(alg)) + alg.rank) * math.exp(-depth * cf)
+               / -math.expm1(-cf))
+    return out - omitted - 2.0 ** -52 * (err + len(roots) * abs(out))
+
+
+def _working_dps(log_tol: float) -> int:
+    """mp digits resolving an absolute tolerance ``e^{log_tol}`` on sums of
+    order-one terms, with 20 guard digits."""
+    return max(30, int(math.ceil(-log_tol / math.log(10))) + 20)
+
+
+def _alternant_terms(alg: AffineAlgebra, mu: Weight, s: Specialization,
+                     log_tol: float):
+    """Terms ``(m, det(w) e^{(w(mu) - mu|p)})`` of the alternant ``A_mu(p)``
+    for ``mu - rho`` dominant integral; ``m`` is the finite part of
+    ``mu - w(mu)`` in root coordinates.
+
+    ``w`` runs over :func:`~affinewalks.weyl.certified_terms` up to a tail
+    of ``e^{log_tol}``, refused below the float64 range; each weight is
+    exponentiated at the current mp precision from its exact rational
+    exponent.  Returns ``(terms, bound, radius)``: summed in any order, the
+    weights are within the mp number ``bound`` of ``A_mu(p)`` (tail plus
+    rounding, each mp operation taken to round within one unit); ``radius``
+    is the largest translation norm, rounded up.
+    """
+    if not classify_weight(alg, mu - weyl_vector(alg)).dominant:
+        raise ValueError("alternant point must be strictly dominant integral")
+    tol = math.exp(log_tol)
+    if tol < 1e-300:
+        raise ConvergenceError(
+            f"alternant tolerance e^{log_tol:.0f} is below the float64 range: "
+            "the point is too close to the critical line")
+    c = delta_pairing(alg, s)
+    cf, k = float(c), int(mu.k)
+    z_norm = math.sqrt(float(alg.finite_norm2(mu.z)))
+    p_norm = math.sqrt(float(alg.finite_norm2(s.point.z)))
+    # |exponent + a|alpha|^2| <= 2|z||p| + b|alpha|
+    terms, _ = certified_terms(
+        alg, 0.5 * k * cf, k * p_norm + cf * z_norm,
+        len(finite_group(alg)) * math.exp(2.0 * z_norm * p_norm), tol)
+    # w = t_alpha w0 gives m = z - w0(z) - k alpha, an integer vector since mu
+    # is integral; (w(mu)|w(mu)) = (mu|mu) fixes the delta depth of mu - w(mu),
+    # so the exponent is -(m | c m - 2c z + 2k p) / 2k
+    q = math.lcm(*(x.denominator for x in mu.z))
+    zq = np.array([int(x * q) for x in mu.z], dtype=np.int64)
+    m = (zq - terms.matrix @ zq) // q - k * terms.trans
+    cg = [[c * x for x in row] for row in alg.finite_gram]
+    u = [2 * k * x - 2 * c * y for x, y in zip(alg.finite_covector(s.point.z),
+                                               alg.finite_covector(mu.z))]
+    qe = math.lcm(*(x.denominator for x in [*sum(cg, []), *u]))
+    expo = -((m @ np.array([[int(x * qe) for x in row] for row in cg]) * m).sum(axis=1)
+             + m @ np.array([int(x * qe) for x in u]))
+    expo_den = 2 * k * qe
+    weights = [sign * mp.e ** (mp.mpf(x) / expo_den)
+               for sign, x in zip(terms.sign.tolist(), expo.tolist())]
+    x_max = float(np.abs(expo).max()) / expo_den
+    rounding = ((len(weights) + x_max + 2) * mp.fsum(weights, absolute=True)
+                * mp.mpf(2) ** (2 - mp.mp.prec))
+    radius = int(math.ceil(math.sqrt(float(terms.norm2.max()))))
+    return list(zip(map(tuple, m.tolist()), weights)), tol + rounding, radius
 
 
 # -- character evaluation ------------------------------------------------------------
 
 
-def _layer_masses(alg: AffineAlgebra, lam: Weight, s: Specialization,
-                  depth: int, c: float):
-    table = character_series_oracle(alg, lam, depth)
-    gp = alg.finite_covector(s.point.z)
-    masses = [0.0] * (depth + 1)
-    for (d, m), v in table.entries.items():
-        masses[d] += v * math.exp(-d * c - float(sum(x * y for x, y in zip(m, gp))))
-    return masses
-
-
-def _geometric_tail(layer_mass: dict[int, float], resolution: int) -> float:
-    """Envelope for the mass beyond ``resolution``: factor-two safety margin
-    on the worst trailing ratio of nonzero layer masses (gap-corrected)."""
-    pts = sorted((d, v) for d, v in layer_mass.items() if v > 0)
-    if not pts:
-        return 0.0
-    window = [p for p in pts if p[0] >= resolution - max(6, resolution // 3)]
-    if len(window) < 3:
-        window = pts[-4:]
-    qs = []
-    for (d0, v0), (d1, v1) in zip(window, window[1:]):
-        qs.append((v1 / v0) ** (1.0 / (d1 - d0)))
-    if not qs:
-        return math.inf
-    q = max(qs)
-    if q >= 1.0:
-        return math.inf
-    last_d, last_v = pts[-1]
-    # geometric continuation from the last computed layer
-    lead = last_v * q ** (resolution + 1 - last_d)
-    return 2.0 * lead / (1.0 - q)
-
-
 def eval_character(alg: AffineAlgebra, lam: Weight, s: Specialization,
-                   eps: float = 1e-10, max_depth: int = 1024,
-                   start_depth: int = 16) -> EvalResult:
-    """Truncated character value with a relative tail bound at most ``eps``.
+                   eps: float = 1e-10) -> EvalResult:
+    """Character value as the Weyl-Kac quotient
+    ``e^{(lam|p)} A_{lam+rho}(p) / A_rho(p)``, with a certified relative
+    error at most ``eps``.
 
-    The series is summed over delta-depth layers; the discarded mass is
-    bounded by a geometric envelope fitted to the trailing observed layer
-    ratios with a factor-two safety margin (gap-corrected over layers of
-    zero mass), and the truncation depth grows until that bound drops
-    below ``eps`` times the partial sum.
+    Both alternants are summed to one absolute tolerance, ``eps/4`` times
+    the product-form lower bound on ``A_rho(p)``; that serves the numerator
+    too, since ``A_{lam+rho} >= A_rho``.  The same bound sets the mp
+    precision.  ``tail_bound`` covers truncation and mp rounding (the final
+    float conversion adds at most one unit in the last place), and
+    ``truncation_depth`` is the translation radius.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if not classify_weight(alg, lam).dominant:
         raise ValueError("character evaluation needs a dominant integral weight")
-    c = float(_require_convergent(alg, s))
-    depth = start_depth
-    while True:
-        masses = _layer_masses(alg, lam, s, depth, c)
-        partial = math.fsum(masses)
-        tail = _geometric_tail(dict(enumerate(masses)), depth)
-        if tail <= eps * partial:
-            base = float(inner_product(alg, lam, s.point))
-            log_value = base + math.log(partial)
-            value = math.exp(log_value)
-            return EvalResult(value=value, truncation_depth=depth,
-                              tail_bound=value * (tail / partial),
-                              log_value=log_value)
-        if depth >= max_depth:
-            raise ConvergenceError(
-                f"character tail bound stuck above eps at depth {depth}")
-        depth = min(max_depth, 2 * depth)
+    rho = weyl_vector(alg)
+    log_tol = math.log(min(eps, 1.0) / 4) + _log_denominator_value(alg, s)
+    lam_p = inner_product(alg, lam, s.point)
+    with mp.workdps(_working_dps(log_tol)):
+        num_terms, num_err, num_radius = _alternant_terms(alg, lam + rho, s, log_tol)
+        den_terms, den_err, den_radius = _alternant_terms(alg, rho, s, log_tol)
+        num = mp.fsum(w for _, w in num_terms)
+        den = mp.fsum(w for _, w in den_terms)
+        if den <= den_err:
+            raise ArithmeticError("denominator alternant not resolved")
+        # quotient of the two sums, then the rounding of e^{(lam|p)} and of
+        # the two products
+        rel = float((num_err / num + den_err / den) / (1 - den_err / den)
+                    + (float(abs(lam_p)) + 4) * mp.mpf(2) ** (1 - mp.mp.prec))
+        quotient = mp.e ** (mp.mpf(lam_p.numerator) / lam_p.denominator) * num / den
+        log_value = float(mp.log(quotient))
+        value = float(quotient)
+    if not math.isfinite(value):
+        raise OverflowError(f"character value e^{log_value:.1f} exceeds float range")
+    tail = value * rel
+    if not tail <= eps * value:
+        raise ArithmeticError(
+            f"certified relative error {rel:.2e} above eps {eps:.2e}")
+    return EvalResult(value=value, truncation_depth=max(num_radius, den_radius),
+                      tail_bound=tail, log_value=log_value)
 
 
 def character_ratio(num: EvalResult, den: EvalResult) -> tuple[float, float]:
@@ -194,15 +258,14 @@ def eval_theta(alg: AffineAlgebra, lam: Weight, s: Specialization,
     drift = kf * np.array(p.z, dtype=float) - c * np.array(lam.z, dtype=float)
     g_drift = np.array(alg.finite_gram, dtype=float) @ drift
     bnorm = math.sqrt(max(float(drift @ g_drift), 0.0))
+    # the alpha = 0 term is 1 and all are positive, so the sum is at least
+    # 1 and an absolute tail of eps is relative
+    terms, tail = certified_terms(alg, a_coef, bnorm, 1.0, eps)
+    # one term per translation: the identity opens each finite block
     n_w = len(finite_group(alg))
-
-    def shell_sum(terms) -> float:
-        # one term per translation: the identity opens each finite block
-        return float(np.exp(terms.trans[::n_w] @ g_drift
-                            - a_coef * terms.norm2[::n_w]).sum())
-
-    partial, tail, radius = certified_sum(alg, a_coef, bnorm, 1.0, eps,
-                                          shell_sum)
+    partial = float(np.exp(terms.trans[::n_w] @ g_drift
+                           - a_coef * terms.norm2[::n_w]).sum())
+    radius = int(math.ceil(math.sqrt(float(terms.norm2.max()))))
     log_base = (float(inner_product(alg, lam, p))
                 - float(inner_product(alg, lam, lam) / (2 * k)) * c)
     log_value = log_base + math.log(partial)
@@ -241,48 +304,17 @@ def denominator_residual(alg: AffineAlgebra, s: Specialization, depth: int) -> f
 # -- alternating Weyl-orbit values (numerator route) ----------------------------------
 
 
-def _orbit_exponents(alg: AffineAlgebra, mu: Weight, s: Specialization,
-                     terms) -> np.ndarray:
-    """``(w(mu) - mu | p)`` in float arithmetic for each ``w = t_alpha w0``
-    of the stacked :class:`~affinewalks.weyl.WeylTerms`.
-
-    ``w(mu) - mu`` has finite part ``w0(z) + k*alpha - z`` and delta part
-    ``-((w0(z)|alpha) + k|alpha|^2/2)``, which pairs with ``(delta|p)``.
-    """
-    g = np.array(alg.finite_gram, dtype=float)
-    z = np.array(mu.z, dtype=float)
-    k = float(mu.k)
-    alpha = terms.trans.astype(float)
-    wz = terms.matrix @ z
-    db = -(((wz @ g) * alpha).sum(axis=1) + 0.5 * k * terms.norm2)
-    return (float(delta_pairing(alg, s)) * db
-            + (wz + k * alpha - z) @ (g @ np.array(s.point.z, dtype=float)))
-
-
 def weyl_alternating_value(alg: AffineAlgebra, mu: Weight, s: Specialization,
                            rtol: float = 1e-13) -> float:
-    """Value of ``sum_w det(w) exp((w(mu) - mu | p))``, truncated with a
-    certified tail below ``rtol``.
+    """Value of ``A_mu(p) = sum_w det(w) exp((w(mu) - mu | p))`` within
+    ``rtol`` relative, for ``mu`` strictly dominant integral; with
+    ``mu = rho`` it is the denominator product.
 
-    For strictly dominant ``mu`` this equals ``exp(-(mu|p))`` times the
-    numerator of the character formula at ``mu``; with ``mu = rho`` it is
-    the denominator product.  Terms decay like a Gaussian in the
-    translation norm at rate ``(mu|delta)(delta|p)/2``.
-
-    ``rtol`` bounds the truncation only.  The float64 terms are of order
-    one and cancel down to the result, and that rounding error is not
-    bounded: at ``mu = rho`` the value is 1.5e-12 relative off the product
-    formula on A2~ at rho/3 and 3e-13 on A1~ at rho/5.  Below that level
-    the result is an estimate.
+    The mp terms are summed to within ``rtol/2`` times the product-form
+    lower bound on ``A_rho(p) <= A_mu(p)``, rounding included; the float
+    conversion adds at most one unit in the last place.
     """
-    c = float(_require_convergent(alg, s))
-    kf = float(mu.k)
-    z_mu_norm = math.sqrt(float(alg.finite_norm2(mu.z)))
-    p_norm = math.sqrt(float(alg.finite_norm2(s.point.z)))
-    # |exp argument + a|alpha|^2| <= const + b|alpha|
-    bnorm = kf * p_norm + c * z_mu_norm
-    const = 2.0 * z_mu_norm * p_norm
-    total, _, _ = certified_sum(
-        alg, 0.5 * kf * c, bnorm, len(finite_group(alg)) * math.exp(const),
-        rtol, lambda t: math.fsum(t.sign * np.exp(_orbit_exponents(alg, mu, s, t))))
-    return total
+    log_tol = math.log(rtol / 2) + _log_denominator_value(alg, s)
+    with mp.workdps(_working_dps(log_tol)):
+        terms, _, _ = _alternant_terms(alg, mu, s, log_tol)
+        return float(mp.fsum(w for _, w in terms))

@@ -56,7 +56,6 @@ class ExperimentConfig:
     seed: int = 20260808
     dt: float = GOLDEN.chain_dt
     start_pairings: tuple[str, ...] = ("1", "1")   # coroot pairings of x, rationals
-    max_abort_fraction: float = GOLDEN.chain_max_abort_fraction
     out: str | None = None
 
     def __post_init__(self):
@@ -74,6 +73,9 @@ class ExperimentConfig:
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
         d = json.loads(text)
+        unknown = set(d) - {f.name for f in dataclasses.fields(ExperimentConfig)}
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
         d["time_grid"] = tuple(d.get("time_grid", GOLDEN.chain_times))
         d["start_pairings"] = tuple(str(x) for x in d.get(
             "start_pairings", ("1", "1")))
@@ -256,13 +258,7 @@ def _diffusion_marginals(cfg: ExperimentConfig, alg: AffineAlgebra,
     batch = diffusion.sample_path_batch(
         alg, x0, max(cfg.time_grid), cfg.dt, cfg.samples, seed,
         conditioned=True, record_times=cfg.time_grid)
-    frac = float(batch.aborted.mean())
-    if frac > cfg.max_abort_fraction:
-        raise diffusion.OutsideChamberError(
-            f"conditioned sampler aborted {frac:.2%} of paths")
-    keep = ~batch.aborted
-    return {t: batch.z[int(round(t / cfg.dt))][keep][:, 0]
-            for t in cfg.time_grid}
+    return {t: batch.z[int(round(t / cfg.dt))][:, 0] for t in cfg.time_grid}
 
 
 def scaling_chain_experiment(cfg: ExperimentConfig) -> ComparisonReport:
@@ -379,7 +375,11 @@ def _cmd_characters(args) -> int:
     s = characters.rho_specialization(alg, args.n)
     if args.action == "eval":
         lam = _weight_arg(alg, args.pairings)
-        r = characters.eval_character(alg, lam, s, eps=args.eps)
+        try:
+            r = characters.eval_character(alg, lam, s, eps=args.eps)
+        except characters.ConvergenceError as exc:   # n beyond reach
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         out = {"value": r.value, "tail_bound": r.tail_bound,
                "depth": r.truncation_depth}
     elif args.action == "theta":
@@ -491,7 +491,12 @@ def _cmd_experiment(args) -> int:
         return 2
     if args.config:
         with open(args.config) as fh:
-            cfg = ExperimentConfig.from_json(fh.read())
+            text = fh.read()
+        try:
+            cfg = ExperimentConfig.from_json(text)
+        except ValueError as exc:          # bad JSON, unknown key or value
+            print(f"error: --config {args.config}: {exc}", file=sys.stderr)
+            return 2
     else:
         cfg = ExperimentConfig()
     if args.seed is not None:

@@ -18,28 +18,24 @@ applying the inverse FFT recovers ``A`` with spectral accuracy: the atoms
 decay like a Gaussian in ``m``, so aliasing is negligible once the grid
 covers the support.
 
-One subtlety: near criticality the two orbit sums individually cancel to
-``exp(-O(1/c))`` while their terms are O(1), far below float64 resolution.
-Their size is known in advance from the stable product form of the
-denominator, so the grid evaluation runs in mpmath at exactly the needed
-precision.  Each orbit sum is a DFT of its coefficients folded onto
-``m mod grid``, so its values on the whole power-of-two torus grid come
-from one radix-2 mp FFT per axis; the O(1) ratio is then downcast and
-inverted by the float64 FFT.
+The orbit-sum terms are the mp alternant terms of
+:func:`affinewalks.characters._alternant_terms`.  Each sum is a DFT of its
+coefficients folded onto ``m mod grid``, so its values on the whole
+power-of-two torus grid come from one radix-2 mp FFT per axis; the O(1)
+ratio is then downcast and inverted by the float64 FFT.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 
 from .algebra import AffineAlgebra, Weight, classify_weight, weyl_vector
-from .characters import Specialization, delta_pairing
-from .highestweight import alternant_terms, positive_roots
+from .characters import (Specialization, _alternant_terms,
+                         _log_denominator_value, _working_dps, delta_pairing)
 
 __all__ = ["IncrementAtoms", "increment_atoms"]
 
@@ -70,35 +66,6 @@ class IncrementAtoms:
         if self.alg.rank != 1:
             raise NotImplementedError
         return np.arange(self.lo[0], self.lo[0] + self.prob.size)
-
-
-def _log_denominator_value(alg: AffineAlgebra, s: Specialization,
-                           depth: int) -> float:
-    """Stable log of the alternating denominator sum via the product form."""
-    c = delta_pairing(alg, s)
-    gp = alg.finite_covector(s.point.z)
-    out = 0.0
-    for (n, r, mult) in positive_roots(alg, depth):
-        pairing = float(n * c + sum(x * y for x, y in zip(r, gp)))
-        out += mult * math.log1p(-math.exp(-pairing))
-    return out
-
-
-def _mp_terms(alg, mu, s, depth_cut, c_frac: Fraction):
-    """Alternant terms with weights exponentiated at working precision.
-
-    The exponents are kept as exact rationals until the mp evaluation:
-    float64-rounded logs would inject O(1e-14) absolute noise per term,
-    which the near-total cancellation of the sums then amplifies.
-    """
-    terms = alternant_terms(alg, mu, depth_cut)
-    gp = alg.finite_covector(s.point.z)
-    out = []
-    for (d, m), coeff in terms.items():
-        logw = -(d * c_frac) - sum(x * y for x, y in zip(m, gp))
-        w = mp.e ** (mp.mpf(logw.numerator) / logw.denominator)
-        out.append((m, coeff * w))
-    return out
 
 
 def _fft_mp(x: list, roots: list) -> list:
@@ -145,12 +112,10 @@ def increment_atoms(alg: AffineAlgebra, omega: Weight, s: Specialization,
     """Fourier inversion of the normalized character on the torus.
 
     ``grid`` is the FFT size per finite axis and must be a power of two
-    (default scales with the Gaussian spread of the atoms).  The orbit sums
-    at the torus origin cancel all the way down to the denominator product
-    value, so both the delta-depth cutoff and the working precision are
-    sized from the stable log of that product.  Both sums are evaluated on
-    the whole torus at once: their mp coefficients are folded onto
-    ``m mod grid`` and transformed by a radix-2 mp FFT along each axis.
+    (default scales with the Gaussian spread of the atoms).  Both orbit
+    sums are evaluated on the whole torus at once: their mp terms are
+    folded onto ``m mod grid`` and transformed by a radix-2 mp FFT along
+    each axis.
     """
     if grid is not None and (grid < 2 or grid & (grid - 1)):
         raise ValueError(f"grid must be a power of two, got {grid}")
@@ -167,18 +132,15 @@ def increment_atoms(alg: AffineAlgebra, omega: Weight, s: Specialization,
         grid = min(need, 8192 if l == 1 else 512)
 
     # the sums at theta=0 equal the denominator product times an O(1)
-    # ratio; both the term cutoff and the precision must resolve it
-    log_den = _log_denominator_value(alg, s, int(math.ceil(60.0 / c)) + 1)
-    tail_log = max(46.0, -log_den + 40.0)
-    depth_cut = int(math.ceil(tail_log / c)) + 1
-    dps = max(30, int(math.ceil(tail_log / math.log(10))) + 20)
-    c_frac = delta_pairing(alg, s)
+    # ratio, and |A_rho| is smallest there on the torus; both the term
+    # cutoff and the precision must resolve it
+    log_tol = min(-46.0, _log_denominator_value(alg, s) - 40.0)
 
-    with mp.workdps(dps):
+    with mp.workdps(_working_dps(log_tol)):
         roots = [mp.e ** (-2j * mp.pi * mp.mpf(j) / grid) for j in range(grid)]
         num = _torus_values(
-            _mp_terms(alg, omega + rho, s, depth_cut, c_frac), l, roots)
-        den = _torus_values(_mp_terms(alg, rho, s, depth_cut, c_frac), l, roots)
+            _alternant_terms(alg, omega + rho, s, log_tol)[0], l, roots)
+        den = _torus_values(_alternant_terms(alg, rho, s, log_tol)[0], l, roots)
         if any(v == 0 for v in den.flat):
             raise ArithmeticError("denominator vanished on the torus")
         f = np.array([complex(a / b) for a, b in zip(num.flat, den.flat)],
@@ -207,7 +169,7 @@ def increment_atoms(alg: AffineAlgebra, omega: Weight, s: Specialization,
         sl[ax] = [0, 1, -2, -1]
         edge = max(edge, float(np.abs(atoms[tuple(sl)]).max()))
     total = float(atoms.sum())
-    defect = (edge * grid * l) / total + math.exp(-tail_log) * 10.0
+    defect = (edge * grid * l) / total + math.exp(log_tol) * 10.0
     if defect > 1e-4:
         raise ArithmeticError(
             f"aliasing defect {defect:.2e}: grid {grid} too small for the "

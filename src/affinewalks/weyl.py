@@ -9,9 +9,9 @@ breadth-first enumeration of the finite group.
 
 Alternating sums over the group (theta functions, Weyl-orbit sums, the
 survival function and reflected densities) are cut off by translation norm.
-:func:`certified_terms` and :func:`certified_sum` own that cutoff: one
-radius policy, the certified Gaussian shell bound for everything beyond it,
-and the stacked term arrays in a bounded cache.
+:func:`certified_terms` owns that cutoff: one radius policy, the certified
+Gaussian shell bound for everything beyond it, and the stacked term arrays
+in a bounded cache.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
     "weyl_terms",
     "gaussian_lattice_tail",
     "certified_terms",
-    "certified_sum",
 ]
 
 
@@ -283,7 +282,7 @@ def enumerate_bounded(alg: AffineAlgebra, radius):
 # translation radius past which a certified Weyl sum gives up
 _MAX_RADIUS = 500.0
 # least recently used term arrays are evicted beyond this many radii; the
-# full test suite touches 12 (radius at most 11), so nothing there evicts
+# full test suite touches 37 (radius at most 234), so nothing there evicts
 _TERMS_MAX = 64
 _TERMS: dict[tuple, "WeylTerms"] = {}
 
@@ -296,17 +295,13 @@ class WeylTerms:
 
     ``sign`` is det(w), ``matrix`` the finite part on root coordinates,
     ``trans`` the translation ``alpha`` in root coordinates (all integer)
-    and ``norm2`` the float ``|alpha|^2``.  Slicing keeps the arrays aligned.
+    and ``norm2`` the float ``|alpha|^2``.
     """
 
     sign: np.ndarray
     matrix: np.ndarray
     trans: np.ndarray
     norm2: np.ndarray
-
-    def __getitem__(self, sl) -> "WeylTerms":
-        return WeylTerms(self.sign[sl], self.matrix[sl], self.trans[sl],
-                         self.norm2[sl])
 
 
 def weyl_terms(alg: AffineAlgebra, radius: int) -> WeylTerms:
@@ -372,44 +367,21 @@ def gaussian_lattice_tail(alg: AffineAlgebra, a: float, b: float, start: float) 
     return term / (1.0 - ratio)
 
 
-def _radii(a: float, b: float):
-    """The radius policy: ``b/a + 2``, then steps of one up to the cap."""
-    r = b / a + 2.0 if a > 0 else math.inf
-    while r <= _MAX_RADIUS:
-        yield r
-        r += 1.0
-    raise ConvergenceError(
-        f"Weyl sum tail not certified within translation radius {_MAX_RADIUS}")
-
-
 def certified_terms(alg: AffineAlgebra, a: float, b: float, scale: float,
                     tol: float) -> tuple[WeylTerms, float]:
     """Terms of a Weyl sum whose summands obey
     ``|term| <= scale * exp(-a|alpha|^2 + b|alpha|)``, cut at the first
     radius whose tail bound is at most ``tol``; returns ``(terms, bound)``.
+    The radius policy: ``b/a + 2``, then steps of one up to the cap.
     """
-    for r in _radii(a, b):
+    r = b / a + 2.0 if a > 0 else math.inf
+    while r <= _MAX_RADIUS:
         tail = scale * gaussian_lattice_tail(alg, a, b, r)
         if tail <= tol:
             return weyl_terms(alg, math.ceil(r)), tail
-
-
-def certified_sum(alg: AffineAlgebra, a: float, b: float, scale: float,
-                  rtol: float, shell_sum) -> tuple[float, float, int]:
-    """Sum ``shell_sum(terms)`` over the Weyl terms, adding one shell per
-    radius step, until the tail bound (summands as in
-    :func:`certified_terms`) is at most ``rtol`` times the total; returns
-    ``(total, bound, radius)``.
-    """
-    total, done = 0.0, 0
-    for r in _radii(a, b):
-        radius = math.ceil(r)
-        terms = weyl_terms(alg, radius)
-        total += shell_sum(terms[done:])
-        done = terms.sign.size
-        tail = scale * gaussian_lattice_tail(alg, a, b, r)
-        if tail <= rtol * abs(total):
-            return total, tail, radius
+        r += 1.0
+    raise ConvergenceError(
+        f"Weyl sum tail not certified within translation radius {_MAX_RADIUS}")
 
 
 def dominant_representative(alg: AffineAlgebra, lam: Weight, max_steps: int = 100000):

@@ -1,13 +1,6 @@
-import warnings
-
 import pytest
 
 from affinewalks import algebra as al
-
-
-def pytest_configure(config):
-    warnings.filterwarnings("ignore", category=RuntimeWarning,
-                            message=".*critical line.*")
 
 
 @pytest.fixture(scope="session")

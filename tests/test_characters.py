@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from affinewalks import algebra as al, characters as ch, highestweight as hw
@@ -50,17 +51,57 @@ def test_eval_character_errors(a1):
         ch.eval_character(a1, a1.Lambda0(), bad)
     with pytest.raises(ValueError):
         ch.eval_character(a1, a1.Lambda0(), ch.rho_specialization(a1, 1), eps=-1)
+    # A_rho(rho/400) is about e^-983, below float64: refused, where a tail
+    # bound that underflowed would certify a wrong value
+    with pytest.raises(ch.ConvergenceError, match="critical line"):
+        ch.eval_character(a1, a1.Lambda0(), ch.rho_specialization(a1, 400))
 
 
-def test_weyl_kac_value_identity(a1, rho1):
-    # character value equals the ratio of alternating orbit sums
-    s = ch.rho_specialization(a1, 2)
-    lam = a1.Lambda0()
-    r = ch.eval_character(a1, lam, s, eps=1e-13)
-    num = ch.weyl_alternating_value(a1, lam + rho1, s)
-    den = ch.weyl_alternating_value(a1, rho1, s)
-    rhs = math.exp(float(al.inner_product(a1, lam, s.point))) * num / den
-    assert abs(r.value - rhs) / r.value < 1e-11
+def _series_log_value(alg, lam, s, table):
+    # the multiplicity series summed at the point, from its exact table
+    c = ch.delta_pairing(alg, s)
+    gp = alg.finite_covector(s.point.z)
+    total = math.fsum(
+        v * math.exp(-float(d * c + sum(x * y for x, y in zip(m, gp))))
+        for (d, m), v in table.entries.items())
+    return float(al.inner_product(alg, lam, s.point)) + math.log(total)
+
+
+def test_weyl_kac_value_identity(a1, a2):
+    # the Weyl-Kac quotient against the multiplicity series of the
+    # independent series oracle, at a depth where the series has converged
+    cases = [(a1, a1.Lambda0(), 200, range(1, 6)),
+             (a1, Weight.make(2, (0,), 0), 200, range(1, 6)),
+             (a2, a2.Lambda0(), 40, range(1, 3))]
+    for alg, lam, depth, ns in cases:
+        table = hw.character_series_oracle(alg, lam, depth)
+        for n in ns:
+            s = ch.rho_specialization(alg, n)
+            r = ch.eval_character(alg, lam, s, eps=1e-13)
+            assert r.tail_bound <= 1e-13 * r.value
+            assert abs(r.log_value - _series_log_value(alg, lam, s, table)) < 1e-12
+
+
+def test_level_one_character_near_critical_line(a1, a2):
+    # Frenkel-Kac: ch_Lambda0 = e^(Lambda0|p) sum_{gamma in Q}
+    # e^{-|gamma|^2 c/2 - (gamma|p)} / prod_m (1 - e^{-mc})^rank, checked
+    # where the multiplicity series is out of reach
+    for alg, n in ((a1, 200), (a2, 20)):
+        s = ch.rho_specialization(alg, n)
+        c = float(ch.delta_pairing(alg, s))
+        g = np.array(alg.finite_gram, dtype=float)
+        gp = np.array(alg.finite_covector(s.point.z), dtype=float)
+        span = np.arange(-80, 81)
+        gam = np.stack(np.meshgrid(*[span] * alg.rank), -1).reshape(-1, alg.rank)
+        theta = math.fsum(np.exp(-0.5 * c * np.einsum("ij,jk,ik->i", gam, g, gam)
+                                 - gam @ gp))
+        log_phi = math.fsum(math.log1p(-math.exp(-m * c))
+                            for m in range(1, math.ceil(80 / c)))
+        want = (float(al.inner_product(alg, alg.Lambda0(), s.point))
+                + math.log(theta) - alg.rank * log_phi)
+        r = ch.eval_character(alg, alg.Lambda0(), s, eps=1e-12)
+        assert r.tail_bound <= 1e-12 * r.value
+        assert abs(r.log_value - want) < 1e-12
 
 
 def test_character_ratio_propagation(a1):
@@ -136,16 +177,21 @@ def test_denominator_acceptance_scale(a1, a2):
             assert ch.denominator_residual(alg, s, 20) < 1e-8
 
 
-def test_denominator_analytic_small_n(a1):
-    # at strong convergence both fully-resolved sides agree analytically
-    import math as m
-    s = ch.rho_specialization(a1, 1)
-    c = float(ch.delta_pairing(a1, s))
-    log_prod = 0.0
-    for (n, r, mult) in hw.positive_roots(a1, 60):
-        pairing = n * c + float(a1.finite_inner([Fraction(x) for x in r],
-                                                s.point.z))
-        log_prod += mult * m.log1p(-m.exp(-pairing))
-    rho = al.weyl_vector(a1)
-    total = ch.weyl_alternating_value(a1, rho, s)
-    assert abs(m.exp(log_prod) - total) / m.exp(log_prod) < 1e-12
+def test_denominator_analytic_small_n(a1, a2):
+    # the mp alternating sum at mu = rho against the float product formula,
+    # whose own rounding is about 1e-15 here
+    for alg, n in ((a1, 1), (a1, 5), (a2, 3)):
+        s = ch.rho_specialization(alg, n)
+        c = ch.delta_pairing(alg, s)
+        log_prod = math.fsum(
+            mult * math.log1p(-math.exp(-float(
+                d * c + alg.finite_inner([Fraction(x) for x in r], s.point.z))))
+            for (d, r, mult) in hw.positive_roots(alg, math.ceil(60 / c)))
+        total = ch.weyl_alternating_value(alg, al.weyl_vector(alg), s, rtol=1e-15)
+        assert abs(math.exp(log_prod) - total) / math.exp(log_prod) < 1e-14
+
+
+def test_alternating_value_needs_strictly_dominant(a1):
+    s = ch.rho_specialization(a1, 2)
+    with pytest.raises(ValueError, match="strictly dominant"):
+        ch.weyl_alternating_value(a1, a1.Lambda0(), s)

@@ -52,6 +52,16 @@ def test_characters_commands(capsys):
     assert out["value"] > 0
 
 
+def test_characters_eval_near_critical_line(capsys):
+    assert run_cli(["characters", "eval", "--n", "200", "--eps", "1e-12"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert 0 <= out["tail_bound"] <= 1e-12 * out["value"]
+    # past float64's range the point is refused, not evaluated
+    assert run_cli(["characters", "eval", "--n", "400", "--eps", "1e-12"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_chain_simulate_requires_seed(tmp_path, capsys):
     code = run_cli(["chain", "simulate", "--algebra", "A1~", "--n", "3",
                     "--steps", "2", "--out", str(tmp_path / "x.csv")])
@@ -127,6 +137,15 @@ def test_experiment_config_file_matches_flags(tmp_path):
                  "--out", str(out)] + extra)
         reports.append(json.loads(out.read_text()))
     assert reports[0] == reports[1]
+
+
+def test_experiment_config_unknown_key_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 9, "max_abort_fraction": 0.01}))
+    assert run_cli(["experiment", "chain", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "max_abort_fraction" in err
 
 
 @pytest.mark.parametrize("depth,code", [(80, 0), (40, 1)])

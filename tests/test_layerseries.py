@@ -103,8 +103,7 @@ def test_torus_values_of_atom_terms(a1):
     s = ch.rho_specialization(a1, 3)
     om = Weight.make(2, (0,), 0)
     with mp.workdps(30):
-        terms = ls._mp_terms(a1, om + al.weyl_vector(a1), s, 12,
-                             ch.delta_pairing(a1, s))
+        terms, _, _ = ch._alternant_terms(a1, om + al.weyl_vector(a1), s, -30.0)
         offsets = [m[0] for m, _ in terms]
         assert max(offsets) - min(offsets) + 1 > 4      # the fold wraps
         roots = [mp.e ** (-2j * mp.pi * mp.mpf(j) / 4) for j in range(4)]

@@ -164,6 +164,8 @@ _OMEGA = Weight.make(2, (0,), 0)
 _CAP_CALLS = {
     "eval_theta": lambda a1: ch.eval_theta(
         a1, Weight.make(2, (Fraction(1, 2),), 0), _spec(a1)),
+    "eval_character": lambda a1: ch.eval_character(
+        a1, a1.Lambda0(), _spec(a1)),
     "weyl_alternating_value": lambda a1: ch.weyl_alternating_value(
         a1, al.weyl_vector(a1), _spec(a1)),
     "reflection_discrete_residual": lambda a1: cn.reflection_discrete_residual(
