@@ -68,9 +68,6 @@ class AffineCartanMatrix:
     def rank(self) -> int:
         return len(self.entries) - 1
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def transpose(self) -> "AffineCartanMatrix":
         return AffineCartanMatrix(tuple(zip(*self.entries)))
 
@@ -114,9 +111,6 @@ class Weight:
     def barbar(self) -> "Weight":
         """Projection onto the span of the finite simple roots."""
         return Weight(Fraction(0), self.z, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return self.k == 0 and self.b == 0 and all(x == 0 for x in self.z)
 
 
 @dataclass(frozen=True)
@@ -195,9 +189,6 @@ class AffineAlgebra:
         a0 = self.marks[0]
         z = [Fraction(-self.marks[j], a0) for j in range(1, l + 1)]
         return Weight.make(0, z, Fraction(1, a0))
-
-    def weight_from_finite(self, k, zvec, b=0) -> Weight:
-        return Weight.make(k, zvec, b)
 
     # -- exact numeric helpers -------------------------------------------------
 

@@ -12,6 +12,10 @@ tested: the mass beyond the requested depth is summed out to a resolution
 depth and the remainder is estimated by a fitted geometric envelope with a
 factor-two safety margin (not a certified bound), so "mass + defect = 1"
 stays a genuine check of the character-product decomposition.
+
+:class:`FastBarredKernel` samples the projected chain on any untwisted
+algebra.  Its alternant exponents are the exact ones the characters use;
+its sums are float64, so rows where they cancel are refused.
 """
 
 from __future__ import annotations
@@ -25,12 +29,12 @@ import mpmath as mp
 import numpy as np
 
 from .algebra import (AffineAlgebra, Weight, classify_weight, inner_product,
-                      weight_from_pairings, weyl_vector)
-from .characters import (EvalResult, Specialization, _alternant_terms,
-                         _working_dps, delta_pairing, eval_character)
+                      weyl_vector)
+from .characters import (EvalResult, Specialization, _alternant_exponents,
+                         _alternant_terms, _working_dps, delta_pairing,
+                         eval_character)
 from .highestweight import (branching_mult, character_series_oracle,
                             _tensor_cached)
-from .weyl import certified_terms
 
 __all__ = [
     "DiscreteDistribution",
@@ -120,20 +124,27 @@ def mu_omega(alg: AffineAlgebra, omega: Weight, s: Specialization,
 # -- dominant state enumeration ----------------------------------------------------
 
 
-def dominant_states(alg: AffineAlgebra, level: int) -> list[Weight]:
-    """All dominant integral barred weights of a given level (b = 0)."""
+def _dominant_coords(alg: AffineAlgebra, level: int) -> tuple[np.ndarray, int]:
+    """``(zq, den)``: the rows of ``zq``, sorted, are ``den`` times the root
+    coordinates of the dominant integral barred weights of a level."""
+    cinv = alg._finite_cartan_inverse
+    den = math.lcm(*(x.denominator for row in cinv for x in row))
     l = alg.rank
-    if level < 0:
-        return []
-    out = []
     ranges = [range(0, level // alg.comarks[i] + 1) for i in range(1, l + 1)]
-    for q in itertools.product(*ranges):
-        q0 = level - sum(alg.comarks[i + 1] * q[i] for i in range(l))
-        if q0 < 0 or q0 % alg.comarks[0] != 0:
-            continue
-        out.append(weight_from_pairings(alg, (q0 // alg.comarks[0],) + q))
-    out.sort(key=lambda w: w.z)
-    return out
+    # node 0 has comark 1, so q_0 = level - sum_i comark_i q_i need only be >= 0
+    pairings = [q for q in itertools.product(*ranges)
+                if sum(alg.comarks[i + 1] * q[i] for i in range(l)) <= level]
+    zq = (np.array(pairings, dtype=np.int64).reshape(-1, l)
+          @ np.array([[int(x * den) for x in row] for row in cinv]).T)
+    return zq[np.lexsort(zq.T[::-1])], den
+
+
+def dominant_states(alg: AffineAlgebra, level: int) -> list[Weight]:
+    """All dominant integral barred weights of a given level (b = 0), sorted
+    by their root coordinates."""
+    zq, den = _dominant_coords(alg, level)
+    return [Weight.make(level, [Fraction(x, den) for x in row], 0)
+            for row in zq.tolist()]
 
 
 # -- kernel rows -------------------------------------------------------------------
@@ -353,110 +364,79 @@ class FastBarredKernel:
             Abar(beta0 - bar(w(lam0+rho)-rho)),
 
     with ``Abar`` the delta-aggregated increment measure (Fourier atoms)
-    and ``Nhat(mu) = sum_w det(w) e^{<w(mu)-mu, h>}``.  Only ratios of
-    high-level ``Nhat`` values appear, which keeps everything in float64
-    even when the level-zero sums are far below float resolution.
+    and ``Nhat(mu) = sum_w det(w) e^{<w(mu)-mu, h>}`` the alternant.  Terms,
+    offsets and exact exponents come from
+    :func:`affinewalks.characters._alternant_exponents` for any rank, cut
+    at the largest ``|lam0 + rho|`` of the level, so batched and single rows
+    are bit-equal; the sums are float64.  Only ratios of high-level ``Nhat``
+    values appear, which keeps the rows in range where the level-zero sums
+    are far below float resolution.
 
-    Rows sum to one up to the recorded defect; a row whose defect exceeds
-    the threshold refuses to sample rather than renormalizing.
-
-    ``row`` builds the rows of a batch of source states in one pass over the
-    Weyl terms, and ``sample`` calls it once per step for the occupied
-    states.  Rows are not cached: the level grows by ``level(omega)`` every
-    step, so no ``(level, q)`` is visited twice in one ``sample`` call.
+    States of a level are indexed in :func:`dominant_states` order (on A1~
+    the index is the coroot pairing ``q``).  A row whose defect exceeds the
+    threshold refuses to sample rather than renormalizing.  ``sample``
+    calls ``row`` once per step for the occupied states.  Rows are not
+    cached (the level grows every step), and only the current and the next
+    level's terms are kept.
     """
 
     def __init__(self, alg: AffineAlgebra, omega: Weight, s: Specialization,
                  defect_threshold: float = 1e-4):
         from .layerseries import increment_atoms
         _require_positive_level(omega)
-        if alg.rank != 1:
-            raise NotImplementedError("fast kernel is vectorized for rank one")
         self.alg = alg
         self.omega = omega.bar()
         self.s = s
         self.defect_threshold = defect_threshold
         self.atoms = increment_atoms(alg, self.omega, s)
         self.rho = weyl_vector(alg)
-        self.c = float(delta_pairing(alg, s))
-        self.g11 = float(alg.finite_gram[0][0])
-        self.pz = float(s.point.z[0])
-        self.om_q2 = int(2 * self.omega.z[0])      # omega finite part, half-units
-        self.rho_q2 = int(2 * self.rho.z[0])
-        self._nhat_cache: dict[int, np.ndarray] = {}
+        self._den = _dominant_coords(alg, 0)[1]
+        self._rho_q = np.array([int(x * self._den) for x in self.rho.z])
+        self._om_q = np.array([int(x * self._den) for x in self.omega.z])
+        self._levels: dict[int, tuple] = {}
 
-    # dominant states of level K are q/2*alpha_1 with q = 0..K (half-units)
-
-    def _weyl_terms(self, k_mu: int):
-        """(sign, eps, r) data with certified radius for level-``k_mu`` sums:
-        the element ``t_{r alpha} w_eps`` with ``w_eps z = eps*z``."""
-        zmax = (k_mu / 2.0 + 1.0) * math.sqrt(self.g11)
-        pnorm = math.sqrt(self.g11) * abs(self.pz)
-        terms, _ = certified_terms(
-            self.alg, 0.5 * k_mu * self.c, k_mu * pnorm + self.c * zmax,
-            2 * math.exp(2 * zmax * pnorm), 1e-13)
-        return list(zip(terms.sign.tolist(), terms.matrix[:, 0, 0].tolist(),
-                        terms.trans[:, 0].tolist()))
-
-    def _exponents(self, k_mu: int, q2: np.ndarray):
-        """Per term, exponent of e^{<w(mu)-mu, h>} for the grid ``z = q2/2``.
-
-        With ``w = t_{r alpha} w_eps``:  b-part = -(eps*z*r*g + r^2 g k/2),
-        finite part = (eps-1)z + k r; exponent = c*b + (finite | p).
-        """
-        z = q2 / 2.0
-        out = []
-        for sign, eps, r in self._weyl_terms(k_mu):
-            bpart = -(eps * z * r * self.g11 + 0.5 * r * r * self.g11 * k_mu)
-            fin = (eps - 1.0) * z + k_mu * r
-            out.append((sign, self.c * bpart + fin * self.g11 * self.pz))
-        return out
-
-    def _nhat_grid(self, level: int) -> np.ndarray:
-        """Nhat(state + rho) for every dominant state q = 0..level.
-
-        States carry the coroot pairing q = 2z (half-units of the finite
-        coordinate); adding rho shifts the half-unit value by rho_q2.
-        """
-        hit = self._nhat_cache.get(level)
-        if hit is not None:
-            return hit
-        k_mu = level + int(self.rho.k)
-        q2 = np.arange(level + 1) + self.rho_q2
-        total = np.zeros(level + 1)
-        for sign, expo in self._exponents(k_mu, q2.astype(float)):
-            total += sign * np.exp(expo)
-        self._nhat_cache[level] = total
-        return total
+    def _level(self, level: int) -> tuple:
+        """States of a level (:func:`_dominant_coords`), the offsets and
+        signed float weights of the alternant terms of ``state + rho``, and
+        the weights' exactly rounded sums ``Nhat``."""
+        hit = self._levels.get(level)
+        if hit is None:
+            zq, _ = _dominant_coords(self.alg, level)
+            sign, m, expo, den, _ = _alternant_exponents(
+                self.alg, level + int(self.rho.k), zq + self._rho_q, self._den,
+                self.s, 1e-13)
+            weights = sign * np.exp(expo / den)
+            hit = (zq, m, weights,
+                   np.array([math.fsum(w) for w in weights.tolist()]))
+        return hit
 
     def row(self, level: int, q):
-        """(probabilities over next-level q' = 0..level+k_omega, cdf, defect)
-        for the source state ``q``, or stacked per source state (one row per
+        """(probabilities over the next level's states, cdf, defect) for the
+        source state of index ``q``, or stacked per source state (one row per
         entry, defects as an array) when ``q`` is an int array."""
         qs = np.atleast_1d(np.asarray(q, dtype=np.int64))
-        k_om = int(self.omega.k)
-        k_mu = level + int(self.rho.k)
-        nxt = level + k_om
-        q2_next = np.arange(nxt + 1)
-        raw = np.zeros((qs.size, nxt + 1))
-        zq2 = qs + self.rho_q2                 # half-units of lam0 + rho
-        z = zq2 / 2.0
-        prob = self.atoms.prob
-        lo = self.atoms.lo[0]
-        for sign, eps, r in self._weyl_terms(k_mu):
-            bpart = -(eps * z * r * self.g11 + 0.5 * r * r * self.g11 * k_mu)
-            fin = eps * z + k_mu * r
-            expo = self.c * bpart + (fin - z) * self.g11 * self.pz
-            e_w = np.array([sign * math.exp(x) for x in expo.tolist()])
-            # source = bar(w(lam0+rho) - rho) in half-units, then the atom
-            # offset zeta = omega - (beta - src) must be integral
-            src_q2 = eps * zq2 + 2 * k_mu * r - self.rho_q2
-            zeta2 = self.om_q2 - (q2_next[None, :] - src_q2[:, None])
-            idx = zeta2 // 2 - lo
-            hit = (zeta2 % 2 == 0) & (idx >= 0) & (idx < prob.size)
-            vals = np.where(hit, prob[np.where(hit, idx, 0)], 0.0)
-            raw += e_w[:, None] * vals
-        probs = raw * self._nhat_grid(nxt) / self._nhat_grid(level)[qs][:, None]
+        nxt = level + int(self.omega.k)
+        zq, m, weights, nhat = cur = self._level(level)
+        zq_next, _, _, nhat_next = new = self._level(nxt)
+        self._levels = {level: cur, nxt: new}
+        # the term w moves lam0 to bar(w(lam0+rho)-rho) = lam0 - m, so beta0
+        # takes the atom at offset lam0 - m + omega - beta0; an offset off
+        # the root lattice or outside the table is clipped onto the zero
+        # border of the padded atoms
+        pad = np.pad(self.atoms.prob, 1)
+        base = zq[qs][:, None, :] + self._om_q - zq_next[None, :, :]
+        base = np.where((base % self._den == 0).all(axis=2, keepdims=True),
+                        base // self._den - np.array(self.atoms.lo) + 1,
+                        -2 ** 62)
+        base = np.moveaxis(base, 2, 0).copy()          # one array per axis
+        mq, wq = m[qs], weights[qs]
+        raw = np.zeros((qs.size, len(zq_next)))
+        for t in range(m.shape[1]):
+            flat = sum(np.clip(b - mq[:, t, j, None], 0, pad.shape[j] - 1)
+                       * (pad.strides[j] // pad.itemsize)
+                       for j, b in enumerate(base))
+            raw += wq[:, t, None] * pad.ravel()[flat]
+        probs = raw * nhat_next / nhat[qs][:, None]
         neg = probs.min(axis=1)
         np.clip(probs, 0.0, None, out=probs)
         defect = np.abs(1.0 - probs.sum(axis=1))
@@ -476,8 +456,8 @@ class FastBarredKernel:
 
     def sample(self, start: Weight, steps: int, n_paths: int, seed: int,
                record_steps=()) -> dict[int, np.ndarray]:
-        """Simulate the projected chain; returns the finite coordinate (in
-        root units, float) of every path at the requested steps.
+        """Simulate the projected chain; returns the root coordinates (float,
+        shape ``(n_paths, rank)``) of every path at the requested steps.
 
         Each step builds the rows of all occupied states in one batched
         call and draws one uniform per path, handed out in stable-sorted
@@ -486,16 +466,13 @@ class FastBarredKernel:
         start = start.bar()
         if not classify_weight(self.alg, start).dominant:
             raise ValueError("start must be dominant integral")
-        q0 = 2 * start.z[0]
-        if q0.denominator != 1:
-            raise ValueError("start state must have an integral coroot pairing")
         rng = np.random.Generator(np.random.Philox(seed))
         level = int(start.k)
         k_om = int(self.omega.k)
-        cur = np.full(n_paths, int(q0), dtype=np.int64)
+        cur = np.full(n_paths, dominant_states(self.alg, level).index(start))
         recorded: dict[int, np.ndarray] = {}
         if 0 in record_steps:
-            recorded[0] = cur / 2.0
+            recorded[0] = _dominant_coords(self.alg, level)[0][cur] / self._den
         for k in range(1, steps + 1):
             order = np.argsort(cur, kind="stable")
             states, counts = np.unique(cur, return_counts=True)
@@ -510,7 +487,7 @@ class FastBarredKernel:
             cur = new
             level += k_om
             if k in record_steps:
-                recorded[k] = cur / 2.0
+                recorded[k] = self._levels[level][0][cur] / self._den
         return recorded
 
 

@@ -130,14 +130,52 @@ def _working_dps(log_tol: float) -> int:
     return max(30, int(math.ceil(-log_tol / math.log(10))) + 20)
 
 
+def _alternant_exponents(alg: AffineAlgebra, k: int, zq: np.ndarray, q: int,
+                         s: Specialization, tol: float):
+    """Signs, offsets and exact exponents of the alternants ``A_mu(p)`` of a
+    stack of ``mu`` at level ``k``, each ``mu - rho`` dominant integral; row
+    ``i`` of the integer array ``zq`` is ``q`` times the root coordinates of
+    ``mu_i``.  One term list of :func:`~affinewalks.weyl.certified_terms`,
+    with a tail of ``tol`` at the largest ``|mu|``, serves every row.
+    Returns ``(sign, m, expo, den, radius)``: ``m[i, t]`` is the finite part
+    of ``mu_i - w_t(mu_i)`` in root coordinates, ``expo[i, t] / den`` is
+    ``(w_t(mu_i) - mu_i|p)``, and ``radius`` is the largest translation
+    norm, rounded up."""
+    c = delta_pairing(alg, s)
+    cf = float(c)
+    gd = math.lcm(*(x.denominator for row in alg.finite_gram for x in row))
+    gn = np.array([[int(x * gd) for x in row] for row in alg.finite_gram])
+    z_norm = math.sqrt(int(np.einsum("ni,ij,nj->n", zq, gn, zq).max())
+                       / (q * q * gd))
+    p_norm = math.sqrt(float(alg.finite_norm2(s.point.z)))
+    # |exponent + a|alpha|^2| <= 2|z||p| + b|alpha|
+    terms, _ = certified_terms(
+        alg, 0.5 * k * cf, k * p_norm + cf * z_norm,
+        len(finite_group(alg)) * math.exp(2.0 * z_norm * p_norm), tol)
+    # w = t_alpha w0 gives m = z - w0(z) - k alpha, an integer vector since mu
+    # is integral; (w(mu)|w(mu)) = (mu|mu) fixes the delta depth of mu - w(mu),
+    # so the exponent is -(m | c m - 2c z + 2k p) / 2k, here over den = 2ke
+    m = ((zq[:, None, :] - np.einsum("tij,nj->nti", terms.matrix, zq)) // q
+         - k * terms.trans)
+    gp = alg.finite_covector(s.point.z)
+    e = math.lcm(c.denominator * gd * q, *(x.denominator for x in gp))
+    cm = c.numerator * e // (c.denominator * gd)          # e c / gd
+    mg = m @ gn
+    expo = -(cm * (mg * m).sum(axis=2)
+             - 2 * (cm // q) * (mg * zq[:, None, :]).sum(axis=2)
+             + m @ np.array([int(2 * k * x * e) for x in gp], dtype=np.int64))
+    radius = int(math.ceil(math.sqrt(float(terms.norm2.max()))))
+    return terms.sign, m, expo, 2 * k * e, radius
+
+
 def _alternant_terms(alg: AffineAlgebra, mu: Weight, s: Specialization,
                      log_tol: float):
     """Terms ``(m, det(w) e^{(w(mu) - mu|p)})`` of the alternant ``A_mu(p)``
     for ``mu - rho`` dominant integral; ``m`` is the finite part of
     ``mu - w(mu)`` in root coordinates.
 
-    ``w`` runs over :func:`~affinewalks.weyl.certified_terms` up to a tail
-    of ``e^{log_tol}``, refused below the float64 range; each weight is
+    The terms come from :func:`_alternant_exponents` at a tolerance of
+    ``e^{log_tol}``, refused below the float64 range; each weight is
     exponentiated at the current mp precision from its exact rational
     exponent.  Returns ``(terms, bound, radius)``: summed in any order, the
     weights are within the mp number ``bound`` of ``A_mu(p)`` (tail plus
@@ -151,34 +189,16 @@ def _alternant_terms(alg: AffineAlgebra, mu: Weight, s: Specialization,
         raise ConvergenceError(
             f"alternant tolerance e^{log_tol:.0f} is below the float64 range: "
             "the point is too close to the critical line")
-    c = delta_pairing(alg, s)
-    cf, k = float(c), int(mu.k)
-    z_norm = math.sqrt(float(alg.finite_norm2(mu.z)))
-    p_norm = math.sqrt(float(alg.finite_norm2(s.point.z)))
-    # |exponent + a|alpha|^2| <= 2|z||p| + b|alpha|
-    terms, _ = certified_terms(
-        alg, 0.5 * k * cf, k * p_norm + cf * z_norm,
-        len(finite_group(alg)) * math.exp(2.0 * z_norm * p_norm), tol)
-    # w = t_alpha w0 gives m = z - w0(z) - k alpha, an integer vector since mu
-    # is integral; (w(mu)|w(mu)) = (mu|mu) fixes the delta depth of mu - w(mu),
-    # so the exponent is -(m | c m - 2c z + 2k p) / 2k
     q = math.lcm(*(x.denominator for x in mu.z))
-    zq = np.array([int(x * q) for x in mu.z], dtype=np.int64)
-    m = (zq - terms.matrix @ zq) // q - k * terms.trans
-    cg = [[c * x for x in row] for row in alg.finite_gram]
-    u = [2 * k * x - 2 * c * y for x, y in zip(alg.finite_covector(s.point.z),
-                                               alg.finite_covector(mu.z))]
-    qe = math.lcm(*(x.denominator for x in [*sum(cg, []), *u]))
-    expo = -((m @ np.array([[int(x * qe) for x in row] for row in cg]) * m).sum(axis=1)
-             + m @ np.array([int(x * qe) for x in u]))
-    expo_den = 2 * k * qe
+    zq = np.array([[int(x * q) for x in mu.z]], dtype=np.int64)
+    sign, m, expo, expo_den, radius = _alternant_exponents(
+        alg, int(mu.k), zq, q, s, tol)
     weights = [sign * mp.e ** (mp.mpf(x) / expo_den)
-               for sign, x in zip(terms.sign.tolist(), expo.tolist())]
+               for sign, x in zip(sign.tolist(), expo[0].tolist())]
     x_max = float(np.abs(expo).max()) / expo_den
     rounding = ((len(weights) + x_max + 2) * mp.fsum(weights, absolute=True)
                 * mp.mpf(2) ** (2 - mp.mp.prec))
-    radius = int(math.ceil(math.sqrt(float(terms.norm2.max()))))
-    return list(zip(map(tuple, m.tolist()), weights)), tol + rounding, radius
+    return list(zip(map(tuple, m[0].tolist()), weights)), tol + rounding, radius
 
 
 # -- character evaluation ------------------------------------------------------------

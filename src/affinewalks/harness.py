@@ -187,12 +187,10 @@ def scaling_walk_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     """Scaled weight-walk marginals against the drifted Gaussian limit.
 
     Increments follow the projected measure with ``omega = h_vee*Lambda0``
-    at ``rho/n``; at each grid time the scaled finite coordinate is tested
-    per orthonormal coordinate against N(t*rho_drift, t).
+    at ``rho/n``; at each grid time the first orthonormal coordinate of the
+    scaled finite part is tested against N(t*rho_drift, t).
     """
     alg = algebra_from_name(cfg.algebra)
-    if alg.rank != 1:
-        raise NotImplementedError("walk experiment is wired for rank one")
     omega = Weight.make(alg.dual_coxeter, (0,) * alg.rank, 0)
     s = characters.rho_specialization(alg, cfg.spec_n)
     atoms = increment_atoms(alg, omega, s)
@@ -201,13 +199,18 @@ def scaling_walk_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     n = cfg.spec_n
     steps = max(int(round(n * max(cfg.time_grid))), 1)
-    offs = atoms.offsets()
-    draws = rng.choice(offs, p=atoms.prob, size=(cfg.samples, steps))
-    om_z = float(omega.z[0])
-    z_alpha = np.cumsum(om_z - draws, axis=1)     # increment = omega_f - m*alpha
+    draws = rng.choice(atoms.prob.size, p=atoms.prob.ravel(),
+                       size=(cfg.samples, steps))
     frame = diffusion._frame(alg)
-    scale = float(frame.LT[0, 0])                 # alpha-units to orthonormal
     rho_drift = float(frame.rho_o[0])
+    # first orthonormal coordinate, summed in root units one axis at a time
+    first: dict[int, np.ndarray] = {}
+    for j, m_j in enumerate(atoms.offsets().T):
+        z_alpha = (float(omega.z[j]) - m_j)[draws]    # increment omega_f - m
+        np.cumsum(z_alpha, axis=1, out=z_alpha)
+        for k in {int(round(n * t)) for t in cfg.time_grid} - {0}:
+            first[k] = (first.get(k, 0.0)
+                        + z_alpha[:, k - 1] / n * float(frame.LT[0, j]))
 
     per_time = []
     ok = True
@@ -215,7 +218,7 @@ def scaling_walk_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         k = int(round(n * t))
         if k == 0:
             continue
-        z = z_alpha[:, k - 1] / n * scale
+        z = first[k]
         se = z.std() / math.sqrt(z.size)
         mean_delta = abs(z.mean() - t * rho_drift)
         ks = ks_statistic(z, lambda x, t=t: _normal_cdf(
@@ -246,9 +249,8 @@ def _chain_marginals(cfg: ExperimentConfig, alg: AffineAlgebra,
     record = tuple(int(round(cfg.spec_n * t)) for t in cfg.time_grid)
     rec = kernel.sample(x_n, max(record), cfg.samples, cfg.seed,
                         record_steps=record)
-    frame = diffusion._frame(alg)
-    scale = float(frame.LT[0, 0])
-    return {t: rec[int(round(cfg.spec_n * t))] / cfg.spec_n * scale
+    first = diffusion._frame(alg).LT[0]       # first orthonormal coordinate
+    return {t: rec[int(round(cfg.spec_n * t))] / cfg.spec_n @ first
             for t in cfg.time_grid}
 
 

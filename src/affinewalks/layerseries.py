@@ -63,9 +63,9 @@ class IncrementAtoms:
         return float(self.prob[idx])
 
     def offsets(self) -> np.ndarray:
-        if self.alg.rank != 1:
-            raise NotImplementedError
-        return np.arange(self.lo[0], self.lo[0] + self.prob.size)
+        """Offset ``m`` of every atom, shape ``(prob.size, rank)``, in the
+        order of ``prob.ravel()``."""
+        return np.indices(self.prob.shape).reshape(len(self.lo), -1).T + self.lo
 
 
 def _fft_mp(x: list, roots: list) -> list:

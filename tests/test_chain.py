@@ -248,16 +248,49 @@ def test_fast_kernel_defect_guard_batched(a1):
         fk.row(1, np.array([0, 1]))
 
 
-def test_fast_kernel_batched_rows_match_scalar(a1):
+def test_fast_kernel_batched_rows_match_scalar(a1, a2):
+    for alg, n, level, step in ((a1, 20, 60, 3), (a2, 2, 2, 1)):
+        om = Weight.make(alg.dual_coxeter, (0,) * alg.rank, 0)
+        fk = cn.FastBarredKernel(alg, om, ch.rho_specialization(alg, n))
+        qs = np.arange(0, len(cn.dominant_states(alg, level)), step)
+        probs, cdf, defect = fk.row(level, qs)
+        width = len(cn.dominant_states(alg, level + alg.dual_coxeter))
+        assert probs.shape == cdf.shape == (qs.size, width)
+        for i, q in enumerate(qs):
+            p1, c1, d1 = fk.row(level, int(q))
+            assert np.array_equal(probs[i], p1)
+            assert np.array_equal(cdf[i], c1)
+            assert defect[i] == d1 and isinstance(d1, float)
+
+
+def test_fast_kernel_rank_two_matches_aggregated_row(a2):
+    # A2~ fast rows from Lambda0 at rho/1 against the delta-aggregated exact
+    # row, indexed by dominant_states
+    s = ch.rho_specialization(a2, 1)
+    om = Weight.make(3, (0, 0), 0)
+    states = cn.dominant_states(a2, 4)
+    agg = np.zeros(len(states))
+    for w, p in cn.barred_row(a2, a2.Lambda0(), om, s, 4,
+                              defect_target=1e-9).items():
+        agg[states.index(w)] += p
+    lam0 = cn.dominant_states(a2, 1).index(a2.Lambda0())
+    probs, _, _ = cn.FastBarredKernel(a2, om, s).row(1, lam0)
+    assert np.abs(probs - agg).max() < 1e-12
+
+
+@pytest.mark.parametrize("level", [1, 2, 10])
+def test_fast_kernel_refuses_near_critical_line(a1, level):
+    # float64 alternants cancel near the origin at rho/100: the row must
+    # refuse with the typed error, never come back silently wrong
+    fk = cn.FastBarredKernel(a1, omega(a1), ch.rho_specialization(a1, 100))
+    with pytest.raises(cn.ChainDefectError):
+        fk.row(level, 0)
+
+
+def test_fast_kernel_keeps_two_levels(a1):
     fk = cn.FastBarredKernel(a1, omega(a1), ch.rho_specialization(a1, 20))
-    qs = np.arange(0, 61, 3)
-    probs, cdf, defect = fk.row(60, qs)
-    assert probs.shape == cdf.shape == (qs.size, 63)
-    for i, q in enumerate(qs):
-        p1, c1, d1 = fk.row(60, int(q))
-        assert np.array_equal(probs[i], p1)
-        assert np.array_equal(cdf[i], c1)
-        assert defect[i] == d1 and isinstance(d1, float)
+    fk.sample(Weight.make(40, (10,), 0), steps=20, n_paths=50, seed=3)
+    assert sorted(fk._levels) == [78, 80]
 
 
 def test_fast_kernel_sample_matches_scalar_reference(a1):
@@ -278,8 +311,9 @@ def test_fast_kernel_sample_matches_scalar_reference(a1):
             new[sel] = np.searchsorted(cdf, rng.random(sel.size))
         cur = new
         level += 2
-        assert np.array_equal(got[k], cur / 2.0)
-    assert np.array_equal(got[0], np.full(n_paths, 10.0))
+        assert got[k].shape == (n_paths, 1)
+        assert np.array_equal(got[k][:, 0], cur / 2.0)
+    assert np.array_equal(got[0][:, 0], np.full(n_paths, 10.0))
 
 
 def test_ch_cache_bounded(a1, monkeypatch):
@@ -299,6 +333,8 @@ def test_dominant_states_pairings(a1, a2):
             states = cn.dominant_states(alg, level)
             # type A: all comarks are 1, so one state per composition
             assert len(states) == math.comb(level + alg.rank, alg.rank)
+            # the fast kernel indexes states in this order
+            assert [w.z for w in states] == sorted(w.z for w in states)
             for w in states:
                 q = [al.pairing_coroot(alg, w, i) for i in range(alg.rank + 1)]
                 assert all(x.denominator == 1 and x >= 0 for x in q)

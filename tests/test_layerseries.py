@@ -39,7 +39,7 @@ def test_atoms_moments_near_critical(a1):
     n = 50
     s = ch.rho_specialization(a1, n)
     atoms = increment_atoms(a1, om, s)
-    idx = atoms.offsets()
+    idx = atoms.offsets()[:, 0]
     mean = float((idx * atoms.prob).sum())
     var = float((idx ** 2 * atoms.prob).sum()) - mean ** 2
     # cumulant expansion of the normalized character at rho/n
