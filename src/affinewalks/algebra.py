@@ -12,10 +12,13 @@ reflection identities checked downstream hold exactly.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+
+import numpy as np
 
 from . import _linalg
 
@@ -158,6 +161,12 @@ class AffineAlgebra:
         l = self.rank
         return tuple(tuple(self.gram_hstar[i][j] for j in range(1, l + 1))
                      for i in range(1, l + 1))
+
+    @cached_property
+    def finite_gram_int(self) -> tuple[np.ndarray, int]:
+        """``(gn, gd)`` with ``finite_gram == gn / gd`` and ``gn`` integer."""
+        gd = math.lcm(*(x.denominator for row in self.finite_gram for x in row))
+        return np.array([[int(x * gd) for x in row] for row in self.finite_gram]), gd
 
     @cached_property
     def _finite_cartan_inverse(self) -> _linalg.Mat:

@@ -174,30 +174,32 @@ def _geometric_tail(layer_mass: dict[int, float], resolution: int) -> float:
     return 2.0 * lead / (1.0 - q)
 
 
-def _row_candidates(alg: AffineAlgebra, lam: Weight, omega: Weight, depth: int):
-    """Dominant candidates for components of V(lam) (x) V(omega), per depth.
-
-    The Minkowski sum of the two orbit-hull balls is a proven superset of
-    the tensor-product weights, hence of its highest-weight components.
+def _row_candidates(alg: AffineAlgebra, lam: Weight, omega: Weight, depths):
+    """Dominant candidates ``(d, m, beta)`` for components
+    ``beta = lam + omega - d*delta - m`` of V(lam) (x) V(omega), per depth in
+    increasing ``m``: the states of the level inside the Minkowski sum of the
+    two orbit-hull balls, a proven superset of the tensor-product weights,
+    ``|beta_z| <= sqrt(|lam_z|^2 + 2 k_lam d) + sqrt(|omega_z|^2 + 2 k_omega d)``.
     """
     top = lam + omega
-    center = [a + b for a, b in zip(lam.z, omega.z)]
-    r_lam = float(alg.finite_norm2(lam.z))
-    r_om = float(alg.finite_norm2(omega.z))
-    from .highestweight import _ball_ints
-    for d in range(depth + 1):
-        rad = (math.sqrt(r_lam + 2 * float(lam.k) * d)
-               + math.sqrt(r_om + 2 * float(omega.k) * d))
-        r2 = Fraction(rad * rad * (1 + 1e-9)).limit_denominator(10**12)
-        for m in _ball_ints(alg, [Fraction(c) for c in center], r2):
-            beta = top - Weight.make(0, m, d)
-            if classify_weight(alg, beta).dominant:
-                yield d, m, beta
+    zq, den = _dominant_coords(alg, int(top.k))
+    zq = zq[::-1]                       # zq is sorted, so m = top - beta increases
+    ms = np.array([int(x * den) for x in top.z]) - zq
+    coset = (ms % den == 0).all(axis=1)  # top - beta on the root lattice
+    ms, zq = ms[coset] // den, zq[coset]
+    gn, gd = alg.finite_gram_int
+    scale = den * den * gd              # makes the squared norms integers
+    beta2 = np.einsum("ni,ij,nj->n", zq, gn, zq)
+    for d in depths:
+        a = int((alg.finite_norm2(lam.z) + 2 * lam.k * d) * scale)
+        b = int((alg.finite_norm2(omega.z) + 2 * omega.k * d) * scale)
+        gap = beta2 - a - b             # |beta_z| <= sqrt(a) + sqrt(b), squared twice
+        for m in ms[(gap <= 0) | (gap * gap <= 4 * a * b)].tolist():
+            yield d, tuple(m), top - Weight.make(0, m, d)
 
 
 def q_omega_row(alg: AffineAlgebra, lam: Weight, omega: Weight,
                 s: Specialization, depth: int,
-                defect_resolution: int | None = None,
                 defect_target: float = 1e-7,
                 extend_entries: bool = False) -> KernelRow:
     """One row of the tensor-product kernel on dominant weights.
@@ -217,13 +219,11 @@ def q_omega_row(alg: AffineAlgebra, lam: Weight, omega: Weight,
     entries: list[tuple[Weight, float]] = []
     layer_mass: dict[int, float] = {}
 
-    resolution = defect_resolution if defect_resolution is not None else depth
-    hard_cap = max(depth, resolution, 40) + 1200
+    resolution = depth
+    hard_cap = max(depth, 40) + 1200
 
-    def compute_layers(dmax, dmin=0):
-        for d, m, beta in _row_candidates(alg, lam, omega, dmax):
-            if d < dmin:
-                continue
+    def compute_layers(depths):
+        for d, m, beta in _row_candidates(alg, lam, omega, depths):
             mlt = branching_mult(alg, lam, omega, 1, beta)
             if mlt == 0:
                 continue
@@ -232,7 +232,7 @@ def q_omega_row(alg: AffineAlgebra, lam: Weight, omega: Weight,
             if d <= depth or extend_entries:
                 entries.append((beta, pr))
 
-    compute_layers(resolution)
+    compute_layers(range(resolution + 1))
     while True:
         tail = _geometric_tail(layer_mass, resolution)
         if tail <= defect_target:
@@ -241,7 +241,7 @@ def q_omega_row(alg: AffineAlgebra, lam: Weight, omega: Weight,
             raise ChainDefectError(
                 f"row defect envelope not below {defect_target} at depth {resolution}")
         step = max(10, resolution // 2)
-        compute_layers(min(resolution + step, hard_cap), resolution + 1)
+        compute_layers(range(resolution + 1, min(resolution + step, hard_cap) + 1))
         resolution = min(resolution + step, hard_cap)
 
     if extend_entries:

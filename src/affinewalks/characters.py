@@ -30,7 +30,8 @@ from .algebra import (AffineAlgebra, Weight, classify_weight, inner_product,
                       weyl_vector)
 from .highestweight import (alternant_terms, denominator_product_series,
                             finite_roots, positive_roots)
-from .weyl import ConvergenceError, certified_terms, finite_group
+from .weyl import (ConvergenceError, certified_terms, finite_group,
+                   orbit_offsets)
 
 __all__ = [
     "Specialization",
@@ -143,8 +144,7 @@ def _alternant_exponents(alg: AffineAlgebra, k: int, zq: np.ndarray, q: int,
     norm, rounded up."""
     c = delta_pairing(alg, s)
     cf = float(c)
-    gd = math.lcm(*(x.denominator for row in alg.finite_gram for x in row))
-    gn = np.array([[int(x * gd) for x in row] for row in alg.finite_gram])
+    gn, gd = alg.finite_gram_int
     z_norm = math.sqrt(int(np.einsum("ni,ij,nj->n", zq, gn, zq).max())
                        / (q * q * gd))
     p_norm = math.sqrt(float(alg.finite_norm2(s.point.z)))
@@ -152,17 +152,11 @@ def _alternant_exponents(alg: AffineAlgebra, k: int, zq: np.ndarray, q: int,
     terms, _ = certified_terms(
         alg, 0.5 * k * cf, k * p_norm + cf * z_norm,
         len(finite_group(alg)) * math.exp(2.0 * z_norm * p_norm), tol)
-    # w = t_alpha w0 gives m = z - w0(z) - k alpha, an integer vector since mu
-    # is integral; (w(mu)|w(mu)) = (mu|mu) fixes the delta depth of mu - w(mu),
-    # so the exponent is -(m | c m - 2c z + 2k p) / 2k, here over den = 2ke
-    m = ((zq[:, None, :] - np.einsum("tij,nj->nti", terms.matrix, zq)) // q
-         - k * terms.trans)
+    m, d = orbit_offsets(alg, terms, k, zq, q)
+    # the exponent -(mu - w(mu)|p) = -(d c + (m|p)), here over den = 2ke
     gp = alg.finite_covector(s.point.z)
-    e = math.lcm(c.denominator * gd * q, *(x.denominator for x in gp))
-    cm = c.numerator * e // (c.denominator * gd)          # e c / gd
-    mg = m @ gn
-    expo = -(cm * (mg * m).sum(axis=2)
-             - 2 * (cm // q) * (mg * zq[:, None, :]).sum(axis=2)
+    e = math.lcm(c.denominator, *(x.denominator for x in gp))
+    expo = -(2 * k * int(c * e) * d
              + m @ np.array([int(2 * k * x * e) for x in gp], dtype=np.int64))
     radius = int(math.ceil(math.sqrt(float(terms.norm2.max()))))
     return terms.sign, m, expo, 2 * k * e, radius

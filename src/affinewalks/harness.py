@@ -63,6 +63,10 @@ class ExperimentConfig:
             raise ValueError("spec_n must be >= 1")
         if self.samples <= 0 or any(t < 0 for t in self.time_grid):
             raise ValueError("counts and times must be positive")
+        try:
+            algebra_from_name(self.algebra)
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
 
     def to_json(self) -> str:
         d = dataclasses.asdict(self)
@@ -321,15 +325,25 @@ def calibrate_chain_harness(cfg: ExperimentConfig,
 # -- CLI ------------------------------------------------------------------------------
 
 
+class _InputError(ValueError):
+    """Bad command-line input: :func:`run_cli` prints one ``error:`` line, exit 2."""
+
+
 def _load_algebra(args) -> AffineAlgebra:
     if getattr(args, "json", None):
         with open(args.json) as fh:
             return algebra_from_json(fh.read())
-    return algebra_from_name(args.algebra)
+    try:
+        return algebra_from_name(args.algebra)
+    except KeyError as exc:
+        raise _InputError(exc.args[0]) from None
 
 
 def _weight_arg(alg, text) -> Weight:
-    return weight_from_pairings(alg, text.split(","))
+    try:
+        return weight_from_pairings(alg, text.split(","))
+    except ValueError as exc:           # wrong count, or not a rational
+        raise _InputError(f"coroot pairings {text!r}: {exc}") from None
 
 
 def _cmd_algebra(args) -> int:
@@ -380,8 +394,7 @@ def _cmd_characters(args) -> int:
         try:
             r = characters.eval_character(alg, lam, s, eps=args.eps)
         except characters.ConvergenceError as exc:   # n beyond reach
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise _InputError(str(exc)) from None
         out = {"value": r.value, "tail_bound": r.tail_bound,
                "depth": r.truncation_depth}
     elif args.action == "theta":
@@ -396,17 +409,12 @@ def _cmd_characters(args) -> int:
     return 0
 
 
-def _missing_seed() -> int:
-    print("error: --seed is required for stochastic commands", file=sys.stderr)
-    return 2
-
-
 def _cmd_chain(args) -> int:
     alg = _load_algebra(args)
     s = characters.rho_specialization(alg, args.n)
     if args.action == "simulate":
         if args.seed is None:
-            return _missing_seed()
+            raise _InputError("--seed is required for stochastic commands")
         omega = Weight.make(alg.dual_coxeter, (0,) * alg.rank, 0)
         start = _weight_arg(alg, args.start) if args.start else omega
         traj = chain.simulate_chain(alg, start, omega, s, args.steps,
@@ -443,7 +451,7 @@ def _cmd_diffusion(args) -> int:
     rho = weyl_vector(alg)
     if args.action == "sample":
         if args.seed is None:
-            return _missing_seed()
+            raise _InputError("--seed is required for stochastic commands")
         x0 = diffusion.weight_to_point(alg, rho)
         paths = diffusion.sample_paths(alg, x0, args.horizon, args.dt,
                                        args.paths, args.seed,
@@ -463,9 +471,8 @@ def _cmd_diffusion(args) -> int:
         print(json.dumps({"value": v, "tail_bound": tail}))
         return 0
     if args.seed is not None:
-        print(f"error: {args.action} runs its acceptance criterion at the "
-              "criterion's fixed seed; --seed does not apply", file=sys.stderr)
-        return 2
+        raise _InputError(f"{args.action} runs its acceptance criterion at the "
+                          "criterion's fixed seed; --seed does not apply")
     from . import acceptance
     number, name, fn = next(c for c in acceptance.CHECKS
                             if c[0] == _DIFFUSION_CRITERIA[args.action])
@@ -488,17 +495,15 @@ def _random_interior(alg, s, rng, margin_frac=0.15):
 
 def _cmd_experiment(args) -> int:
     if args.seed is None and not args.config:
-        print("error: --seed (or a config carrying one) is required for "
-              "stochastic commands", file=sys.stderr)
-        return 2
+        raise _InputError("--seed (or a config carrying one) is required for "
+                          "stochastic commands")
     if args.config:
         with open(args.config) as fh:
             text = fh.read()
         try:
             cfg = ExperimentConfig.from_json(text)
         except ValueError as exc:          # bad JSON, unknown key or value
-            print(f"error: --config {args.config}: {exc}", file=sys.stderr)
-            return 2
+            raise _InputError(f"--config {args.config}: {exc}") from None
     else:
         cfg = ExperimentConfig()
     if args.seed is not None:
@@ -507,6 +512,8 @@ def _cmd_experiment(args) -> int:
         cfg.samples = args.samples
     if args.n:
         cfg.spec_n = args.n
+    if args.kind != "walk":             # the chain runs start at start_pairings
+        _weight_arg(algebra_from_name(cfg.algebra), ",".join(cfg.start_pairings))
     if args.kind == "walk":
         cfg.spec_n = cfg.spec_n if args.n else GOLDEN.walk_n
         cfg.samples = cfg.samples if args.samples else GOLDEN.walk_samples
@@ -528,9 +535,8 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_verify_all(args) -> int:
     if args.algebra != "A1~":
-        print(f"error: verify-all runs the acceptance suite on A1~ only, "
-              f"not {args.algebra}", file=sys.stderr)
-        return 2
+        raise _InputError(f"verify-all runs the acceptance suite on A1~ only, "
+                          f"not {args.algebra}")
     from . import acceptance
     results = acceptance.run_all(algebra=args.algebra, fast=args.fast)
     failed = [r for r in results if not r.passed]
@@ -622,7 +628,11 @@ def run_cli(argv=None) -> int:
     p.set_defaults(func=_cmd_verify_all)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -26,10 +26,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from . import _linalg
 from .algebra import (_ALGEBRAS_MAX, AffineAlgebra, Weight, classify_weight,
                       pairing_coroot, weyl_vector)
-from .weyl import _lattice_gram, apply, enumerate_bounded, finite_group
+from .weyl import (_lattice_gram, apply, enumerate_bounded, finite_group,
+                   orbit_offsets, weyl_terms)
 
 __all__ = [
     "MultiplicityTable",
@@ -65,9 +68,6 @@ class MultiplicityTable:
 
     def mult(self, d: int, m: tuple[int, ...]) -> int:
         return self.entries.get((d, m), 0)
-
-    def layer(self, d: int) -> dict[tuple[int, ...], int]:
-        return {m: v for (dd, m), v in self.entries.items() if dd == d}
 
     def layer_total(self, d: int) -> int:
         return sum(v for (dd, _), v in self.entries.items() if dd == d)
@@ -395,8 +395,8 @@ def _convolve(alg: AffineAlgebra, a: dict[Key, int], b: dict[Key, int],
     return out
 
 
-def tensor_power_table(alg: AffineAlgebra, omega: Weight, n: int, depth: int,
-                       method: str = "series") -> MultiplicityTable:
+def tensor_power_table(alg: AffineAlgebra, omega: Weight, n: int,
+                       depth: int) -> MultiplicityTable:
     """Weight multiplicities of the n-th tensor power, exact to ``depth``.
 
     Depths add under convolution and are nonnegative, so convolving tables
@@ -409,8 +409,7 @@ def tensor_power_table(alg: AffineAlgebra, omega: Weight, n: int, depth: int,
     if n == 0:
         return MultiplicityTable(alg.zero(), depth, {(0, (0,) * l): 1},
                                  kind="tensor-power(omega,0)")
-    builder = character_series_oracle if method == "series" else freudenthal_table
-    base = builder(alg, omega, depth).entries
+    base = character_series_oracle(alg, omega, depth).entries
     acc = dict(base)
     for _ in range(n - 1):
         acc = _convolve(alg, acc, base, depth)
@@ -440,22 +439,22 @@ def _tensor_cached(alg: AffineAlgebra, omega: Weight, n: int, depth: int) -> Mul
 
 
 def branching_mult(alg: AffineAlgebra, lam: Weight, omega: Weight, n: int,
-                   beta: Weight, depth_hint: int | None = None) -> int:
+                   beta: Weight) -> int:
     """Multiplicity of the highest-weight component ``beta`` inside
     ``V(lam) (x) V(omega)^n`` through the alternating Weyl sum
 
     ``M(beta) = sum_w det(w) m_n(w(beta+rho) - (lam+rho))``,
 
-    where ``m_n`` is the tensor-power weight multiplicity.  The enumeration
-    radius and the required table depth are certified from the exact
-    orbit-hull support bound of the tensor power; if a Weyl image falls
-    inside the support bound but beyond the built table depth, the call
-    fails rather than returning a silently truncated value.
+    where ``m_n`` is the tensor-power weight multiplicity, summed over the
+    integer orbit offsets of :func:`~affinewalks.weyl.orbit_offsets`.  The
+    enumeration radius and the required table depth are certified from the
+    exact orbit-hull support bound of the tensor power; if a Weyl image
+    falls inside the support bound but beyond the enumeration radius, the
+    call fails rather than returning a silently truncated value.
     """
     for w_, nm in ((lam, "lam"), (omega, "omega"), (beta, "beta")):
         if not classify_weight(alg, w_).dominant:
             raise ValueError(f"{nm} must be dominant integral")
-    l = alg.rank
     rho = weyl_vector(alg)
     top = lam + omega.scale(n)
     off = top - beta
@@ -466,18 +465,14 @@ def branching_mult(alg: AffineAlgebra, lam: Weight, omega: Weight, n: int,
     d_off = int(off.b)
     if d_off < 0:
         return 0
-    if depth_hint is not None and d_off > depth_hint:
-        raise BranchingCertificationError(
-            f"beta at depth {d_off} exceeds the declared bound {depth_hint}")
     if n == 0:
         return 1 if (d_off == 0 and not any(off.z)) else 0
 
-    k = float(beta.k + rho.k)
+    mu = beta + rho
+    k = float(mu.k)
     k_om = float(omega.k)
-    z_beta = math.sqrt(float(alg.finite_norm2([a + b for a, b in
-                                               zip(beta.z, rho.z)])))
-    z_lam = math.sqrt(float(alg.finite_norm2([a + b for a, b in
-                                              zip(lam.z, rho.z)])))
+    z_beta = math.sqrt(float(alg.finite_norm2(mu.z)))
+    z_lam = math.sqrt(float(alg.finite_norm2((lam + rho).z)))
     c_om = math.sqrt(float(alg.finite_norm2(omega.z)))
     c1 = z_beta + z_lam
     aq = k * (k - n * k_om)
@@ -487,51 +482,35 @@ def branching_mult(alg: AffineAlgebra, lam: Weight, omega: Weight, n: int,
     cq = n * n * c_om * c_om + 2 * n * k_om * d_off - c1 * c1
     disc = bq * bq + 4 * aq * max(cq, 0.0)
     rstar = (bq + math.sqrt(disc)) / (2 * aq)
-    gram = [[float(x) for x in row] for row in _lattice_gram(alg)]
-    shell = math.sqrt(max(gram[i][i] for i in range(l)))   # longest basis vector
+    # longest basis vector
+    shell = math.sqrt(max(float(row[i]) for i, row in enumerate(_lattice_gram(alg))))
     radius = rstar * 1.02 + shell
 
-    omega_bar = omega.barbar()
-    n_om_bar_norm2 = Fraction(n * n) * alg.finite_norm2(omega.z)
+    # the term w reads m_n at n*omega - (w(mu) - (lam+rho)), mu = beta + rho:
+    # the offset (top - beta) + (mu - w(mu)) from n*omega, integral because
+    # beta is; it is needed when it lies in the tensor power's support ball
+    # |m - n omega_z|^2 <= n^2 |omega_z|^2 + 2 n k_omega d
+    q = math.lcm(*(x.denominator for x in mu.z))
+    terms = weyl_terms(alg, math.ceil(radius + shell))
+    m, d = orbit_offsets(alg, terms, int(mu.k),
+                         np.array([[int(x * q) for x in mu.z]], dtype=np.int64), q)
+    m = m[0] + np.array([int(x) for x in off.z], dtype=np.int64)
+    d = d[0] + d_off
+    gn, gd = alg.finite_gram_int
+    qo = math.lcm(*(x.denominator for x in omega.z))
+    mg = m @ gn
+    need = (d >= 0) & (qo * (mg * m).sum(axis=1)
+                       - 2 * n * (mg @ np.array([int(x * qo) for x in omega.z]))
+                       <= 2 * n * int(omega.k) * qo * gd * d)
+    # boundary-shell certificate: the terms beyond the radius contribute nothing
+    if (need & (terms.norm2 > radius * radius)).any():
+        raise BranchingCertificationError(
+            "enumeration radius certificate failed on the boundary shell")
 
-    def classify(welem):
-        """Return ('term', d, m), ('skip',), or ('need', d)."""
-        arg = apply(alg, welem, beta + rho) - (lam + rho)
-        toff = omega.scale(n) - arg
-        if toff.k != 0:
-            raise AssertionError("branching argument level mismatch")
-        if toff.b.denominator != 1 or any(x.denominator != 1 for x in toff.z):
-            return ("skip",)
-        d = int(toff.b)
-        if d < 0:
-            return ("skip",)
-        dv = [toff.z[i] - Fraction(n) * omega_bar.z[i] for i in range(l)]
-        inside = alg.finite_norm2(dv) <= n_om_bar_norm2 + 2 * n * omega.k * d
-        if not inside:
-            return ("skip",)
-        return ("need", d, tuple(int(x) for x in toff.z), welem.sign)
-
-    needed = []
-    max_depth = 0
-    for welem in enumerate_bounded(alg, radius):
-        res = classify(welem)
-        if res[0] == "need":
-            needed.append(res[1:])
-            max_depth = max(max_depth, res[1])
-    # boundary-shell certificate: one more shell must contribute nothing
-    for welem in enumerate_bounded(alg, radius + shell):
-        q = sum(welem.trans[i] * sum(gram[i][j] * welem.trans[j]
-                                     for j in range(l)) for i in range(l))
-        if q <= radius * radius:
-            continue
-        if classify(welem)[0] == "need":
-            raise BranchingCertificationError(
-                "enumeration radius certificate failed on the boundary shell")
-
-    table = _tensor_cached(alg, omega, n, max_depth)
-    total = 0
-    for d, m, sign in needed:
-        total += sign * table.entries.get((d, m), 0)
+    table = _tensor_cached(alg, omega, n, int(d[need].max(initial=0)))
+    total = sum(sign * table.entries.get((dd, tuple(mm)), 0)
+                for sign, dd, mm in zip(terms.sign[need].tolist(),
+                                        d[need].tolist(), m[need].tolist()))
     if total < 0:
         raise ArithmeticError(
             f"negative branching multiplicity {total}: enumeration incomplete")

@@ -45,6 +45,7 @@ __all__ = [
     "ConvergenceError",
     "WeylTerms",
     "weyl_terms",
+    "orbit_offsets",
     "gaussian_lattice_tail",
     "certified_terms",
 ]
@@ -282,7 +283,8 @@ def enumerate_bounded(alg: AffineAlgebra, radius):
 # translation radius past which a certified Weyl sum gives up
 _MAX_RADIUS = 500.0
 # least recently used term arrays are evicted beyond this many radii; the
-# full test suite touches 37 (radius at most 234), so nothing there evicts
+# full test suite, branching included, holds at most 43 at once (radius at
+# most 234), so nothing there evicts
 _TERMS_MAX = 64
 _TERMS: dict[tuple, "WeylTerms"] = {}
 
@@ -325,6 +327,26 @@ def weyl_terms(alg: AffineAlgebra, radius: int) -> WeylTerms:
             del _TERMS[next(iter(_TERMS))]
     _TERMS[key] = hit
     return hit
+
+
+def orbit_offsets(alg: AffineAlgebra, terms: WeylTerms, k: int, zq: np.ndarray,
+                  q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer ``(m, d)`` with ``mu_i - w_t(mu_i) = m[i, t] + d[i, t] delta``
+    (``m`` in root coordinates) for a stack of integral weights ``mu_i`` at
+    level ``k`` and every term ``w_t``; row ``i`` of ``zq`` is ``q`` times the
+    root coordinates ``z`` of ``mu_i``.  For ``w = t_alpha w0``,
+    ``m = z - w0(z) - k alpha``, and ``(w(mu)|w(mu)) = (mu|mu)`` fixes
+    ``d = (|m|^2 - 2(z|m)) / 2k``."""
+    gn, gd = alg.finite_gram_int
+    num = zq[:, None, :] - np.einsum("tij,nj->nti", terms.matrix, zq)
+    if (num % q).any():
+        raise AssertionError("orbit offset left the root lattice")
+    m = num // q - k * terms.trans
+    mg = m @ gn
+    dnum = q * (mg * m).sum(axis=2) - 2 * (mg * zq[:, None, :]).sum(axis=2)
+    if (dnum % (2 * k * q * gd)).any():           # dnum = 2k q gd d
+        raise AssertionError("orbit offset has a fractional delta coefficient")
+    return m, dnum // (2 * k * q * gd)
 
 
 @lru_cache(maxsize=_ALGEBRAS_MAX)

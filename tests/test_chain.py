@@ -5,7 +5,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from affinewalks import algebra as al, chain as cn, characters as ch, weyl as wy
+from affinewalks import (algebra as al, chain as cn, characters as ch,
+                         highestweight as hw, weyl as wy)
 from affinewalks.algebra import Weight
 
 
@@ -87,6 +88,34 @@ def test_row_mass_and_defect(a1):
                          defect_target=1e-8)
     assert abs(row.total() + row.defect - 1.0) <= 1e-6
     assert all(al.classify_weight(a1, w).dominant for w, _ in row.entries)
+
+
+def _fraction_ball_candidates(alg, lam, om, depth):
+    # the Fraction walk the integer candidates replace: every integer m in
+    # the Minkowski ball around lam + omega, kept when lam + omega - m - d
+    # delta is dominant
+    top = lam + om
+    out = []
+    for d in range(depth + 1):
+        rad = (math.sqrt(alg.finite_norm2(lam.z) + 2 * lam.k * d)
+               + math.sqrt(alg.finite_norm2(om.z) + 2 * om.k * d))
+        r2 = Fraction(rad * rad * (1 + 1e-9)).limit_denominator(10**12)
+        for m in hw._ball_ints(alg, top.z, r2):
+            beta = top - Weight.make(0, m, d)
+            if al.classify_weight(alg, beta).dominant:
+                out.append((d, m, beta))
+    return out
+
+
+def test_row_candidates_match_fraction_ball(a1, a2):
+    cases = [(a1, Weight.make(2, (Fraction(1, 2),), 0), omega(a1), 12),
+             (a1, Weight.make(5, (1,), -3), omega(a1), 12),
+             (a2, al.weight_from_pairings(a2, [1, 1, 0]), a2.Lambda0().scale(3), 6),
+             (a2, al.weight_from_pairings(a2, [0, 2, 1]), a2.Lambda0(), 6)]
+    for alg, lam, om, depth in cases:
+        got = list(cn._row_candidates(alg, lam, om, range(depth + 1)))
+        assert got == _fraction_ball_candidates(alg, lam, om, depth)
+        assert got
 
 
 def test_row_aggregation_matches_fast_kernel(a1):

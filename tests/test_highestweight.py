@@ -213,6 +213,28 @@ def test_branching_nonnegative_sweep(a1):
             assert hw.branching_mult(a1, L0, om, 2, beta) >= 0
 
 
+@pytest.mark.parametrize("n,depth,count", [(1, 3, 20), (2, 2, 36)])
+def test_branching_matches_decomposition_rank_two(a2, n, depth, count):
+    # criterion 3 on A2~ for V(Lambda0) (x) V(3 Lambda0)^n: every dominant
+    # beta in the coset of the top weight, zero multiplicities included
+    from affinewalks.chain import dominant_states
+    L0 = a2.Lambda0()
+    om = L0.scale(3)
+    comps = hw.decompose_product(a2, L0, om, n, depth)
+    top = L0 + om.scale(n)
+    compared = 0
+    for d in range(depth + 1):
+        for bbar in dominant_states(a2, int(top.k)):
+            off = tuple(x - y for x, y in zip(top.z, bbar.z))
+            if any(x.denominator != 1 for x in off):
+                continue
+            beta = Weight.make(top.k, bbar.z, top.b - d)
+            assert hw.branching_mult(a2, L0, om, n, beta) == comps.get(
+                (d, tuple(map(int, off))), 0)
+            compared += 1
+    assert compared == count
+
+
 def test_csv_golden(a1, tmp_path):
     table = hw.character_series_oracle(a1, a1.Lambda0(), 6)
     out = tmp_path / "basic.csv"

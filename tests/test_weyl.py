@@ -156,6 +156,28 @@ def test_weyl_terms_follow_enumeration(a2):
     assert (terms.trans[:small.sign.size] == small.trans).all()
 
 
+@pytest.mark.parametrize("name", ["A1~", "A2~", "A3~"])
+def test_orbit_offsets_match_weyl_action(name):
+    # the integer offsets against the reference Fraction action, term by
+    # term; rho + Lambda_1 has fractional root coordinates on every A_l and
+    # is stacked with rho + Lambda_0, which has the same level
+    alg = al.algebra_from_name(name)
+    rho = al.weyl_vector(alg)
+    lam1 = al.weight_from_pairings(alg, [0, 1] + [0] * (alg.rank - 1))
+    terms = wy.weyl_terms(alg, 4)
+    elems = list(wy.enumerate_bounded(alg, 4))
+    assert terms.sign.size == len(elems)
+    for mus in ([rho], [rho + alg.Lambda0(), rho + lam1]):
+        q = math.lcm(*(x.denominator for mu in mus for x in mu.z))
+        zq = np.array([[int(x * q) for x in mu.z] for mu in mus])
+        m, d = wy.orbit_offsets(alg, terms, int(mus[0].k), zq, q)
+        for i, mu in enumerate(mus):
+            for t, e in enumerate(elems):
+                off = mu - wy.apply(alg, e, mu)
+                assert off.k == 0
+                assert tuple(m[i, t].tolist()) == off.z and d[i, t] == off.b
+
+
 def _spec(a1):
     return ch.rho_specialization(a1, 3)
 
