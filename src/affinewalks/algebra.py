@@ -33,6 +33,7 @@ __all__ = [
     "algebra_from_json",
     "registry_names",
     "inner_product",
+    "pair_delta",
     "pairing_coroot",
     "weyl_vector",
     "classify_weight",
@@ -352,6 +353,15 @@ def inner_product(alg: AffineAlgebra, lam: Weight, mu: Weight) -> Fraction:
                for i in range(len(x)))
 
 
+def pair_delta(alg: AffineAlgebra, lam: Weight) -> Fraction:
+    """``(delta | lam)``, read off the delta row of ``gram_hstar``: the
+    level of ``lam`` without the full form."""
+    if len(lam.z) != alg.rank:
+        raise ValueError("weight dimension does not match algebra rank")
+    return sum((g * x for g, x in zip(alg.gram_hstar[-1], _coords(lam)) if g),
+               Fraction(0))
+
+
 def pairing_coroot(alg: AffineAlgebra, lam: Weight, i: int) -> Fraction:
     """Evaluation ``lam(coroot_i)`` for 0 <= i <= rank."""
     l = alg.rank
@@ -392,7 +402,7 @@ def classify_weight(alg: AffineAlgebra, lam: Weight) -> WeightClassification:
     integral = all(p.denominator == 1 for p in pairings)
     dominant = integral and all(p >= 0 for p in pairings)
     return WeightClassification(
-        level=inner_product(alg, alg.delta(), lam),
+        level=pair_delta(alg, lam),
         dominant=dominant,
         integral=integral,
     )

@@ -34,7 +34,7 @@ from .characters import (EvalResult, Specialization, _alternant_exponents,
                          _alternant_terms, _working_dps, delta_pairing,
                          eval_character)
 from .highestweight import (branching_mult, character_series_oracle,
-                            _tensor_cached)
+                            tensor_power_table)
 
 __all__ = [
     "DiscreteDistribution",
@@ -291,7 +291,7 @@ def pbar_power(alg: AffineAlgebra, omega: Weight, s: Specialization,
     if any(x.denominator != 1 for x in zeta):
         return (0.0, 0.0) if with_tail else 0.0
     zeta = tuple(int(x) for x in zeta)
-    table = _tensor_cached(alg, omega.bar(), n_steps, depth)
+    table = tensor_power_table(alg, omega.bar(), n_steps, depth)
     c = float(delta_pairing(alg, s))
     p = s.point
     base = float(inner_product(alg, diff, p)) - n_steps * _log_ch(alg, omega.bar(), s)

@@ -27,7 +27,7 @@ import mpmath as mp
 import numpy as np
 
 from .algebra import (AffineAlgebra, Weight, classify_weight, inner_product,
-                      weyl_vector)
+                      pair_delta, weyl_vector)
 from .highestweight import (alternant_terms, denominator_product_series,
                             finite_roots, positive_roots)
 from .weyl import (ConvergenceError, certified_terms, finite_group,
@@ -81,7 +81,7 @@ def rho_specialization(alg: AffineAlgebra, n: int) -> Specialization:
 
 
 def delta_pairing(alg: AffineAlgebra, s: Specialization) -> Fraction:
-    return inner_product(alg, alg.delta(), s.point)
+    return pair_delta(alg, s.point)
 
 
 def _require_convergent(alg: AffineAlgebra, s: Specialization) -> Fraction:
@@ -261,7 +261,7 @@ def eval_theta(alg: AffineAlgebra, lam: Weight, s: Specialization,
     Gaussian shell bound for the discarded part; ``truncation_depth`` is
     the translation radius.
     """
-    k = inner_product(alg, alg.delta(), lam)
+    k = pair_delta(alg, lam)
     if k <= 0:
         raise ValueError("theta functions need a positive level")
     c = float(_require_convergent(alg, s))

@@ -346,6 +346,14 @@ def _weight_arg(alg, text) -> Weight:
         raise _InputError(f"coroot pairings {text!r}: {exc}") from None
 
 
+def _dominant_arg(alg, text) -> Weight:
+    lam = _weight_arg(alg, text)
+    if not classify_weight(alg, lam).dominant:
+        raise _InputError(f"coroot pairings {text!r}: the highest weight must "
+                          "be dominant integral")
+    return lam
+
+
 def _cmd_algebra(args) -> int:
     alg = _load_algebra(args)
     rho = weyl_vector(alg)
@@ -363,7 +371,7 @@ def _cmd_algebra(args) -> int:
 def _cmd_mult(args) -> int:
     from .highestweight import character_series_oracle, freudenthal_table
     alg = _load_algebra(args)
-    lam = _weight_arg(alg, args.pairings)
+    lam = _dominant_arg(alg, args.pairings)
     builder = freudenthal_table if args.method == "freudenthal" \
         else character_series_oracle
     table = builder(alg, lam, args.depth)
@@ -377,7 +385,7 @@ def _cmd_mult(args) -> int:
 def _cmd_tensor(args) -> int:
     from .highestweight import tensor_power_table
     alg = _load_algebra(args)
-    om = _weight_arg(alg, args.pairings)
+    om = _dominant_arg(alg, args.pairings)
     table = tensor_power_table(alg, om, args.n, args.depth)
     if args.csv:
         table.to_csv(args.csv)
@@ -390,7 +398,7 @@ def _cmd_characters(args) -> int:
     alg = _load_algebra(args)
     s = characters.rho_specialization(alg, args.n)
     if args.action == "eval":
-        lam = _weight_arg(alg, args.pairings)
+        lam = _dominant_arg(alg, args.pairings)
         try:
             r = characters.eval_character(alg, lam, s, eps=args.eps)
         except characters.ConvergenceError as exc:   # n beyond reach

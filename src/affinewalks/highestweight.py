@@ -16,12 +16,21 @@ Two independent constructions of the same table are kept side by side:
 
 Their entrywise agreement is a core correctness gate for everything built
 on top (tensor powers, branching, kernels).
+
+``tensor_power_table`` keeps the powers of each ``V(omega)`` in a bounded
+store of dense layers: per delta-depth, one array of exact Python ints over
+a box of root offsets.  A deeper request computes only the missing layers:
+the first power resumes the series oracle's loop, and layer ``d`` of the
+n-th power is ``sum_j P_{n-1}[j] * P_1[d-j]``, one ``np.convolve`` per
+pair.  ``decompose_product`` keeps its own sparse dict convolution, so the
+branching sum and the product decomposition stay independent oracles.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -63,7 +72,7 @@ class MultiplicityTable:
 
     highest: Weight
     depth: int
-    entries: dict[Key, int]
+    entries: Mapping[Key, int]
     kind: str = "irreducible"
 
     def mult(self, d: int, m: tuple[int, ...]) -> int:
@@ -171,25 +180,22 @@ def denominator_product_series(alg: AffineAlgebra, depth: int) -> dict[Key, int]
 
 
 def _ball_ints(alg: AffineAlgebra, center, r2: Fraction):
-    """Integer vectors m with ||m - center||^2 <= r2 in the finite Gram norm."""
-    l = alg.rank
+    """Integer vectors m with ||m - center||^2 <= r2 in the finite Gram norm,
+    in lexicographic order.  The test is exact in integers: with ``q``
+    clearing the denominators of ``center``, ``|q m - q center|^2`` in the
+    integer Gram ``gn`` is at most ``q^2 gd r2``."""
     if r2 < 0:
         return []
-    g = alg.finite_gram
-    ginv = _linalg.invert(g)
-    pts = []
-    bounds = []
-    for i in range(l):
-        w = math.sqrt(float(r2 * ginv[i][i])) if r2 > 0 else 0.0
-        lo = math.floor(float(center[i]) - w) - 1
-        hi = math.ceil(float(center[i]) + w) + 1
-        bounds.append(range(lo, hi + 1))
-    import itertools
-    for m in itertools.product(*bounds):
-        dv = [Fraction(m[i]) - center[i] for i in range(l)]
-        if alg.finite_norm2(dv) <= r2:
-            pts.append(m)
-    return pts
+    gn, gd = alg.finite_gram_int
+    q = math.lcm(*(Fraction(x).denominator for x in center))
+    cq = np.array([int(x * q) for x in center])
+    half = np.sqrt(float(r2) * gd * np.diag(np.linalg.inv(gn)))
+    axes = [np.arange(math.floor(c / q - w) - 1, math.ceil(c / q + w) + 2)
+            for c, w in zip(cq.tolist(), half.tolist())]
+    m = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, alg.rank)
+    v = q * m - cq
+    return list(map(tuple, m[np.einsum("ni,ij,nj->n", v, gn, v)
+                             <= math.floor(r2 * q * q * gd)].tolist()))
 
 
 def _support_ball_candidates(alg: AffineAlgebra, lam: Weight, d: int):
@@ -209,8 +215,13 @@ def _support_ball_candidates(alg: AffineAlgebra, lam: Weight, d: int):
 
 
 def _in_support_ball(alg: AffineAlgebra, lam: Weight, d: int, m) -> bool:
-    dv = [Fraction(m[i]) - lam.z[i] for i in range(alg.rank)]
-    return alg.finite_norm2(dv) <= alg.finite_norm2(lam.z) + 2 * lam.k * d
+    """``m`` lies in the depth-d ball of :func:`_support_ball_candidates`,
+    tested in the integer Gram."""
+    gn, gd = alg.finite_gram_int
+    q = math.lcm(*(x.denominator for x in lam.z))
+    z = np.array([int(x * q) for x in lam.z])
+    v = q * np.array(m) - z
+    return int(v @ gn @ v) <= int(z @ gn @ z) + 2 * lam.k * d * q * q * gd
 
 
 # -- Freudenthal recursion --------------------------------------------------------
@@ -338,6 +349,39 @@ def alternant_terms(alg: AffineAlgebra, mu: Weight, depth: int) -> dict[Key, int
     return {kk: v for kk, v in terms.items() if v != 0}
 
 
+def _quotient_terms(alg: AffineAlgebra, lam: Weight, depth: int):
+    """Numerator ``A_{lam+rho}`` and the non-constant denominator terms
+    ``(d, m, c)`` of ``A_rho``, the alternants the series oracle divides."""
+    rho = weyl_vector(alg)
+    num = alternant_terms(alg, lam + rho, depth)
+    den = alternant_terms(alg, rho, depth)
+    if den.get((0, (0,) * alg.rank)) != 1:
+        raise AssertionError("denominator constant term must be 1")
+    return num, [(d, m, c) for (d, m), c in den.items() if (d or any(m))]
+
+
+def _series_layer(alg: AffineAlgebra, lam: Weight, num, den_rest,
+                  entries: dict[Key, int], d: int) -> dict[tuple[int, ...], int]:
+    """Depth ``d`` of the quotient ``num / den``, read from ``entries`` at
+    the depths below and the offsets before it, which it extends; returns
+    the layer's nonzero values by offset."""
+    layer = {}
+    for m in _support_ball_candidates(alg, lam, d):
+        val = num.get((d, m), 0)
+        for (dg, mg, cg) in den_rest:
+            if dg > d:
+                continue
+            prev = entries.get((d - dg, tuple(a - b for a, b in zip(m, mg))), 0)
+            if prev:
+                val -= cg * prev
+        if val < 0:
+            raise ArithmeticError(
+                f"negative series coefficient at depth={d}, m={m}")
+        if val:
+            entries[(d, m)] = layer[m] = val
+    return layer
+
+
 def character_series_oracle(alg: AffineAlgebra, lam: Weight, depth: int) -> MultiplicityTable:
     """Multiplicities by dividing the alternating numerator by the
     alternating denominator as formal series in the root-cone variables.
@@ -350,29 +394,10 @@ def character_series_oracle(alg: AffineAlgebra, lam: Weight, depth: int) -> Mult
         raise ValueError("highest weight must be dominant integral")
     if lam.k == 0:
         return MultiplicityTable(lam, depth, {(0, (0,) * alg.rank): 1})
-    rho = weyl_vector(alg)
-    num = alternant_terms(alg, lam + rho, depth)
-    den = alternant_terms(alg, rho, depth)
-    if den.get((0, (0,) * alg.rank)) != 1:
-        raise AssertionError("denominator constant term must be 1")
-    den_rest = [(d, m, c) for (d, m), c in den.items() if (d or any(m))]
-
+    num, den_rest = _quotient_terms(alg, lam, depth)
     entries: dict[Key, int] = {}
     for d in range(depth + 1):
-        for m in _support_ball_candidates(alg, lam, d):
-            val = num.get((d, m), 0)
-            for (dg, mg, cg) in den_rest:
-                if dg > d:
-                    continue
-                prev = entries.get((d - dg, tuple(m[i] - mg[i]
-                                                  for i in range(alg.rank))), 0)
-                if prev:
-                    val -= cg * prev
-            if val < 0:
-                raise ArithmeticError(
-                    f"negative series coefficient at depth={d}, m={m}")
-            if val:
-                entries[(d, m)] = val
+        _series_layer(alg, lam, num, den_rest, entries, d)
     return MultiplicityTable(lam, depth, entries)
 
 
@@ -395,44 +420,146 @@ def _convolve(alg: AffineAlgebra, a: dict[Key, int], b: dict[Key, int],
     return out
 
 
+# A layer is ``(lo, arr)``: the multiplicity at root offset ``m`` of one
+# delta-depth is ``arr[m - lo]``, zero outside the box; ``arr`` holds exact
+# Python ints (object dtype), since entries pass 2^63 (A1~ 2 Lambda0, n = 3,
+# reaches 8.8e19 at depth 100).
+Layer = tuple[tuple[int, ...], np.ndarray]
+
+
+def _dense(rank: int, layer: dict[tuple[int, ...], int]) -> Layer:
+    if not layer:
+        return (0,) * rank, np.zeros((0,) * rank, dtype=object)
+    lo = tuple(map(min, zip(*layer)))
+    arr = np.zeros([max(c) - a + 1 for c, a in zip(zip(*layer), lo)], dtype=object)
+    for m, v in layer.items():
+        arr[tuple(x - a for x, a in zip(m, lo))] = v
+    return lo, arr
+
+
+def _convolve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full convolution of two arrays of one rank by one ``np.convolve``:
+    every axis but the first is zero-padded to the output width, so flat
+    indices add without a carry between axes."""
+    shape = [x + y - 1 for x, y in zip(a.shape, b.shape)]
+    flat = []
+    for x in (a, b):
+        pad = np.zeros([x.shape[0], *shape[1:]], dtype=object)   # Python int 0
+        pad[tuple(map(slice, x.shape))] = x
+        flat.append(pad.ravel())
+    return np.convolve(*flat)[:math.prod(shape)].reshape(shape)
+
+
+def _product_layer(prev: list[Layer], base: list[Layer], d: int) -> Layer:
+    """Layer ``d`` of a product of two graded tables, ``sum_j prev[j] * base[d-j]``."""
+    parts = [(tuple(x + y for x, y in zip(prev[j][0], base[d - j][0])),
+              _convolve_dense(prev[j][1], base[d - j][1]))
+             for j in range(d + 1) if prev[j][1].size and base[d - j][1].size]
+    if not parts:
+        return _dense(base[0][1].ndim, {})
+    lo = tuple(map(min, zip(*(p for p, _ in parts))))
+    hi = tuple(map(max, zip(*(tuple(x + s for x, s in zip(p, arr.shape))
+                              for p, arr in parts))))
+    out = np.zeros([h - a for h, a in zip(hi, lo)], dtype=object)
+    for p, arr in parts:
+        out[tuple(slice(x - a, x - a + s) for x, a, s in zip(p, lo, arr.shape))] += arr
+    return lo, out
+
+
+class _LayerEntries(Mapping):
+    """Read-only ``{(d, m): mult}`` view of the layers to a depth; zero
+    multiplicities are absent, as in a sparse table."""
+
+    def __init__(self, layers: list[Layer]):
+        self._layers = layers
+
+    def __getitem__(self, key):
+        d, m = key
+        if 0 <= d < len(self._layers):
+            lo, arr = self._layers[d]
+            idx = tuple(x - a for x, a in zip(m, lo))
+            if all(0 <= i < s for i, s in zip(idx, arr.shape)) and arr[idx]:
+                return arr[idx]
+        raise KeyError(key)
+
+    def __iter__(self):
+        for d, (lo, arr) in enumerate(self._layers):
+            for idx in zip(*np.nonzero(arr)):
+                yield d, tuple(int(i) + a for i, a in zip(idx, lo))
+
+    def __len__(self):
+        return sum(int(np.count_nonzero(arr)) for _, arr in self._layers)
+
+
+class _TensorPowers:
+    """The tensor powers of one ``V(omega)``, grown layer by layer.
+
+    ``powers[n-1][d]`` is layer ``d`` of the n-th power; a request for depth
+    ``D`` computes only the layers missing below ``D``.  The first power
+    resumes the series oracle's loop, on alternants computed with doubling
+    headroom so one-layer extensions do not recompute them; power ``n`` is
+    power ``n-1`` times the first, layer by layer.
+    """
+
+    def __init__(self, alg: AffineAlgebra, omega: Weight):
+        self.alg, self.omega = alg, omega
+        self.series: dict[Key, int] = {}
+        self.alternants = (-1, {}, [])     # (depth, num, den_rest)
+        self.powers: list[list[Layer]] = [[]]
+
+    def layers(self, n: int, depth: int) -> list[Layer]:
+        base = self.powers[0]
+        if len(base) <= depth:
+            if self.alternants[0] < depth:
+                got = max(depth, 2 * self.alternants[0])
+                self.alternants = (got, *_quotient_terms(self.alg, self.omega, got))
+            _, num, den_rest = self.alternants
+            for d in range(len(base), depth + 1):
+                base.append(_dense(self.alg.rank, _series_layer(
+                    self.alg, self.omega, num, den_rest, self.series, d)))
+        while len(self.powers) < n:
+            self.powers.append([])
+        for prev, cur in zip(self.powers, self.powers[1:n]):
+            for d in range(len(cur), depth + 1):
+                cur.append(_product_layer(prev, base, d))
+        return self.powers[n - 1][:depth + 1]
+
+
+# least-recently-used stores of tensor powers, one per (algebra, omega); the
+# full test suite holds at most 2 at once (deepest request 365), so nothing
+# there evicts
+_TENSOR_STORE_MAX = 16
+_TENSOR_STORE: dict[tuple, _TensorPowers] = {}
+
+
 def tensor_power_table(alg: AffineAlgebra, omega: Weight, n: int,
                        depth: int) -> MultiplicityTable:
     """Weight multiplicities of the n-th tensor power, exact to ``depth``.
 
-    Depths add under convolution and are nonnegative, so convolving tables
-    truncated at ``depth`` already yields every entry of the result at
-    depth <= ``depth`` exactly.  ``n = 0`` is the point mass at weight 0.
+    Depths add under convolution and are nonnegative, so layer ``d`` of the
+    n-th power needs only the layers ``<= d`` of the (n-1)-th and the
+    first.  The layers live in a bounded store per ``(alg, omega)`` and are
+    computed only up to the deepest depth requested; the result's
+    ``entries`` is a read-only mapping over them.  ``n = 0`` is the point
+    mass at weight 0.
     """
     if n < 0:
         raise ValueError("tensor power must be nonnegative")
-    l = alg.rank
     if n == 0:
-        return MultiplicityTable(alg.zero(), depth, {(0, (0,) * l): 1},
+        return MultiplicityTable(alg.zero(), depth, {(0, (0,) * alg.rank): 1},
                                  kind="tensor-power(omega,0)")
-    base = character_series_oracle(alg, omega, depth).entries
-    acc = dict(base)
-    for _ in range(n - 1):
-        acc = _convolve(alg, acc, base, depth)
-    top = omega.scale(n)
-    return MultiplicityTable(top, depth, acc, kind=f"tensor-power(omega,{n})")
-
-
-# least-recently-used tensor-power tables; the full test suite holds at
-# most 3 at once, so nothing there evicts
-_TENSOR_CACHE_MAX = 16
-_TENSOR_CACHE: dict[tuple, MultiplicityTable] = {}
-
-
-def _tensor_cached(alg: AffineAlgebra, omega: Weight, n: int, depth: int) -> MultiplicityTable:
-    key = (alg.cartan.entries, omega, n)
-    hit = _TENSOR_CACHE.pop(key, None)
-    if hit is None or hit.depth < depth:
-        grown = max(depth, 2 * hit.depth if hit is not None else depth)
-        hit = tensor_power_table(alg, omega, n, grown)
-        if len(_TENSOR_CACHE) >= _TENSOR_CACHE_MAX:
-            del _TENSOR_CACHE[next(iter(_TENSOR_CACHE))]
-    _TENSOR_CACHE[key] = hit
-    return hit
+    key = (alg, omega)
+    store = _TENSOR_STORE.pop(key, None)
+    if store is None:
+        if not classify_weight(alg, omega).dominant:
+            raise ValueError("highest weight must be dominant integral")
+        store = _TensorPowers(alg, omega)
+        if len(_TENSOR_STORE) >= _TENSOR_STORE_MAX:
+            del _TENSOR_STORE[next(iter(_TENSOR_STORE))]
+    _TENSOR_STORE[key] = store
+    return MultiplicityTable(omega.scale(n), depth,
+                             _LayerEntries(store.layers(n, depth)),
+                             kind=f"tensor-power(omega,{n})")
 
 
 # -- branching via the alternating sum --------------------------------------------
@@ -507,7 +634,7 @@ def branching_mult(alg: AffineAlgebra, lam: Weight, omega: Weight, n: int,
         raise BranchingCertificationError(
             "enumeration radius certificate failed on the boundary shell")
 
-    table = _tensor_cached(alg, omega, n, int(d[need].max(initial=0)))
+    table = tensor_power_table(alg, omega, n, int(d[need].max(initial=0)))
     total = sum(sign * table.entries.get((dd, tuple(mm)), 0)
                 for sign, dd, mm in zip(terms.sign[need].tolist(),
                                         d[need].tolist(), m[need].tolist()))

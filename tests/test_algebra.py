@@ -1,6 +1,7 @@
 import importlib
 import json
 import pkgutil
+import random
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,23 @@ def test_delta_pairings(a1, a2):
         assert al.inner_product(alg, delta, delta) == 0
         for i in range(alg.rank + 1):
             assert al.inner_product(alg, delta, alg.alpha(i)) == 0
+
+
+def test_level_matches_full_form():
+    # classify_weight reads the level off the delta row of the form; it
+    # equals the full pairing (delta | lam), delta-shifted weights included
+    rng = random.Random(3)
+    for name in ("A1~", "A2~", "A3~"):
+        alg = al.algebra_from_name(name)
+        rho = al.weyl_vector(alg)
+        for _ in range(30):
+            lam = Weight.make(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+                              [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                               for _ in range(alg.rank)],
+                              Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+            for mu in (lam, lam + rho, lam - alg.delta().scale(5)):
+                assert al.classify_weight(alg, mu).level == \
+                    al.inner_product(alg, alg.delta(), mu)
 
 
 def test_inner_product_examples(a1):

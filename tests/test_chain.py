@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -90,6 +91,18 @@ def test_row_mass_and_defect(a1):
     assert all(al.classify_weight(a1, w).dominant for w, _ in row.entries)
 
 
+def _fraction_ball(alg, center, r2):
+    # the Fraction ball the integer tests replace: every integer m in a box
+    # around center with ||m - center||^2 <= r2 in exact rationals
+    if r2 < 0:
+        return []
+    ginv = np.linalg.inv(np.array(alg.finite_gram, dtype=float))
+    axes = [range(math.floor(float(c) - w) - 1, math.ceil(float(c) + w) + 2)
+            for c, w in zip(center, np.sqrt(float(r2) * np.diag(ginv)))]
+    return [m for m in itertools.product(*axes)
+            if alg.finite_norm2([Fraction(x) - c for x, c in zip(m, center)]) <= r2]
+
+
 def _fraction_ball_candidates(alg, lam, om, depth):
     # the Fraction walk the integer candidates replace: every integer m in
     # the Minkowski ball around lam + omega, kept when lam + omega - m - d
@@ -100,7 +113,7 @@ def _fraction_ball_candidates(alg, lam, om, depth):
         rad = (math.sqrt(alg.finite_norm2(lam.z) + 2 * lam.k * d)
                + math.sqrt(alg.finite_norm2(om.z) + 2 * om.k * d))
         r2 = Fraction(rad * rad * (1 + 1e-9)).limit_denominator(10**12)
-        for m in hw._ball_ints(alg, top.z, r2):
+        for m in _fraction_ball(alg, top.z, r2):
             beta = top - Weight.make(0, m, d)
             if al.classify_weight(alg, beta).dominant:
                 out.append((d, m, beta))
@@ -116,6 +129,27 @@ def test_row_candidates_match_fraction_ball(a1, a2):
         got = list(cn._row_candidates(alg, lam, om, range(depth + 1)))
         assert got == _fraction_ball_candidates(alg, lam, om, depth)
         assert got
+
+
+def test_support_ball_matches_fraction_ball():
+    # the integer support ball of highestweight against the Fraction ball,
+    # candidates in their order and the membership test point by point
+    cases = [("A1~", [2, 0], 12), ("A1~", [3, 2], 12), ("A2~", [1, 1, 0], 6),
+             ("A2~", [0, 2, 1], 6), ("A3~", [1, 0, 1, 0], 3), ("A3~", [0, 1, 0, 2], 3)]
+    for name, pairings, depth in cases:
+        alg = al.algebra_from_name(name)
+        lam = al.weight_from_pairings(alg, pairings)
+        for d in range(depth + 1):
+            r2 = alg.finite_norm2(lam.z) + 2 * lam.k * d
+            ball = _fraction_ball(alg, lam.z, r2)
+            cone = [m for m in ball if all(m[i - 1] + d * alg.marks[i] >= 0
+                                           for i in range(1, alg.rank + 1))]
+            assert hw._support_ball_candidates(alg, lam, d) == \
+                sorted(cone, key=lambda m: (sum(m), m))
+            assert hw._ball_ints(alg, lam.z, r2) == ball
+            shell = {tuple(x + e for x, e in zip(m, step)) for m in ball
+                     for step in itertools.product((-1, 0, 1), repeat=alg.rank)}
+            assert {m for m in shell if hw._in_support_ball(alg, lam, d, m)} == set(ball)
 
 
 def test_row_aggregation_matches_fast_kernel(a1):

@@ -210,7 +210,10 @@ def test_verify_all_refuses_other_algebras():
     (["experiment", "walk"], {"algebra": "B2~"}),
     (["algebra", "--algebra", "B2~"], None),
     (["mult", "--algebra", "A2~", "--pairings", "1,0"], None),
-    (["tensor", "--pairings", "1,x"], None)])
+    (["tensor", "--pairings", "1,x"], None),
+    (["mult", "--pairings", "1,-1"], None),
+    (["tensor", "--pairings", "1,-1"], None),
+    (["characters", "eval", "--pairings", "1,-1"], None)])
 def test_bad_input_exits_2(argv, config, tmp_path, capsys):
     if config is not None:
         cfg_path = tmp_path / "cfg.json"

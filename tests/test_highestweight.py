@@ -88,13 +88,63 @@ def test_positive_roots_cache_bounded(a1):
 
 
 def test_tensor_cache_bounded(a1, monkeypatch):
-    monkeypatch.setattr(hw, "_TENSOR_CACHE", {})
-    monkeypatch.setattr(hw, "_TENSOR_CACHE_MAX", 2)
-    om = Weight.make(1, (0,), 0)
-    first = [hw._tensor_cached(a1, om, n, 4).entries for n in (1, 2, 3)]
-    assert len(hw._TENSOR_CACHE) == 2
-    assert [hw._tensor_cached(a1, om, n, 4).entries for n in (1, 2, 3)] == first
-    assert len(hw._TENSOR_CACHE) == 2
+    # one layer store per (algebra, omega), least recently used evicted
+    monkeypatch.setattr(hw, "_TENSOR_STORE", {})
+    monkeypatch.setattr(hw, "_TENSOR_STORE_MAX", 2)
+    oms = [Weight.make(k, (0,), 0) for k in (1, 2, 3)]
+    first = [dict(hw.tensor_power_table(a1, om, 2, 4).entries) for om in oms]
+    assert len(hw._TENSOR_STORE) == 2
+    assert [dict(hw.tensor_power_table(a1, om, 2, 4).entries) for om in oms] == first
+    assert len(hw._TENSOR_STORE) == 2
+
+
+def _dict_power(alg, om, n, depth):
+    # the one-shot route the layer store replaces: n - 1 sparse dict
+    # convolutions of the series oracle's table
+    base = hw.character_series_oracle(alg, om, depth).entries
+    acc = dict(base)
+    for _ in range(n - 1):
+        out = {}
+        for (d1, m1), v1 in acc.items():
+            for (d2, m2), v2 in base.items():
+                if d1 + d2 <= depth:
+                    key = (d1 + d2, tuple(a + b for a, b in zip(m1, m2)))
+                    out[key] = out.get(key, 0) + v1 * v2
+        acc = out
+    return acc
+
+
+@pytest.mark.parametrize("name,level,n", [("A1~", 2, 1), ("A1~", 2, 2), ("A1~", 2, 3),
+                                          ("A2~", 1, 1), ("A2~", 1, 2)])
+def test_tensor_grown_in_steps_matches_dict_convolution(name, level, n, monkeypatch):
+    monkeypatch.setattr(hw, "_TENSOR_STORE", {})
+    alg = al.algebra_from_name(name)
+    om = alg.Lambda0().scale(level)
+    views = [hw.tensor_power_table(alg, om, n, depth) for depth in (3, 7, 20, 21)]
+    # no layer is built past the deepest request
+    assert [len(p) for p in hw._TENSOR_STORE[(alg, om)].powers] == [22] * n
+    ref = _dict_power(alg, om, n, 21)
+    for view in views:
+        assert dict(view.entries) == {k: v for k, v in ref.items()
+                                      if k[0] <= view.depth}
+        assert view.highest == om.scale(n)
+
+
+def test_tensor_entry_beyond_int64(a1):
+    # the largest depth-100 entry of (2 Lambda0)^(x)3 against the plain
+    # Python-int sum over triples of the series oracle's entries
+    om = Weight.make(2, (0,), 0)
+    table = hw.tensor_power_table(a1, om, 3, 100).entries
+    (d, (m,)), val = max(((k, v) for k, v in table.items() if k[0] == 100),
+                         key=lambda kv: kv[1])
+    assert val > 2 ** 63 and type(val) is int
+    base = hw.character_series_oracle(a1, om, 100).entries
+    brute = 0
+    for (d1, (m1,)), v1 in base.items():
+        for (d2, (m2,)), v2 in base.items():
+            if d1 + d2 <= d:
+                brute += v1 * v2 * base.get((d - d1 - d2, (m - m1 - m2,)), 0)
+    assert brute == val
 
 
 def test_alternant_depth0(a1, rho1):
