@@ -7,8 +7,7 @@ together."""
 from .algebra import (AffineAlgebra, AffineCartanMatrix, NotAffineError,
                       Weight, WeightClassification, algebra_from_json,
                       algebra_from_name, build_algebra, classify_weight,
-                      inner_product, pairing_coroot, registry_names,
-                      weyl_vector)
+                      inner_product, pairing_coroot, weyl_vector)
 from .characters import (EvalResult, Specialization, delta_pairing,
                          denominator_residual, eval_character, eval_theta,
                          rho_specialization)

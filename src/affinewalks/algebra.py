@@ -31,7 +31,6 @@ __all__ = [
     "build_algebra",
     "algebra_from_name",
     "algebra_from_json",
-    "registry_names",
     "inner_product",
     "pair_delta",
     "pairing_coroot",
@@ -411,10 +410,6 @@ def classify_weight(alg: AffineAlgebra, lam: Weight) -> WeightClassification:
 # -- registry and JSON loading ---------------------------------------------------
 
 _NAME_RE = re.compile(r"^A(\d+)~$")
-
-
-def registry_names(max_rank: int = 8) -> list[str]:
-    return [f"A{n}~" for n in range(1, max_rank + 1)]
 
 
 @lru_cache(maxsize=_ALGEBRAS_MAX)

@@ -14,8 +14,11 @@ factor-two safety margin (not a certified bound), so "mass + defect = 1"
 stays a genuine check of the character-product decomposition.
 
 :class:`FastBarredKernel` samples the projected chain on any untwisted
-algebra.  Its alternant exponents are the exact ones the characters use;
-its sums are float64, so rows where they cancel are refused.
+algebra, and :func:`reflection_discrete_residual` weighs the walk kernel by
+alternant terms.  Both take the exact exponents the characters use
+(:func:`affinewalks.characters._alternant_exponents`) and sum float64
+terms; kernel rows where those sums cancel are refused.  Character values
+come from :func:`affinewalks.characters.eval_character`.
 """
 
 from __future__ import annotations
@@ -25,14 +28,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from .algebra import (AffineAlgebra, Weight, classify_weight, inner_product,
                       weyl_vector)
 from .characters import (EvalResult, Specialization, _alternant_exponents,
-                         _alternant_terms, _working_dps, delta_pairing,
-                         eval_character)
+                         _int_scaled, delta_pairing, eval_character)
 from .highestweight import (branching_mult, character_series_oracle,
                             tensor_power_table)
 
@@ -507,9 +508,9 @@ def reflection_discrete_residual(alg: AffineAlgebra, omega: Weight,
                Pbar^n(bar(w(lam0+rho)-rho), beta0)`` (walk route),
 
     with ``hhat = ch * exp(-<.,h>)``.  Both sides use matching depth
-    truncations; the Weyl sum runs over the alternant terms of
-    :func:`affinewalks.characters._alternant_terms`, cut by the certified
-    Gaussian shell bound (which raises
+    truncations; the Weyl sum runs over the float alternant terms of
+    :func:`affinewalks.characters._alternant_exponents`, cut by the
+    certified Gaussian shell bound (which raises
     :class:`~affinewalks.weyl.ConvergenceError` at its radius cap).  A
     ``beta0`` the direct side does not reach is refused.
     """
@@ -548,12 +549,11 @@ def reflection_discrete_residual(alg: AffineAlgebra, omega: Weight,
         (_log_ch(alg, beta0, s) - float(inner_product(alg, beta0, p)))
         - (_log_ch(alg, lam0, s) - float(inner_product(alg, lam0, p))))
     mu = lam0 + rho
-    log_tol = math.log(1e-13 * direct / hhat_ratio)
-    with mp.workdps(_working_dps(log_tol)):
-        terms, _, _ = _alternant_terms(alg, mu, s, log_tol)
+    sign, m, expo, den, _ = _alternant_exponents(
+        alg, int(mu.k), *_int_scaled([mu.z]), s, 1e-13 * direct / hhat_ratio)
     total = math.fsum(
-        float(w) * pbar_power(alg, omega, s, n_steps, Weight.make(
-            mu.k - rho.k, [z - mi - r for z, mi, r in zip(mu.z, m, rho.z)], 0),
+        w * pbar_power(alg, omega, s, n_steps, Weight.make(
+            mu.k - rho.k, [z - mi - r for z, mi, r in zip(mu.z, mt, rho.z)], 0),
             beta0, depth)
-        for m, w in terms)
+        for mt, w in zip(m[0].tolist(), (sign * np.exp(expo[0] / den)).tolist()))
     return abs(direct - hhat_ratio * total) / direct

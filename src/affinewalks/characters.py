@@ -3,18 +3,21 @@ denominator sum at specializations with positive delta pairing.
 
 Evaluation points are weights ``p`` (the image of a Cartan element under
 the form), so ``<mu, h> = (mu | p)``.  Everything converges on the half
-space ``(delta | p) > 0``; the rate degrades as that pairing approaches
-zero, which for the ``rho/n`` family means large ``n``.
+space ``c = (delta | p) > 0``; the ``rho/n`` family approaches its edge as
+``n`` grows.
 
 Every truncation is certified.  Lattice (theta / Weyl-orbit) sums decay
 like a Gaussian in the translation norm, and the Gaussian shell bound of
 :mod:`affinewalks.weyl` bounds what is cut off.  A character is the
 Weyl-Kac quotient ``e^{(lam|p)} A_{lam+rho}(p) / A_rho(p)`` of two
-alternants ``A_mu(p) = sum_w det(w) e^{(w(mu) - mu|p)}``.  Near the
-critical line both cancel to about ``A_rho(p)``, far below their order-one
-terms, so :func:`_alternant_terms` builds the terms in mpmath from exact
-rational exponents.  The stable product form of ``A_rho(p)`` gives a lower
-bound that sets the truncation tolerance and the working precision.
+alternants ``A_mu(p) = sum_w det(w) e^{(w(mu) - mu|p)}``.  Near
+the critical line both fall far below their order-one terms (``A_rho`` is
+about ``e^{-2.47n}`` on A1~ at ``rho/n``), so :func:`_log_alternant` sums
+them in float64 and in log space, by whichever of two series converges
+faster: the direct one over the translation lattice ``M``, or its Poisson
+dual over ``M*`` (the S-transformation of Kac and Peterson), whose leading
+shell carries the small value with no cancellation.  Whether a finite
+Weyl phase sum of the dual vanishes is decided exactly.
 """
 
 from __future__ import annotations
@@ -22,16 +25,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
-from .algebra import (AffineAlgebra, Weight, classify_weight, inner_product,
-                      pair_delta, weyl_vector)
+from . import _linalg, weyl
+from .algebra import (_ALGEBRAS_MAX, AffineAlgebra, Weight, classify_weight,
+                      inner_product, pair_delta, weyl_vector)
 from .highestweight import (alternant_terms, denominator_product_series,
-                            finite_roots, positive_roots)
+                            finite_roots)
 from .weyl import (ConvergenceError, certified_terms, finite_group,
-                   orbit_offsets)
+                   lattice_basis, orbit_offsets)
 
 __all__ = [
     "Specialization",
@@ -44,7 +48,6 @@ __all__ = [
     "eval_theta",
     "denominator_residual",
     "weyl_alternating_value",
-    "character_ratio",
 ]
 
 
@@ -92,43 +95,77 @@ def _require_convergent(alg: AffineAlgebra, s: Specialization) -> Fraction:
     return c
 
 
-# -- alternants --------------------------------------------------------------------
+# -- alternants ----------------------------------------------------------------------
+
+_U = 2.0 ** -53            # unit roundoff of float64
+_TAIL = 2.0 ** -60         # truncation target, relative to the leading term
+_DIRECT_LOSS = 3.0         # nats of cancellation the direct series may carry
+# 2 pi^2 to 36 digits: exact reference exponents lose nothing to it
+_TWO_PI2 = 2 * Fraction("3.14159265358979323846264338327950288") ** 2
 
 
-def _log_denominator_value(alg: AffineAlgebra, s: Specialization) -> float:
-    """Lower bound on ``log A_rho(p)`` from the product form
-    ``prod_{alpha > 0} (1 - e^{-(alpha|p)})^{mult(alpha)}``.
-
-    Factors to delta-depth ``D = ceil(60/c) + 1`` are summed in float64; the
-    result is lowered by a bound on their rounding and on the omitted
-    factors, each of which pairs above ``(n - 1)c >= Dc``.  A point with a
-    positive root paired nonpositively is refused.
-    """
-    c = _require_convergent(alg, s)
-    cf = float(c)
-    depth = int(math.ceil(60.0 / cf)) + 1
-    gp = alg.finite_covector(s.point.z)
-    roots = positive_roots(alg, depth)
-    out = err = 0.0
-    for (n, r, mult) in roots:
-        pairing = float(n * c + sum(x * y for x, y in zip(r, gp)))
-        if pairing <= 0:
-            raise SpecializationError(
-                "the Weyl-Kac quotient needs every positive root paired "
-                "positively with the point")
-        term = mult * math.log1p(-math.exp(-pairing))
-        out += term
-        # rounding of exp(-x) seen through log1p near x = 0, and of log1p
-        err += mult * (1 + pairing) ** 2 * math.exp(-pairing) / pairing - 2 * term
-    omitted = (2 * (len(finite_roots(alg)) + alg.rank) * math.exp(-depth * cf)
-               / -math.expm1(-cf))
-    return out - omitted - 2.0 ** -52 * (err + len(roots) * abs(out))
+def _int_scaled(rows) -> tuple[np.ndarray, int]:
+    """``(n, d)`` with the rational matrix ``rows == n / d``, ``n`` integer."""
+    d = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
+    return np.array([[int(x * d) for x in row] for row in rows], dtype=np.int64), d
 
 
-def _working_dps(log_tol: float) -> int:
-    """mp digits resolving an absolute tolerance ``e^{log_tol}`` on sums of
-    order-one terms, with 20 guard digits."""
-    return max(30, int(math.ceil(-log_tol / math.log(10))) + 20)
+@dataclass(frozen=True)
+class _DualLattice:
+    """The dual ``M*`` of the translation lattice (the weight lattice), its
+    points written ``n_j = (beta|b_j)`` over the basis rows ``b_j`` of
+    ``M``: Gram ``gram = gn/gd``, ``(beta|x) = n . tn x / td`` for ``x``
+    in root coordinates, ``reg2`` the squared norm of its shortest regular
+    point, and ``log_covol`` that of ``M``."""
+
+    gram: tuple
+    gn: np.ndarray
+    gd: int
+    basis: np.ndarray
+    tn: np.ndarray
+    td: int
+    roots: np.ndarray
+    reg2: Fraction
+    log_covol: float
+
+
+@lru_cache(maxsize=_ALGEBRAS_MAX)
+def _dual_lattice(alg: AffineAlgebra) -> _DualLattice:
+    gram = _linalg.invert(weyl._lattice_gram(alg))
+    (gn, gd), (tn, td) = _int_scaled(gram), _int_scaled(_linalg.transpose(
+        _linalg.invert(_linalg.as_fraction_matrix(lattice_basis(alg)))))
+    roots = np.array(finite_roots(alg), dtype=np.int64)
+    # the finite Weyl vector is a regular point of M*
+    nb = np.array(weyl.translation_vectors(alg, math.sqrt(float(
+        alg.finite_norm2(weyl_vector(alg).z))) + 1e-9, gram), dtype=np.int64)
+    nb = nb[(nb @ tn @ roots.T != 0).all(axis=1)]
+    return _DualLattice(gram, gn, gd, np.array(lattice_basis(alg)), tn, td, roots,
+                        Fraction(int(np.einsum("ni,ij,nj->n", nb, gn, nb).min()), gd),
+                        -0.5 * math.log(float(_linalg.det(gram))))
+
+
+@lru_cache(maxsize=1 << 16)
+def _vanishes(n: int, exps: tuple[int, ...], signs: tuple[int, ...]) -> bool:
+    """Whether ``sum_w signs[w] zeta^exps[w]`` is zero, ``zeta`` a primitive
+    ``n``-th root of unity, decided exactly in ``Z[x] / (x^n - 1)``: equal
+    phases are grouped, and the sum vanishes iff the n-th cyclotomic
+    polynomial divides it, that is iff its product with every
+    ``x^{n/p} - 1``, ``p`` a prime factor of ``n``, is zero."""
+    e0 = exps[0]
+    g = math.gcd(n, *(e - e0 for e in exps))
+    n //= g
+    poly = np.zeros(n, dtype=np.int64)
+    np.add.at(poly, [(e - e0) // g % n for e in exps], signs)
+    rest, p = n, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        if rest % p == 0:
+            poly = np.roll(poly, n // p) - poly
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return not poly.any()
 
 
 def _alternant_exponents(alg: AffineAlgebra, k: int, zq: np.ndarray, q: int,
@@ -162,37 +199,169 @@ def _alternant_exponents(alg: AffineAlgebra, k: int, zq: np.ndarray, q: int,
     return terms.sign, m, expo, 2 * k * e, radius
 
 
-def _alternant_terms(alg: AffineAlgebra, mu: Weight, s: Specialization,
-                     log_tol: float):
-    """Terms ``(m, det(w) e^{(w(mu) - mu|p)})`` of the alternant ``A_mu(p)``
-    for ``mu - rho`` dominant integral; ``m`` is the finite part of
-    ``mu - w(mu)`` in root coordinates.
+def _phase_sums(alg: AffineAlgebra, k: int, zq: np.ndarray, q: int,
+                s: Specialization, nb: np.ndarray) -> np.ndarray:
+    """``e^{2 pi i (beta|p)/c} sum_w det(w) e^{-2 pi i (beta|w(z_i))/k}``
+    over the finite Weyl group, for the dual points of the rows of ``nb``
+    and ``z_i = zq_i/q``; shape ``(len(zq), len(nb))``.  Each sum is decided
+    exactly zero or nonzero before a float is formed: a singular ``beta``
+    (fixed by a reflection) cancels in pairs, and any other is decided on
+    its exact rational phases by :func:`_vanishes`."""
+    dl = _dual_lattice(alg)
+    group = finite_group(alg)
+    sign = tuple(w.sign for w in group)
+    pc = [x / pair_delta(alg, s.point) for x in s.point.z]
+    den = math.lcm(q * k, *(x.denominator for x in pc))
+    # phase (beta|p/c - w(z)/k) = n . tn v / (td den), v integer
+    v = (np.array([int(x * den) for x in pc], dtype=np.int64) - np.einsum(
+        "wij,nj->nwi", np.array([w.matrix for w in group]), zq) * (den // (q * k)))
+    big = dl.td * den
+    psi = np.einsum("bj,ji,nwi->nbw", nb, dl.tn, v) % big
+    zero = np.zeros(psi.shape[:2], dtype=bool)
+    zero[:, (nb @ dl.tn @ dl.roots.T == 0).any(axis=1)] = True
+    for i, b in zip(*np.nonzero(~zero)):
+        zero[i, b] = _vanishes(big, tuple(psi[i, b].tolist()), sign)
+    turn = ((psi + big // 2) % big - big // 2) / big      # in [-1/2, 1/2)
+    sums = (np.exp(2j * np.pi * turn) * np.array(sign)).sum(axis=2)
+    sums[zero] = 0.0
+    return sums
 
-    The terms come from :func:`_alternant_exponents` at a tolerance of
-    ``e^{log_tol}``, refused below the float64 range; each weight is
-    exponentiated at the current mp precision from its exact rational
-    exponent.  Returns ``(terms, bound, radius)``: summed in any order, the
-    weights are within the mp number ``bound`` of ``A_mu(p)`` (tail plus
-    rounding, each mp operation taken to round within one unit); ``radius``
-    is the largest translation norm, rounded up.
+
+@dataclass(frozen=True)
+class _LogAlternants:
+    """``log A_mu = ref + rest`` for a stack of weights (rows) at torus
+    points (columns), ``ref[i]`` exact, with
+    ``|A_mu e^{-ref[i]} - e^{rest[i, j]}| <= e^{log_err[i, j]}`` for
+    truncation and rounding together; ``radius`` is that of the lattice
+    sum used, over ``M`` or ``M*``, rounded up."""
+
+    ref: list
+    rest: np.ndarray
+    log_err: np.ndarray
+    radius: int
+
+
+def _log_alternant(alg: AffineAlgebra, k: int, zq: np.ndarray, q: int,
+                   s: Specialization, theta=None) -> _LogAlternants:
+    """Log alternants ``A_mu(p) = sum_w det(w) e^{(w(mu) - mu|p)}`` of a
+    stack of ``mu`` at level ``k``, each ``mu - rho`` dominant integral (row
+    ``i`` of ``zq`` is ``q`` times the root coordinates of ``mu_i``), at
+    the point or, with ``theta = (idx, grid)``, at the torus points
+    ``p + i phi``, ``(alpha_j|phi) = 2 pi idx_j/grid`` per row of ``idx``,
+    where the terms gain ``e^{-2 pi i m.idx/grid}``.
+
+    Two float64 series give the value (one unit roundoff counted per float
+    operation and ``exp``):
+
+    - the direct one over ``M`` (:func:`_alternant_exponents`), a Gaussian
+      of rate ``ck/2``, ``c = (delta|p)``;
+    - its Poisson dual over ``M*`` (Kac-Peterson): with
+      ``p = c Lambda0 + pbar`` plus a delta multiple, ``A_mu = (2 pi/ck)^{l/2}
+      / vol(M) e^{k|pbar|^2/2c + c|z|^2/2k - (z|pbar)} sum_{beta in M*}
+      e^{-2 pi^2 |beta|^2/ck} S(beta)``, ``S`` from :func:`_phase_sums`; at
+      torus points the Gaussian is centred at ``-k phi/2 pi``.
+
+    The dual's first regular shell puts ``A_mu`` about ``e^{-loss}`` below
+    the direct series' leading term 1, so the direct one is summed only
+    when ``loss <= _DIRECT_LOSS`` and its Gaussian needs fewer points.
     """
-    if not classify_weight(alg, mu - weyl_vector(alg)).dominant:
-        raise ValueError("alternant point must be strictly dominant integral")
-    tol = math.exp(log_tol)
-    if tol < 1e-300:
-        raise ConvergenceError(
-            f"alternant tolerance e^{log_tol:.0f} is below the float64 range: "
-            "the point is too close to the critical line")
-    q = math.lcm(*(x.denominator for x in mu.z))
-    zq = np.array([[int(x * q) for x in mu.z]], dtype=np.int64)
-    sign, m, expo, expo_den, radius = _alternant_exponents(
-        alg, int(mu.k), zq, q, s, tol)
-    weights = [sign * mp.e ** (mp.mpf(x) / expo_den)
-               for sign, x in zip(sign.tolist(), expo[0].tolist())]
-    x_max = float(np.abs(expo).max()) / expo_den
-    rounding = ((len(weights) + x_max + 2) * mp.fsum(weights, absolute=True)
-                * mp.mpf(2) ** (2 - mp.mp.prec))
-    return list(zip(map(tuple, m[0].tolist()), weights)), tol + rounding, radius
+    c = _require_convergent(alg, s)
+    gp = alg.finite_covector(s.point.z)
+    if min(c - sum(a * x for a, x in zip(alg.marks[1:], gp)), *gp) <= 0:
+        raise SpecializationError("the Weyl-Kac quotient needs every positive "
+                                  "root paired positively with the point")
+    l, dl, ck = alg.rank, _dual_lattice(alg), float(c * k)
+    idx, grid = theta if theta is not None else (np.zeros((1, l), np.int64), 1)
+    gn, gd = alg.finite_gram_int
+    z_norm = math.sqrt(int(np.einsum("ni,ij,nj->n", zq, gn, zq).max()) / (q * q * gd))
+    b = k * math.sqrt(float(alg.finite_norm2(s.point.z))) + float(c) * z_norm
+    direct = (2 * b / ck + math.sqrt(92 / ck) + 1) ** l * math.exp(-dl.log_covol)
+    dual = (math.sqrt(23 * ck) / math.pi + 1) ** l * math.exp(dl.log_covol)
+    if 2 * math.pi ** 2 / ck * dl.reg2 <= _DIRECT_LOSS and direct < dual:
+        sign, m, expo, den, radius = _alternant_exponents(alg, k, zq, q, s, _TAIL)
+        x = expo / den                                   # <= 0, within u|x|
+        w = sign * np.exp(x)
+        roots = np.exp(-2j * np.pi * np.arange(grid) / grid)      # within 21u
+        total = np.einsum("npt,nt->np", roots[idx @ m.transpose(0, 2, 1) % grid], w)
+        err = _TAIL + _U * (np.abs(w) * (np.abs(x) + x.shape[1] + 21)).sum(axis=1)
+        return _finish([Fraction(0)] * len(zq), np.zeros(total.shape), 0.0,
+                       total, err[:, None], radius)
+    return _dual_sum(alg, k, zq, q, s, c, idx, grid)
+
+
+def _finish(ref, pre, turn, total, err, radius) -> _LogAlternants:
+    """``rest = pre + log(total) + 2 pi i turn``, the float ``pre`` within
+    ``u|pre|``; ``err`` bounds the error of ``total``."""
+    with np.errstate(divide="ignore"):
+        log_total = np.log(total)
+    fin = 2 * _U * (np.abs(pre) + np.abs(log_total.real) + 2 * np.pi + 8)
+    return _LogAlternants(ref, pre + log_total + 2j * np.pi * turn,
+                          pre + np.log(err + np.abs(total) * fin), radius)
+
+
+def _dual_sum(alg, k, zq, q, s, c, idx, grid) -> _LogAlternants:
+    dl = _dual_lattice(alg)
+    l, n_w = alg.rank, len(finite_group(alg))
+    a = 2 * math.pi ** 2 / float(c * k)
+    # Gaussian centres n* = ncen/grid; the points within r + spread of base
+    # cover each centre's ball of radius r
+    ncen = -k * (idx @ dl.basis.T)
+    base = np.rint(ncen.mean(axis=0) / grid).astype(np.int64)
+    off = ncen - grid * base
+    spread = math.sqrt(int(np.einsum("pi,ij,pj->p", off, dl.gn, off).max())
+                       / (dl.gd * grid * grid)) * (1 + 1e-12)
+    # |beta - n*|^2 / (ck) = qi * c.denominator / qden, qi integer
+    qden = grid * grid * dl.gd * c.numerator * k
+    sc = 2.0 ** max(0, math.ceil(math.log2(8 * math.sqrt(a))))
+    scaled = tuple(tuple(x * Fraction(sc * sc) for x in row) for row in dl.gram)
+    r = math.sqrt(46 / a)
+    while True:
+        if r > weyl._MAX_RADIUS:
+            raise ConvergenceError(
+                f"dual Weyl sum not certified within radius {weyl._MAX_RADIUS}")
+        nb = base + np.array(weyl.translation_vectors(alg, r + spread, dl.gram),
+                             dtype=np.int64).reshape(-1, l)
+        sums = _phase_sums(alg, k, zq, q, s, nb)
+        v = grid * nb[None, :, :] - ncen[:, None, :]
+        qi = ((v @ dl.gn) * v).sum(axis=2)
+        live = sums != 0
+        if not live.any(axis=1).all():
+            r *= 2
+            continue
+        qmin = np.where(live[:, None, :], qi[None], np.iinfo(np.int64).max).min(axis=2)
+        # the tail past r_need is below 2^-60 of each point's nearest live
+        # term, at most r_far away: there a r_far^2 <= a r_far |beta - n*|.
+        # The shells run on M* scaled by sc, narrow against the Gaussian
+        r_far = math.sqrt(int(qmin.max()) / (dl.gd * grid * grid)) * (1 + 1e-12)
+        r_need = 0.5 * r_far + math.sqrt(0.25 * r_far * r_far + 46 / a)
+        while r_need <= weyl._MAX_RADIUS and weyl.gaussian_lattice_tail(
+                alg, a / (sc * sc), a * r_far / sc, r_need * sc, scaled) > _TAIL:
+            r_need += 0.25 / math.sqrt(a)
+        if r_need <= r:
+            break
+        r = r_need
+    qref = qmin.min(axis=1)
+    pbar = s.point.z
+    ref = [k * alg.finite_norm2(pbar) / (2 * c) + c * alg.finite_norm2(z) / (2 * k)
+           - alg.finite_inner(z, pbar) - _TWO_PI2 * Fraction(qr * c.denominator, qden)
+           for z, qr in zip(([Fraction(x, q) for x in row] for row in zq.tolist()),
+                            qref.tolist())]
+    # exponents below the reference, each within 4u of its size
+    dead = ~live[:, None, :]
+    y = float(_TWO_PI2) * c.denominator / qden * (qref[:, None, None] - qi[None])
+    d = np.where(dead, -np.inf, y)
+    m = d.max(axis=2)
+    d -= m[:, :, None]
+    e = np.exp(d)
+    err = n_w * (_TAIL + _U * (e * np.where(
+        dead, 0.0, 4 * np.abs(y) - d + n_w + nb.shape[0] + 20)).sum(axis=2))
+    # the torus phase (k pbar/c - z_i).(2 pi idx/grid), exact until the float
+    un, ud = _int_scaled([[k * x / c - Fraction(zi, q) for x, zi in zip(pbar, row)]
+                          for row in zq.tolist()])
+    turn = ((un @ idx.T + ud * grid // 2) % (ud * grid) - ud * grid // 2) / (ud * grid)
+    pre = 0.5 * l * math.log(2 * math.pi / float(c * k)) - dl.log_covol + m
+    return _finish(ref, pre, turn, np.einsum("npb,nb->np", e, sums), err,
+                   math.ceil(r))
 
 
 # -- character evaluation ------------------------------------------------------------
@@ -204,48 +373,38 @@ def eval_character(alg: AffineAlgebra, lam: Weight, s: Specialization,
     ``e^{(lam|p)} A_{lam+rho}(p) / A_rho(p)``, with a certified relative
     error at most ``eps``.
 
-    Both alternants are summed to one absolute tolerance, ``eps/4`` times
-    the product-form lower bound on ``A_rho(p)``; that serves the numerator
-    too, since ``A_{lam+rho} >= A_rho``.  The same bound sets the mp
-    precision.  ``tail_bound`` covers truncation and mp rounding (the final
-    float conversion adds at most one unit in the last place), and
-    ``truncation_depth`` is the translation radius.
+    Both alternants come from :func:`_log_alternant`; their exact
+    reference exponents and ``(lam|p)`` are combined before the one
+    rounding to float.  ``tail_bound`` covers truncation and rounding, and
+    ``truncation_depth`` is the radius of the larger lattice sum used.  A
+    value past the float range raises ``OverflowError``.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if not classify_weight(alg, lam).dominant:
         raise ValueError("character evaluation needs a dominant integral weight")
     rho = weyl_vector(alg)
-    log_tol = math.log(min(eps, 1.0) / 4) + _log_denominator_value(alg, s)
-    lam_p = inner_product(alg, lam, s.point)
-    with mp.workdps(_working_dps(log_tol)):
-        num_terms, num_err, num_radius = _alternant_terms(alg, lam + rho, s, log_tol)
-        den_terms, den_err, den_radius = _alternant_terms(alg, rho, s, log_tol)
-        num = mp.fsum(w for _, w in num_terms)
-        den = mp.fsum(w for _, w in den_terms)
-        if den <= den_err:
-            raise ArithmeticError("denominator alternant not resolved")
-        # quotient of the two sums, then the rounding of e^{(lam|p)} and of
-        # the two products
-        rel = float((num_err / num + den_err / den) / (1 - den_err / den)
-                    + (float(abs(lam_p)) + 4) * mp.mpf(2) ** (1 - mp.mp.prec))
-        quotient = mp.e ** (mp.mpf(lam_p.numerator) / lam_p.denominator) * num / den
-        log_value = float(mp.log(quotient))
-        value = float(quotient)
-    if not math.isfinite(value):
+    num, den = (_log_alternant(alg, int(mu.k), *_int_scaled([mu.z]), s)
+                for mu in (lam + rho, rho))
+    rel_num, rel_den = (math.exp(r.log_err[0, 0] - r.rest[0, 0].real)
+                        for r in (num, den))
+    if not rel_den < 0.5:
+        raise ArithmeticError("denominator alternant not resolved")
+    small = float(num.rest[0, 0].real - den.rest[0, 0].real)
+    log_value = float(inner_product(alg, lam, s.point) + num.ref[0] - den.ref[0]
+                      + Fraction(small))
+    # the quotient, then the roundings of small, log_value and exp
+    rel = ((rel_num + rel_den) / (1 - rel_den)
+           + 2 * _U * (abs(log_value) + abs(small) + 4))
+    if log_value > math.log(np.finfo(float).max):
         raise OverflowError(f"character value e^{log_value:.1f} exceeds float range")
+    value = math.exp(log_value)
     tail = value * rel
     if not tail <= eps * value:
         raise ArithmeticError(
             f"certified relative error {rel:.2e} above eps {eps:.2e}")
-    return EvalResult(value=value, truncation_depth=max(num_radius, den_radius),
+    return EvalResult(value=value, truncation_depth=max(num.radius, den.radius),
                       tail_bound=tail, log_value=log_value)
-
-
-def character_ratio(num: EvalResult, den: EvalResult) -> tuple[float, float]:
-    """Ratio of two evaluations with a propagated relative error bound."""
-    rel = (num.rel_bound + den.rel_bound) / max(1.0 - den.rel_bound, 1e-12)
-    return math.exp(num.log_value - den.log_value), rel
 
 
 # -- theta functions ---------------------------------------------------------------
@@ -321,14 +480,16 @@ def denominator_residual(alg: AffineAlgebra, s: Specialization, depth: int) -> f
 def weyl_alternating_value(alg: AffineAlgebra, mu: Weight, s: Specialization,
                            rtol: float = 1e-13) -> float:
     """Value of ``A_mu(p) = sum_w det(w) exp((w(mu) - mu | p))`` within
-    ``rtol`` relative, for ``mu`` strictly dominant integral; with
-    ``mu = rho`` it is the denominator product.
-
-    The mp terms are summed to within ``rtol/2`` times the product-form
-    lower bound on ``A_rho(p) <= A_mu(p)``, rounding included; the float
-    conversion adds at most one unit in the last place.
+    ``rtol`` relative, certified by :func:`_log_alternant`, for ``mu``
+    strictly dominant integral; with ``mu = rho`` it is the denominator
+    product.  The final rounding to float is included.
     """
-    log_tol = math.log(rtol / 2) + _log_denominator_value(alg, s)
-    with mp.workdps(_working_dps(log_tol)):
-        terms, _, _ = _alternant_terms(alg, mu, s, log_tol)
-        return float(mp.fsum(w for _, w in terms))
+    if not classify_weight(alg, mu - weyl_vector(alg)).dominant:
+        raise ValueError("alternant point must be strictly dominant integral")
+    r = _log_alternant(alg, int(mu.k), *_int_scaled([mu.z]), s)
+    small = float(r.rest[0, 0].real)
+    rel = math.exp(r.log_err[0, 0] - small) + 2 * _U * (abs(small) + 4)
+    if not rel <= rtol:
+        raise ArithmeticError(
+            f"certified relative error {rel:.2e} above rtol {rtol:.2e}")
+    return math.exp(float(r.ref[0] + Fraction(small)))

@@ -192,7 +192,9 @@ def scaling_walk_experiment(cfg: ExperimentConfig) -> ComparisonReport:
 
     Increments follow the projected measure with ``omega = h_vee*Lambda0``
     at ``rho/n``; at each grid time the first orthonormal coordinate of the
-    scaled finite part is tested against N(t*rho_drift, t).
+    scaled finite part is tested against N(t*rho_drift, t).  The KS gate
+    is ``GOLDEN.walk_ks_threshold``, sized for ``GOLDEN.walk_samples``,
+    times ``sqrt(GOLDEN.walk_samples / samples)``.
     """
     alg = algebra_from_name(cfg.algebra)
     omega = Weight.make(alg.dual_coxeter, (0,) * alg.rank, 0)
@@ -216,6 +218,8 @@ def scaling_walk_experiment(cfg: ExperimentConfig) -> ComparisonReport:
             first[k] = (first.get(k, 0.0)
                         + z_alpha[:, k - 1] / n * float(frame.LT[0, j]))
 
+    ks_threshold = GOLDEN.walk_ks_threshold * math.sqrt(
+        GOLDEN.walk_samples / cfg.samples)
     per_time = []
     ok = True
     for t in cfg.time_grid:
@@ -232,9 +236,9 @@ def scaling_walk_experiment(cfg: ExperimentConfig) -> ComparisonReport:
             "mean_delta": float(mean_delta),
             "mean_band": GOLDEN.walk_mean_sigmas * float(se),
             "var": float(z.var()), "target_var": t,
-            "ks": float(ks), "ks_threshold": GOLDEN.walk_ks_threshold,
+            "ks": float(ks), "ks_threshold": ks_threshold,
             "pass": bool(mean_delta <= GOLDEN.walk_mean_sigmas * se
-                         and ks <= GOLDEN.walk_ks_threshold),
+                         and ks <= ks_threshold),
         }
         ok = ok and entry["pass"]
         per_time.append(entry)
@@ -401,8 +405,8 @@ def _cmd_characters(args) -> int:
         lam = _dominant_arg(alg, args.pairings)
         try:
             r = characters.eval_character(alg, lam, s, eps=args.eps)
-        except characters.ConvergenceError as exc:   # n beyond reach
-            raise _InputError(str(exc)) from None
+        except (characters.ConvergenceError, OverflowError) as exc:
+            raise _InputError(str(exc)) from None     # n beyond reach
         out = {"value": r.value, "tail_bound": r.tail_bound,
                "depth": r.truncation_depth}
     elif args.action == "theta":

@@ -598,9 +598,13 @@ def branching_mult(alg: AffineAlgebra, lam: Weight, omega: Weight, n: int,
     mu = beta + rho
     k = float(mu.k)
     k_om = float(omega.k)
-    z_beta = math.sqrt(float(alg.finite_norm2(mu.z)))
-    z_lam = math.sqrt(float(alg.finite_norm2((lam + rho).z)))
-    c_om = math.sqrt(float(alg.finite_norm2(omega.z)))
+    # the norms on the integer Gram: int / int rounds once, as float(Fraction)
+    gn, gd = alg.finite_gram_int
+    zs = (mu.z, (lam + rho).z, omega.z)
+    qz = math.lcm(*(x.denominator for z in zs for x in z))
+    zi = np.array([[int(x * qz) for x in z] for z in zs], dtype=np.int64)
+    z_beta, z_lam, c_om = (math.sqrt(int(v) / (qz * qz * gd))
+                           for v in np.einsum("ni,ij,nj->n", zi, gn, zi))
     c1 = z_beta + z_lam
     aq = k * (k - n * k_om)
     if aq <= 0:
@@ -623,7 +627,6 @@ def branching_mult(alg: AffineAlgebra, lam: Weight, omega: Weight, n: int,
                          np.array([[int(x * q) for x in mu.z]], dtype=np.int64), q)
     m = m[0] + np.array([int(x) for x in off.z], dtype=np.int64)
     d = d[0] + d_off
-    gn, gd = alg.finite_gram_int
     qo = math.lcm(*(x.denominator for x in omega.z))
     mg = m @ gn
     need = (d >= 0) & (qo * (mg * m).sum(axis=1)

@@ -18,11 +18,11 @@ applying the inverse FFT recovers ``A`` with spectral accuracy: the atoms
 decay like a Gaussian in ``m``, so aliasing is negligible once the grid
 covers the support.
 
-The orbit-sum terms are the mp alternant terms of
-:func:`affinewalks.characters._alternant_terms`.  Each sum is a DFT of its
-coefficients folded onto ``m mod grid``, so its values on the whole
-power-of-two torus grid come from one radix-2 mp FFT per axis; the O(1)
-ratio is then downcast and inverted by the float64 FFT.
+Both sums come from :func:`affinewalks.characters._log_alternant` in
+float64 and in log space, a bounded chunk of torus points at a time; near
+the critical line it takes the Poisson-dual series, whose leading shell
+holds each value without cancellation.  Its certified bounds enter the
+reported defect.
 """
 
 from __future__ import annotations
@@ -30,12 +30,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .algebra import AffineAlgebra, Weight, classify_weight, weyl_vector
-from .characters import (Specialization, _alternant_terms,
-                         _log_denominator_value, _working_dps, delta_pairing)
+from .characters import (_U, Specialization, _int_scaled, _log_alternant,
+                         delta_pairing)
 
 __all__ = ["IncrementAtoms", "increment_atoms"]
 
@@ -68,43 +67,8 @@ class IncrementAtoms:
         return np.indices(self.prob.shape).reshape(len(self.lo), -1).T + self.lo
 
 
-def _fft_mp(x: list, roots: list) -> list:
-    """Radix-2 forward DFT ``X[k] = sum_r x[r] roots[k*r mod n]`` in mp
-    arithmetic; ``roots[j] = exp(-2 pi i j / n)`` and ``n`` a power of two."""
-    n = len(x)
-    if n == 1:
-        return list(x)
-    even = _fft_mp(x[0::2], roots[0::2])
-    odd = _fft_mp(x[1::2], roots[0::2])
-    half = n // 2
-    out = [None] * n
-    for k in range(half):
-        t = roots[k] * odd[k]
-        out[k] = even[k] + t
-        out[k + half] = even[k] - t
-    return out
-
-
-def _torus_values(terms, l: int, roots: list) -> np.ndarray:
-    """``sum_k cf_k roots[idx.m_k mod grid]`` at every torus point ``idx``.
-
-    The coefficients are folded onto ``m mod grid`` (mp additions at the
-    working precision), and the folded array is transformed by the 1-D mp
-    FFT along each of the ``l`` axes.
-    """
-    grid = len(roots)
-    arr = np.empty((grid,) * l, dtype=object)
-    arr.fill(mp.mpf(0))
-    for m, cf in terms:
-        idx = tuple(int(x) % grid for x in m)
-        arr[idx] = arr[idx] + cf
-    for ax in range(l):
-        moved = np.moveaxis(arr, ax, -1)
-        lines = np.empty((moved.size // grid, grid), dtype=object)
-        for i, line in enumerate(moved.reshape(-1, grid)):
-            lines[i, :] = _fft_mp(list(line), roots)
-        arr = np.moveaxis(lines.reshape(moved.shape), -1, ax)
-    return arr
+# torus points per evaluator call, which bounds its arrays
+_CHUNK = 2048
 
 
 def increment_atoms(alg: AffineAlgebra, omega: Weight, s: Specialization,
@@ -112,10 +76,10 @@ def increment_atoms(alg: AffineAlgebra, omega: Weight, s: Specialization,
     """Fourier inversion of the normalized character on the torus.
 
     ``grid`` is the FFT size per finite axis and must be a power of two
-    (default scales with the Gaussian spread of the atoms).  Both orbit
-    sums are evaluated on the whole torus at once: their mp terms are
-    folded onto ``m mod grid`` and transformed by a radix-2 mp FFT along
-    each axis.
+    (default scales with the Gaussian spread of the atoms).  The torus
+    points, indices centred on zero, go to the alternant evaluator in
+    chunks of ``_CHUNK``; the quotient's certified error, relative to its
+    value at ``theta = 0``, is added to the aliasing defect.
     """
     if grid is not None and (grid < 2 or grid & (grid - 1)):
         raise ValueError(f"grid must be a power of two, got {grid}")
@@ -131,26 +95,38 @@ def increment_atoms(alg: AffineAlgebra, omega: Weight, s: Specialization,
         need = int(2 ** math.ceil(math.log2(max(64.0, 24.0 * spread + 8))))
         grid = min(need, 8192 if l == 1 else 512)
 
-    # the sums at theta=0 equal the denominator product times an O(1)
-    # ratio, and |A_rho| is smallest there on the torus; both the term
-    # cutoff and the precision must resolve it
-    log_tol = min(-46.0, _log_denominator_value(alg, s) - 40.0)
-
-    with mp.workdps(_working_dps(log_tol)):
-        roots = [mp.e ** (-2j * mp.pi * mp.mpf(j) / grid) for j in range(grid)]
-        num = _torus_values(
-            _alternant_terms(alg, omega + rho, s, log_tol)[0], l, roots)
-        den = _torus_values(_alternant_terms(alg, rho, s, log_tol)[0], l, roots)
-        if any(v == 0 for v in den.flat):
-            raise ArithmeticError("denominator vanished on the torus")
-        f = np.array([complex(a / b) for a, b in zip(num.flat, den.flat)],
-                     dtype=complex).reshape(num.shape)
-
-    f0 = f[(0,) * l].real
-    if not (f0 >= 1.0 - 1e-9):
+    # FFT order, each index centred on zero so the dual Gaussians stay near
+    # the origin; chunks are taken in blocks of nearby points, whose
+    # Gaussian centres lie close together
+    idx = (np.indices((grid,) * l).reshape(l, -1).T + grid // 2) % grid - grid // 2
+    side = 2 ** (int(math.log2(_CHUNK)) // l)
+    order = np.lexsort(((idx + grid // 2) // side).T[::-1])
+    logf = np.empty(len(idx), dtype=complex)
+    err = np.empty(len(idx))        # relative to e^{ref}, ref of the first chunk
+    for a in range(0, len(idx), _CHUNK):
+        at = order[a:a + _CHUNK]
+        pts = (idx[at], grid)
+        num, den = (_log_alternant(alg, int(mu.k), *_int_scaled([mu.z]), s, pts)
+                    for mu in (omega + rho, rho))
+        if a == 0:
+            ref = num.ref[0] - den.ref[0]
+        shift = float(num.ref[0] - den.ref[0] - ref)
+        chunk = num.rest[0] - den.rest[0] + shift
+        rel_den = np.exp(den.log_err[0] - den.rest[0].real)
+        if not (rel_den < 0.5).all():
+            raise ArithmeticError("denominator alternant not resolved on the torus")
+        err[at] = ((np.exp(num.log_err[0] - den.rest[0].real + shift)
+                    + np.exp(chunk.real) * rel_den) / (1 - rel_den)
+                   + np.exp(chunk.real) * 2 * _U * abs(shift))
+        logf[at] = chunk
+    log_f0 = float(ref) + logf[0].real
+    if not log_f0 >= math.log1p(-1e-9):
         raise ArithmeticError(
-            f"aggregated total {f0!r} below 1: truncation or precision bug")
-    f = f / f0
+            f"aggregated total e^{log_f0!r} below 1: truncation or precision bug")
+    # quotient over its value at theta = 0, and the certified error of that
+    f = np.exp(logf - logf[0].real).reshape((grid,) * l)
+    value_err = (float(err.max()) + float(np.abs(f).max()) * err[0]) \
+        * math.exp(-logf[0].real)
     atoms = np.fft.ifftn(f)
     imag_max = float(np.abs(atoms.imag).max())
     atoms = atoms.real
@@ -169,7 +145,7 @@ def increment_atoms(alg: AffineAlgebra, omega: Weight, s: Specialization,
         sl[ax] = [0, 1, -2, -1]
         edge = max(edge, float(np.abs(atoms[tuple(sl)]).max()))
     total = float(atoms.sum())
-    defect = (edge * grid * l) / total + math.exp(log_tol) * 10.0
+    defect = (edge * grid * l) / total + value_err
     if defect > 1e-4:
         raise ArithmeticError(
             f"aliasing defect {defect:.2e}: grid {grid} too small for the "

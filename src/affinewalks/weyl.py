@@ -16,7 +16,6 @@ in a bounded cache.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -244,28 +243,30 @@ def _lattice_gram(alg: AffineAlgebra) -> _linalg.Mat:
               for j in range(l)) for i in range(l))
 
 
-def translation_vectors(alg: AffineAlgebra, radius) -> list[tuple[int, ...]]:
+def translation_vectors(alg: AffineAlgebra, radius,
+                        gram: _linalg.Mat | None = None) -> list[tuple[int, ...]]:
     """All lattice points with norm at most ``radius``, in deterministic order.
 
-    Box-then-filter: coefficient bounds come from the inverse Gram diagonal,
-    membership is decided by the exact quadratic form.
+    The lattice is the translation lattice, or the one whose basis has the
+    exact Gram matrix ``gram``.  Box-then-filter: coefficient bounds come
+    from the inverse Gram diagonal, membership is decided by the exact
+    quadratic form.
     """
     r2 = Fraction(radius) ** 2
-    gram = _lattice_gram(alg)
+    gram = _lattice_gram(alg) if gram is None else gram
     ginv = _linalg.invert(gram)
-    l = alg.rank
-    bounds = []
-    for i in range(l):
-        bound2 = r2 * ginv[i][i]
-        bounds.append(math.isqrt(int(bound2)) + 1 if bound2 > 0 else 0)
-    points = []
-    for coeffs in itertools.product(*[range(-b, b + 1) for b in bounds]):
-        q = sum(coeffs[i] * sum(gram[i][j] * coeffs[j] for j in range(l))
-                for i in range(l))
-        if q <= r2:
-            points.append((q, coeffs))
-    points.sort()
-    return [c for _, c in points]
+    gd = math.lcm(*(x.denominator for row in gram for x in row))
+    gn = np.array([[int(x * gd) for x in row] for row in gram], dtype=np.int64)
+    bounds = [math.isqrt(int(r2 * ginv[i][i])) + 1 if r2 * ginv[i][i] > 0 else 0
+              for i in range(len(gram))]
+    # the box in lexicographic order; |c|^2 <= r2 iff c.gn.c <= floor(r2 gd)
+    box = np.stack(np.meshgrid(*[np.arange(-b, b + 1) for b in bounds],
+                               indexing="ij"), -1).reshape(-1, len(gram))
+    q = ((box @ gn) * box).sum(axis=1)
+    keep = q <= math.floor(r2 * gd)
+    box, q = box[keep], q[keep]
+    # sorted by norm, then by coefficients
+    return list(map(tuple, box[np.lexsort((*box.T[::-1], q))].tolist()))
 
 
 def enumerate_bounded(alg: AffineAlgebra, radius):
@@ -350,27 +351,33 @@ def orbit_offsets(alg: AffineAlgebra, terms: WeylTerms, k: int, zq: np.ndarray,
 
 
 @lru_cache(maxsize=_ALGEBRAS_MAX)
-def _lattice_geometry(alg: AffineAlgebra) -> tuple[float, float, float]:
-    """Covolume, half the sum of the basis norms, volume of the unit ball."""
-    gram = _lattice_gram(alg)
-    l = alg.rank
+def _lattice_geometry(alg: AffineAlgebra,
+                      gram: _linalg.Mat | None = None) -> tuple[float, float, float]:
+    """Covolume, half the sum of the basis norms, volume of the unit ball,
+    for the translation lattice or the one with Gram matrix ``gram``."""
+    gram = _lattice_gram(alg) if gram is None else gram
+    l = len(gram)
     covol = math.sqrt(float(_linalg.det(gram)))
     rho_f = 0.5 * sum(math.sqrt(float(gram[i][i])) for i in range(l))
     ball_vol = math.pi ** (l / 2) / math.gamma(l / 2 + 1)
     return covol, rho_f, ball_vol
 
 
-def gaussian_lattice_tail(alg: AffineAlgebra, a: float, b: float, start: float) -> float:
-    """Upper bound on ``sum_{alpha in M, |alpha| >= start} exp(-a|alpha|^2 + b|alpha|)``.
+def gaussian_lattice_tail(alg: AffineAlgebra, a: float, b: float, start: float,
+                          gram: _linalg.Mat | None = None) -> float:
+    """Upper bound on ``sum_{alpha in M, |alpha - v| >= start}
+    exp(-a|alpha - v|^2 + b|alpha - v|)`` for any centre ``v``.
 
-    Shells ``[j, j+1)`` are counted by a volume bound and each point is
-    dominated by the shell's left endpoint, valid once the integrand is
-    decreasing there.  Returns ``inf`` when ``start`` is too small for the
-    bound to apply.
+    ``M`` is the translation lattice, or the one whose basis has the exact
+    Gram matrix ``gram``.  Shells ``[j, j+1)`` are counted by a volume bound
+    (each point's cell, centred on it, lies within half the sum of the
+    basis norms, whatever the centre) and each point is dominated by the
+    shell's left endpoint, valid once the integrand is decreasing there.
+    Returns ``inf`` when ``start`` is too small for the bound to apply.
     """
     if a <= 0:
         return math.inf
-    covol, rho_f, ball_vol = _lattice_geometry(alg)
+    covol, rho_f, ball_vol = _lattice_geometry(alg, gram)
     l = alg.rank
     j = max(int(math.floor(start)), 0)
     if j < b / (2 * a) + 1:

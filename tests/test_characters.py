@@ -6,7 +6,7 @@ import pytest
 
 from affinewalks import algebra as al, characters as ch, highestweight as hw
 from affinewalks.algebra import Weight
-from affinewalks.weyl import translate
+from affinewalks.weyl import finite_group, lattice_basis, translate
 
 
 def test_rho_specialization(a1):
@@ -51,10 +51,39 @@ def test_eval_character_errors(a1):
         ch.eval_character(a1, a1.Lambda0(), bad)
     with pytest.raises(ValueError):
         ch.eval_character(a1, a1.Lambda0(), ch.rho_specialization(a1, 1), eps=-1)
-    # A_rho(rho/400) is about e^-983, below float64: refused, where a tail
-    # bound that underflowed would certify a wrong value
-    with pytest.raises(ch.ConvergenceError, match="critical line"):
-        ch.eval_character(a1, a1.Lambda0(), ch.rho_specialization(a1, 400))
+    # rho/1000: log ch = 822 is past float64's range, which is refused
+    with pytest.raises(OverflowError, match="float range"):
+        ch.eval_character(a1, a1.Lambda0(), ch.rho_specialization(a1, 1000))
+
+
+def _frenkel_kac_log(alg, s, span):
+    # Frenkel-Kac: ch_Lambda0 = e^(Lambda0|p) sum_{gamma in Q}
+    # e^{-|gamma|^2 c/2 - (gamma|p)} / prod_m (1 - e^{-mc})^rank
+    c = float(ch.delta_pairing(alg, s))
+    g = np.array(alg.finite_gram, dtype=float)
+    gp = np.array(alg.finite_covector(s.point.z), dtype=float)
+    grid = np.arange(-span, span + 1)
+    gam = np.stack(np.meshgrid(*[grid] * alg.rank), -1).reshape(-1, alg.rank)
+    expo = -0.5 * c * np.einsum("ij,jk,ik->i", gam, g, gam) - gam @ gp
+    top = expo.max()
+    log_theta = top + math.log(math.fsum(np.exp(expo - top)))
+    log_phi = math.fsum(math.log1p(-math.exp(-m * c))
+                        for m in range(1, math.ceil(80 / c)))
+    return (float(al.inner_product(alg, alg.Lambda0(), s.point))
+            + log_theta - alg.rank * log_phi)
+
+
+@pytest.mark.parametrize("name, n", [("A1~", 800), ("A2~", 500)])
+def test_eval_character_certified_near_critical_line(name, n):
+    # far past the reach of any series in the multiplicities (A_rho(rho/n)
+    # is about e^{-1974} and e^{-2193} here), yet certified to 1e-12;
+    # log ch is 657.6 and 547.8
+    alg = al.algebra_from_name(name)
+    s = ch.rho_specialization(alg, n)
+    r = ch.eval_character(alg, alg.Lambda0(), s, eps=1e-12)
+    assert r.tail_bound <= 1e-12 * r.value
+    assert isinstance(r.truncation_depth, int)
+    assert abs(r.log_value - _frenkel_kac_log(alg, s, 160)) < 1e-12 * r.log_value
 
 
 def _series_log_value(alg, lam, s, table):
@@ -83,37 +112,12 @@ def test_weyl_kac_value_identity(a1, a2):
 
 
 def test_level_one_character_near_critical_line(a1, a2):
-    # Frenkel-Kac: ch_Lambda0 = e^(Lambda0|p) sum_{gamma in Q}
-    # e^{-|gamma|^2 c/2 - (gamma|p)} / prod_m (1 - e^{-mc})^rank, checked
-    # where the multiplicity series is out of reach
+    # Frenkel-Kac, checked where the multiplicity series is out of reach
     for alg, n in ((a1, 200), (a2, 20)):
         s = ch.rho_specialization(alg, n)
-        c = float(ch.delta_pairing(alg, s))
-        g = np.array(alg.finite_gram, dtype=float)
-        gp = np.array(alg.finite_covector(s.point.z), dtype=float)
-        span = np.arange(-80, 81)
-        gam = np.stack(np.meshgrid(*[span] * alg.rank), -1).reshape(-1, alg.rank)
-        theta = math.fsum(np.exp(-0.5 * c * np.einsum("ij,jk,ik->i", gam, g, gam)
-                                 - gam @ gp))
-        log_phi = math.fsum(math.log1p(-math.exp(-m * c))
-                            for m in range(1, math.ceil(80 / c)))
-        want = (float(al.inner_product(alg, alg.Lambda0(), s.point))
-                + math.log(theta) - alg.rank * log_phi)
         r = ch.eval_character(alg, alg.Lambda0(), s, eps=1e-12)
         assert r.tail_bound <= 1e-12 * r.value
-        assert abs(r.log_value - want) < 1e-12
-
-
-def test_character_ratio_propagation(a1):
-    s = ch.rho_specialization(a1, 3)
-    lam = Weight.make(2, (0,), 0)
-    num = ch.eval_character(a1, lam, s, eps=1e-8)
-    den = ch.eval_character(a1, a1.Lambda0(), s, eps=1e-8)
-    ratio, bound = ch.character_ratio(num, den)
-    deep_n = ch.eval_character(a1, lam, s, eps=1e-14)
-    deep_d = ch.eval_character(a1, a1.Lambda0(), s, eps=1e-14)
-    deep = deep_n.value / deep_d.value
-    assert abs(ratio - deep) <= bound * deep + 1e-15
+        assert abs(r.log_value - _frenkel_kac_log(alg, s, 80)) < 1e-12
 
 
 def test_theta_invariance_under_lattice(a1):
@@ -178,8 +182,8 @@ def test_denominator_acceptance_scale(a1, a2):
 
 
 def test_denominator_analytic_small_n(a1, a2):
-    # the mp alternating sum at mu = rho against the float product formula,
-    # whose own rounding is about 1e-15 here
+    # the alternating sum at mu = rho, certified to its default 1e-13,
+    # against the float product formula, whose own rounding is about 1e-15
     for alg, n in ((a1, 1), (a1, 5), (a2, 3)):
         s = ch.rho_specialization(alg, n)
         c = ch.delta_pairing(alg, s)
@@ -187,7 +191,7 @@ def test_denominator_analytic_small_n(a1, a2):
             mult * math.log1p(-math.exp(-float(
                 d * c + alg.finite_inner([Fraction(x) for x in r], s.point.z))))
             for (d, r, mult) in hw.positive_roots(alg, math.ceil(60 / c)))
-        total = ch.weyl_alternating_value(alg, al.weyl_vector(alg), s, rtol=1e-15)
+        total = ch.weyl_alternating_value(alg, al.weyl_vector(alg), s)
         assert abs(math.exp(log_prod) - total) / math.exp(log_prod) < 1e-14
 
 
@@ -195,3 +199,69 @@ def test_alternating_value_needs_strictly_dominant(a1):
     s = ch.rho_specialization(a1, 2)
     with pytest.raises(ValueError, match="strictly dominant"):
         ch.weyl_alternating_value(a1, a1.Lambda0(), s)
+
+
+@pytest.mark.parametrize("name, n", [("A1~", 1000), ("A2~", 100)])
+def test_log_denominator_against_product(name, n):
+    # log A_rho near the critical line (e^{-2463} on A1~ at rho/1000, far
+    # below float64) against the product over the positive roots, summed
+    # exactly rounded in float64 up to the factors below e^{-40}; each of
+    # its terms is within a few units of rounding
+    alg = al.algebra_from_name(name)
+    s = ch.rho_specialization(alg, n)
+    c = float(ch.delta_pairing(alg, s))
+    gp = np.array(alg.finite_covector(s.point.z), dtype=float)
+    terms = [mult * math.log(-math.expm1(-(d * c + float(np.dot(r, gp)))))
+             for (d, r, mult) in hw.positive_roots(alg, math.ceil(40 / c))]
+    want = math.fsum(terms)
+    rho = al.weyl_vector(alg)
+    got = ch._log_alternant(alg, int(rho.k), *ch._int_scaled([rho.z]), s)
+    log_value = float(got.ref[0] + Fraction(float(got.rest[0, 0].real)))
+    rel = math.exp(got.log_err[0, 0] - got.rest[0, 0].real)
+    assert rel < 1e-13
+    assert abs(log_value - want) <= rel + 2.0 ** -50 * math.fsum(map(abs, terms))
+
+
+def _orbit_coords(alg, z):
+    # dual-lattice coordinates n_j = (beta|b_j) of the finite Weyl orbit of z
+    basis = [[Fraction(x) for x in b] for b in lattice_basis(alg)]
+    orbit = {tuple(w.act_z(z)) for w in finite_group(alg)}
+    return np.array([[int(alg.finite_inner(list(beta), b)) for b in basis]
+                     for beta in sorted(orbit)], dtype=np.int64)
+
+
+def test_phase_sums_vanish_exactly(a1, a2):
+    # singular shells cancel exactly, not to a float residue: the orbit of
+    # omega_1 on A2~, and the even shells of A1~ at mu = rho; the regular
+    # shells next to them do not
+    for alg, shells, regular in (
+            (a2, [(Fraction(2, 3), Fraction(1, 3))],
+             [(Fraction(1), Fraction(1))]),
+            (a1, [(Fraction(j, 2),) for j in (2, 4, 6)],
+             [(Fraction(j, 2),) for j in (1, 3, 5)])):
+        rho = al.weyl_vector(alg)
+        zq, q = ch._int_scaled([rho.z])
+        for n in (1, 7, 100):
+            s = ch.rho_specialization(alg, n)
+            for zs, vanish in ((shells, True), (regular, False)):
+                for z in zs:
+                    sums = ch._phase_sums(alg, int(rho.k), zq, q, s,
+                                          _orbit_coords(alg, z))
+                    assert (sums == 0).all() == vanish
+                    assert (sums != 0).all() != vanish
+
+
+@pytest.mark.parametrize("n, exps, signs, zero", [
+    (3, (0, 1, 2), (1, 1, 1), True),                  # 1 + w + w^2
+    (6, (0, 2, 4), (1, 1, 1), True),                  # the same on a coarser grid
+    (4, (1, 3), (1, 1), True),                        # i + (-i)
+    (12, (0, 4, 8, 3, 9), (1, 1, 1, 1, 1), True),     # both of the above
+    (30, (0, 6, 12, 18, 24, 10, 20), (1, 1, 1, 1, 1, -1, -1), False),  # = 1
+    (7, (0, 1, 3), (1, 1, -1), False),
+    (5, (2, 7), (1, -1), True),                       # equal phases
+])
+def test_vanishes_decides_root_of_unity_sums(n, exps, signs, zero):
+    # distinct roots of unity that cancel only as algebraic numbers
+    assert ch._vanishes(n, exps, signs) == zero
+    value = sum(sg * np.exp(2j * np.pi * e / n) for e, sg in zip(exps, signs))
+    assert (abs(value) < 1e-12) == zero

@@ -53,13 +53,18 @@ def test_characters_commands(capsys):
 
 
 def test_characters_eval_near_critical_line(capsys):
-    assert run_cli(["characters", "eval", "--n", "200", "--eps", "1e-12"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert 0 <= out["tail_bound"] <= 1e-12 * out["value"]
-    # past float64's range the point is refused, not evaluated
-    assert run_cli(["characters", "eval", "--n", "400", "--eps", "1e-12"]) == 2
+    # certified where both alternants sit far below float64: A1~ rho/800
+    # (log ch = 657.6) and A2~ rho/500 (547.8)
+    for algebra, pairings, n in (("A1~", "1,0", "800"), ("A2~", "1,0,0", "500")):
+        assert run_cli(["characters", "eval", "--algebra", algebra, "--pairings",
+                        pairings, "--n", n, "--eps", "1e-12"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert 0 <= out["tail_bound"] <= 1e-12 * out["value"]
+    # a value past float64's range (log ch = 822 at rho/1000) is refused
+    assert run_cli(["characters", "eval", "--n", "1000", "--eps", "1e-12"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert err.startswith("error:") and "float range" in err \
+        and err.count("\n") == 1
 
 
 def test_chain_simulate_requires_seed(tmp_path, capsys):

@@ -84,6 +84,18 @@ def test_walk_experiment_se_scaling():
     assert 1.6 < b1 / b2 < 2.4               # bands shrink like sqrt(N)
 
 
+@pytest.mark.parametrize("samples, threshold", [(10_000, 0.02),
+                                                (500, 0.02 * math.sqrt(20))])
+def test_walk_ks_threshold_scales_with_samples(samples, threshold):
+    # the frozen gate at GOLDEN.walk_samples, widened as KS noise grows
+    cfg = harness.ExperimentConfig(algebra="A1~", spec_n=5, time_grid=(0.2,),
+                                   samples=samples, seed=3)
+    row = harness.scaling_walk_experiment(cfg).per_time[0]
+    assert row["ks_threshold"] == pytest.approx(threshold, rel=1e-15)
+    assert row["pass"] == (row["mean_delta"] <= row["mean_band"]
+                           and row["ks"] <= threshold)
+
+
 def test_chain_experiment_rejects_boundary_start():
     cfg = harness.ExperimentConfig(algebra="A1~", spec_n=10,
                                    samples=100, seed=1,

@@ -5,10 +5,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from affinewalks import algebra as al, characters as ch, layerseries as ls
+from affinewalks import algebra as al, characters as ch
 from affinewalks.algebra import Weight
 from affinewalks.highestweight import character_series_oracle
 from affinewalks.layerseries import increment_atoms
+from affinewalks.weyl import apply, enumerate_bounded
 
 
 def exact_marginal(alg, om, s, depth):
@@ -72,43 +73,59 @@ def test_atoms_grid_must_be_power_of_two(a1):
         increment_atoms(a1, Weight.make(2, (0,), 0), s, grid=96)
 
 
-def _direct_torus_sum(terms, l, roots):
-    grid = len(roots)
-    out = np.empty((grid,) * l, dtype=object)
-    for idx in np.ndindex(out.shape):
-        acc = mp.mpc(0)
-        for m, cf in terms:
-            acc += cf * roots[sum(i * x for i, x in zip(idx, m)) % grid]
-        out[idx] = acc
-    return out
-
-
-@pytest.mark.parametrize("l, grid", [(1, 8), (2, 4)])
-def test_torus_values_match_direct_sum(l, grid):
-    # offsets span far more than the grid, so the fold wraps
-    rng = np.random.default_rng(3)
+def _mp_torus_values(alg, mu, s, grid, radius):
+    # N_mu at every torus point of a grid, summed term by term over the
+    # affine Weyl group in 40-digit mp from the exact Fraction action
+    pts = list(np.ndindex((grid,) * alg.rank))
+    out = []
     with mp.workdps(40):
-        terms = [(tuple(int(x) for x in rng.integers(-30, 31, size=l)),
-                  mp.mpf(float(rng.normal())) / 7)
-                 for _ in range(25)]
-        roots = [mp.e ** (-2j * mp.pi * mp.mpf(j) / grid) for j in range(grid)]
-        got = ls._torus_values(terms, l, roots)
-        want = _direct_torus_sum(terms, l, roots)
-        assert got.shape == (grid,) * l
-        assert max(abs(a - b) for a, b in zip(got.flat, want.flat)) < 1e-35
+        terms = []
+        for w in enumerate_bounded(alg, radius):
+            off = mu - apply(alg, w, mu)            # m + d delta, exactly
+            x = al.inner_product(alg, off, s.point)
+            terms.append((w.sign * mp.exp(-mp.mpf(x.numerator) / x.denominator),
+                          off.z))
+        for idx in pts:
+            out.append(mp.fsum(
+                cf * mp.expjpi(-2 * mp.mpf(int(sum(i * m for i, m in zip(idx, mz))))
+                               / grid) for cf, mz in terms))
+    return pts, out
+
+
+@pytest.mark.parametrize("name, n", [("A1~", 3), ("A2~", 5)])
+def test_torus_values_match_direct_sum(name, n):
+    # the float64 evaluator on a grid-4 torus, both alternants of the atoms
+    # of h_vee Lambda0, against an independent mp sum; each gap within the
+    # evaluator's own certified bound
+    alg = al.algebra_from_name(name)
+    s = ch.rho_specialization(alg, n)
+    rho = al.weyl_vector(alg)
+    omega = Weight.make(alg.dual_coxeter, (0,) * alg.rank, 0)
+    for mu in (omega + rho, rho):
+        pts, want = _mp_torus_values(alg, mu, s, 4, 10 if alg.rank == 1 else 9)
+        idx = (np.array(pts, dtype=np.int64) + 2) % 4 - 2
+        got = ch._log_alternant(alg, int(mu.k), *ch._int_scaled([mu.z]), s,
+                                (idx, 4))
+        with mp.workdps(40):
+            ref = mp.exp(mp.mpf(got.ref[0].numerator) / got.ref[0].denominator)
+            for j, w in enumerate(want):
+                gap = abs(ref * mp.exp(mp.mpc(got.rest[0, j])) - w)
+                bound = ref * mp.exp(got.log_err[0, j])
+                assert gap <= bound
+                assert gap <= 1e-12 * abs(w)
 
 
 def test_torus_values_of_atom_terms(a1):
-    # the orbit-sum coefficients increment_atoms folds at rho/3
+    # the atoms of 2 Lambda0 at rho/3 from the mp torus values of both
+    # alternants, inverted by an exact-size DFT, against increment_atoms
     s = ch.rho_specialization(a1, 3)
     om = Weight.make(2, (0,), 0)
-    with mp.workdps(30):
-        terms, _, _ = ch._alternant_terms(a1, om + al.weyl_vector(a1), s, -30.0)
-        offsets = [m[0] for m, _ in terms]
-        assert max(offsets) - min(offsets) + 1 > 4      # the fold wraps
-        roots = [mp.e ** (-2j * mp.pi * mp.mpf(j) / 4) for j in range(4)]
-        got = ls._torus_values(terms, 1, roots)
-        want = _direct_torus_sum(terms, 1, roots)
-        scale = max(abs(cf) for _, cf in terms)
-        assert max(abs(a - b) for a, b in zip(got.flat, want.flat)) \
-            < 1e-25 * scale
+    rho = al.weyl_vector(a1)
+    grid = 64
+    _, num = _mp_torus_values(a1, om + rho, s, grid, 10)
+    _, den = _mp_torus_values(a1, rho, s, grid, 10)
+    f = np.array([complex(a / b) for a, b in zip(num, den)])
+    want = np.fft.fftshift(np.fft.ifft(f / f[0].real).real)
+    atoms = increment_atoms(a1, om, s, grid=grid)
+    assert atoms.lo == (-grid // 2,)
+    assert np.abs(atoms.prob - want / want.sum()).max() < 1e-14
