@@ -50,12 +50,19 @@ def main():
           f"{batch.exit_fraction(2.0):.3f} "
           f"(never exiting has probability {v:.3f})")
 
-    # recorded times only: exact h-transform transitions, nothing aborts
+    # exact h-transform transitions: nothing exits or aborts, at recorded
+    # times or along whole paths
     cond = sample_path_batch(alg, x, 1.0, 1e-3, 2000, seed=18,
                              conditioned=True, record_times=(1.0,))
     z1 = cond.z[1000][:, 0]
     print(f"conditioned process at t=1: mean {z1.mean():.3f}, "
           f"std {z1.std():.3f}")
+    whole = sample_path_batch(alg, x, 1.0, 1e-2, 200, seed=19,
+                              conditioned=True, record=True)
+    closest = min(chamber_test(alg, SpaceTimePoint(whole.s[k], z))[1]
+                  for k in whole.z for z in whole.z[k])
+    print(f"200 whole conditioned paths, 100 steps: closest approach to a "
+          f"wall {closest:.4f}")
 
 
 if __name__ == "__main__":

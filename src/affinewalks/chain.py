@@ -267,43 +267,33 @@ def barred_row(alg: AffineAlgebra, lam0: Weight, omega: Weight,
 
 
 def pbar_power(alg: AffineAlgebra, omega: Weight, s: Specialization,
-               n_steps: int, lam0: Weight, beta0: Weight, depth: int,
-               with_tail: bool = False):
+               n_steps: int, lam0: Weight, beta0: Weight, depth: int) -> float:
     """n-step transition of the projected weight walk:
 
     ``sum over delta-shifts`` of the tensor-power multiplicity at
-    ``beta - lam0`` times the pairing exponential, over ``ch(omega)^n``.
-
-    With ``with_tail=True`` it returns ``(value, tail)``; ``tail`` is the
-    fitted geometric envelope of the layers beyond ``depth``, an estimate
-    rather than a certified bound.
+    ``beta - lam0`` times the pairing exponential, over ``ch(omega)^n``,
+    truncated at ``depth`` delta-shifts.
     """
     _require_positive_level(omega)
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     lam0, beta0 = lam0.bar(), beta0.bar()
     if n_steps == 0:
-        val = 1.0 if (lam0 == beta0) else 0.0
-        return (val, 0.0) if with_tail else val
+        return 1.0 if (lam0 == beta0) else 0.0
     diff = beta0 - lam0
     if diff.k != n_steps * omega.k:
         raise ValueError("level gap must equal n_steps * level(omega)")
     zeta = [Fraction(n_steps) * omega.z[i] - diff.z[i] for i in range(alg.rank)]
     if any(x.denominator != 1 for x in zeta):
-        return (0.0, 0.0) if with_tail else 0.0
+        return 0.0
     zeta = tuple(int(x) for x in zeta)
     table = tensor_power_table(alg, omega.bar(), n_steps, depth)
     c = float(delta_pairing(alg, s))
     p = s.point
     base = float(inner_product(alg, diff, p)) - n_steps * _log_ch(alg, omega.bar(), s)
-    layer_mass: dict[int, float] = {}
-    for d in range(depth + 1):
-        mult = table.entries.get((d, zeta), 0)
-        if mult:
-            layer_mass[d] = mult * math.exp(base - d * c)
-    val = math.fsum(layer_mass.values())
-    tail = _geometric_tail(layer_mass, depth) if layer_mass else 0.0
-    return (val, tail) if with_tail else val
+    return math.fsum(mult * math.exp(base - d * c)
+                     for d in range(depth + 1)
+                     if (mult := table.entries.get((d, zeta), 0)))
 
 
 # -- simulation --------------------------------------------------------------------

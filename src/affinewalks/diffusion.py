@@ -11,14 +11,13 @@ root coordinates, chosen once per algebra).  The module provides:
 * reflected densities for the killed process (three equivalent forms),
 * Euler-Maruyama sampling of the drifted process, with a Brownian-bridge
   wall-crossing test on each coarse step (exit times are resolved to the
-  end of the step), and of whole conditioned paths, with recursive
-  near-boundary step halving,
-* exact sampling of the conditioned process at recorded times: one Doob
-  h-transform transition per gap, drawn by rejection from the free drifted
-  Gaussian (no time-step bias, no aborted path).  Whole paths keep
-  Euler-Maruyama because chaining the exact step at every grid time pays a
-  rejection loop per step: 200 paths x 1000 steps from rho take 3.6 s
-  against 0.86 s on A1~ and 33 s against 3.6 s on A2~ (2-CPU host),
+  end of the step),
+* exact sampling of the conditioned process, whole paths or at recorded
+  times: one Doob h-transform transition per recorded gap, made of
+  substeps proposed along the Doob drift and accepted by rejection with a
+  bound from the concavity of log survival (no time-step bias, no aborted
+  path).  Whole paths from rho, 10 x 1000 steps, take about 0.2 s on A1~
+  and 0.3 s on A2~ (2-CPU host),
 * finite-difference verifiers for the harmonic identity and for the
   translation-covariance identity of the free kernel.
 
@@ -86,15 +85,14 @@ class PathBatch:
     s: np.ndarray                 # level coordinate per grid time
     z: dict[int, np.ndarray] | None   # index -> (n_paths, l); None if none
     exit_times: np.ndarray        # +inf where no exit observed
-    aborted: np.ndarray           # conditioned paths that hit dt_min
+    aborted: np.ndarray           # all False: no sampler aborts a path
     dt: float
     seed: int
 
     def exit_fraction(self, horizon: float) -> float:
         # free exit times are grid points k*dt, which can round one ulp
         # past a horizon written in decimal (3*0.1 > 0.3)
-        ok = ~self.aborted
-        return float(np.mean(self.exit_times[ok] <= horizon + 1e-6 * self.dt))
+        return float(np.mean(self.exit_times <= horizon + 1e-6 * self.dt))
 
 
 # -- orthonormal frame -------------------------------------------------------------
@@ -184,9 +182,11 @@ def _terms_for(alg: AffineAlgebra, s_min: float, z_norm: float,
     return _Terms(terms.sign.astype(float), alpha, rot, norm2, b_wrho, cw), tail
 
 
-def _exp_terms(terms: _Terms, s: float, z: np.ndarray) -> np.ndarray:
-    """Signed ``exp((x, w(rho) - rho))`` per path (rows of ``z``) and term."""
-    return np.exp(s * terms.b_wrho[None, :] + z @ terms.cw.T) * terms.sign[None, :]
+def _exp_terms(terms: _Terms, s, z: np.ndarray) -> np.ndarray:
+    """Signed ``exp((x, w(rho) - rho))`` per path (rows of ``z``, levels
+    ``s``: one, or one per path) and term."""
+    s = np.reshape(s, (-1, 1))
+    return np.exp(s * terms.b_wrho + z @ terms.cw.T) * terms.sign
 
 
 # -- survival function ---------------------------------------------------------------
@@ -209,15 +209,25 @@ def survival(alg: AffineAlgebra, p: SpaceTimePoint, eps: float = 1e-12):
 
 def survival_gradient(alg: AffineAlgebra, p: SpaceTimePoint,
                       eps: float = 1e-12) -> tuple[float, np.ndarray]:
-    """Termwise gradient (ds, dz) of the survival sum."""
+    """Termwise gradient (ds, dz) of the survival sum: the derivative sums
+    the conditioned sampler draws its drift from (:func:`_h_sums`)."""
     inside, _ = chamber_test(alg, p)
     if not inside:
         raise OutsideChamberError("gradient needs an interior point")
     # coefficient growth is linear in the translation radius; one extra
     # order of magnitude on the tail keeps the differentiated sum certified
-    terms, _ = _terms_for(alg, p.s, float(np.linalg.norm(p.z)), eps * 1e-2)
-    e = _exp_terms(terms, p.s, p.z[None, :])[0]
-    return float(e @ terms.b_wrho), e @ terms.cw
+    terms, tail = _terms_for(alg, p.s, float(np.linalg.norm(p.z)), eps * 1e-2)
+    _, h_s, h_z, _ = _h_sums(terms, tail, p.s, p.z[None, :])
+    return float(h_s[0]), h_z[0]
+
+
+def _h_sums(terms: _Terms, tail: float, s, z: np.ndarray):
+    """Survival sum ``h``, its derivatives ``d_s h`` and ``grad_z h``, and a
+    bound on the error of ``h`` (certified tail plus rounding), per path:
+    rows of ``z`` at levels ``s`` (one, or one per path)."""
+    e = _exp_terms(terms, s, z)
+    err = tail + terms.sign.size * np.finfo(float).eps * np.abs(e).sum(axis=1)
+    return e.sum(axis=1), e @ terms.b_wrho, e @ terms.cw, err
 
 
 # -- heat kernels --------------------------------------------------------------------
@@ -270,12 +280,13 @@ def reflected_density(alg: AffineAlgebra, x: SpaceTimePoint, y: SpaceTimePoint,
     return float(tm.sign @ e) * norm
 
 
-def _images(tm: _Terms, s: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _images(tm: _Terms, s, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Finite part, shape (n_paths, n_terms, l), and delta coordinate,
     shape (n_paths, n_terms), of ``w(x)`` for each path ``x = (s, z)``
-    (rows of ``z``) and each term ``w``."""
+    (rows of ``z``, levels ``s``: one, or one per path) and each term ``w``."""
+    s = np.reshape(s, (-1, 1))
     rot_z = (tm.rot @ z.T).transpose(2, 0, 1)
-    w_z = rot_z + s * tm.alpha
+    w_z = rot_z + s[:, :, None] * tm.alpha
     b_w = -(np.einsum("pti,ti->pt", rot_z, tm.alpha) + 0.5 * tm.alpha_norm2 * s)
     return w_z, b_w
 
@@ -356,16 +367,6 @@ def _wall_margins(f: _Frame, s: float, z: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _doob_drift(f: _Frame, terms: _Terms, s: float, z: np.ndarray) -> np.ndarray:
-    """rho plus the gradient of log survival, per path; NaN rows where the
-    truncated survival sum is not positive."""
-    e = _exp_terms(terms, s, z)
-    h = e.sum(axis=1)
-    grad = e @ terms.cw
-    h = np.where(h <= 0, np.nan, h)
-    return f.rho_o[None, :] + grad / h[:, None]
-
-
 def _bridge_step(f: _Frame, rng: np.random.Generator, z: np.ndarray,
                  exit_times: np.ndarray, idx: np.ndarray, s_now: float,
                  t_next: float, dt: float) -> None:
@@ -391,71 +392,142 @@ def _bridge_step(f: _Frame, rng: np.random.Generator, z: np.ndarray,
     exit_times[idx[fresh][crossed]] = t_next
 
 
-# rejection rounds one path may take part in per transition before the
-# exact conditioned sampler gives up; a round accepts with probability h(x)
+# proposals one path may make within one recorded gap before the exact
+# conditioned sampler gives up; a proposal accepts with probability about
+# 1/2 or more
 _MAX_ROUNDS = 10_000
 # path x term entries one rejection round evaluates at most
 _CHUNK = 1 << 18
 
 
-def _exact_step(alg: AffineAlgebra, rng: np.random.Generator, s: float,
-                z: np.ndarray, dt: float) -> np.ndarray:
-    """One exact transition of the conditioned process over ``dt`` for each
-    row of ``z`` (all at level ``s``), by rejection.
+def _conditioned_transitions(alg: AffineAlgebra, rng: np.random.Generator,
+                             s: float, z: np.ndarray, gaps):
+    """Exact transitions of the conditioned process from the rows of ``z``
+    (all at level ``s``), one per entry of ``gaps``; yields the positions
+    after each.
 
-    A path proposes ``y = x + dt*rho + N(0, dt)``, the free drifted
-    Gaussian ``p``.  A proposal inside the chamber is accepted with
-    probability ``(q/p)(x, y) h(y) <= 1``, ``q`` the killed density
-    (drifted-by-x form of :func:`reflected_density`) and ``h`` the
-    survival; the mean acceptance is ``h(x)`` and the accepted ``y`` has
-    density ``q(x, y) h(y) / h(x)``.  A ratio or survival value above 1 by
-    more than its certified tail plus rounding raises.
+    A gap is covered by substeps, which compose exactly.  From ``x``, with
+    ``(S, G)`` the gradient of ``log h`` in ``(s, z)``, a substep of length
+    ``tau`` proposes ``y = x + tau (rho + G) + N(0, tau)`` and accepts with
+    probability ``(q/p)(x, y) exp(log h(y) - log h(x) - (y - x).(S, G))``
+    (``q`` the killed and ``p`` the free drifted density), so an accepted
+    ``y`` has density ``q(x, y) h(y) / h(x)``.  Both factors are at most 1:
+    by Kac's denominator identity ``h`` is a product of factors
+    ``1 - e^{-(x, beta)}``, so ``log h`` is concave.  The mean acceptance
+    is ``exp(-tau r)``, ``r = h_vee S + rho.G + |G|^2/2``, and
+    ``tau = min(time left, log 2 / r)`` keeps it at 1/2 or more.  ``q/p``,
+    the chance that the bridge from ``x`` to ``y`` stays in the chamber, is
+    at least ``1 - sum_i exp(-2 a_i b_i / (|pairing_i|^2 tau))`` (wall
+    margins ``a_i``, ``b_i`` at the ends); its Weyl sum is evaluated only
+    where that bound leaves the decision open.
     """
     f = _frame(alg)
-    s_y = s + f.hv * dt
-    eps = np.finfo(float).eps
-    tm, tail = _terms_for(alg, s, float(np.linalg.norm(z, axis=1).max()), 1e-12)
-    rows = max(1, _CHUNK // tm.sign.size)
-    out = np.empty_like(z)
-    rounds = np.zeros(len(z), dtype=int)
-    pending = np.arange(len(z))
-    while pending.size:
-        idx = pending[:rows]
-        if rounds[idx].max() >= _MAX_ROUNDS:
-            raise ConvergenceError(
-                f"conditioned path not accepted within {_MAX_ROUNDS} "
-                "rejection rounds")
-        rounds[idx] += 1
-        x = z[idx]
-        d = rng.normal(0.0, math.sqrt(dt), x.shape)
-        y = x + f.rho_o * dt + d
-        u = rng.random(idx.size)
-        inside = np.flatnonzero(_wall_margins(f, s_y, y).min(axis=1) > 0)
-        accept = np.zeros(idx.size, dtype=bool)
-        if inside.size:
-            x, d, y_in = x[inside], d[inside], y[inside]
-            # q/p, with y - dt*rho - w(x) = d + (x - w(x)); the identity term is 1
-            w_z, b_w = _images(tm, s, x)
-            shift = x[:, None, :] - w_z
-            e = np.exp(b_w * f.hv - shift @ f.rho_o
-                       - (2 * np.einsum("pi,pti->pt", d, shift)
-                          + np.einsum("pti,pti->pt", shift, shift)) / (2 * dt))
-            ratio = e @ tm.sign
-            ratio_bound = (tail * np.exp(np.einsum("pi,pi->p", d, d) / (2 * dt))
-                           + tm.sign.size * eps * e.sum(axis=1))
-            ty, tail_y = _terms_for(
-                alg, s_y, float(np.linalg.norm(y_in, axis=1).max()), 1e-12)
-            e = _exp_terms(ty, s_y, y_in)
-            h = e.sum(axis=1)
-            h_bound = tail_y + ty.sign.size * eps * np.abs(e).sum(axis=1)
-            if np.any(ratio > 1 + ratio_bound) or np.any(h > 1 + h_bound):
-                raise FloatingPointError(
-                    "killed/free ratio or survival above 1 beyond its "
-                    "certified bound")
-            accept[inside] = u[inside] < ratio * h
-        out[idx[accept]] = y[accept]
-        pending = np.concatenate((idx[~accept], pending[rows:]))
-    return out
+    z = z.copy()
+
+    def log_h(s_at, z_at):
+        """log h, its gradient (S, G) and the rate r, per path."""
+        h, h_s, h_z, _ = _h_sums(tm, tail, s_at, z_at)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            S, G = h_s / h, h_z / h[:, None]
+            rate = f.hv * S + G @ f.rho_o + 0.5 * np.einsum("pi,pi->p", G, G)
+            return np.log(h), S, G, np.maximum(rate, 1e-300)
+
+    # the sums' certificate holds for every level above s and norm below
+    # z_cert; the tail sits two orders below the survival's default, for
+    # the differentiated sums, as in survival_gradient
+    z_cert = math.sqrt(f.l) * float(np.abs(z).max()) + 1.0
+    tm, tail = _terms_for(alg, s, z_cert, 1e-14)
+    lh, S, G, rate = log_h(s, z)
+    for gap in gaps:
+        s_end = s + f.hv * gap
+        left = np.full(len(z), float(gap))
+        rounds = np.zeros(len(z), dtype=int)
+        pending = np.arange(len(z))
+        while pending.size:
+            idx = pending[:max(1, _CHUNK // tm.sign.size)]
+            if rounds[idx].max() >= _MAX_ROUNDS:
+                raise ConvergenceError(
+                    f"conditioned path not accepted within {_MAX_ROUNDS} "
+                    "proposals in one gap")
+            rounds[idx] += 1
+            x, Gx, left_x = z[idx], G[idx], left[idx]
+            tau = np.minimum(left_x, math.log(2.0) / rate[idx])
+            dz = (tau[:, None] * (f.rho_o + Gx)
+                  + rng.standard_normal(x.shape) * np.sqrt(tau)[:, None])
+            y, left_y = x + dz, left_x - tau
+            sx, sy = s_end - f.hv * left_x, s_end - f.hv * left_y
+            u = rng.random(idx.size)
+            y_norm = math.sqrt(f.l) * float(np.abs(y).max())
+            if y_norm > z_cert:
+                z_cert = y_norm + 1.0
+                tm, tail = _terms_for(alg, s, z_cert, 1e-14)
+            lh_y, S_y, G_y, rate_y = log_h(sy, y)
+            # outside the chamber q vanishes and log h is not concave
+            a, b = _wall_margins(f, sx, x), _wall_margins(f, sy, y)
+            log_gap = np.where(b.min(axis=1) > 0, lh_y - lh[idx]
+                               - (sy - sx) * S[idx]
+                               - np.einsum("pi,pi->p", Gx, dz), -np.inf)
+            if np.any(log_gap > 0):
+                _check_concave(tm, tail, log_gap, sx, x, sy, y, dz)
+            bound = np.exp(log_gap)
+            cross = np.exp(-2.0 * a * np.maximum(b, 0.0) / (f.wall_var * tau[:, None]))
+            accept = u < (1.0 - cross.sum(axis=1)) * bound
+            open_ = np.flatnonzero(~accept & (u < bound))
+            if open_.size:
+                qp = _killed_over_free(f, tm, tail, sx[open_], x[open_],
+                                       dz[open_], tau[open_])
+                accept[open_] = u[open_] < qp * bound[open_]
+            acc = idx[accept]
+            z[acc], left[acc] = y[accept], left_y[accept]
+            lh[acc], S[acc], G[acc], rate[acc] = (
+                lh_y[accept], S_y[accept], G_y[accept], rate_y[accept])
+            done = accept & (left_y <= 0)
+            pending = np.concatenate((idx[~done], pending[idx.size:]))
+        s = s_end
+        yield z.copy()
+
+
+def _killed_over_free(f: _Frame, tm: _Terms, tail: float, s: np.ndarray,
+                      x: np.ndarray, dz: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """``(q/p)(x, x + dz)`` over time ``tau``, per path: the drifted-by-x
+    sum of :func:`reflected_density` over the free drifted Gaussian, whose
+    terms are those of ``h`` times at most ``exp(|d|^2 / (2 tau))``.  A
+    value above 1 beyond that tail plus rounding raises."""
+    d = dz - tau[:, None] * f.rho_o     # y - tau rho - w(x) = d + x - w(x)
+    w_z, b_w = _images(tm, s, x)
+    shift = x[:, None, :] - w_z
+    e = np.exp(b_w * f.hv - shift @ f.rho_o
+               - (2 * np.einsum("pi,pti->pt", d, shift)
+                  + np.einsum("pti,pti->pt", shift, shift)) / (2 * tau[:, None]))
+    qp = e @ tm.sign
+    qp_bound = (tail * np.exp(np.einsum("pi,pi->p", d, d) / (2 * tau))
+                + tm.sign.size * np.finfo(float).eps * e.sum(axis=1))
+    if np.any(qp > 1 + qp_bound):
+        raise FloatingPointError("killed over free density above 1 beyond "
+                                 "its certified bound")
+    return qp
+
+
+def _check_concave(tm: _Terms, tail: float, log_gap: np.ndarray,
+                   sx: np.ndarray, x: np.ndarray, sy: np.ndarray,
+                   y: np.ndarray, dz: np.ndarray) -> None:
+    """Raise if ``log h(y) - log h(x) - (y - x) . grad log h(x)``, at most 0
+    for the concave ``log h``, is positive beyond the certified tail plus
+    rounding of the sums; the derivative sums' errors take the largest
+    coefficient of a kept term."""
+    j = np.flatnonzero(log_gap > 0)
+    h_x, h_s, h_z, err_x = _h_sums(tm, tail, sx[j], x[j])
+    h_y, _, _, err_y = _h_sums(tm, tail, sy[j], y[j])
+    with np.errstate(divide="ignore"):
+        rel_x = err_x / np.maximum(h_x - err_x, 0.0)
+        rel_y = err_y / np.maximum(h_y - err_y, 0.0)
+    slope = ((sy[j] - sx[j]) * (np.abs(tm.b_wrho).max() + np.abs(h_s / h_x))
+             + np.linalg.norm(dz[j], axis=1)
+             * (np.linalg.norm(tm.cw, axis=1).max()
+                + np.linalg.norm(h_z, axis=1) / h_x))
+    if np.any(log_gap[j] > rel_x + rel_y + rel_x * slope):
+        raise FloatingPointError("log survival above its tangent plane "
+                                 "beyond the certified bound of its sums")
 
 
 def sample_path_batch(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,
@@ -474,18 +546,10 @@ def sample_path_batch(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,
     keeps evolving after its exit (exit is a stopping time of the free
     process, not an absorbing state); without recording it is frozen.
 
-    Conditioned paths recorded at ``record_times`` only are exact: each
-    recorded position is drawn from the previous one by one h-transform
-    transition over the gap (see :func:`_exact_step`), so ``dt`` only
-    places the recorded indices, and no path exits or aborts.
-
-    Whole conditioned paths (``record=True``) are Euler-Maruyama, since a
-    rejection loop per grid step costs more than the drift: they follow
-    the Doob drift with recursive near-boundary step halving.  When a
-    path's chamber margin drops below ``10*sqrt(dt_local)`` the step is
-    retried as two halves, down to ``dt/1024``.  A conditioned path still
-    that close to the wall at the floor resolution is aborted and flagged
-    (discretization-failure diagnostic).
+    Conditioned paths are exact: each recorded position is drawn from the
+    previous one by the h-transform transition over the gap (see
+    :func:`_conditioned_transitions`), so ``dt`` only places the recorded
+    indices, and no path exits or aborts (``aborted`` is all False).
 
     ``record=True`` records every grid index, ``record_times`` the indices
     nearest those times; ``PathBatch.z`` maps each recorded index to the
@@ -497,93 +561,34 @@ def sample_path_batch(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,
         raise OutsideChamberError("conditioned sampling needs an interior start")
     rng = np.random.Generator(np.random.Philox(seed))
     n_steps = int(round(t_max / dt))
-    dt_min = dt / 1024
     times = np.arange(n_steps + 1) * dt
     svals = x0.s + times * f.hv
 
     z = np.tile(x0.z, (n_paths, 1))
     exit_times = np.full(n_paths, np.inf)
-    aborted = np.zeros(n_paths, dtype=bool)
 
     rec_idx = (set(range(n_steps + 1)) if record
                else {int(round(t / dt)) for t in record_times})
     recorded = {0: z.copy()} if 0 in rec_idx else {}
 
-    if conditioned and not record:
-        # exact marginals: one h-transform transition per recorded gap
-        prev = 0
-        for k in sorted(i for i in rec_idx if 0 < i <= n_steps):
-            z = _exact_step(alg, rng, float(svals[prev]), z,
-                            float(times[k] - times[prev]))
-            recorded[k] = z
-            prev = k
-        return PathBatch(times=times, s=svals, z=recorded or None,
-                         exit_times=exit_times, aborted=aborted, dt=dt, seed=seed)
-
-    # terms are refreshed only when the batch outgrows the radius they were
-    # certified for (the certificate is monotone in |z|)
-    terms_cache = {"zn": -1.0, "terms": None}
-
-    def drift_for(s_now, zi):
-        znorm = float(np.abs(zi).max()) * math.sqrt(f.l)
-        if terms_cache["terms"] is None or znorm > terms_cache["zn"]:
-            terms_cache["terms"], _ = _terms_for(alg, x0.s, znorm + 2.0, 1e-12)
-            terms_cache["zn"] = znorm + 2.0
-        return _doob_drift(f, terms_cache["terms"], s_now, zi)
-
-    def advance(idx, s_now, t_now, dt_loc):
-        """One conditioned step of size dt_loc for the index set
-        (recursive halving)."""
-        if idx.size == 0:
-            return
-        zi = z[idx]
-        fresh = np.isinf(exit_times[idx])
-        margins = _wall_margins(f, s_now, zi).min(axis=1)
-        careful = fresh & (margins < 10.0 * math.sqrt(dt_loc))
-        if dt_loc > dt_min and np.any(careful):
-            near, far = idx[careful], idx[~careful]
-            advance(far, s_now, t_now, dt_loc)
-            advance(near, s_now, t_now, dt_loc / 2)
-            advance(near, s_now + f.hv * dt_loc / 2, t_now + dt_loc / 2,
-                    dt_loc / 2)
-            return
-        drift = drift_for(s_now, zi)
-        nanmask = np.isnan(drift).any(axis=1)
-        drift = np.nan_to_num(drift)
-        znew = zi + drift * dt_loc + rng.normal(0.0, math.sqrt(dt_loc), zi.shape)
-        z[idx] = znew
-        out = ((_wall_margins(f, s_now + f.hv * dt_loc, znew).min(axis=1) < 0)
-               | nanmask)
-        newly = out & np.isinf(exit_times[idx])
-        if not np.any(newly):
-            return
-        bad = idx[newly]
-        if dt_loc <= dt_min:
-            aborted[bad] = True
-            exit_times[bad] = t_now + dt_loc
-        else:
-            z[bad] = zi[newly]
-            advance(bad, s_now, t_now, dt_loc / 2)
-            advance(bad, s_now + f.hv * dt_loc / 2, t_now + dt_loc / 2,
-                    dt_loc / 2)
-
-    # without recording, an exited free path has nothing left to contribute
-    freeze_exited = (not conditioned) and not rec_idx
-    for k in range(n_steps):
-        live = ~aborted
-        if freeze_exited:
-            live &= np.isinf(exit_times)
-        idx = np.flatnonzero(live)
-        if conditioned:
-            advance(idx, float(svals[k]), float(times[k]), dt)
-        else:
+    if conditioned:
+        ks = sorted(i for i in rec_idx if 0 < i <= n_steps)
+        gaps = np.diff(times[[0] + ks])
+        recorded.update(zip(ks, _conditioned_transitions(
+            alg, rng, x0.s, z, gaps)))
+    else:
+        # without recording, an exited path has nothing left to contribute
+        for k in range(n_steps):
+            idx = (np.arange(n_paths) if rec_idx
+                   else np.flatnonzero(np.isinf(exit_times)))
             _bridge_step(f, rng, z, exit_times, idx, float(svals[k]),
                          float(times[k + 1]), dt)
-        if (k + 1) in rec_idx:
-            recorded[k + 1] = z.copy()
+            if (k + 1) in rec_idx:
+                recorded[k + 1] = z.copy()
 
     return PathBatch(times=times, s=svals, z=recorded or None,
-                     exit_times=exit_times, aborted=aborted, dt=dt, seed=seed)
+                     exit_times=exit_times,
+                     aborted=np.zeros(n_paths, dtype=bool), dt=dt, seed=seed)
 
 
 def sample_paths(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,

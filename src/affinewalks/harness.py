@@ -535,13 +535,11 @@ def _cmd_experiment(args) -> int:
         report = scaling_chain_experiment(cfg)
     else:
         report = calibrate_chain_harness(cfg, n_runs=args.runs)
-    text = report.to_json()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        if args.csv:
-            report.write_csv(args.csv)
-    print(text)
+        report.write(args.out)
+    if args.csv:
+        report.write_csv(args.csv)
+    print(report.to_json())
     return 0 if report.passed else 1
 
 

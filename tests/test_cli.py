@@ -131,6 +131,17 @@ def test_experiment_walk_and_report(tmp_path, capsys):
     assert report["per_time"]
 
 
+def test_experiment_csv_without_out(tmp_path, capsys):
+    table = tmp_path / "per_time.csv"
+    code = run_cli(["experiment", "walk", "--seed", "9", "--n", "30",
+                    "--samples", "1500", "--csv", str(table)])
+    assert code in (0, 1)
+    report = json.loads(capsys.readouterr().out)
+    rows = table.read_text().splitlines()
+    assert len(rows) == 1 + len(report["per_time"])
+    assert rows[0].split(",") == sorted(report["per_time"][0])
+
+
 def test_experiment_config_file_matches_flags(tmp_path):
     from affinewalks.harness import ExperimentConfig
     cfg_path = tmp_path / "cfg.json"

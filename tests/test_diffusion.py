@@ -261,6 +261,23 @@ def test_conditioned_against_rejection(a1, rho1):
     assert abs(zc.mean() - m) < 3 * se
 
 
+def _conditioned_cdf(a1, x0, t):
+    """Quadrature CDF of ``q_t(x, y) h(y) / h(x)`` on the level slice, in
+    the first orthonormal coordinate."""
+    f = df._frame(a1)
+    h_x, _ = df.survival(a1, x0)
+    s_t = x0.s + t * f.hv
+    grid = np.linspace(0.0, s_t / 2 * float(f.LT[0, 0]), 4001)
+    dens = np.zeros(grid.size)     # the killed density vanishes on the walls
+    for i in range(1, grid.size - 1):
+        y = df.SpaceTimePoint(s_t, grid[i:i + 1])
+        dens[i] = (df.reflected_density(a1, x0, y, t)
+                   * df.survival(a1, y)[0] / h_x)
+    cdf = np.concatenate(([0.0], np.cumsum(
+        0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))))
+    return grid, cdf
+
+
 def test_conditioned_marginals_exact(a1):
     # criterion 11's configuration: the sampled marginals against the
     # quadrature CDF of q_t(x, y) h(y) / h(x) on the level slice
@@ -270,22 +287,83 @@ def test_conditioned_marginals_exact(a1):
                                  conditioned=True, record_times=(0.5, 1.0))
     assert not batch.aborted.any() and np.isinf(batch.exit_times).all()
     f = df._frame(a1)
-    h_x, _ = df.survival(a1, x0)
     for t in (0.5, 1.0):
         s_t = x0.s + t * f.hv
         z = batch.z[int(round(t / dt))]
         assert (df._wall_margins(f, s_t, z) > 0).all()
-        grid = np.linspace(0.0, s_t / 2 * float(f.LT[0, 0]), 4001)
-        dens = np.zeros(grid.size)     # the killed density vanishes on the walls
-        for i in range(1, grid.size - 1):
-            y = df.SpaceTimePoint(s_t, grid[i:i + 1])
-            dens[i] = (df.reflected_density(a1, x0, y, t)
-                       * df.survival(a1, y)[0] / h_x)
-        cdf = np.concatenate(([0.0], np.cumsum(
-            0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))))
+        grid, cdf = _conditioned_cdf(a1, x0, t)
         assert abs(cdf[-1] - 1.0) < 1e-4
         ks = hs.ks_statistic(z[:, 0], lambda v: np.interp(v, grid, cdf))
         assert ks < 1.95 / math.sqrt(n)
+
+
+def test_whole_conditioned_paths_exact(a1):
+    # every grid step is an exact transition: at coarse dt nothing aborts
+    # (Euler-Maruyama with step halving aborted 0.06-0.1% here) and the
+    # t = 0.5 marginal matches the quadrature CDF
+    x0 = df.weight_to_point(a1, al.weight_from_pairings(a1, (1, 1)))
+    n, dt = 5000, 0.1
+    batch = df.sample_path_batch(a1, x0, 1.0, dt, n, seed=1113,
+                                 conditioned=True, record=True)
+    assert not batch.aborted.any() and np.isinf(batch.exit_times).all()
+    f = df._frame(a1)
+    for k in range(11):
+        assert (df._wall_margins(f, batch.s[k], batch.z[k]) > 0).all()
+    grid, cdf = _conditioned_cdf(a1, x0, 0.5)
+    ks = hs.ks_statistic(batch.z[5][:, 0], lambda v: np.interp(v, grid, cdf))
+    assert ks < 1.95 / math.sqrt(n)
+
+
+def test_whole_conditioned_paths_a2_stay_inside(a2):
+    x0 = df.weight_to_point(a2, al.weyl_vector(a2))
+    batch = df.sample_path_batch(a2, x0, 0.5, 1e-2, 200, seed=6,
+                                 conditioned=True, record=True)
+    f = df._frame(a2)
+    assert batch.z.keys() == set(range(51))
+    for k, z in batch.z.items():
+        assert (df._wall_margins(f, batch.s[k], z) > 0).all()
+    assert not batch.aborted.any()
+
+
+def test_conditioned_acceptance_above_bound_raises(a1, rho1, monkeypatch):
+    # a d/ds sum lowered by 50 h puts log h above its tangent plane
+    sums = df._h_sums
+
+    def skewed(terms, tail, s, z):
+        h, h_s, h_z, err = sums(terms, tail, s, z)
+        return h, h_s - 50.0 * h, h_z, err
+
+    monkeypatch.setattr(df, "_h_sums", skewed)
+    with pytest.raises(FloatingPointError):
+        df.sample_path_batch(a1, df.weight_to_point(a1, rho1), 0.1, 1e-2, 20,
+                             seed=4, conditioned=True, record=True)
+
+
+def test_killed_over_free_and_bridge_bound(a1):
+    # the sampler's q/p sum equals reflected over free density, and the
+    # union bound over the walls lies below it
+    f = df._frame(a1)
+    rng = np.random.default_rng(13)
+    tm, tail = df._terms_for(a1, 2.0, 3.0, 1e-14)
+    for tau in (0.01, 0.1, 0.5):
+        x = np.column_stack([rng.uniform(0.05, 1.35, 40)])
+        dz = tau * f.rho_o + rng.normal(0.0, math.sqrt(tau), x.shape)
+        y = x + dz
+        s_y = 2.0 + f.hv * tau
+        keep = df._wall_margins(f, s_y, y).min(axis=1) > 0
+        x, dz, y = x[keep], dz[keep], y[keep]
+        qp = df._killed_over_free(f, tm, tail, np.full(len(x), 2.0), x, dz,
+                                  np.full(len(x), tau))
+        ref = [df.reflected_density(a1, df.SpaceTimePoint(2.0, xi),
+                                    df.SpaceTimePoint(s_y, yi), tau)
+               / df.heat_density(a1, df.SpaceTimePoint(2.0, xi),
+                                 df.SpaceTimePoint(s_y, yi), tau, drifted=True)
+               for xi, yi in zip(x, y)]
+        assert np.allclose(qp, ref, rtol=1e-9, atol=1e-12)
+        cross = np.exp(-2.0 * df._wall_margins(f, 2.0, x)
+                       * df._wall_margins(f, s_y, y) / (f.wall_var * tau))
+        assert (1.0 - cross.sum(axis=1) <= qp + 1e-12).all()
+        assert (qp <= 1.0 + 1e-12).all()
 
 
 def test_exact_conditioned_chunks_and_round_cap(a1, rho1, monkeypatch):
@@ -296,15 +374,18 @@ def test_exact_conditioned_chunks_and_round_cap(a1, rho1, monkeypatch):
                                  conditioned=True, record_times=(0.25, 0.5))
     for k in (25, 50):
         assert (df._wall_margins(f, batch.s[k], batch.z[k]) > 0).all()
-    # h(rho) is about 0.3, so some path is rejected in its only round
+    # a path rejected once, or needing a second substep, makes a second
+    # proposal in its gap
     monkeypatch.setattr(df, "_MAX_ROUNDS", 1)
     with pytest.raises(wy.ConvergenceError):
         df.sample_path_batch(a1, x0, 0.5, 1e-2, 200, seed=4,
                              conditioned=True, record_times=(0.5,))
+    with pytest.raises(wy.ConvergenceError):
+        df.sample_path_batch(a1, x0, 0.5, 1e-2, 200, seed=4,
+                             conditioned=True, record=True)
 
 
 def test_conditioned_never_exits(a1, rho1):
-    # whole conditioned paths still come from the Euler-Maruyama sampler
     batch = df.sample_path_batch(a1, df.weight_to_point(a1, rho1), 0.5, 1e-3,
                                  1000, seed=9, conditioned=True, record=True)
     assert batch.aborted.mean() < 0.01
