@@ -14,10 +14,9 @@ from .characters import (EvalResult, Specialization, delta_pairing,
 from .chain import (DiscreteDistribution, KernelRow, FastBarredKernel,
                     mu_omega, pbar_power, q_omega_row,
                     reflection_discrete_residual, simulate_chain)
-from .diffusion import (SpaceTimePath, SpaceTimePoint, chamber_test,
-                        harmonic_residual, heat_density, reflected_density,
-                        sample_path_batch, sample_paths, survival,
-                        survival_gradient, wonpt_residual)
+from .diffusion import (SpaceTimePoint, chamber_test, harmonic_residual,
+                        heat_density, reflected_density, sample_path_batch,
+                        survival, survival_gradient, wonpt_residual)
 from .harness import (ComparisonReport, ExperimentConfig, ks_statistic,
                       run_cli, scaling_chain_experiment,
                       scaling_walk_experiment)

@@ -27,6 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .algebra import (AffineAlgebra, Weight, classify_weight, inner_product,
                       weyl_vector)
 from .characters import (EvalResult, Specialization, _alternant_exponents,
                          _int_scaled, delta_pairing, eval_character)
-from .highestweight import (branching_mult, character_series_oracle,
+from .highestweight import (_branching_stack, character_series_oracle,
                             tensor_power_table)
 
 __all__ = [
@@ -87,22 +88,19 @@ def _require_positive_level(omega: Weight) -> None:
 # least-recently-used character values; the full test suite holds at most
 # 66 at once (the exact-rows benchmark pass 21), so nothing there evicts
 _CH_CACHE_MAX = 512
-_CH_CACHE: dict[tuple, EvalResult] = {}
+
+
+@lru_cache(maxsize=_CH_CACHE_MAX)
+def _ch_barred(alg: AffineAlgebra, canon: Weight, s: Specialization,
+               eps: float) -> EvalResult:
+    return eval_character(alg, canon, s, eps=eps)
 
 
 def _log_ch(alg: AffineAlgebra, w: Weight, s: Specialization,
             eps: float = 1e-12) -> float:
     """log character value; cached on the barred representative."""
-    canon = w.bar()
-    key = (alg.cartan.entries, canon, s.point, eps)
-    res = _CH_CACHE.pop(key, None)
-    if res is None:
-        res = eval_character(alg, canon, s, eps=eps)
-        if len(_CH_CACHE) >= _CH_CACHE_MAX:
-            del _CH_CACHE[next(iter(_CH_CACHE))]
-    _CH_CACHE[key] = res
     shift = float(w.b) * float(delta_pairing(alg, s))
-    return res.log_value + shift
+    return _ch_barred(alg, w.bar(), s, eps).log_value + shift
 
 
 def mu_omega(alg: AffineAlgebra, omega: Weight, s: Specialization,
@@ -176,10 +174,11 @@ def _geometric_tail(layer_mass: dict[int, float], resolution: int) -> float:
 
 
 def _row_candidates(alg: AffineAlgebra, lam: Weight, omega: Weight, depths):
-    """Dominant candidates ``(d, m, beta)`` for components
-    ``beta = lam + omega - d*delta - m`` of V(lam) (x) V(omega), per depth in
-    increasing ``m``: the states of the level inside the Minkowski sum of the
-    two orbit-hull balls, a proven superset of the tensor-product weights,
+    """Dominant candidates for components ``beta = lam + omega - d*delta - m``
+    of V(lam) (x) V(omega): per depth ``d``, the integer offsets ``m``
+    stacked in increasing order, ``(d, ms)``.  They are the states of the
+    level inside the Minkowski sum of the two orbit-hull balls, a proven
+    superset of the tensor-product weights,
     ``|beta_z| <= sqrt(|lam_z|^2 + 2 k_lam d) + sqrt(|omega_z|^2 + 2 k_omega d)``.
     """
     top = lam + omega
@@ -195,8 +194,7 @@ def _row_candidates(alg: AffineAlgebra, lam: Weight, omega: Weight, depths):
         a = int((alg.finite_norm2(lam.z) + 2 * lam.k * d) * scale)
         b = int((alg.finite_norm2(omega.z) + 2 * omega.k * d) * scale)
         gap = beta2 - a - b             # |beta_z| <= sqrt(a) + sqrt(b), squared twice
-        for m in ms[(gap <= 0) | (gap * gap <= 4 * a * b)].tolist():
-            yield d, tuple(m), top - Weight.make(0, m, d)
+        yield d, ms[(gap <= 0) | (gap * gap <= 4 * a * b)]
 
 
 def q_omega_row(alg: AffineAlgebra, lam: Weight, omega: Weight,
@@ -214,8 +212,10 @@ def q_omega_row(alg: AffineAlgebra, lam: Weight, omega: Weight,
     envelope is an estimate, not a certificate, so neither is the defect.
     """
     _require_positive_level(omega)
-    if not classify_weight(alg, lam).dominant:
-        raise ValueError("row source must be dominant integral")
+    for w_, nm in ((lam, "row source"), (omega, "omega")):
+        if not classify_weight(alg, w_).dominant:
+            raise ValueError(f"{nm} must be dominant integral")
+    top = lam + omega
     log_norm = _log_ch(alg, lam, s) + _log_ch(alg, omega, s)
     entries: list[tuple[Weight, float]] = []
     layer_mass: dict[int, float] = {}
@@ -224,14 +224,16 @@ def q_omega_row(alg: AffineAlgebra, lam: Weight, omega: Weight,
     hard_cap = max(depth, 40) + 1200
 
     def compute_layers(depths):
-        for d, m, beta in _row_candidates(alg, lam, omega, depths):
-            mlt = branching_mult(alg, lam, omega, 1, beta)
-            if mlt == 0:
-                continue
-            pr = math.exp(math.log(mlt) + _log_ch(alg, beta, s) - log_norm)
-            layer_mass[d] = layer_mass.get(d, 0.0) + pr
-            if d <= depth or extend_entries:
-                entries.append((beta, pr))
+        for d, ms in _row_candidates(alg, lam, omega, depths):
+            mults = _branching_stack(alg, lam, omega, 1, d, ms)
+            for m, mlt in zip(ms.tolist(), mults):
+                if mlt == 0:
+                    continue
+                beta = top - Weight.make(0, m, d)
+                pr = math.exp(math.log(mlt) + _log_ch(alg, beta, s) - log_norm)
+                layer_mass[d] = layer_mass.get(d, 0.0) + pr
+                if d <= depth or extend_entries:
+                    entries.append((beta, pr))
 
     compute_layers(range(resolution + 1))
     while True:

@@ -39,7 +39,6 @@ from .weyl import (AffineWeylElement, ConvergenceError, apply, certified_terms,
 
 __all__ = [
     "SpaceTimePoint",
-    "SpaceTimePath",
     "PathBatch",
     "chamber_test",
     "weight_to_point",
@@ -49,7 +48,6 @@ __all__ = [
     "reflected_density",
     "wonpt_residual",
     "harmonic_residual",
-    "sample_paths",
     "sample_path_batch",
     "OutsideChamberError",
 ]
@@ -66,14 +64,6 @@ class SpaceTimePoint:
 
     def copy(self) -> "SpaceTimePoint":
         return SpaceTimePoint(self.s, self.z.copy())
-
-
-@dataclass
-class SpaceTimePath:
-    points: list[SpaceTimePoint]
-    dt: float
-    seed: int
-    exited_at: float | None = None
 
 
 @dataclass
@@ -590,20 +580,3 @@ def sample_path_batch(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,
                      exit_times=exit_times,
                      aborted=np.zeros(n_paths, dtype=bool), dt=dt, seed=seed)
 
-
-def sample_paths(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,
-                 dt: float, n_paths: int, seed: int,
-                 conditioned: bool) -> list[SpaceTimePath]:
-    """Fully recorded trajectories (list form); heavy for large batches,
-    use :func:`sample_path_batch` for statistics over many paths."""
-    batch = sample_path_batch(alg, x0, t_max, dt, n_paths, seed, conditioned,
-                              record=True)
-    out = []
-    for j in range(n_paths):
-        pts = [SpaceTimePoint(float(batch.s[k]), batch.z[k][j])
-               for k in range(len(batch.times))]
-        exited = batch.exit_times[j]
-        out.append(SpaceTimePath(
-            points=pts, dt=dt, seed=seed,
-            exited_at=None if math.isinf(exited) else float(exited)))
-    return out

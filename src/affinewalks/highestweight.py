@@ -214,14 +214,16 @@ def _support_ball_candidates(alg: AffineAlgebra, lam: Weight, d: int):
     return out
 
 
-def _in_support_ball(alg: AffineAlgebra, lam: Weight, d: int, m) -> bool:
+def _in_support_ball(alg: AffineAlgebra, lam: Weight, d, m):
     """``m`` lies in the depth-d ball of :func:`_support_ball_candidates`,
-    tested in the integer Gram."""
+    tested in the integer Gram; elementwise over stacks, ``m`` with one
+    more axis than ``d``."""
     gn, gd = alg.finite_gram_int
     q = math.lcm(*(x.denominator for x in lam.z))
     z = np.array([int(x * q) for x in lam.z])
-    v = q * np.array(m) - z
-    return int(v @ gn @ v) <= int(z @ gn @ z) + 2 * lam.k * d * q * q * gd
+    v = q * np.asarray(m) - z
+    bound = int(z @ gn @ z) + int(2 * lam.k * q * q * gd) * np.asarray(d)
+    return ((v @ gn) * v).sum(axis=-1) <= bound
 
 
 # -- Freudenthal recursion --------------------------------------------------------
@@ -473,13 +475,17 @@ class _LayerEntries(Mapping):
     def __init__(self, layers: list[Layer]):
         self._layers = layers
 
+    def value(self, d: int, m) -> int:
+        """The multiplicity at ``(d, m)``, zero included, for a depth ``d``
+        within the layers."""
+        lo, arr = self._layers[d]
+        idx = tuple(x - a for x, a in zip(m, lo))
+        return arr[idx] if all(0 <= i < s for i, s in zip(idx, arr.shape)) else 0
+
     def __getitem__(self, key):
         d, m = key
-        if 0 <= d < len(self._layers):
-            lo, arr = self._layers[d]
-            idx = tuple(x - a for x, a in zip(m, lo))
-            if all(0 <= i < s for i, s in zip(idx, arr.shape)) and arr[idx]:
-                return arr[idx]
+        if 0 <= d < len(self._layers) and (v := self.value(d, m)):
+            return v
         raise KeyError(key)
 
     def __iter__(self):
@@ -529,7 +535,13 @@ class _TensorPowers:
 # full test suite holds at most 2 at once (deepest request 365), so nothing
 # there evicts
 _TENSOR_STORE_MAX = 16
-_TENSOR_STORE: dict[tuple, _TensorPowers] = {}
+
+
+@lru_cache(maxsize=_TENSOR_STORE_MAX)
+def _tensor_store(alg: AffineAlgebra, omega: Weight) -> _TensorPowers:
+    if not classify_weight(alg, omega).dominant:
+        raise ValueError("highest weight must be dominant integral")
+    return _TensorPowers(alg, omega)
 
 
 def tensor_power_table(alg: AffineAlgebra, omega: Weight, n: int,
@@ -548,17 +560,8 @@ def tensor_power_table(alg: AffineAlgebra, omega: Weight, n: int,
     if n == 0:
         return MultiplicityTable(alg.zero(), depth, {(0, (0,) * alg.rank): 1},
                                  kind="tensor-power(omega,0)")
-    key = (alg, omega)
-    store = _TENSOR_STORE.pop(key, None)
-    if store is None:
-        if not classify_weight(alg, omega).dominant:
-            raise ValueError("highest weight must be dominant integral")
-        store = _TensorPowers(alg, omega)
-        if len(_TENSOR_STORE) >= _TENSOR_STORE_MAX:
-            del _TENSOR_STORE[next(iter(_TENSOR_STORE))]
-    _TENSOR_STORE[key] = store
     return MultiplicityTable(omega.scale(n), depth,
-                             _LayerEntries(store.layers(n, depth)),
+                             _LayerEntries(_tensor_store(alg, omega).layers(n, depth)),
                              kind=f"tensor-power(omega,{n})")
 
 
@@ -572,79 +575,81 @@ def branching_mult(alg: AffineAlgebra, lam: Weight, omega: Weight, n: int,
 
     ``M(beta) = sum_w det(w) m_n(w(beta+rho) - (lam+rho))``,
 
-    where ``m_n`` is the tensor-power weight multiplicity, summed over the
-    integer orbit offsets of :func:`~affinewalks.weyl.orbit_offsets`.  The
-    enumeration radius and the required table depth are certified from the
-    exact orbit-hull support bound of the tensor power; if a Weyl image
-    falls inside the support bound but beyond the enumeration radius, the
-    call fails rather than returning a silently truncated value.
+    where ``m_n`` is the tensor-power weight multiplicity; the sum is
+    :func:`_branching_stack` on the one offset of ``beta``.
     """
     for w_, nm in ((lam, "lam"), (omega, "omega"), (beta, "beta")):
         if not classify_weight(alg, w_).dominant:
             raise ValueError(f"{nm} must be dominant integral")
-    rho = weyl_vector(alg)
-    top = lam + omega.scale(n)
-    off = top - beta
-    if off.k != 0:
-        return 0
-    if off.b.denominator != 1 or any(x.denominator != 1 for x in off.z):
-        return 0
-    d_off = int(off.b)
-    if d_off < 0:
+    off = lam + omega.scale(n) - beta
+    if (off.k != 0 or off.b < 0 or off.b.denominator != 1
+            or any(x.denominator != 1 for x in off.z)):
         return 0
     if n == 0:
-        return 1 if (d_off == 0 and not any(off.z)) else 0
+        return 1 if (off.b == 0 and not any(off.z)) else 0
+    return _branching_stack(alg, lam, omega, n, int(off.b),
+                            np.array([[int(x) for x in off.z]], dtype=np.int64))[0]
 
-    mu = beta + rho
-    k = float(mu.k)
+
+def _branching_stack(alg: AffineAlgebra, lam: Weight, omega: Weight, n: int,
+                     d: int, ms: np.ndarray) -> list[int]:
+    """Branching multiplicities ``M(beta_i)``, ``n >= 1``, of the stacked
+    components ``beta_i = lam + n*omega - d*delta - ms[i]``, all dominant
+    integral (unchecked), summed over the integer orbit offsets of
+    :func:`~affinewalks.weyl.orbit_offsets`.
+
+    Each row's enumeration radius and the required table depth are
+    certified from the exact orbit-hull support bound of the tensor power;
+    if a Weyl image inside the support bound falls beyond its row's
+    radius, the call fails rather than returning a silently truncated
+    value.  The rows share the terms of the largest radius.
+    """
+    rho = weyl_vector(alg)
+    mu0 = lam + omega.scale(n) + rho        # mu_i = beta_i + rho = mu0 - ms[i] - d delta
+    k = float(mu0.k)
     k_om = float(omega.k)
     # the norms on the integer Gram: int / int rounds once, as float(Fraction)
     gn, gd = alg.finite_gram_int
-    zs = (mu.z, (lam + rho).z, omega.z)
-    qz = math.lcm(*(x.denominator for z in zs for x in z))
-    zi = np.array([[int(x * qz) for x in z] for z in zs], dtype=np.int64)
-    z_beta, z_lam, c_om = (math.sqrt(int(v) / (qz * qz * gd))
-                           for v in np.einsum("ni,ij,nj->n", zi, gn, zi))
+    lam_z, om_z = (lam + rho).z, omega.z
+    q = math.lcm(*(x.denominator for z in (mu0.z, lam_z, om_z) for x in z))
+    zq = np.array([int(x * q) for x in mu0.z], dtype=np.int64) - q * ms
+    zi = np.vstack([zq, [[int(x * q) for x in z] for z in (lam_z, om_z)]])
+    norms = np.sqrt(np.einsum("ni,ij,nj->n", zi, gn, zi) / (q * q * gd))
+    z_beta, z_lam, c_om = norms[:-2], norms[-2], norms[-1]
     c1 = z_beta + z_lam
     aq = k * (k - n * k_om)
     if aq <= 0:
         raise BranchingCertificationError("level bookkeeping error: k <= n*k_omega")
     bq = 2 * k * c1 + 2 * n * k_om * z_beta
-    cq = n * n * c_om * c_om + 2 * n * k_om * d_off - c1 * c1
-    disc = bq * bq + 4 * aq * max(cq, 0.0)
-    rstar = (bq + math.sqrt(disc)) / (2 * aq)
+    cq = n * n * c_om * c_om + 2 * n * k_om * d - c1 * c1
+    rstar = (bq + np.sqrt(bq * bq + 4 * aq * np.maximum(cq, 0.0))) / (2 * aq)
     # longest basis vector
     shell = math.sqrt(max(float(row[i]) for i, row in enumerate(_lattice_gram(alg))))
     radius = rstar * 1.02 + shell
 
-    # the term w reads m_n at n*omega - (w(mu) - (lam+rho)), mu = beta + rho:
-    # the offset (top - beta) + (mu - w(mu)) from n*omega, integral because
-    # beta is; it is needed when it lies in the tensor power's support ball
-    # |m - n omega_z|^2 <= n^2 |omega_z|^2 + 2 n k_omega d
-    q = math.lcm(*(x.denominator for x in mu.z))
-    terms = weyl_terms(alg, math.ceil(radius + shell))
-    m, d = orbit_offsets(alg, terms, int(mu.k),
-                         np.array([[int(x * q) for x in mu.z]], dtype=np.int64), q)
-    m = m[0] + np.array([int(x) for x in off.z], dtype=np.int64)
-    d = d[0] + d_off
-    qo = math.lcm(*(x.denominator for x in omega.z))
-    mg = m @ gn
-    need = (d >= 0) & (qo * (mg * m).sum(axis=1)
-                       - 2 * n * (mg @ np.array([int(x * qo) for x in omega.z]))
-                       <= 2 * n * int(omega.k) * qo * gd * d)
+    # the term w reads m_n at n*omega - (w(mu) - (lam+rho)): the offset
+    # (top - beta) + (mu - w(mu)) from n*omega, integral because beta is; it
+    # is needed when it lies in the tensor power's support ball
+    terms = weyl_terms(alg, math.ceil(radius.max() + shell))
+    m, dt = orbit_offsets(alg, terms, int(mu0.k), zq, q)
+    m += ms[:, None, :]
+    dt += d
+    need = (dt >= 0) & _in_support_ball(alg, omega.scale(n), dt, m)
     # boundary-shell certificate: the terms beyond the radius contribute nothing
-    if (need & (terms.norm2 > radius * radius)).any():
+    if (need & (terms.norm2 > (radius * radius)[:, None])).any():
         raise BranchingCertificationError(
             "enumeration radius certificate failed on the boundary shell")
 
-    table = tensor_power_table(alg, omega, n, int(d[need].max(initial=0)))
-    total = sum(sign * table.entries.get((dd, tuple(mm)), 0)
-                for sign, dd, mm in zip(terms.sign[need].tolist(),
-                                        d[need].tolist(), m[need].tolist()))
-    if total < 0:
-        raise ArithmeticError(
-            f"negative branching multiplicity {total}: enumeration incomplete")
-    return total
+    entries = tensor_power_table(alg, omega, n, int(dt[need].max(initial=0))).entries
+    rows, cols = np.nonzero(need)
+    totals = [0] * len(ms)
+    for i, sign, dd, mm in zip(rows.tolist(), terms.sign[cols].tolist(),
+                               dt[need].tolist(), m[need].tolist()):
+        totals[i] += sign * entries.value(dd, mm)
+    if min(totals) < 0:
+        raise ArithmeticError(f"negative branching multiplicity {min(totals)}: "
+                              "enumeration incomplete")
+    return totals
 
 
 # -- independent decomposition of a character product ------------------------------

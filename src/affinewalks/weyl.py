@@ -287,7 +287,6 @@ _MAX_RADIUS = 500.0
 # full test suite, branching included, holds at most 43 at once (radius at
 # most 234), so nothing there evicts
 _TERMS_MAX = 64
-_TERMS: dict[tuple, "WeylTerms"] = {}
 
 
 @dataclass(frozen=True)
@@ -307,27 +306,21 @@ class WeylTerms:
     norm2: np.ndarray
 
 
+@lru_cache(maxsize=_TERMS_MAX)
 def weyl_terms(alg: AffineAlgebra, radius: int) -> WeylTerms:
     """Stacked terms with translation norm at most the integer ``radius``;
     a smaller radius gives a prefix of a larger one."""
-    key = (alg, radius)
-    hit = _TERMS.pop(key, None)
-    if hit is None:
-        group = finite_group(alg)
-        l, n_w = alg.rank, len(group)
-        zs = [tuple(int(x) for x in _trans_to_z(alg, c))
-              for c in translation_vectors(alg, radius)]
-        hit = WeylTerms(
-            sign=np.tile([w.sign for w in group], len(zs)),
-            matrix=np.tile(np.array([w.matrix for w in group], dtype=np.int64),
-                           (len(zs), 1, 1)),
-            trans=np.repeat(np.array(zs, dtype=np.int64).reshape(-1, l), n_w,
-                            axis=0),
-            norm2=np.repeat([float(alg.finite_norm2(z)) for z in zs], n_w))
-        if len(_TERMS) >= _TERMS_MAX:
-            del _TERMS[next(iter(_TERMS))]
-    _TERMS[key] = hit
-    return hit
+    group = finite_group(alg)
+    l, n_w = alg.rank, len(group)
+    zs = [tuple(int(x) for x in _trans_to_z(alg, c))
+          for c in translation_vectors(alg, radius)]
+    return WeylTerms(
+        sign=np.tile([w.sign for w in group], len(zs)),
+        matrix=np.tile(np.array([w.matrix for w in group], dtype=np.int64),
+                       (len(zs), 1, 1)),
+        trans=np.repeat(np.array(zs, dtype=np.int64).reshape(-1, l), n_w,
+                        axis=0),
+        norm2=np.repeat([float(alg.finite_norm2(z)) for z in zs], n_w))
 
 
 def orbit_offsets(alg: AffineAlgebra, terms: WeylTerms, k: int, zq: np.ndarray,

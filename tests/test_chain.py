@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
@@ -9,6 +11,7 @@ import pytest
 from affinewalks import (algebra as al, chain as cn, characters as ch,
                          highestweight as hw, weyl as wy)
 from affinewalks.algebra import Weight
+from affinewalks.thresholds import GOLDEN
 
 
 def omega(a1):
@@ -114,9 +117,8 @@ def _fraction_ball_candidates(alg, lam, om, depth):
                + math.sqrt(alg.finite_norm2(om.z) + 2 * om.k * d))
         r2 = Fraction(rad * rad * (1 + 1e-9)).limit_denominator(10**12)
         for m in _fraction_ball(alg, top.z, r2):
-            beta = top - Weight.make(0, m, d)
-            if al.classify_weight(alg, beta).dominant:
-                out.append((d, m, beta))
+            if al.classify_weight(alg, top - Weight.make(0, m, d)).dominant:
+                out.append((d, m))
     return out
 
 
@@ -126,9 +128,91 @@ def test_row_candidates_match_fraction_ball(a1, a2):
              (a2, al.weight_from_pairings(a2, [1, 1, 0]), a2.Lambda0().scale(3), 6),
              (a2, al.weight_from_pairings(a2, [0, 2, 1]), a2.Lambda0(), 6)]
     for alg, lam, om, depth in cases:
-        got = list(cn._row_candidates(alg, lam, om, range(depth + 1)))
+        got = [(d, tuple(m)) for d, ms in cn._row_candidates(
+            alg, lam, om, range(depth + 1)) for m in ms.tolist()]
         assert got == _fraction_ball_candidates(alg, lam, om, depth)
         assert got
+
+
+def _criterion4_rows(a1, a2):
+    # criterion 4's sources at rho/1 and rho/5, depth 20, and one A2~ row
+    rows = [(a1, lam, omega(a1), ch.rho_specialization(a1, n), 20,
+             GOLDEN.row_mass_tol / 10)
+            for n in (1, 5)
+            for lam in (a1.Lambda0(), Weight.make(2, (Fraction(1, 2),), 0))]
+    rows.append((a2, al.weight_from_pairings(a2, [1, 1, 0]),
+                 a2.Lambda0().scale(3), ch.rho_specialization(a2, 1), 4, 1e-7))
+    return rows
+
+
+def test_branching_stack_matches_single_calls(a1, a2, monkeypatch):
+    # every stack the rows branch on, against one branching_mult per
+    # component; the stack shares the terms of its largest radius
+    stacks = []
+    core = hw._branching_stack
+    monkeypatch.setattr(cn, "_branching_stack",
+                        lambda *args: stacks.append(args) or core(*args))
+    for alg, lam, om, s, depth, target in _criterion4_rows(a1, a2):
+        cn.q_omega_row(alg, lam, om, s, depth, defect_target=target)
+    radii = []
+    terms = wy.weyl_terms
+    monkeypatch.setattr(hw, "weyl_terms",
+                        lambda alg, r: radii.append(r) or terms(alg, r))
+    wider = 0
+    for alg, lam, om, n, d, ms in stacks:
+        radii.clear()
+        got = core(alg, lam, om, n, d, ms)
+        (shared,) = radii
+        radii.clear()
+        top = lam + om
+        assert got == [hw.branching_mult(alg, lam, om, 1,
+                                         top - Weight.make(0, m, d))
+                       for m in ms.tolist()]
+        assert max(radii) == shared
+        wider += min(radii) < shared
+    assert {alg for alg, *_ in stacks} == {a1, a2}
+    assert wider
+
+
+def test_row_checks_once_per_row(a1, monkeypatch):
+    # the entry checks and the branching calls of one row do not grow with
+    # its candidate count
+    s = ch.rho_specialization(a1, 5)
+    rows = [(a1.Lambda0(), 5), (Weight.make(2, (Fraction(1, 2),), 0), 150)]
+    for lam, depth in rows:          # character values cached beforehand
+        cn.q_omega_row(a1, lam, omega(a1), s, depth)
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args, **kw):
+            calls[fn.__name__] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    for fn in (al.classify_weight, hw.branching_mult):
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("affinewalks") and vars(mod).get(fn.__name__) is fn:
+                monkeypatch.setattr(mod, fn.__name__, counted(fn))
+    sizes = Counter()
+    core = hw._branching_stack
+    monkeypatch.setattr(cn, "_branching_stack",
+                        lambda *args: sizes.update({"candidates": len(args[-1])})
+                        or core(*args))
+    seen = []
+    for lam, depth in rows:
+        calls.clear()
+        sizes.clear()
+        cn.q_omega_row(a1, lam, omega(a1), s, depth)
+        seen.append((dict(calls), sizes["candidates"]))
+    (c1, n1), (c2, n2) = seen
+    assert c1 == c2 == {"classify_weight": 2}
+    assert n2 > n1 + 100
+
+
+def test_row_refuses_non_dominant_omega(a1):
+    s = ch.rho_specialization(a1, 5)
+    with pytest.raises(ValueError, match="omega must be dominant integral"):
+        cn.q_omega_row(a1, a1.Lambda0(), Weight.make(1, (1,), 0), s, 4)
 
 
 def test_support_ball_matches_fraction_ball():
@@ -379,15 +463,13 @@ def test_fast_kernel_sample_matches_scalar_reference(a1):
     assert np.array_equal(got[0][:, 0], np.full(n_paths, 10.0))
 
 
-def test_ch_cache_bounded(a1, monkeypatch):
-    monkeypatch.setattr(cn, "_CH_CACHE", {})
-    monkeypatch.setattr(cn, "_CH_CACHE_MAX", 2)
+def test_ch_cache_bounded(a1):
     s = ch.rho_specialization(a1, 2)
-    states = cn.dominant_states(a1, 3)
+    states = cn.dominant_states(a1, cn._CH_CACHE_MAX + 2)
     first = [cn._log_ch(a1, w, s) for w in states]
-    assert len(cn._CH_CACHE) == 2
+    assert cn._ch_barred.cache_info().currsize == cn._CH_CACHE_MAX
     assert [cn._log_ch(a1, w, s) for w in states] == first
-    assert len(cn._CH_CACHE) == 2
+    assert cn._ch_barred.cache_info().currsize == cn._CH_CACHE_MAX
 
 
 def test_dominant_states_pairings(a1, a2):

@@ -1,3 +1,4 @@
+import csv
 import math
 from fractions import Fraction
 
@@ -229,14 +230,14 @@ def test_exit_fraction_counts_last_step(a1):
     assert batch.exit_fraction(0.3) == np.isfinite(batch.exit_times).mean()
 
 
-def test_term_arrays_cache_bounded(a1, monkeypatch):
-    monkeypatch.setattr(wy, "_TERMS", {})
-    monkeypatch.setattr(wy, "_TERMS_MAX", 2)
-    sizes = set()
-    for z_norm in (1.0, 5.0, 10.0, 20.0, 1.0):
-        sizes.add(len(df._terms_for(a1, 2.0, z_norm, 1e-12)[0].sign))
-        assert len(wy._TERMS) <= 2
-    assert len(sizes) == 4
+def test_term_arrays_cache_bounded(a1):
+    radii = range(wy._TERMS_MAX + 3)
+    first = [vars(wy.weyl_terms(a1, r)).copy() for r in radii]
+    assert wy.weyl_terms.cache_info().currsize == wy._TERMS_MAX
+    for r, arrays in zip(radii, first):
+        again = vars(wy.weyl_terms(a1, r))
+        assert all(np.array_equal(arrays[f], again[f]) for f in arrays)
+    assert wy.weyl_terms.cache_info().currsize == wy._TERMS_MAX
 
 
 def test_conditioned_against_rejection(a1, rho1):
@@ -391,12 +392,15 @@ def test_conditioned_never_exits(a1, rho1):
     assert batch.aborted.mean() < 0.01
 
 
-def test_sample_paths_list_form(a1, rho1):
-    paths = df.sample_paths(a1, df.weight_to_point(a1, rho1), 0.1, 1e-2, 3,
-                            seed=5, conditioned=False)
-    assert len(paths) == 3
-    assert len(paths[0].points) == 11
-    # level coordinate advances deterministically
-    for path in paths:
-        for k, pt in enumerate(path.points):
-            assert abs(pt.s - (2.0 + 2.0 * k * 1e-2)) < 1e-12
+def test_sample_csv_paths_and_levels(tmp_path):
+    out = tmp_path / "paths.csv"
+    assert hs.run_cli(["diffusion", "sample", "--horizon", "0.1", "--dt", "1e-2",
+                       "--paths", "3", "--seed", "5", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    # one row per path and grid time, from rho (level 2 on A1~)
+    assert [int(r["path"]) for r in rows] == [j for j in range(3) for _ in range(11)]
+    # level coordinate advances deterministically, by h_vee * dt
+    for k, row in enumerate(rows):
+        assert abs(float(row["t"]) - (k % 11) * 1e-2) < 1e-12
+        assert abs(float(row["s"]) - (2.0 + 2.0 * (k % 11) * 1e-2)) < 1e-12

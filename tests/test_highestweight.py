@@ -87,15 +87,13 @@ def test_positive_roots_cache_bounded(a1):
     assert hw.positive_roots.cache_info().currsize == hw._POSITIVE_ROOTS_MAX
 
 
-def test_tensor_cache_bounded(a1, monkeypatch):
+def test_tensor_cache_bounded(a1):
     # one layer store per (algebra, omega), least recently used evicted
-    monkeypatch.setattr(hw, "_TENSOR_STORE", {})
-    monkeypatch.setattr(hw, "_TENSOR_STORE_MAX", 2)
-    oms = [Weight.make(k, (0,), 0) for k in (1, 2, 3)]
+    oms = [Weight.make(k, (0,), 0) for k in range(1, hw._TENSOR_STORE_MAX + 3)]
     first = [dict(hw.tensor_power_table(a1, om, 2, 4).entries) for om in oms]
-    assert len(hw._TENSOR_STORE) == 2
+    assert hw._tensor_store.cache_info().currsize == hw._TENSOR_STORE_MAX
     assert [dict(hw.tensor_power_table(a1, om, 2, 4).entries) for om in oms] == first
-    assert len(hw._TENSOR_STORE) == 2
+    assert hw._tensor_store.cache_info().currsize == hw._TENSOR_STORE_MAX
 
 
 def _dict_power(alg, om, n, depth):
@@ -116,13 +114,13 @@ def _dict_power(alg, om, n, depth):
 
 @pytest.mark.parametrize("name,level,n", [("A1~", 2, 1), ("A1~", 2, 2), ("A1~", 2, 3),
                                           ("A2~", 1, 1), ("A2~", 1, 2)])
-def test_tensor_grown_in_steps_matches_dict_convolution(name, level, n, monkeypatch):
-    monkeypatch.setattr(hw, "_TENSOR_STORE", {})
+def test_tensor_grown_in_steps_matches_dict_convolution(name, level, n):
+    hw._tensor_store.cache_clear()
     alg = al.algebra_from_name(name)
     om = alg.Lambda0().scale(level)
     views = [hw.tensor_power_table(alg, om, n, depth) for depth in (3, 7, 20, 21)]
     # no layer is built past the deepest request
-    assert [len(p) for p in hw._TENSOR_STORE[(alg, om)].powers] == [22] * n
+    assert [len(p) for p in hw._tensor_store(alg, om).powers] == [22] * n
     ref = _dict_power(alg, om, n, 21)
     for view in views:
         assert dict(view.entries) == {k: v for k, v in ref.items()
