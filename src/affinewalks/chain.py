@@ -23,7 +23,6 @@ come from :func:`affinewalks.characters.eval_character`.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +34,7 @@ from .algebra import (AffineAlgebra, Weight, classify_weight, inner_product,
                       weyl_vector)
 from .characters import (EvalResult, Specialization, _alternant_exponents,
                          _int_scaled, delta_pairing, eval_character)
-from .highestweight import (_branching_stack, character_series_oracle,
+from .highestweight import (_brancher, character_series_oracle,
                             tensor_power_table)
 
 __all__ = [
@@ -128,12 +127,10 @@ def _dominant_coords(alg: AffineAlgebra, level: int) -> tuple[np.ndarray, int]:
     coordinates of the dominant integral barred weights of a level."""
     cinv = alg._finite_cartan_inverse
     den = math.lcm(*(x.denominator for row in cinv for x in row))
-    l = alg.rank
-    ranges = [range(0, level // alg.comarks[i] + 1) for i in range(1, l + 1)]
+    comarks = np.array(alg.comarks[1:], dtype=np.int64)
+    pairings = np.indices(level // comarks + 1).reshape(alg.rank, -1).T
     # node 0 has comark 1, so q_0 = level - sum_i comark_i q_i need only be >= 0
-    pairings = [q for q in itertools.product(*ranges)
-                if sum(alg.comarks[i + 1] * q[i] for i in range(l)) <= level]
-    zq = (np.array(pairings, dtype=np.int64).reshape(-1, l)
+    zq = (pairings[pairings @ comarks <= level]
           @ np.array([[int(x * den) for x in row] for row in cinv]).T)
     return zq[np.lexsort(zq.T[::-1])], den
 
@@ -173,12 +170,12 @@ def _geometric_tail(layer_mass: dict[int, float], resolution: int) -> float:
     return 2.0 * lead / (1.0 - q)
 
 
-def _row_candidates(alg: AffineAlgebra, lam: Weight, omega: Weight, depths):
-    """Dominant candidates for components ``beta = lam + omega - d*delta - m``
-    of V(lam) (x) V(omega): per depth ``d``, the integer offsets ``m``
-    stacked in increasing order, ``(d, ms)``.  They are the states of the
-    level inside the Minkowski sum of the two orbit-hull balls, a proven
-    superset of the tensor-product weights,
+def _row_candidates(alg: AffineAlgebra, lam: Weight, omega: Weight):
+    """``candidates(d)``: the dominant candidates for components
+    ``beta = lam + omega - d*delta - m`` of V(lam) (x) V(omega) at depth
+    ``d``, as the integer offsets ``m`` stacked in increasing order.  They
+    are the states of the level inside the Minkowski sum of the two
+    orbit-hull balls, a proven superset of the tensor-product weights,
     ``|beta_z| <= sqrt(|lam_z|^2 + 2 k_lam d) + sqrt(|omega_z|^2 + 2 k_omega d)``.
     """
     top = lam + omega
@@ -190,11 +187,15 @@ def _row_candidates(alg: AffineAlgebra, lam: Weight, omega: Weight, depths):
     gn, gd = alg.finite_gram_int
     scale = den * den * gd              # makes the squared norms integers
     beta2 = np.einsum("ni,ij,nj->n", zq, gn, zq)
-    for d in depths:
-        a = int((alg.finite_norm2(lam.z) + 2 * lam.k * d) * scale)
-        b = int((alg.finite_norm2(omega.z) + 2 * omega.k * d) * scale)
+    lam2, om2 = alg.finite_norm2(lam.z), alg.finite_norm2(omega.z)
+
+    def candidates(d: int) -> np.ndarray:
+        a = int((lam2 + 2 * lam.k * d) * scale)
+        b = int((om2 + 2 * omega.k * d) * scale)
         gap = beta2 - a - b             # |beta_z| <= sqrt(a) + sqrt(b), squared twice
-        yield d, ms[(gap <= 0) | (gap * gap <= 4 * a * b)]
+        return ms[(gap <= 0) | (gap * gap <= 4 * a * b)]
+
+    return candidates
 
 
 def q_omega_row(alg: AffineAlgebra, lam: Weight, omega: Weight,
@@ -223,9 +224,13 @@ def q_omega_row(alg: AffineAlgebra, lam: Weight, omega: Weight,
     resolution = depth
     hard_cap = max(depth, 40) + 1200
 
+    candidates = _row_candidates(alg, lam, omega)
+    branch = _brancher(alg, lam, omega, 1)
+
     def compute_layers(depths):
-        for d, ms in _row_candidates(alg, lam, omega, depths):
-            mults = _branching_stack(alg, lam, omega, 1, d, ms)
+        for d in depths:
+            ms = candidates(d)
+            mults = branch(d, ms)
             for m, mlt in zip(ms.tolist(), mults):
                 if mlt == 0:
                     continue
@@ -365,6 +370,15 @@ class FastBarredKernel:
     values appear, which keeps the rows in range where the level-zero sums
     are far below float resolution.
 
+    A row gathers atoms only for its live (source state, Weyl term) pairs:
+    those whose offsets over all next states span a box that meets the box
+    of the nonzero atoms, fixed at construction, on every axis.  Any other
+    pair reads zero atoms only, and adding ``w * 0.0`` to a finite sum
+    leaves it unchanged, so with the live pairs added in the same term
+    order the rows, cdfs and defects are bit-equal to gathering every pair.
+    Most pairs are not live: a term's offset moves far outside the atoms'
+    support.
+
     States of a level are indexed in :func:`dominant_states` order (on A1~
     the index is the coroot pairing ``q``).  A row whose defect exceeds the
     threshold refuses to sample rather than renormalizing.  ``sample``
@@ -382,6 +396,10 @@ class FastBarredKernel:
         self.s = s
         self.defect_threshold = defect_threshold
         self.atoms = increment_atoms(alg, self.omega, s)
+        # the box of the nonzero atoms, in the indices of the padded atoms
+        nz = np.nonzero(self.atoms.prob)
+        self._support = (np.array([x.min() for x in nz]) + 1,
+                         np.array([x.max() for x in nz]) + 1)
         self.rho = weyl_vector(alg)
         self._den = _dominant_coords(alg, 0)[1]
         self._rho_q = np.array([int(x * self._den) for x in self.rho.z])
@@ -403,6 +421,17 @@ class FastBarredKernel:
                    np.array([math.fsum(w) for w in weights.tolist()]))
         return hit
 
+    def _live_pairs(self, base: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """``live[i, t]``: the offsets ``base[i, :] - m[i, t]`` of source
+        ``i`` under term ``t`` (padded atom indices, ``-2**62`` off the
+        root lattice) span a box that meets the atoms' nonzero box on every
+        axis.  A pair that is not live reads only zero atoms."""
+        on = base[:, :, :1] > -2 ** 62
+        bmin = base.min(axis=1, where=on, initial=2 ** 62)[:, None, :] - m
+        bmax = base.max(axis=1)[:, None, :] - m
+        lo, hi = self._support
+        return ((bmin <= hi) & (bmax >= lo)).all(axis=2)
+
     def row(self, level: int, q):
         """(probabilities over the next level's states, cdf, defect) for the
         source state of index ``q``, or stacked per source state (one row per
@@ -421,14 +450,18 @@ class FastBarredKernel:
         base = np.where((base % self._den == 0).all(axis=2, keepdims=True),
                         base // self._den - np.array(self.atoms.lo) + 1,
                         -2 ** 62)
-        base = np.moveaxis(base, 2, 0).copy()          # one array per axis
         mq, wq = m[qs], weights[qs]
+        live = self._live_pairs(base, mq)
+        base = np.moveaxis(base, 2, 0).copy()          # one array per axis
         raw = np.zeros((qs.size, len(zq_next)))
-        for t in range(m.shape[1]):
-            flat = sum(np.clip(b - mq[:, t, j, None], 0, pad.shape[j] - 1)
+        for t in np.flatnonzero(live.any(axis=0)).tolist():
+            i = np.flatnonzero(live[:, t])
+            flat = sum(np.clip(b[i] - mq[i, t, j, None], 0, pad.shape[j] - 1)
                        * (pad.strides[j] // pad.itemsize)
                        for j, b in enumerate(base))
-            raw += wq[:, t, None] * pad.ravel()[flat]
+            atoms = pad.ravel()[flat]
+            atoms *= wq[i, t, None]         # in place: one row-sized array less
+            raw[i] += atoms
         probs = raw * nhat_next / nhat[qs][:, None]
         neg = probs.min(axis=1)
         np.clip(probs, 0.0, None, out=probs)

@@ -576,7 +576,7 @@ def branching_mult(alg: AffineAlgebra, lam: Weight, omega: Weight, n: int,
     ``M(beta) = sum_w det(w) m_n(w(beta+rho) - (lam+rho))``,
 
     where ``m_n`` is the tensor-power weight multiplicity; the sum is
-    :func:`_branching_stack` on the one offset of ``beta``.
+    :func:`_brancher` on the one offset of ``beta``.
     """
     for w_, nm in ((lam, "lam"), (omega, "omega"), (beta, "beta")):
         if not classify_weight(alg, w_).dominant:
@@ -587,16 +587,18 @@ def branching_mult(alg: AffineAlgebra, lam: Weight, omega: Weight, n: int,
         return 0
     if n == 0:
         return 1 if (off.b == 0 and not any(off.z)) else 0
-    return _branching_stack(alg, lam, omega, n, int(off.b),
-                            np.array([[int(x) for x in off.z]], dtype=np.int64))[0]
+    return _brancher(alg, lam, omega, n)(
+        int(off.b), np.array([[int(x) for x in off.z]], dtype=np.int64))[0]
 
 
-def _branching_stack(alg: AffineAlgebra, lam: Weight, omega: Weight, n: int,
-                     d: int, ms: np.ndarray) -> list[int]:
-    """Branching multiplicities ``M(beta_i)``, ``n >= 1``, of the stacked
-    components ``beta_i = lam + n*omega - d*delta - ms[i]``, all dominant
-    integral (unchecked), summed over the integer orbit offsets of
-    :func:`~affinewalks.weyl.orbit_offsets`.
+def _brancher(alg: AffineAlgebra, lam: Weight, omega: Weight, n: int):
+    """``branch(d, ms)``: the branching multiplicities ``M(beta_i)``,
+    ``n >= 1``, of the stacked components
+    ``beta_i = lam + n*omega - d*delta - ms[i]``, all dominant integral
+    (unchecked), summed over the integer orbit offsets of
+    :func:`~affinewalks.weyl.orbit_offsets`.  The weights and norms that
+    depend on ``lam``, ``omega`` and ``n`` alone are built once here, so a
+    kernel row pays for them once over all its delta-depths.
 
     Each row's enumeration radius and the required table depth are
     certified from the exact orbit-hull support bound of the tensor power;
@@ -605,51 +607,57 @@ def _branching_stack(alg: AffineAlgebra, lam: Weight, omega: Weight, n: int,
     value.  The rows share the terms of the largest radius.
     """
     rho = weyl_vector(alg)
-    mu0 = lam + omega.scale(n) + rho        # mu_i = beta_i + rho = mu0 - ms[i] - d delta
+    om_n = omega.scale(n)
+    lam_rho = lam + rho
+    mu0 = lam_rho + om_n                # mu_i = beta_i + rho = mu0 - ms[i] - d delta
     k = float(mu0.k)
     k_om = float(omega.k)
-    # the norms on the integer Gram: int / int rounds once, as float(Fraction)
-    gn, gd = alg.finite_gram_int
-    lam_z, om_z = (lam + rho).z, omega.z
-    q = math.lcm(*(x.denominator for z in (mu0.z, lam_z, om_z) for x in z))
-    zq = np.array([int(x * q) for x in mu0.z], dtype=np.int64) - q * ms
-    zi = np.vstack([zq, [[int(x * q) for x in z] for z in (lam_z, om_z)]])
-    norms = np.sqrt(np.einsum("ni,ij,nj->n", zi, gn, zi) / (q * q * gd))
-    z_beta, z_lam, c_om = norms[:-2], norms[-2], norms[-1]
-    c1 = z_beta + z_lam
     aq = k * (k - n * k_om)
     if aq <= 0:
         raise BranchingCertificationError("level bookkeeping error: k <= n*k_omega")
-    bq = 2 * k * c1 + 2 * n * k_om * z_beta
-    cq = n * n * c_om * c_om + 2 * n * k_om * d - c1 * c1
-    rstar = (bq + np.sqrt(bq * bq + 4 * aq * np.maximum(cq, 0.0))) / (2 * aq)
+    # the norms on the integer Gram: int / int rounds once, as float(Fraction)
+    gn, gd = alg.finite_gram_int
+    q = math.lcm(*(x.denominator for z in (mu0.z, lam_rho.z, omega.z) for x in z))
+    top = np.array([int(x * q) for x in mu0.z], dtype=np.int64)
+    zi = np.array([[int(x * q) for x in z] for z in (lam_rho.z, omega.z)])
+    z_lam, c_om = np.sqrt(np.einsum("ni,ij,nj->n", zi, gn, zi) / (q * q * gd))
     # longest basis vector
     shell = math.sqrt(max(float(row[i]) for i, row in enumerate(_lattice_gram(alg))))
-    radius = rstar * 1.02 + shell
 
-    # the term w reads m_n at n*omega - (w(mu) - (lam+rho)): the offset
-    # (top - beta) + (mu - w(mu)) from n*omega, integral because beta is; it
-    # is needed when it lies in the tensor power's support ball
-    terms = weyl_terms(alg, math.ceil(radius.max() + shell))
-    m, dt = orbit_offsets(alg, terms, int(mu0.k), zq, q)
-    m += ms[:, None, :]
-    dt += d
-    need = (dt >= 0) & _in_support_ball(alg, omega.scale(n), dt, m)
-    # boundary-shell certificate: the terms beyond the radius contribute nothing
-    if (need & (terms.norm2 > (radius * radius)[:, None])).any():
-        raise BranchingCertificationError(
-            "enumeration radius certificate failed on the boundary shell")
+    def branch(d: int, ms: np.ndarray) -> list[int]:
+        zq = top - q * ms
+        z_beta = np.sqrt(np.einsum("ni,ij,nj->n", zq, gn, zq) / (q * q * gd))
+        c1 = z_beta + z_lam
+        bq = 2 * k * c1 + 2 * n * k_om * z_beta
+        cq = n * n * c_om * c_om + 2 * n * k_om * d - c1 * c1
+        rstar = (bq + np.sqrt(bq * bq + 4 * aq * np.maximum(cq, 0.0))) / (2 * aq)
+        radius = rstar * 1.02 + shell
 
-    entries = tensor_power_table(alg, omega, n, int(dt[need].max(initial=0))).entries
-    rows, cols = np.nonzero(need)
-    totals = [0] * len(ms)
-    for i, sign, dd, mm in zip(rows.tolist(), terms.sign[cols].tolist(),
-                               dt[need].tolist(), m[need].tolist()):
-        totals[i] += sign * entries.value(dd, mm)
-    if min(totals) < 0:
-        raise ArithmeticError(f"negative branching multiplicity {min(totals)}: "
-                              "enumeration incomplete")
-    return totals
+        # the term w reads m_n at n*omega - (w(mu) - (lam+rho)): the offset
+        # (top - beta) + (mu - w(mu)) from n*omega, integral because beta is;
+        # it is needed when it lies in the tensor power's support ball
+        terms = weyl_terms(alg, math.ceil(radius.max() + shell))
+        m, dt = orbit_offsets(alg, terms, int(mu0.k), zq, q)
+        m += ms[:, None, :]
+        dt += d
+        need = (dt >= 0) & _in_support_ball(alg, om_n, dt, m)
+        # boundary-shell certificate: the terms beyond the radius contribute nothing
+        if (need & (terms.norm2 > (radius * radius)[:, None])).any():
+            raise BranchingCertificationError(
+                "enumeration radius certificate failed on the boundary shell")
+
+        entries = tensor_power_table(alg, omega, n, int(dt[need].max(initial=0))).entries
+        rows, cols = np.nonzero(need)
+        totals = [0] * len(ms)
+        for i, sign, dd, mm in zip(rows.tolist(), terms.sign[cols].tolist(),
+                                   dt[need].tolist(), m[need].tolist()):
+            totals[i] += sign * entries.value(dd, mm)
+        if min(totals) < 0:
+            raise ArithmeticError(f"negative branching multiplicity {min(totals)}: "
+                                  "enumeration incomplete")
+        return totals
+
+    return branch
 
 
 # -- independent decomposition of a character product ------------------------------

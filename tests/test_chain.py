@@ -13,6 +13,9 @@ from affinewalks import (algebra as al, chain as cn, characters as ch,
 from affinewalks.algebra import Weight
 from affinewalks.thresholds import GOLDEN
 
+C2 = '{"rank": 2, "matrix": [[2,-1,0],[-2,2,-2],[0,-1,2]]}'
+G2 = '{"rank": 2, "matrix": [[2,-1,0],[-1,2,-1],[0,-3,2]]}'
+
 
 def omega(a1):
     return Weight.make(2, (0,), 0)
@@ -128,8 +131,9 @@ def test_row_candidates_match_fraction_ball(a1, a2):
              (a2, al.weight_from_pairings(a2, [1, 1, 0]), a2.Lambda0().scale(3), 6),
              (a2, al.weight_from_pairings(a2, [0, 2, 1]), a2.Lambda0(), 6)]
     for alg, lam, om, depth in cases:
-        got = [(d, tuple(m)) for d, ms in cn._row_candidates(
-            alg, lam, om, range(depth + 1)) for m in ms.tolist()]
+        candidates = cn._row_candidates(alg, lam, om)
+        got = [(d, tuple(m)) for d in range(depth + 1)
+               for m in candidates(d).tolist()]
         assert got == _fraction_ball_candidates(alg, lam, om, depth)
         assert got
 
@@ -145,13 +149,22 @@ def _criterion4_rows(a1, a2):
     return rows
 
 
+def _spy_brancher(monkeypatch, seen):
+    # record (alg, lam, omega, n, d, ms) of every stack the rows branch on
+    core = hw._brancher
+
+    def spy(*head):
+        branch = core(*head)
+        return lambda d, ms: seen(*head, d, ms) or branch(d, ms)
+
+    monkeypatch.setattr(cn, "_brancher", spy)
+
+
 def test_branching_stack_matches_single_calls(a1, a2, monkeypatch):
     # every stack the rows branch on, against one branching_mult per
     # component; the stack shares the terms of its largest radius
     stacks = []
-    core = hw._branching_stack
-    monkeypatch.setattr(cn, "_branching_stack",
-                        lambda *args: stacks.append(args) or core(*args))
+    _spy_brancher(monkeypatch, lambda *args: stacks.append(args))
     for alg, lam, om, s, depth, target in _criterion4_rows(a1, a2):
         cn.q_omega_row(alg, lam, om, s, depth, defect_target=target)
     radii = []
@@ -161,7 +174,7 @@ def test_branching_stack_matches_single_calls(a1, a2, monkeypatch):
     wider = 0
     for alg, lam, om, n, d, ms in stacks:
         radii.clear()
-        got = core(alg, lam, om, n, d, ms)
+        got = hw._brancher(alg, lam, om, n)(d, ms)
         (shared,) = radii
         radii.clear()
         top = lam + om
@@ -175,8 +188,8 @@ def test_branching_stack_matches_single_calls(a1, a2, monkeypatch):
 
 
 def test_row_checks_once_per_row(a1, monkeypatch):
-    # the entry checks and the branching calls of one row do not grow with
-    # its candidate count
+    # the entry checks, the branching calls and the Fraction norms of one
+    # row do not grow with its depth or its candidate count
     s = ch.rho_specialization(a1, 5)
     rows = [(a1.Lambda0(), 5), (Weight.make(2, (Fraction(1, 2),), 0), 150)]
     for lam, depth in rows:          # character values cached beforehand
@@ -193,11 +206,11 @@ def test_row_checks_once_per_row(a1, monkeypatch):
         for name, mod in list(sys.modules.items()):
             if name.startswith("affinewalks") and vars(mod).get(fn.__name__) is fn:
                 monkeypatch.setattr(mod, fn.__name__, counted(fn))
+    monkeypatch.setattr(al.AffineAlgebra, "finite_norm2",
+                        counted(al.AffineAlgebra.finite_norm2))
     sizes = Counter()
-    core = hw._branching_stack
-    monkeypatch.setattr(cn, "_branching_stack",
-                        lambda *args: sizes.update({"candidates": len(args[-1])})
-                        or core(*args))
+    _spy_brancher(monkeypatch,
+                  lambda *args: sizes.update({"candidates": len(args[-1])}))
     seen = []
     for lam, depth in rows:
         calls.clear()
@@ -205,7 +218,7 @@ def test_row_checks_once_per_row(a1, monkeypatch):
         cn.q_omega_row(a1, lam, omega(a1), s, depth)
         seen.append((dict(calls), sizes["candidates"]))
     (c1, n1), (c2, n2) = seen
-    assert c1 == c2 == {"classify_weight": 2}
+    assert c1 == c2 == {"classify_weight": 2, "finite_norm2": 2}
     assert n2 > n1 + 100
 
 
@@ -410,6 +423,63 @@ def test_fast_kernel_batched_rows_match_scalar(a1, a2):
             assert defect[i] == d1 and isinstance(d1, float)
 
 
+def _dense_row(fk, level, qs):
+    # the dense per-term loop the live pairs replace: every source, every
+    # term and every next state gathers its atom; also per (source, term),
+    # whether a nonzero atom was read and whether an index fell inside the
+    # unpadded atoms array
+    zq, m, weights, nhat = fk._level(level)
+    zq_next, _, _, nhat_next = fk._level(level + int(fk.omega.k))
+    pad = np.pad(fk.atoms.prob, 1)
+    base = zq[qs][:, None, :] + fk._om_q - zq_next[None, :, :]
+    base = np.where((base % fk._den == 0).all(axis=2, keepdims=True),
+                    base // fk._den - np.array(fk.atoms.lo) + 1, -2 ** 62)
+    base = np.moveaxis(base, 2, 0).copy()
+    mq, wq = m[qs], weights[qs]
+    raw = np.zeros((qs.size, len(zq_next)))
+    hit = np.zeros(mq.shape[:2], dtype=bool)
+    inside = np.zeros_like(hit)
+    for t in range(m.shape[1]):
+        idx = [b - mq[:, t, j, None] for j, b in enumerate(base)]
+        flat = sum(np.clip(x, 0, pad.shape[j] - 1) * (pad.strides[j] // pad.itemsize)
+                   for j, x in enumerate(idx))
+        atoms = pad.ravel()[flat]
+        raw += wq[:, t, None] * atoms
+        hit[:, t] = (atoms != 0).any(axis=1)
+        inside[:, t] = np.logical_and.reduce(
+            [(x >= 1) & (x <= n) for x, n in zip(idx, fk.atoms.prob.shape)]).any(axis=1)
+    probs = raw * nhat_next / nhat[qs][:, None]
+    np.clip(probs, 0.0, None, out=probs)
+    return probs, np.cumsum(probs, axis=1), np.abs(1.0 - probs.sum(axis=1)), hit, inside
+
+
+def test_fast_kernel_live_pairs_bit_identical_to_dense(a1, a2, monkeypatch):
+    # rows from the live pairs only equal the dense loop bit for bit; every
+    # pair that reads a nonzero atom is live, and some skipped pair reads
+    # the atoms array outside its nonzero box, so the box is what decides
+    cases = [(a1, 100, 200, 1), (a1, 100, 300, 1), (a2, 20, 60, 50),
+             (al.algebra_from_json(C2), 5, 12, 1)]
+    skipped = skipped_inside = 0
+    for alg, n, level, step in cases:
+        om = Weight.make(alg.dual_coxeter, (0,) * alg.rank, 0)
+        fk = cn.FastBarredKernel(alg, om, ch.rho_specialization(alg, n))
+        masks = []
+        core = fk._live_pairs
+        monkeypatch.setattr(fk, "_live_pairs",
+                            lambda *args: masks.append(core(*args)) or masks[-1])
+        qs = np.arange(0, len(cn.dominant_states(alg, level)), step)
+        probs, cdf, defect = fk.row(level, qs)
+        (live,) = masks
+        want_p, want_c, want_d, hit, inside = _dense_row(fk, level, qs)
+        assert np.array_equal(probs, want_p)
+        assert np.array_equal(cdf, want_c)
+        assert np.array_equal(defect, want_d)
+        assert not (hit & ~live).any()
+        skipped += (~live).sum()
+        skipped_inside += (inside & ~live).sum()
+    assert skipped and skipped_inside
+
+
 def test_fast_kernel_rank_two_matches_aggregated_row(a2):
     # A2~ fast rows from Lambda0 at rho/1 against the delta-aggregated exact
     # row, indexed by dominant_states
@@ -470,6 +540,22 @@ def test_ch_cache_bounded(a1):
     assert cn._ch_barred.cache_info().currsize == cn._CH_CACHE_MAX
     assert [cn._log_ch(a1, w, s) for w in states] == first
     assert cn._ch_barred.cache_info().currsize == cn._CH_CACHE_MAX
+
+
+def test_dominant_coords_match_product_enumeration(a1, a2):
+    # the itertools enumeration the index grid replaces: every pairing tuple
+    # whose comark-weighted sum stays within the level
+    for alg in (a1, a2, al.algebra_from_json(C2), al.algebra_from_json(G2)):
+        for level in (0, 1, 2, 5, 12, 31):
+            ranges = [range(level // c + 1) for c in alg.comarks[1:]]
+            pairings = [q for q in itertools.product(*ranges)
+                        if sum(c * x for c, x in zip(alg.comarks[1:], q)) <= level]
+            zq, den = cn._dominant_coords(alg, level)
+            cinv = np.array([[int(x * den) for x in row]
+                             for row in alg._finite_cartan_inverse])
+            want = np.array(pairings, dtype=np.int64) @ cinv.T
+            assert zq.dtype == np.int64
+            assert np.array_equal(zq, want[np.lexsort(want.T[::-1])])
 
 
 def test_dominant_states_pairings(a1, a2):
