@@ -162,7 +162,7 @@ def _reflection_residuals(alg, s, n_steps, lam0, depth):
     om = _omega(alg)
     out = []
     for b0 in chain.dominant_states(alg, int(lam0.k) + n_steps * int(om.k)):
-        if chain.pbar_power(alg, om, s, n_steps, lam0, b0, 40) <= 0:
+        if chain.pbar_power(alg, om, s, n_steps, lam0, b0, depth) <= 0:
             continue
         out.append((b0, chain.reflection_discrete_residual(
             alg, om, s, n_steps, lam0, b0, depth)))

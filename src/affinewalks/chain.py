@@ -519,6 +519,17 @@ class FastBarredKernel:
 
 # -- discrete reflection principle --------------------------------------------------
 
+# the barred rows the direct side composes, shared by every beta0 and step
+# count; full criterion 5 needs 6 and the full test suite holds at most 8
+_DIRECT_ROWS_MAX = 32
+
+
+@lru_cache(maxsize=_DIRECT_ROWS_MAX)
+def _direct_row(alg: AffineAlgebra, st: Weight, omega: Weight,
+                s: Specialization, depth: int) -> tuple[tuple[Weight, float], ...]:
+    return tuple(barred_row(alg, st, omega, s, depth,
+                            defect_target=1e-11).items())
+
 
 def reflection_discrete_residual(alg: AffineAlgebra, omega: Weight,
                                  s: Specialization, n_steps: int,
@@ -532,7 +543,9 @@ def reflection_discrete_residual(alg: AffineAlgebra, omega: Weight,
     reflected: ``(hhat(beta0)/hhat(lam0)) * sum_w det(w) e^{<w(lam0+rho)-(lam0+rho),h>}
                Pbar^n(bar(w(lam0+rho)-rho), beta0)`` (walk route),
 
-    with ``hhat = ch * exp(-<.,h>)``.  Both sides use matching depth
+    with ``hhat = ch * exp(-<.,h>)``.  The direct side's barred rows are
+    kept in a bounded memo keyed by ``(alg, state, omega, s, depth)``, so
+    the targets of one source share them.  Both sides use matching depth
     truncations; the Weyl sum runs over the float alternant terms of
     :func:`affinewalks.characters._alternant_exponents`, cut by the
     certified Gaussian shell bound (which raises
@@ -549,17 +562,11 @@ def reflection_discrete_residual(alg: AffineAlgebra, omega: Weight,
 
     # direct side: compose exact single-step barred rows (the n-step kernel
     # is the n-fold composition; associativity of the tensor decomposition)
-    row_cache: dict[Weight, dict[Weight, float]] = {}
     dist: dict[Weight, float] = {lam0: 1.0}
     for _ in range(n_steps):
         nxt: dict[Weight, float] = {}
         for st, pr in dist.items():
-            row = row_cache.get(st)
-            if row is None:
-                row = barred_row(alg, st, omega, s, depth,
-                                 defect_target=1e-11)
-                row_cache[st] = row
-            for nu, q in row.items():
+            for nu, q in _direct_row(alg, st, omega, s, depth):
                 nxt[nu] = nxt.get(nu, 0.0) + pr * q
         dist = nxt
     direct = dist.get(beta0, 0.0)

@@ -450,16 +450,31 @@ def eval_theta(alg: AffineAlgebra, lam: Weight, s: Specialization,
 # -- denominator identity -------------------------------------------------------------
 
 
+# the three specializations of criterion 2 share one pair per (algebra,
+# depth); the full test suite holds at most 6 pairs
+_DENOMINATOR_MAX = 16
+
+
+@lru_cache(maxsize=_DENOMINATOR_MAX)
+def _denominator_sides(alg: AffineAlgebra, depth: int):
+    """The product and the sum side of the denominator identity as integer
+    series items ``((d, m), coeff)``; neither depends on the specialization."""
+    return (tuple(denominator_product_series(alg, depth).items()),
+            tuple(alternant_terms(alg, weyl_vector(alg), depth).items()))
+
+
 def denominator_residual(alg: AffineAlgebra, s: Specialization, depth: int) -> float:
     """Relative gap between the two sides of the denominator identity, both
     truncated at the same delta depth and evaluated at the specialization.
 
     The product over the root datum is expanded as an exact integer series
-    (sparse polynomial multiplication); the sum side is the alternating
-    Weyl-orbit series of the Weyl vector with the radius needed to reach
-    the same depth.  The identity asserts the two truncated series are
-    equal coefficient-by-coefficient, so the evaluated residual sits at
-    floating-point noise whenever the coefficients agree.
+    (int64 layers, :func:`~affinewalks.highestweight.denominator_product_series`);
+    the sum side is the alternating Weyl-orbit series of the Weyl vector
+    with the radius needed to reach the same depth.  Both are built once per
+    ``(alg, depth)`` and kept in a bounded memo.  The identity asserts the
+    two truncated series are equal coefficient-by-coefficient, so the
+    evaluated residual sits at floating-point noise whenever the
+    coefficients agree.
     """
     cf = float(_require_convergent(alg, s))
     gp = alg.finite_covector(s.point.z)
@@ -467,10 +482,9 @@ def denominator_residual(alg: AffineAlgebra, s: Specialization, depth: int) -> f
     def evaluate(series) -> float:
         return math.fsum(
             coeff * math.exp(-d * cf - float(sum(x * y for x, y in zip(m, gp))))
-            for (d, m), coeff in series.items())
+            for (d, m), coeff in series)
 
-    prod = evaluate(denominator_product_series(alg, depth))
-    total = evaluate(alternant_terms(alg, weyl_vector(alg), depth))
+    prod, total = map(evaluate, _denominator_sides(alg, depth))
     return abs(prod - total) / abs(prod)
 
 

@@ -415,7 +415,10 @@ def _cmd_characters(args) -> int:
         out = {"value": r.value, "tail_bound": r.tail_bound,
                "depth": r.truncation_depth}
     else:
-        res = characters.denominator_residual(alg, s, args.depth)
+        try:
+            res = characters.denominator_residual(alg, s, args.depth)
+        except OverflowError as exc:
+            raise _InputError(str(exc)) from None     # depth beyond int64
         out = {"residual": res, "depth": args.depth}
     print(json.dumps(out))
     return 0

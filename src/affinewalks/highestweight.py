@@ -149,31 +149,50 @@ def positive_roots(alg: AffineAlgebra, depth: int):
     return tuple(out)
 
 
+def _denominator_bound(alg: AffineAlgebra, depth: int) -> list[int]:
+    """``[t^d] prod_{beta>0} (1 + t^n)^mult`` for ``d <= depth``, ``n`` the
+    delta-depth of ``beta``: at each ``d`` it bounds the sum of the absolute
+    coefficients of every partial product of the denominator."""
+    bound = [1] + [0] * depth
+    for (n, _, mult) in positive_roots(alg, depth):
+        for _ in range(mult):
+            for d in range(depth, n - 1, -1):
+                bound[d] += bound[d - n]
+    return bound
+
+
 def denominator_product_series(alg: AffineAlgebra, depth: int) -> dict[Key, int]:
     """Integer series of ``prod_{beta>0} (1 - e^{-beta})^{mult beta}`` up to depth.
 
-    Expanded by repeated sparse polynomial multiplication over the root
-    datum; no offset pruning is applied, only the depth truncation, so the
-    result is the exact truncation of the formal product.
+    Each factor is multiplied into one int64 array per delta-depth ``d``,
+    over the box that holds every partial product there: the depth-0
+    factors add each positive finite root at most once, and at most ``d``
+    factors with ``n >= 1`` add one finite root each.  Before any array is
+    built, :func:`_denominator_bound`, which bounds every coefficient of
+    every partial product, is checked below ``2**63`` (``OverflowError``
+    otherwise).  Only the depth truncation is applied, so the result is the
+    exact truncation of the formal product.
     """
-    l = alg.rank
-    series: dict[Key, int] = {(0, (0,) * l): 1}
-    for (n, r, mult) in positive_roots(alg, depth):
+    if max(_denominator_bound(alg, depth)) >= 2 ** 63:
+        raise OverflowError(f"denominator coefficients at depth {depth} may "
+                            "leave int64")
+    factors = positive_roots(alg, depth)
+    roots = np.array(finite_roots(alg))
+    rmin = roots.min(axis=0)
+    top = sum(np.array(r) for (n, r, _) in factors if n == 0)
+    layers = [np.zeros(top + d * (roots.max(axis=0) - rmin) + 1, dtype=np.int64)
+              for d in range(depth + 1)]
+    layers[0][(0,) * alg.rank] = 1
+    for (n, r, mult) in factors:
+        off = (r - n * rmin).tolist()       # where index 0 of layer d - n lands
         for _ in range(mult):
-            update: dict[Key, int] = {}
-            for (d, m), v in series.items():
-                dd = d + n
-                if dd > depth:
-                    continue
-                key = (dd, tuple(m[i] + r[i] for i in range(l)))
-                update[key] = update.get(key, 0) - v
-            for key, dv in update.items():
-                nv = series.get(key, 0) + dv
-                if nv:
-                    series[key] = nv
-                elif key in series:
-                    del series[key]
-    return series
+            for d in range(depth, n - 1, -1):   # layer d - n still the old one
+                src, dst = layers[d - n], layers[d]
+                hi = [min(a, b - o) for a, b, o in zip(src.shape, dst.shape, off)]
+                dst[tuple(slice(o, o + h) for o, h in zip(off, hi))] -= \
+                    src[tuple(map(slice, hi))]
+    return {(d, tuple((m + d * rmin).tolist())): int(layer[tuple(m)])
+            for d, layer in enumerate(layers) for m in np.argwhere(layer)}
 
 
 # -- candidate enumeration --------------------------------------------------------

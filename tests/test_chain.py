@@ -8,8 +8,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from affinewalks import (algebra as al, chain as cn, characters as ch,
-                         highestweight as hw, weyl as wy)
+from affinewalks import (acceptance, algebra as al, chain as cn,
+                         characters as ch, highestweight as hw, weyl as wy)
 from affinewalks.algebra import Weight
 from affinewalks.thresholds import GOLDEN
 
@@ -341,6 +341,32 @@ def test_reflection_small(a1):
     b0 = cn.dominant_states(a1, 3)[0]
     res = cn.reflection_discrete_residual(a1, om, s, 1, a1.Lambda0(), b0, 80)
     assert res < 1e-10
+
+
+def test_reflection_direct_rows_memo(a1, monkeypatch):
+    # criterion 5's residuals are those of a memo cleared before each pair
+    s = ch.rho_specialization(a1, GOLDEN.reflection_spec_n)
+    lam0 = a1.Lambda0()
+    for n_steps in (1, 2):
+        cases = acceptance._reflection_residuals(a1, s, n_steps, lam0, 80)
+        assert cases
+        for b0, res in cases:
+            cn._direct_row.cache_clear()
+            assert cn.reflection_discrete_residual(
+                a1, omega(a1), s, n_steps, lam0, b0, 80) == res
+    # filled past its bound the memo stays at it, with unchanged values
+    monkeypatch.setattr(cn, "barred_row",
+                        lambda alg, st, om, s, depth, **kw: {st: depth / 7})
+    cn._direct_row.cache_clear()
+    try:
+        size = cn._direct_row.cache_info().maxsize
+        keys = [(a1, lam0, omega(a1), s, d) for d in range(size + 5)]
+        first = [cn._direct_row(*key) for key in keys]
+        assert cn._direct_row.cache_info().currsize == size
+        assert [cn._direct_row(*key) for key in keys] == first
+        assert cn._direct_row.cache_info().currsize == size
+    finally:
+        cn._direct_row.cache_clear()
 
 
 def test_reflection_radius_cap(a1, monkeypatch):

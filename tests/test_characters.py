@@ -265,3 +265,24 @@ def test_vanishes_decides_root_of_unity_sums(n, exps, signs, zero):
     assert ch._vanishes(n, exps, signs) == zero
     value = sum(sg * np.exp(2j * np.pi * e / n) for e, sg in zip(exps, signs))
     assert (abs(value) < 1e-12) == zero
+
+
+def test_denominator_sides_built_once_per_depth(a1, monkeypatch):
+    ch._denominator_sides.cache_clear()
+    builds = []
+
+    def spy(alg, depth):
+        builds.append(depth)
+        return hw.denominator_product_series(alg, depth)
+    monkeypatch.setattr(ch, "denominator_product_series", spy)
+    for n in (1, 5, 10):
+        assert ch.denominator_residual(a1, ch.rho_specialization(a1, n), 20) < 1e-8
+    assert builds == [20]
+    monkeypatch.undo()
+    # filled past its bound the memo stays at it, with unchanged values
+    ch._denominator_sides.cache_clear()
+    size = ch._denominator_sides.cache_info().maxsize
+    first = [ch._denominator_sides(a1, d) for d in range(size + 3)]
+    assert ch._denominator_sides.cache_info().currsize == size
+    assert [ch._denominator_sides(a1, d) for d in range(size + 3)] == first
+    assert ch._denominator_sides.cache_info().currsize == size

@@ -229,7 +229,8 @@ def test_verify_all_refuses_other_algebras():
     (["tensor", "--pairings", "1,x"], None),
     (["mult", "--pairings", "1,-1"], None),
     (["tensor", "--pairings", "1,-1"], None),
-    (["characters", "eval", "--pairings", "1,-1"], None)])
+    (["characters", "eval", "--pairings", "1,-1"], None),
+    (["characters", "denominator", "--depth", "400"], None)])
 def test_bad_input_exits_2(argv, config, tmp_path, capsys):
     if config is not None:
         cfg_path = tmp_path / "cfg.json"

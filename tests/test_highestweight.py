@@ -159,11 +159,51 @@ def test_denominator_series_constant_term(a1, a2):
         assert series[(0, (0,) * alg.rank)] == 1
 
 
+def _dict_denominator_steps(alg, depth):
+    """The denominator product by sparse dict multiplication, one factor at
+    a time: yields every partial product, the last one complete."""
+    series = {(0, (0,) * alg.rank): 1}
+    for (n, r, mult) in hw.positive_roots(alg, depth):
+        for _ in range(mult):
+            nxt = dict(series)
+            for (d, m), v in series.items():
+                if d + n <= depth:
+                    key = (d + n, tuple(a + b for a, b in zip(m, r)))
+                    nxt[key] = nxt.get(key, 0) - v
+            series = {k: v for k, v in nxt.items() if v}
+            yield series
+
+
 def test_denominator_series_equals_alternant(a1, a2):
-    for alg, depth in ((a1, 12), (a2, 6)):
-        rho = al.weyl_vector(alg)
-        assert hw.denominator_product_series(alg, depth) == \
-            hw.alternant_terms(alg, rho, depth)
+    # the int64 layers equal the dict expansion and the Weyl-orbit side,
+    # on non-simply-laced algebras too
+    c2 = al.algebra_from_json('{"rank": 2, "matrix": [[2,-1,0],[-2,2,-2],[0,-1,2]]}')
+    g2 = al.algebra_from_json('{"rank": 2, "matrix": [[2,-1,0],[-1,2,-1],[0,-3,2]]}')
+    sizes = []
+    for alg, depth in ((a1, 20), (a2, 20), (c2, 10), (g2, 10)):
+        *_, expected = _dict_denominator_steps(alg, depth)
+        series = hw.denominator_product_series(alg, depth)
+        assert series == expected
+        assert series == hw.alternant_terms(alg, al.weyl_vector(alg), depth)
+        sizes.append(len(series))
+    assert sizes[2:] == [96, 120]
+
+
+def test_denominator_overflow_bound(a2, a1, monkeypatch):
+    # the bound dominates the absolute coefficients of every partial product
+    bound = hw._denominator_bound(a2, 8)
+    for partial in _dict_denominator_steps(a2, 8):
+        for d in range(9):
+            assert sum(abs(v) for (dd, _), v in partial.items() if dd == d) \
+                <= bound[d]
+    # a depth whose bound reaches 2**63 is refused before any array exists
+    assert max(hw._denominator_bound(a1, 250)) >= 2 ** 63
+
+    def no_arrays(*args, **kw):
+        raise AssertionError("array built")
+    monkeypatch.setattr(hw.np, "zeros", no_arrays)
+    with pytest.raises(OverflowError):
+        hw.denominator_product_series(a1, 250)
 
 
 def test_tensor_power_basics(a1):
