@@ -275,7 +275,7 @@ def check_harmonicity(fast=False, alg=None):
 
 
 def _survival_on_boundary(alg, rng):
-    """The truncated survival sum cancels within its tail bound on the walls.
+    """The survival function vanishes on the walls, within its bound.
 
     Draws ``GOLDEN.survival_boundary_points`` levels from ``rng`` and
     evaluates at the point on the wall z(coroot_1) = 0 and on the affine

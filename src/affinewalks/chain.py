@@ -35,7 +35,7 @@ from .algebra import (AffineAlgebra, Weight, classify_weight, inner_product,
 from .characters import (EvalResult, Specialization, _alternant_exponents,
                          _int_scaled, delta_pairing, eval_character)
 from .highestweight import (_brancher, character_series_oracle,
-                            tensor_power_table)
+                            log_kac_product, tensor_power_table)
 
 __all__ = [
     "DiscreteDistribution",
@@ -329,7 +329,7 @@ def simulate_chain(alg: AffineAlgebra, start: Weight, omega: Weight,
             row = q_omega_row(alg, key, omega, s, depth,
                               defect_target=min(defect_threshold / 10, 1e-6),
                               extend_entries=True)
-            if row.defect > defect_threshold:
+            if not row.defect <= defect_threshold:
                 raise ChainDefectError(
                     f"row defect {row.defect:.3e} above threshold at {key}")
             row_cache[key] = row
@@ -362,13 +362,16 @@ class FastBarredKernel:
             Abar(beta0 - bar(w(lam0+rho)-rho)),
 
     with ``Abar`` the delta-aggregated increment measure (Fourier atoms)
-    and ``Nhat(mu) = sum_w det(w) e^{<w(mu)-mu, h>}`` the alternant.  Terms,
-    offsets and exact exponents come from
+    and ``Nhat(mu) = sum_w det(w) e^{<w(mu)-mu, h>}`` the alternant.  The
+    numerators' terms, offsets and exact exponents come from
     :func:`affinewalks.characters._alternant_exponents` for any rank, cut
     at the largest ``|lam0 + rho|`` of the level, so batched and single rows
-    are bit-equal; the sums are float64.  Only ratios of high-level ``Nhat``
-    values appear, which keeps the rows in range where the level-zero sums
-    are far below float resolution.
+    are bit-equal; the sums are float64.  At ``h = rho/n`` (the point must
+    be a positive multiple of rho) ``Nhat(mu)`` is the survival function
+    ``h(mu/n)``, so ``log Nhat`` comes from Kac's product
+    (:func:`affinewalks.highestweight.log_kac_product`), which does not
+    cancel at low levels, and the rows take ``Nhat`` ratios as exponentials
+    of its differences.
 
     A row gathers atoms only for its live (source state, Weyl term) pairs:
     those whose offsets over all next states span a box that meets the box
@@ -401,24 +404,33 @@ class FastBarredKernel:
         self._support = (np.array([x.min() for x in nz]) + 1,
                          np.array([x.max() for x in nz]) + 1)
         self.rho = weyl_vector(alg)
+        t = s.point.k / self.rho.k
+        if t <= 0 or s.point.z != self.rho.scale(t).z:
+            raise ValueError("the fast kernel needs a point that is a "
+                             "positive multiple of rho")
         self._den = _dominant_coords(alg, 0)[1]
+        # (alpha_i|t mu) from den times the root coordinates of mu
+        self._t = t
+        self._pair = np.array([[float(t * g / self._den) for g in row]
+                               for row in alg.finite_gram])
         self._rho_q = np.array([int(x * self._den) for x in self.rho.z])
         self._om_q = np.array([int(x * self._den) for x in self.omega.z])
         self._levels: dict[int, tuple] = {}
 
     def _level(self, level: int) -> tuple:
         """States of a level (:func:`_dominant_coords`), the offsets and
-        signed float weights of the alternant terms of ``state + rho``, and
-        the weights' exactly rounded sums ``Nhat``."""
+        signed float weights of the alternant terms of ``mu = state + rho``,
+        and ``log Nhat(mu)``, Kac's ``log h(t mu)`` at ``h = t rho``."""
         hit = self._levels.get(level)
         if hit is None:
             zq, _ = _dominant_coords(self.alg, level)
+            k = level + int(self.rho.k)
+            mu = zq + self._rho_q
             sign, m, expo, den, _ = _alternant_exponents(
-                self.alg, level + int(self.rho.k), zq + self._rho_q, self._den,
-                self.s, 1e-13)
-            weights = sign * np.exp(expo / den)
-            hit = (zq, m, weights,
-                   np.array([math.fsum(w) for w in weights.tolist()]))
+                self.alg, k, mu, self._den, self.s, 1e-13)
+            log_nhat = log_kac_product(self.alg, float(self._t * k),
+                                       mu @ self._pair.T)[0]
+            hit = (zq, m, sign * np.exp(expo / den), log_nhat)
         return hit
 
     def _live_pairs(self, base: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -438,8 +450,8 @@ class FastBarredKernel:
         entry, defects as an array) when ``q`` is an int array."""
         qs = np.atleast_1d(np.asarray(q, dtype=np.int64))
         nxt = level + int(self.omega.k)
-        zq, m, weights, nhat = cur = self._level(level)
-        zq_next, _, _, nhat_next = new = self._level(nxt)
+        zq, m, weights, log_nhat = cur = self._level(level)
+        zq_next, _, _, log_nhat_next = new = self._level(nxt)
         self._levels = {level: cur, nxt: new}
         # the term w moves lam0 to bar(w(lam0+rho)-rho) = lam0 - m, so beta0
         # takes the atom at offset lam0 - m + omega - beta0; an offset off
@@ -462,16 +474,19 @@ class FastBarredKernel:
             atoms = pad.ravel()[flat]
             atoms *= wq[i, t, None]         # in place: one row-sized array less
             raw[i] += atoms
-        probs = raw * nhat_next / nhat[qs][:, None]
+        # Nhat(beta0+rho) / Nhat(lam0+rho), split at the next level's largest
+        top = log_nhat_next.max()
+        probs = (raw * np.exp(log_nhat_next - top)
+                 * np.exp(top - log_nhat[qs])[:, None])
         neg = probs.min(axis=1)
         np.clip(probs, 0.0, None, out=probs)
         defect = np.abs(1.0 - probs.sum(axis=1))
         for i in range(qs.size):
-            if neg[i] < -1e-10:
+            if not neg[i] >= -1e-10:
                 raise ChainDefectError(
                     f"fast row negative mass {neg[i]:.3e} at level={level} "
                     f"q={qs[i]}")
-            if defect[i] > self.defect_threshold:
+            if not defect[i] <= self.defect_threshold:
                 raise ChainDefectError(
                     f"fast row defect {defect[i]:.3e} above threshold at "
                     f"level={level} q={qs[i]}")

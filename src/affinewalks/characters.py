@@ -32,7 +32,7 @@ import numpy as np
 from . import _linalg, weyl
 from .algebra import (_ALGEBRAS_MAX, AffineAlgebra, Weight, classify_weight,
                       inner_product, pair_delta, weyl_vector)
-from .highestweight import (alternant_terms, denominator_product_series,
+from .highestweight import (_U, alternant_terms, denominator_product_series,
                             finite_roots)
 from .weyl import (ConvergenceError, certified_terms, finite_group,
                    lattice_basis, orbit_offsets)
@@ -97,7 +97,6 @@ def _require_convergent(alg: AffineAlgebra, s: Specialization) -> Fraction:
 
 # -- alternants ----------------------------------------------------------------------
 
-_U = 2.0 ** -53            # unit roundoff of float64
 _TAIL = 2.0 ** -60         # truncation target, relative to the leading term
 _DIRECT_LOSS = 3.0         # nats of cancellation the direct series may carry
 # 2 pi^2 to 36 digits: exact reference exponents lose nothing to it

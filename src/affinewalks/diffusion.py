@@ -7,7 +7,9 @@ root coordinates, chosen once per algebra).  The module provides:
 
 * the chamber membership test with its margin,
 * free and drifted heat kernels on level slices,
-* the survival function (alternating Weyl sum) and its gradient,
+* the survival function ``h`` and its gradient, by Kac's denominator
+  product (:func:`affinewalks.highestweight.log_kac_product`), which does
+  not cancel near the walls or at small levels,
 * reflected densities for the killed process (three equivalent forms),
 * Euler-Maruyama sampling of the drifted process, with a Brownian-bridge
   wall-crossing test on each coarse step (exit times are resolved to the
@@ -17,12 +19,14 @@ root coordinates, chosen once per algebra).  The module provides:
   substeps proposed along the Doob drift and accepted by rejection with a
   bound from the concavity of log survival (no time-step bias, no aborted
   path).  Whole paths from rho, 10 x 1000 steps, take about 0.2 s on A1~
-  and 0.3 s on A2~ (2-CPU host),
+  and 0.3 s on A2~ (2-CPU host); 300 A2~ paths from 0.05 rho over four
+  gaps of 0.5 take about 12 s,
 * finite-difference verifiers for the harmonic identity and for the
   translation-covariance identity of the free kernel.
 
-All Weyl sums are truncated by translation norm with the certified
-Gaussian shell bound of :func:`affinewalks.weyl.certified_terms`.
+The Weyl sums of the killed densities are truncated by translation norm
+with the certified Gaussian shell bound of
+:func:`affinewalks.weyl.certified_terms`.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import _ALGEBRAS_MAX, AffineAlgebra, Weight, weyl_vector
+from .highestweight import log_kac_product
 from .weyl import (AffineWeylElement, ConvergenceError, apply, certified_terms,
                    finite_group)
 
@@ -130,7 +135,7 @@ def chamber_test(alg: AffineAlgebra, p: SpaceTimePoint) -> tuple[bool, float]:
     return margin >= 0.0, margin
 
 
-# -- Weyl terms for the alternating sums --------------------------------------------
+# -- Weyl terms for the killed densities --------------------------------------------
 
 
 @dataclass
@@ -141,8 +146,6 @@ class _Terms:
     alpha: np.ndarray             # translation
     rot: np.ndarray               # finite part as an orthogonal matrix
     alpha_norm2: np.ndarray
-    b_wrho: np.ndarray            # delta coordinate of w(rho)
-    cw: np.ndarray                # finite part of w(rho) - rho
 
 
 def _terms_for(alg: AffineAlgebra, s_min: float, z_norm: float,
@@ -165,59 +168,58 @@ def _terms_for(alg: AffineAlgebra, s_min: float, z_norm: float,
         alg, a, b, len(finite_group(alg)) * math.exp(const), rtol)
     alpha = terms.trans.astype(float) @ f.LT.T
     rot = f.LT @ terms.matrix.astype(float) @ f.LT_inv
-    rot_rho = rot @ f.rho_o
     norm2 = np.einsum("ni,ni->n", alpha, alpha)
-    b_wrho = -(np.einsum("ni,ni->n", rot_rho, alpha) + 0.5 * norm2 * f.hv)
-    cw = (rot_rho + f.hv * alpha) - f.rho_o
-    return _Terms(terms.sign.astype(float), alpha, rot, norm2, b_wrho, cw), tail
-
-
-def _exp_terms(terms: _Terms, s, z: np.ndarray) -> np.ndarray:
-    """Signed ``exp((x, w(rho) - rho))`` per path (rows of ``z``, levels
-    ``s``: one, or one per path) and term."""
-    s = np.reshape(s, (-1, 1))
-    return np.exp(s * terms.b_wrho + z @ terms.cw.T) * terms.sign
+    return _Terms(terms.sign.astype(float), alpha, rot, norm2), tail
 
 
 # -- survival function ---------------------------------------------------------------
 
 
+def _log_h(alg: AffineAlgebra, s, z: np.ndarray):
+    """``log h``, its gradient ``(d_s, grad_z)`` and the bound on ``log h``
+    of :func:`~affinewalks.highestweight.log_kac_product`, per row of ``z``
+    (levels ``s``: one, or one per row); ``(alpha_i|x)`` is ``L z``."""
+    L = _frame(alg).L
+    lh, ds, dv, err = log_kac_product(alg, s, z @ L.T)
+    with np.errstate(invalid="ignore"):     # off the chamber dv is not finite
+        return lh, ds, dv @ L, err
+
+
 def survival(alg: AffineAlgebra, p: SpaceTimePoint, eps: float = 1e-12):
     """Probability of never leaving the chamber, for the drifted process:
-    the alternating sum of ``exp((x, w(rho)-rho))`` over the Weyl group.
+    ``h(x) = sum_w det(w) e^{(x, w(rho)-rho)}``, as Kac's product
+    (:func:`~affinewalks.highestweight.log_kac_product`).
 
-    Returns ``(value, tail_bound)``.  On the boundary the truncated sum
-    cancels to within the tail bound; in the interior the value lies in
-    (0, 1] up to the bound.
+    Returns ``(value, bound)``, ``bound`` on the absolute error of the value;
+    a bound above ``eps`` raises :class:`~affinewalks.weyl.ConvergenceError`.
+    The value lies in (0, 1] inside and is exactly 0.0 on the walls, where
+    the bound is the rounding of the wall pairings.  Points outside the
+    chamber or at a level ``s <= 0`` raise :class:`OutsideChamberError`.
     """
     inside, margin = chamber_test(alg, p)
-    if not inside:
-        raise OutsideChamberError(f"point outside the chamber (margin {margin:.3g})")
-    terms, tail = _terms_for(alg, p.s, float(np.linalg.norm(p.z)), eps)
-    return float(_exp_terms(terms, p.s, p.z[None, :]).sum()), tail
+    if not inside or p.s <= 0:
+        raise OutsideChamberError(
+            f"point outside the chamber (margin {margin:.3g}, level {p.s:.3g})")
+    lh, _, _, err = _log_h(alg, p.s, p.z[None, :])
+    value, f = math.exp(lh[0]), _frame(alg)
+    # on a wall a factor 1 - e^{-u} <= u vanished, u within rounding of 0
+    bound = (value * math.expm1(err[0]) if value else 8 * (f.l + 2) * np.finfo(
+        float).eps * (p.s + float((np.abs(f.pairing) @ np.abs(p.z)).max())))
+    if not bound <= eps:
+        raise ConvergenceError(f"survival bound {bound:.2e} above eps {eps:.2e}")
+    return value, bound
 
 
 def survival_gradient(alg: AffineAlgebra, p: SpaceTimePoint,
                       eps: float = 1e-12) -> tuple[float, np.ndarray]:
-    """Termwise gradient (ds, dz) of the survival sum: the derivative sums
-    the conditioned sampler draws its drift from (:func:`_h_sums`)."""
-    inside, _ = chamber_test(alg, p)
-    if not inside:
+    """Gradient ``(d_s h, grad_z h)`` of the survival function at an
+    interior point: ``h`` times the gradient of Kac's ``log h``, the one the
+    conditioned sampler draws its drift from."""
+    value, _ = survival(alg, p, eps)
+    if not value:
         raise OutsideChamberError("gradient needs an interior point")
-    # coefficient growth is linear in the translation radius; one extra
-    # order of magnitude on the tail keeps the differentiated sum certified
-    terms, tail = _terms_for(alg, p.s, float(np.linalg.norm(p.z)), eps * 1e-2)
-    _, h_s, h_z, _ = _h_sums(terms, tail, p.s, p.z[None, :])
-    return float(h_s[0]), h_z[0]
-
-
-def _h_sums(terms: _Terms, tail: float, s, z: np.ndarray):
-    """Survival sum ``h``, its derivatives ``d_s h`` and ``grad_z h``, and a
-    bound on the error of ``h`` (certified tail plus rounding), per path:
-    rows of ``z`` at levels ``s`` (one, or one per path)."""
-    e = _exp_terms(terms, s, z)
-    err = tail + terms.sign.size * np.finfo(float).eps * np.abs(e).sum(axis=1)
-    return e.sum(axis=1), e @ terms.b_wrho, e @ terms.cw, err
+    _, ds, dz, _ = _log_h(alg, p.s, p.z[None, :])
+    return value * float(ds[0]), value * dz[0]
 
 
 # -- heat kernels --------------------------------------------------------------------
@@ -402,8 +404,9 @@ def _conditioned_transitions(alg: AffineAlgebra, rng: np.random.Generator,
     probability ``(q/p)(x, y) exp(log h(y) - log h(x) - (y - x).(S, G))``
     (``q`` the killed and ``p`` the free drifted density), so an accepted
     ``y`` has density ``q(x, y) h(y) / h(x)``.  Both factors are at most 1:
-    by Kac's denominator identity ``h`` is a product of factors
-    ``1 - e^{-(x, beta)}``, so ``log h`` is concave.  The mean acceptance
+    ``log h`` is Kac's product (:func:`_log_h`), a sum of concave terms
+    ``log(1 - e^{-(x, beta)})``, and a gap above the rounding bound of the
+    two values and the tangent raises.  The mean acceptance
     is ``exp(-tau r)``, ``r = h_vee S + rho.G + |G|^2/2``, and
     ``tau = min(time left, log 2 / r)`` keeps it at 1/2 or more.  ``q/p``,
     the chance that the bridge from ``x`` to ``y`` stays in the chamber, is
@@ -415,19 +418,18 @@ def _conditioned_transitions(alg: AffineAlgebra, rng: np.random.Generator,
     z = z.copy()
 
     def log_h(s_at, z_at):
-        """log h, its gradient (S, G) and the rate r, per path."""
-        h, h_s, h_z, _ = _h_sums(tm, tail, s_at, z_at)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            S, G = h_s / h, h_z / h[:, None]
+        """log h, its gradient (S, G), its error bound and the rate r, per
+        path; outside the chamber log h is -inf and the rest undefined."""
+        lh, S, G, err = _log_h(alg, s_at, z_at)
+        with np.errstate(invalid="ignore"):
             rate = f.hv * S + G @ f.rho_o + 0.5 * np.einsum("pi,pi->p", G, G)
-            return np.log(h), S, G, np.maximum(rate, 1e-300)
+        return lh, S, G, err, np.maximum(rate, 1e-300)
 
-    # the sums' certificate holds for every level above s and norm below
-    # z_cert; the tail sits two orders below the survival's default, for
-    # the differentiated sums, as in survival_gradient
+    # the q/p sum's certificate holds for every level above s and norm
+    # below z_cert
     z_cert = math.sqrt(f.l) * float(np.abs(z).max()) + 1.0
     tm, tail = _terms_for(alg, s, z_cert, 1e-14)
-    lh, S, G, rate = log_h(s, z)
+    lh, S, G, err, rate = log_h(s, z)
     for gap in gaps:
         s_end = s + f.hv * gap
         left = np.full(len(z), float(gap))
@@ -451,14 +453,18 @@ def _conditioned_transitions(alg: AffineAlgebra, rng: np.random.Generator,
             if y_norm > z_cert:
                 z_cert = y_norm + 1.0
                 tm, tail = _terms_for(alg, s, z_cert, 1e-14)
-            lh_y, S_y, G_y, rate_y = log_h(sy, y)
+            lh_y, S_y, G_y, err_y, rate_y = log_h(sy, y)
             # outside the chamber q vanishes and log h is not concave
             a, b = _wall_margins(f, sx, x), _wall_margins(f, sy, y)
+            tangent = np.column_stack(((sy - sx) * S[idx], Gx * dz))
             log_gap = np.where(b.min(axis=1) > 0, lh_y - lh[idx]
-                               - (sy - sx) * S[idx]
-                               - np.einsum("pi,pi->p", Gx, dz), -np.inf)
-            if np.any(log_gap > 0):
-                _check_concave(tm, tail, log_gap, sx, x, sy, y, dz)
+                               - tangent.sum(axis=1), -np.inf)
+            # the two values' bounds, and the tangent's own rounding
+            slack = (err[idx] + err_y + 4 * (f.l + 2) * np.finfo(float).eps
+                     * np.abs(tangent).sum(axis=1))
+            if not np.all(log_gap <= slack):
+                raise FloatingPointError("log survival above its tangent plane "
+                                         "beyond the rounding of Kac's product")
             bound = np.exp(log_gap)
             cross = np.exp(-2.0 * a * np.maximum(b, 0.0) / (f.wall_var * tau[:, None]))
             accept = u < (1.0 - cross.sum(axis=1)) * bound
@@ -469,8 +475,9 @@ def _conditioned_transitions(alg: AffineAlgebra, rng: np.random.Generator,
                 accept[open_] = u[open_] < qp * bound[open_]
             acc = idx[accept]
             z[acc], left[acc] = y[accept], left_y[accept]
-            lh[acc], S[acc], G[acc], rate[acc] = (
-                lh_y[accept], S_y[accept], G_y[accept], rate_y[accept])
+            lh[acc], S[acc], G[acc], err[acc], rate[acc] = (
+                lh_y[accept], S_y[accept], G_y[accept], err_y[accept],
+                rate_y[accept])
             done = accept & (left_y <= 0)
             pending = np.concatenate((idx[~done], pending[idx.size:]))
         s = s_end
@@ -492,32 +499,10 @@ def _killed_over_free(f: _Frame, tm: _Terms, tail: float, s: np.ndarray,
     qp = e @ tm.sign
     qp_bound = (tail * np.exp(np.einsum("pi,pi->p", d, d) / (2 * tau))
                 + tm.sign.size * np.finfo(float).eps * e.sum(axis=1))
-    if np.any(qp > 1 + qp_bound):
+    if not np.all(qp <= 1 + qp_bound):
         raise FloatingPointError("killed over free density above 1 beyond "
                                  "its certified bound")
     return qp
-
-
-def _check_concave(tm: _Terms, tail: float, log_gap: np.ndarray,
-                   sx: np.ndarray, x: np.ndarray, sy: np.ndarray,
-                   y: np.ndarray, dz: np.ndarray) -> None:
-    """Raise if ``log h(y) - log h(x) - (y - x) . grad log h(x)``, at most 0
-    for the concave ``log h``, is positive beyond the certified tail plus
-    rounding of the sums; the derivative sums' errors take the largest
-    coefficient of a kept term."""
-    j = np.flatnonzero(log_gap > 0)
-    h_x, h_s, h_z, err_x = _h_sums(tm, tail, sx[j], x[j])
-    h_y, _, _, err_y = _h_sums(tm, tail, sy[j], y[j])
-    with np.errstate(divide="ignore"):
-        rel_x = err_x / np.maximum(h_x - err_x, 0.0)
-        rel_y = err_y / np.maximum(h_y - err_y, 0.0)
-    slope = ((sy[j] - sx[j]) * (np.abs(tm.b_wrho).max() + np.abs(h_s / h_x))
-             + np.linalg.norm(dz[j], axis=1)
-             * (np.linalg.norm(tm.cw, axis=1).max()
-                + np.linalg.norm(h_z, axis=1) / h_x))
-    if np.any(log_gap[j] > rel_x + rel_y + rel_x * slope):
-        raise FloatingPointError("log survival above its tangent plane "
-                                 "beyond the certified bound of its sums")
 
 
 def sample_path_batch(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,

@@ -200,7 +200,7 @@ def scaling_walk_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     omega = Weight.make(alg.dual_coxeter, (0,) * alg.rank, 0)
     s = characters.rho_specialization(alg, cfg.spec_n)
     atoms = increment_atoms(alg, omega, s)
-    if atoms.defect > 1e-6:
+    if not atoms.defect <= 1e-6:
         raise chain.ChainDefectError("increment table defect above threshold")
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     n = cfg.spec_n
@@ -513,15 +513,18 @@ def _cmd_experiment(args) -> int:
     if args.seed is None and not args.config:
         raise _InputError("--seed (or a config carrying one) is required for "
                           "stochastic commands")
+    # the walk's scale defaults to the frozen walk, the chain's to the
+    # config defaults; a config's keys, then the flags, override them
+    defaults = ({"spec_n": GOLDEN.walk_n, "samples": GOLDEN.walk_samples,
+                 "time_grid": [GOLDEN.walk_t]} if args.kind == "walk" else {})
+    text = "{}"
     if args.config:
         with open(args.config) as fh:
             text = fh.read()
-        try:
-            cfg = ExperimentConfig.from_json(text)
-        except ValueError as exc:          # bad JSON, unknown key or value
-            raise _InputError(f"--config {args.config}: {exc}") from None
-    else:
-        cfg = ExperimentConfig()
+    try:
+        cfg = ExperimentConfig.from_json(json.dumps({**defaults, **json.loads(text)}))
+    except ValueError as exc:          # bad JSON, unknown key or value
+        raise _InputError(f"--config {args.config}: {exc}") from None
     if args.seed is not None:
         cfg.seed = args.seed
     if args.samples:
@@ -531,9 +534,6 @@ def _cmd_experiment(args) -> int:
     if args.kind != "walk":             # the chain runs start at start_pairings
         _weight_arg(algebra_from_name(cfg.algebra), ",".join(cfg.start_pairings))
     if args.kind == "walk":
-        cfg.spec_n = cfg.spec_n if args.n else GOLDEN.walk_n
-        cfg.samples = cfg.samples if args.samples else GOLDEN.walk_samples
-        cfg.time_grid = (GOLDEN.walk_t,)
         report = scaling_walk_experiment(cfg)
     elif args.kind == "chain":
         report = scaling_chain_experiment(cfg)

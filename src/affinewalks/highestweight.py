@@ -40,13 +40,14 @@ import numpy as np
 from . import _linalg
 from .algebra import (_ALGEBRAS_MAX, AffineAlgebra, Weight, classify_weight,
                       pairing_coroot, weyl_vector)
-from .weyl import (_lattice_gram, apply, enumerate_bounded, finite_group,
-                   orbit_offsets, weyl_terms)
+from .weyl import (ConvergenceError, _lattice_gram, apply, enumerate_bounded,
+                   finite_group, orbit_offsets, weyl_terms)
 
 __all__ = [
     "MultiplicityTable",
     "finite_roots",
     "positive_roots",
+    "log_kac_product",
     "freudenthal_table",
     "character_series_oracle",
     "tensor_power_table",
@@ -193,6 +194,97 @@ def denominator_product_series(alg: AffineAlgebra, depth: int) -> dict[Key, int]
                     src[tuple(map(slice, hi))]
     return {(d, tuple((m + d * rmin).tolist())): int(layer[tuple(m)])
             for d, layer in enumerate(layers) for m in np.argwhere(layer)}
+
+
+_U = 2.0 ** -53             # unit roundoff of float64
+_KAC_TAIL = 2.0 ** -60      # truncation target of log h, absolute
+_KAC_ORDER = 4              # order of the q-expansion past the kept depths
+# delta-depths kept at most; (delta|x) = 1e-3 needs 7 000
+_KAC_DEPTH_MAX = 1 << 14
+# (depths + orders) x roots x rows that one block holds at most
+_KAC_BLOCK = 1 << 18
+
+
+@lru_cache(maxsize=_ALGEBRAS_MAX)
+def _kac_roots(alg: AffineAlgebra):
+    """Finite parts (float root coordinates) of the positive roots of every
+    delta-depth ``n >= 1`` with multiplicity (the finite roots, and rank
+    zeros); 0 where the root is positive at depth 0 too, else ``inf``; the
+    largest coefficient per axis."""
+    low = positive_roots(alg, 1)
+    r = np.array([r for n, r, m in low if n == 1 for _ in range(m)], dtype=float)
+    pos = {r for n, r, _ in low if n == 0}
+    depth0 = np.array([[0.0 if tuple(map(int, x)) in pos else np.inf] for x in r])
+    return r, depth0, np.abs(r).max(axis=0)
+
+
+def log_kac_product(alg: AffineAlgebra, s, v: np.ndarray):
+    """``(log h, d_s, d_v, err)`` per row at the points ``x`` with
+    ``(delta|x) = s`` (one, or one per row) and ``(alpha_i|x) = v[:, i-1]``,
+    where by Kac's denominator identity
+    ``h(x) = sum_w det(w) e^{(x|w(rho) - rho)}
+    = prod_{beta > 0} (1 - e^{-(beta|x)})^{mult beta}``.
+
+    Inside the chamber every factor lies in (0, 1], so nothing cancels; on
+    or outside a wall ``log h`` is ``-inf``.  The factors of delta-depth up
+    to ``N`` are kept; past it, per finite part ``r``,
+    ``sum_{m >= 0} log(1 - y e^{-ms}) = -sum_k y^k / (k (1 - e^{-ks}))``
+    with ``y = e^{-(N+1)s - (r|x)}``, cut at order ``K = _KAC_ORDER`` with
+    remainder at most ``2 y^{K+1} / ((K+1) (1 - e^{-s}))``.  ``N`` is the
+    least depth that puts the remainder below ``_KAC_TAIL``; past
+    ``_KAC_DEPTH_MAX`` :class:`~affinewalks.weyl.ConvergenceError` is
+    raised.  Each kept term is concave in ``x`` and the gradient is exactly
+    theirs.  ``err`` bounds the error of ``log h``: the remainder, and one
+    unit roundoff per float operation, the exponents' rounding carried by
+    the factors' slopes.
+    """
+    v = np.asarray(v, dtype=float)
+    s = np.broadcast_to(np.asarray(s, dtype=float), len(v))
+    if not (s > 0).all():
+        raise ValueError("Kac's product needs (delta|x) > 0")
+    r, depth0, rmax = _kac_roots(alg)
+    w, k1, s_min = r @ v.T, _KAC_ORDER + 1, float(s.min())
+    # every y is at most e^{a - (N+1) s}, a = max -(r|x)
+    depth = max(1, math.ceil((float(-w.min()) + math.log(2 * len(r) / (
+        k1 * _KAC_TAIL * -math.expm1(-s_min))) / k1) / s_min) - 1)
+    if depth > _KAC_DEPTH_MAX:
+        raise ConvergenceError(f"Kac's product needs delta-depth {depth}, "
+                               f"past the cap {_KAC_DEPTH_MAX}")
+    n, k = np.arange(depth + 1.0), np.arange(1.0, k1)[:, None]
+    step = max(1, _KAC_BLOCK // ((depth + k1) * len(r)))
+    out = []
+    with np.errstate(divide="ignore", invalid="ignore"):     # -inf on walls
+        for i in range(0, len(v), step):
+            sb, vb, wb = s[i:i + step], v[i:i + step], w[:, i:i + step]
+            # the kept depths, over (depth, root, row)
+            f = np.multiply.outer(-n, sb)[:, None, :] - wb    # -u
+            f[0] -= depth0
+            np.minimum(f, 0.0, out=f)
+            np.expm1(f, out=f)
+            np.negative(f, out=f)                   # 1 - e^{-u}, -0.0 on walls
+            lh = np.log(f.prod(axis=1)).sum(axis=0)
+            g = np.reciprocal(np.abs(f, out=f), out=f)
+            g -= 1.0                                # d log f / du
+            ds = n @ g.sum(axis=1)
+            g_r = g.sum(axis=0)
+            # the q-expansion, over (order, root, row)
+            y = np.exp(-(depth + 1) * sb - wb)
+            yk = np.empty((_KAC_ORDER,) + y.shape)
+            yk[0] = y
+            for j in range(1, _KAC_ORDER):
+                np.multiply(yk[j - 1], y, out=yk[j])
+            inv = 1.0 / -np.expm1(-k * sb)          # 1 / (1 - e^{-ks})
+            pk = yk.sum(axis=1) * inv
+            lh -= (1.0 / k[:, 0]) @ pk
+            ds += ((depth + inv) * pk).sum(axis=0)
+            g_r += (yk * inv[:, None, :]).sum(axis=0)
+            # every exponent is within du of its exact value
+            du = (alg.rank + 2) * _U * ((depth + 1) * sb + np.abs(vb) @ rmax)
+            rem = 2 * (yk[-1] * y).sum(axis=0) / (k1 * -np.expm1(-sb))
+            err = (du * g_r.sum(axis=0) + rem
+                   + _U * (2 * g[:, :, 0].size + (depth + k1 + 3) * np.abs(lh)))
+            out.append((lh, ds, (r.T @ g_r).T, err))
+    return tuple(map(np.concatenate, zip(*out)))
 
 
 # -- candidate enumeration --------------------------------------------------------

@@ -102,7 +102,7 @@ def increment_atoms(alg: AffineAlgebra, omega: Weight, s: Specialization,
     side = 2 ** (int(math.log2(_CHUNK)) // l)
     order = np.lexsort(((idx + grid // 2) // side).T[::-1])
     logf = np.empty(len(idx), dtype=complex)
-    err = np.empty(len(idx))        # relative to e^{ref}, ref of the first chunk
+    log_err = np.empty(len(idx))    # in units of e^{ref}, ref of the first chunk
     for a in range(0, len(idx), _CHUNK):
         at = order[a:a + _CHUNK]
         pts = (idx[at], grid)
@@ -115,18 +115,21 @@ def increment_atoms(alg: AffineAlgebra, omega: Weight, s: Specialization,
         rel_den = np.exp(den.log_err[0] - den.rest[0].real)
         if not (rel_den < 0.5).all():
             raise ArithmeticError("denominator alternant not resolved on the torus")
-        err[at] = ((np.exp(num.log_err[0] - den.rest[0].real + shift)
-                    + np.exp(chunk.real) * rel_den) / (1 - rel_den)
-                   + np.exp(chunk.real) * 2 * _U * abs(shift))
+        with np.errstate(divide="ignore"):
+            log_err[at] = np.logaddexp(
+                num.log_err[0] - den.rest[0].real + shift,
+                chunk.real + np.log(rel_den + 2 * _U * abs(shift) * (1 - rel_den))
+            ) - np.log1p(-rel_den)
         logf[at] = chunk
     log_f0 = float(ref) + logf[0].real
     if not log_f0 >= math.log1p(-1e-9):
         raise ArithmeticError(
             f"aggregated total e^{log_f0!r} below 1: truncation or precision bug")
-    # quotient over its value at theta = 0, and the certified error of that
+    # quotient over its value at theta = 0, and the certified error of that;
+    # the error leaves log space only relative to f(0), so it stays in range
     f = np.exp(logf - logf[0].real).reshape((grid,) * l)
-    value_err = (float(err.max()) + float(np.abs(f).max()) * err[0]) \
-        * math.exp(-logf[0].real)
+    value_err = (math.exp(float(log_err.max()) - logf[0].real)
+                 + float(np.abs(f).max()) * math.exp(log_err[0] - logf[0].real))
     atoms = np.fft.ifftn(f)
     imag_max = float(np.abs(atoms.imag).max())
     atoms = atoms.real
@@ -146,7 +149,7 @@ def increment_atoms(alg: AffineAlgebra, omega: Weight, s: Specialization,
         edge = max(edge, float(np.abs(atoms[tuple(sl)]).max()))
     total = float(atoms.sum())
     defect = (edge * grid * l) / total + value_err
-    if defect > 1e-4:
+    if not defect <= 1e-4:
         raise ArithmeticError(
             f"aliasing defect {defect:.2e}: grid {grid} too small for the "
             "support of the increment measure")

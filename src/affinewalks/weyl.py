@@ -7,8 +7,8 @@ Elements are kept in translation-first normal form ``t_alpha * w`` with
 uses the semidirect rule, so no reduced-word machinery is needed beyond the
 breadth-first enumeration of the finite group.
 
-Alternating sums over the group (theta functions, Weyl-orbit sums, the
-survival function and reflected densities) are cut off by translation norm.
+Alternating sums over the group (theta functions, Weyl-orbit sums and
+reflected densities) are cut off by translation norm.
 :func:`certified_terms` owns that cutoff: one radius policy, the certified
 Gaussian shell bound for everything beyond it, and the stacked term arrays
 in a bounded cache.

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import sys
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from affinewalks import (acceptance, algebra as al, chain as cn,
-                         characters as ch, highestweight as hw, weyl as wy)
+                         characters as ch, harness as hs, highestweight as hw,
+                         weyl as wy)
 from affinewalks.algebra import Weight
 from affinewalks.thresholds import GOLDEN
 
@@ -454,8 +456,8 @@ def _dense_row(fk, level, qs):
     # term and every next state gathers its atom; also per (source, term),
     # whether a nonzero atom was read and whether an index fell inside the
     # unpadded atoms array
-    zq, m, weights, nhat = fk._level(level)
-    zq_next, _, _, nhat_next = fk._level(level + int(fk.omega.k))
+    zq, m, weights, log_nhat = fk._level(level)
+    zq_next, _, _, log_nhat_next = fk._level(level + int(fk.omega.k))
     pad = np.pad(fk.atoms.prob, 1)
     base = zq[qs][:, None, :] + fk._om_q - zq_next[None, :, :]
     base = np.where((base % fk._den == 0).all(axis=2, keepdims=True),
@@ -474,7 +476,9 @@ def _dense_row(fk, level, qs):
         hit[:, t] = (atoms != 0).any(axis=1)
         inside[:, t] = np.logical_and.reduce(
             [(x >= 1) & (x <= n) for x, n in zip(idx, fk.atoms.prob.shape)]).any(axis=1)
-    probs = raw * nhat_next / nhat[qs][:, None]
+    top = log_nhat_next.max()
+    probs = (raw * np.exp(log_nhat_next - top)
+             * np.exp(top - log_nhat[qs])[:, None])
     np.clip(probs, 0.0, None, out=probs)
     return probs, np.cumsum(probs, axis=1), np.abs(1.0 - probs.sum(axis=1)), hit, inside
 
@@ -521,13 +525,22 @@ def test_fast_kernel_rank_two_matches_aggregated_row(a2):
     assert np.abs(probs - agg).max() < 1e-12
 
 
-@pytest.mark.parametrize("level", [1, 2, 10])
+@pytest.mark.parametrize("level", [1, 2])
 def test_fast_kernel_refuses_near_critical_line(a1, level):
-    # float64 alternants cancel near the origin at rho/100: the row must
+    # the float64 numerators cancel near the origin at rho/100: the row must
     # refuse with the typed error, never come back silently wrong
     fk = cn.FastBarredKernel(a1, omega(a1), ch.rho_specialization(a1, 100))
     with pytest.raises(cn.ChainDefectError):
         fk.row(level, 0)
+
+
+def test_fast_kernel_rows_from_level_three_at_rho_100(a1):
+    # with Nhat from Kac's product only the numerators cancel: from level 3
+    # the rows of the wall state sum to one within the defect threshold
+    # (level 3 loses about 5 digits), and by level 10 within rounding
+    fk = cn.FastBarredKernel(a1, omega(a1), ch.rho_specialization(a1, 100))
+    assert fk.row(3, 0)[2] < 1e-4
+    assert fk.row(10, 0)[2] < 1e-12
 
 
 def test_fast_kernel_keeps_two_levels(a1):
@@ -596,3 +609,22 @@ def test_dominant_states_pairings(a1, a2):
                 q = [al.pairing_coroot(alg, w, i) for i in range(alg.rank + 1)]
                 assert all(x.denominator == 1 and x >= 0 for x in q)
                 assert sum(c * x for c, x in zip(alg.comarks, q)) == level
+
+
+def test_nan_defects_fail_the_gates(a1, monkeypatch):
+    # a NaN compares false with every threshold: each gate must refuse it
+    s = ch.rho_specialization(a1, 5)
+    nan_row = cn.KernelRow(source=a1.Lambda0(), entries=[], defect=math.nan)
+    monkeypatch.setattr(cn, "q_omega_row", lambda *args, **kw: nan_row)
+    with pytest.raises(cn.ChainDefectError):
+        cn.simulate_chain(a1, a1.Lambda0(), omega(a1), s, 1, seed=1)
+    fk = cn.FastBarredKernel(a1, omega(a1), s)
+    fk.atoms.prob[fk.atoms.prob.size // 2] = math.nan
+    with pytest.raises(cn.ChainDefectError):
+        fk.row(4, 1)
+    atoms = fk.atoms
+    monkeypatch.setattr(hs, "increment_atoms", lambda *args: dataclasses.replace(
+        atoms, defect=math.nan))
+    with pytest.raises(cn.ChainDefectError):
+        hs.scaling_walk_experiment(hs.ExperimentConfig(spec_n=5, samples=10,
+                                                       time_grid=(1.0,), seed=1))

@@ -145,7 +145,7 @@ def test_experiment_csv_without_out(tmp_path, capsys):
 def test_experiment_config_file_matches_flags(tmp_path):
     from affinewalks.harness import ExperimentConfig
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(ExperimentConfig(seed=9).to_json())
+    cfg_path.write_text(ExperimentConfig(seed=9, time_grid=(1.0,)).to_json())
     reports = []
     for extra in (["--seed", "9"], ["--config", str(cfg_path)]):
         out = tmp_path / "report.json"
@@ -153,6 +153,19 @@ def test_experiment_config_file_matches_flags(tmp_path):
                  "--out", str(out)] + extra)
         reports.append(json.loads(out.read_text()))
     assert reports[0] == reports[1]
+
+
+def test_experiment_walk_honours_config_scale(tmp_path):
+    # the config's spec_n and samples run and are reported; flags override
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"spec_n": 30, "samples": 800, "seed": 9}))
+    out = tmp_path / "report.json"
+    run_cli(["experiment", "walk", "--config", str(cfg_path), "--out", str(out)])
+    notes = json.loads(out.read_text())["notes"]
+    assert (notes["n"], notes["samples"]) == (30, 800)
+    run_cli(["experiment", "walk", "--config", str(cfg_path), "--samples", "500",
+             "--out", str(out)])
+    assert json.loads(out.read_text())["notes"]["samples"] == 500
 
 
 def test_experiment_config_unknown_key_exits_2(tmp_path, capsys):

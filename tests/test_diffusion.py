@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from affinewalks import (acceptance as ac, algebra as al, diffusion as df,
-                         harness as hs, weyl as wy)
+                         harness as hs, highestweight as hw, weyl as wy)
 from affinewalks.algebra import Weight
 
 
@@ -51,16 +51,77 @@ def test_survival_values(a1, rho1):
         df.survival(a1, df.SpaceTimePoint(1.0, np.array([-1.0])))
 
 
+def _weyl_sum_terms(alg, terms, s, z):
+    # the signed terms det(w) e^{(x, w(rho) - rho)} of the alternating sum
+    # for h over the terms t_alpha w of _terms_for, and each exponent's
+    # derivatives in s and z: the route Kac's product replaced, kept here as
+    # its independent reference
+    f = df._frame(alg)
+    rot_rho = terms.rot @ f.rho_o
+    b = -(np.einsum("ni,ni->n", rot_rho, terms.alpha)
+          + 0.5 * terms.alpha_norm2 * f.hv)
+    cw = rot_rho + f.hv * terms.alpha - f.rho_o
+    return terms.sign * np.exp(s * b + cw @ z), b, cw
+
+
 def test_survival_shell_stability(a1):
     # adding lattice shells moves the value by less than the claimed tail
     p = df.SpaceTimePoint(2.0, np.array([0.6]))
     terms_small, tail_small = df._terms_for(a1, p.s, 1.0, 1e-6)
     terms_big, _ = df._terms_for(a1, p.s, 1.0, 1e-14)
+    assert abs(_weyl_sum_terms(a1, terms_small, p.s, p.z)[0].sum()
+               - _weyl_sum_terms(a1, terms_big, p.s, p.z)[0].sum()) <= tail_small
 
-    def total(terms):
-        return float(terms.sign @ np.exp(p.s * terms.b_wrho + terms.cw @ p.z))
 
-    assert abs(total(terms_small) - total(terms_big)) <= tail_small
+@pytest.mark.parametrize("name", ["A1~", "A2~", "C2~"])
+def test_survival_matches_weyl_sum(name):
+    # Kac's product against the alternating Weyl sum, at interior points
+    # where the sum resolves the value: the values within both bounds, the
+    # gradients against the termwise derivative sums
+    alg = (al.algebra_from_json('{"rank": 2, "matrix": [[2,-1,0],[-2,2,-2],[0,-1,2]]}')
+           if name == "C2~" else al.algebra_from_name(name))
+    rng = np.random.default_rng(21)
+    for _ in range(12):
+        s0 = 0.7 + 3.0 * rng.random()
+        z = hs._random_interior(alg, s0, rng)
+        terms, tail = df._terms_for(alg, s0, float(np.linalg.norm(z)), 1e-15)
+        e, b, cw = _weyl_sum_terms(alg, terms, s0, z)
+        total, sum_err = e.sum(), tail + e.size * 2.3e-16 * np.abs(e).sum()
+        assert sum_err < 1e-6 * total
+        h, bound = df.survival(alg, df.SpaceTimePoint(s0, z))
+        assert abs(h - total) <= sum_err + bound
+        ds, dz = df.survival_gradient(alg, df.SpaceTimePoint(s0, z))
+        scale = abs(e @ b) + np.abs(e @ cw).max()
+        assert abs(ds - e @ b) <= 1e-6 * scale
+        assert np.abs(dz - e @ cw).max() <= 1e-6 * scale
+
+
+def test_survival_vanishes_on_walls(a1, a2):
+    # exactly 0.0 with a finite bound on the finite walls (z = 0) and on the
+    # affine wall (along rho; rounding puts some such points outside)
+    for alg in (a1, a2):
+        f = df._frame(alg)
+        pts = [df.SpaceTimePoint(1.5, np.zeros(alg.rank))]
+        for s0 in (0.5, 1.0, 1.5, 2.0, 3.0):
+            z = -s0 / float(f.pairing[0] @ f.rho_o) * f.rho_o
+            pts.append(df.SpaceTimePoint(s0, z))
+        pts = [p for p in pts if df.chamber_test(alg, p)[0]]
+        assert len(pts) >= 3
+        for p in pts:
+            assert abs(df.chamber_test(alg, p)[1]) < 1e-12
+            v, bound = df.survival(alg, p)
+            assert v == 0.0 and math.isfinite(bound) and bound < 1e-12
+            with pytest.raises(df.OutsideChamberError):
+                df.survival_gradient(alg, p)
+    with pytest.raises(df.OutsideChamberError):
+        df.survival(a1, df.SpaceTimePoint(0.0, np.zeros(1)))
+
+
+def test_survival_depth_cap_raises(a1, monkeypatch):
+    # the product's depth loop stops at its cap with the typed error
+    monkeypatch.setattr(hw, "_KAC_DEPTH_MAX", 3)
+    with pytest.raises(wy.ConvergenceError):
+        df.survival(a1, df.SpaceTimePoint(2.0, np.array([0.6])))
 
 
 def test_survival_gradient_fd(a1):
@@ -326,15 +387,27 @@ def test_whole_conditioned_paths_a2_stay_inside(a2):
     assert not batch.aborted.any()
 
 
+def test_conditioned_a2_from_small_level(a2):
+    # from 0.1 rho the survival sum cancelled below its rounding and the
+    # drift came from roundoff (the 10 000-proposal cap raised); with Kac's
+    # product every path finishes inside the chamber
+    x0 = df.weight_to_point(a2, al.weyl_vector(a2).scale(Fraction(1, 10)))
+    batch = df.sample_path_batch(a2, x0, 1.0, 0.5, 100, seed=3,
+                                 conditioned=True, record_times=(0.5, 1.0))
+    f = df._frame(a2)
+    for k in (1, 2):
+        assert (df._wall_margins(f, batch.s[k], batch.z[k]) > 0).all()
+
+
 def test_conditioned_acceptance_above_bound_raises(a1, rho1, monkeypatch):
-    # a d/ds sum lowered by 50 h puts log h above its tangent plane
-    sums = df._h_sums
+    # a d/ds of log h lowered by 50 puts log h above its tangent plane
+    product = df.log_kac_product
 
-    def skewed(terms, tail, s, z):
-        h, h_s, h_z, err = sums(terms, tail, s, z)
-        return h, h_s - 50.0 * h, h_z, err
+    def skewed(alg, s, v):
+        lh, ds, dv, err = product(alg, s, v)
+        return lh, ds - 50.0, dv, err
 
-    monkeypatch.setattr(df, "_h_sums", skewed)
+    monkeypatch.setattr(df, "log_kac_product", skewed)
     with pytest.raises(FloatingPointError):
         df.sample_path_batch(a1, df.weight_to_point(a1, rho1), 0.1, 1e-2, 20,
                              seed=4, conditioned=True, record=True)

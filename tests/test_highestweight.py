@@ -1,10 +1,12 @@
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from affinewalks import algebra as al, highestweight as hw, weyl as wy
+from affinewalks import algebra as al, characters as ch, highestweight as hw, weyl as wy
 from affinewalks.algebra import Weight
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -329,3 +331,30 @@ def test_csv_golden(a1, tmp_path):
     table.to_csv(out)
     golden = (GOLDEN_DIR / "a1_basic_depth6.csv").read_text()
     assert out.read_text() == golden
+
+
+_KAC_ALGEBRAS = {
+    "A1~": lambda: al.algebra_from_name("A1~"),
+    "A2~": lambda: al.algebra_from_name("A2~"),
+    "A3~": lambda: al.algebra_from_name("A3~"),
+    "C2~": lambda: al.algebra_from_json(
+        '{"rank": 2, "matrix": [[2,-1,0],[-2,2,-2],[0,-1,2]]}'),
+    "G2~": lambda: al.algebra_from_json(
+        '{"rank": 2, "matrix": [[2,-1,0],[-1,2,-1],[0,-3,2]]}'),
+}
+
+
+@pytest.mark.parametrize("n", [1, 5, 20, 50])
+@pytest.mark.parametrize("name", list(_KAC_ALGEBRAS))
+def test_kac_product_matches_certified_alternant(name, n):
+    # h(rho/n) = A_rho(rho/n): Kac's product against the certified dual
+    # alternant, whose own certificate is 1e-12; at rho/n the simple-root
+    # pairings are |alpha_i|^2 / 2n and the delta pairing is h_vee / n
+    alg = _KAC_ALGEBRAS[name]()
+    v = np.array([[float(alg.finite_gram[i][i]) / (2 * n) for i in range(alg.rank)]])
+    lh, _, _, err = hw.log_kac_product(alg, alg.dual_coxeter / n, v)
+    ref = ch.weyl_alternating_value(alg, al.weyl_vector(alg),
+                                    ch.rho_specialization(alg, n), rtol=1e-12)
+    rel = abs(math.expm1(lh[0] - math.log(ref)))
+    assert rel <= 1e-13
+    assert rel <= math.expm1(err[0]) + 1e-12

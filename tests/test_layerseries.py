@@ -48,6 +48,14 @@ def test_atoms_moments_near_critical(a1):
     assert abs(var - n / 2) / (n / 2) < 5e-3
 
 
+@pytest.mark.parametrize("n", [600, 800])
+def test_atoms_defect_finite_far_below_critical(a1, n):
+    # past float64's exp range in units of the first chunk's reference the
+    # error used to overflow and the defect came out NaN
+    atoms = increment_atoms(a1, Weight.make(2, (0,), 0), ch.rho_specialization(a1, n))
+    assert math.isfinite(atoms.defect) and atoms.defect < 1e-4
+
+
 def test_atoms_require_positive_level(a1):
     s = ch.rho_specialization(a1, 3)
     with pytest.raises(ValueError):

@@ -6,8 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from affinewalks import (algebra as al, chain as cn, characters as ch,
-                         diffusion as df, weyl as wy)
+from affinewalks import algebra as al, chain as cn, characters as ch, weyl as wy
 from affinewalks.algebra import Weight
 
 
@@ -192,8 +191,6 @@ _CAP_CALLS = {
         a1, al.weyl_vector(a1), _spec(a1)),
     "reflection_discrete_residual": lambda a1: cn.reflection_discrete_residual(
         a1, _OMEGA, _spec(a1), 0, a1.Lambda0(), a1.Lambda0(), 20),
-    "survival": lambda a1: df.survival(
-        a1, df.SpaceTimePoint(2.0, np.array([0.6]))),
     "FastBarredKernel.row": lambda a1: cn.FastBarredKernel(
         a1, _OMEGA, ch.rho_specialization(a1, 5)).row(2, 1),
 }
