@@ -483,8 +483,8 @@ def _cmd_diffusion(args) -> int:
         return 0
     if args.action == "survival":
         pt = diffusion.weight_to_point(alg, rho.scale(Fraction(str(args.scale))))
-        v, tail = diffusion.survival(alg, pt)
-        print(json.dumps({"value": v, "tail_bound": tail}))
+        v, bound = diffusion.survival(alg, pt)    # truncation plus rounding
+        print(json.dumps({"value": v, "bound": bound}))
         return 0
     if args.seed is not None:
         raise _InputError(f"{args.action} runs its acceptance criterion at the "

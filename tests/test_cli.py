@@ -107,6 +107,7 @@ def test_diffusion_survival(capsys):
                     "--scale", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert 0 < out["value"] <= 1
+    assert 0 <= out["bound"] <= 1e-12
 
 
 def test_unknown_flag_exits_2():

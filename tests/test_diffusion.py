@@ -9,6 +9,8 @@ from affinewalks import (acceptance as ac, algebra as al, diffusion as df,
                          harness as hs, highestweight as hw, weyl as wy)
 from affinewalks.algebra import Weight
 
+C2 = '{"rank": 2, "matrix": [[2,-1,0],[-2,2,-2],[0,-1,2]]}'
+
 
 def test_chamber_examples(a1, rho1):
     inside, margin = df.chamber_test(a1, df.SpaceTimePoint(1.0, np.zeros(1)))
@@ -78,8 +80,7 @@ def test_survival_matches_weyl_sum(name):
     # Kac's product against the alternating Weyl sum, at interior points
     # where the sum resolves the value: the values within both bounds, the
     # gradients against the termwise derivative sums
-    alg = (al.algebra_from_json('{"rank": 2, "matrix": [[2,-1,0],[-2,2,-2],[0,-1,2]]}')
-           if name == "C2~" else al.algebra_from_name(name))
+    alg = al.algebra_from_json(C2) if name == "C2~" else al.algebra_from_name(name)
     rng = np.random.default_rng(21)
     for _ in range(12):
         s0 = 0.7 + 3.0 * rng.random()
@@ -272,6 +273,71 @@ def test_bridge_exit_matches_quadrature(a1):
     assert abs(p_mc - (1.0 - stay)) < 3 * se + quad_err
 
 
+def _bridge_loop(alg, x0, t_max, dt, n_paths, seed, record=False,
+                 record_times=()):
+    # the per-step loop the compact free sampler replaces: every step
+    # gathers the moving paths and scatters them back, and tests the paths
+    # not yet exited with margins recomputed at both ends of the step (the
+    # end level s + h_vee dt) and a product over the walls
+    f = df._frame(alg)
+    rng = np.random.Generator(np.random.Philox(seed))
+    n_steps = int(round(t_max / dt))
+    times = np.arange(n_steps + 1) * dt
+    svals = x0.s + times * f.hv
+    z = np.tile(x0.z, (n_paths, 1))
+    exit_times = np.full(n_paths, np.inf)
+    rec_idx = (set(range(n_steps + 1)) if record
+               else {int(round(t / dt)) for t in record_times})
+    recorded = {0: z.copy()} if 0 in rec_idx else {}
+    for k in range(n_steps):
+        idx = (np.arange(n_paths) if rec_idx
+               else np.flatnonzero(np.isinf(exit_times)))
+        zi = z[idx]
+        znew = zi + f.rho_o * dt + rng.normal(0.0, math.sqrt(dt), zi.shape)
+        z[idx] = znew
+        fresh = np.isinf(exit_times[idx])
+        if np.any(fresh):
+            s_now = float(svals[k])
+            before = np.maximum(df._wall_margins(f, s_now, zi[fresh]), 0.0)
+            after = np.maximum(df._wall_margins(f, s_now + f.hv * dt,
+                                                znew[fresh]), 0.0)
+            stay = np.prod(-np.expm1(-2.0 * before * after / (f.wall_var * dt)),
+                           axis=1)
+            crossed = rng.random(stay.size) >= stay
+            exit_times[idx[fresh][crossed]] = float(times[k + 1])
+        if (k + 1) in rec_idx:
+            recorded[k + 1] = z.copy()
+    return exit_times, recorded
+
+
+def test_free_sampler_bit_identical_to_bridge_loop(a1, a2):
+    # the compact step loop draws the same normals and uniforms as the
+    # gather/scatter loop, so positions and exit times agree bit for bit,
+    # unrecorded (exited paths dropped), with every index and at given times
+    c2 = al.algebra_from_json(C2)
+
+    def start(alg, scale):
+        return df.weight_to_point(alg, al.weyl_vector(alg).scale(Fraction(scale)))
+
+    cases = [
+        (a1, start(a1, 1), 2.0, 1e-3, 1000, 909, {}),
+        (a1, df.SpaceTimePoint(2.0, np.array([0.15])), 1.0, 0.1, 2000, 3, {}),
+        (a1, start(a1, "1/2"), 0.5, 1e-2, 300, 5, {"record": True}),
+        (a2, start(a2, 1), 1.0, 1e-3, 500, 6, {}),
+        (a2, start(a2, "1/2"), 0.5, 1e-2, 300, 7, {"record": True}),
+        (c2, start(c2, "1/2"), 1.0, 1e-3, 500, 8, {"record_times": (0.25, 1.0)}),
+        (c2, start(c2, 1), 1.0, 0.1, 1000, 9, {"record": True}),
+    ]
+    for alg, x0, t_max, dt, n, seed, kw in cases:
+        batch = df.sample_path_batch(alg, x0, t_max, dt, n, seed=seed,
+                                     conditioned=False, **kw)
+        exit_times, recorded = _bridge_loop(alg, x0, t_max, dt, n, seed, **kw)
+        assert 0 < np.isfinite(exit_times).mean() < 1
+        assert np.array_equal(batch.exit_times, exit_times)
+        assert (batch.z or {}).keys() == recorded.keys()
+        assert all(np.array_equal(batch.z[k], z) for k, z in recorded.items())
+
+
 def test_bridge_exit_times_on_coarse_grid(a1, rho1):
     batch = df.sample_path_batch(a1, df.weight_to_point(a1, rho1), 1.0, 0.05,
                                  500, seed=8, conditioned=False)
@@ -443,11 +509,21 @@ def test_killed_over_free_and_bridge_bound(a1):
 def test_exact_conditioned_chunks_and_round_cap(a1, rho1, monkeypatch):
     x0 = df.weight_to_point(a1, rho1)
     f = df._frame(a1)
-    monkeypatch.setattr(df, "_CHUNK", 100)      # a few paths per round
+    monkeypatch.setattr(df, "_CHUNK", 100)      # a few paths per q/p slice
+    sizes, killed_over_free = [], df._killed_over_free
+
+    def recorded(f, tm, tail, s, *args):
+        sizes.append((s.size, 100 // tm.sign.size))
+        return killed_over_free(f, tm, tail, s, *args)
+
+    monkeypatch.setattr(df, "_killed_over_free", recorded)
     batch = df.sample_path_batch(a1, x0, 0.5, 1e-2, 200, seed=4,
                                  conditioned=True, record_times=(0.25, 0.5))
     for k in (25, 50):
         assert (df._wall_margins(f, batch.s[k], batch.z[k]) > 0).all()
+    # full slices, and no slice past the path x term budget
+    assert all(n <= full for n, full in sizes)
+    assert any(n == full for n, full in sizes)
     # a path rejected once, or needing a second substep, makes a second
     # proposal in its gap
     monkeypatch.setattr(df, "_MAX_ROUNDS", 1)
