@@ -507,8 +507,8 @@ def sample_path_batch(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,
     shape (rank+1, n), each step's end margins, at the grid level, being
     the next step's start margins.  A step costs one normal draw over the
     moving paths, one uniform draw over the tested ones and a few array
-    passes (rank+1 rows multiplied in place: ``np.prod`` over so short an
-    axis costs more than the products).
+    passes (the rank+1 rows multiplied in place: ``np.prod`` over so short
+    an axis costs more than the products).
 
     Conditioned paths are exact: each recorded position is drawn from the
     previous one by the h-transform transition over the gap (see
@@ -530,6 +530,7 @@ def sample_path_batch(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,
 
     z = np.tile(x0.z, (n_paths, 1))
     exit_times = np.full(n_paths, np.inf)
+
     rec_idx = (set(range(n_steps + 1)) if record
                else {int(round(t / dt)) for t in record_times})
     recorded = {0: z.copy()} if 0 in rec_idx else {}
@@ -556,10 +557,7 @@ def sample_path_batch(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,
             z += rng.normal(0.0, math.sqrt(dt), z.shape)
             if ids.size:
                 after = margins(svals[k + 1], z if ids.size == len(z) else z[ids])
-                q = before * -2.0
-                q *= after
-                q /= wall_dt
-                np.negative(np.expm1(q, out=q), out=q)
+                q = -np.expm1(-2.0 * before * after / wall_dt)
                 stay = q[0]
                 for row in q[1:]:
                     stay *= row
