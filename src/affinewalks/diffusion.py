@@ -15,7 +15,7 @@ root coordinates, chosen once per algebra).  The module provides:
   wall-crossing test on each coarse step (exit times are resolved to the
   end of the step): one step loop over a compact array of the moving
   paths, so criterion 9's 10 000 A1~ paths over 4 000 steps take about
-  1.3 s (2-CPU host), some 40% of it in the normal and uniform draws,
+  1.1 s (2-CPU host), some 40% of it in the normal and uniform draws,
 * exact sampling of the conditioned process, whole paths or at recorded
   times: one Doob h-transform transition per recorded gap, made of
   substeps proposed along the Doob drift and accepted by rejection with a
