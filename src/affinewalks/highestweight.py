@@ -7,12 +7,14 @@ the entry at ``(d, m)`` is the dimension of the weight space at
 direction; at fixed depth the support is finite and contained in an exact
 ball derived from ``(mu|mu) <= (lam|lam)`` on the Weyl orbit hull.
 
-Two independent constructions of the same table are kept side by side:
+Two independent constructions of the same table are kept side by side,
+both in exact integers over the candidates of one integer support ball:
 
 * ``freudenthal_table`` runs the classical multiplicity recursion over the
-  positive roots,
+  positive roots, every pairing scaled to a Python int,
 * ``character_series_oracle`` divides the alternating Weyl-orbit numerator
-  by the alternating denominator as formal series.
+  by the alternating denominator as formal series, one dense layer of
+  Python ints per delta-depth.
 
 Their entrywise agreement is a core correctness gate for everything built
 on top (tensor powers, branching, kernels).
@@ -20,8 +22,8 @@ on top (tensor powers, branching, kernels).
 ``tensor_power_table`` keeps the powers of each ``V(omega)`` in a bounded
 store of dense layers: per delta-depth, one array of exact Python ints over
 a box of root offsets.  A deeper request computes only the missing layers:
-the first power resumes the series oracle's loop, and layer ``d`` of the
-n-th power is ``sum_j P_{n-1}[j] * P_1[d-j]``, one ``np.convolve`` per
+the first power appends the series oracle's own layers, and layer ``d`` of
+the n-th power is ``sum_j P_{n-1}[j] * P_1[d-j]``, one ``np.convolve`` per
 pair.  ``decompose_product`` keeps its own sparse dict convolution, so the
 branching sum and the product decomposition stay independent oracles.
 """
@@ -32,7 +34,6 @@ import csv
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -290,51 +291,45 @@ def log_kac_product(alg: AffineAlgebra, s, v: np.ndarray):
 # -- candidate enumeration --------------------------------------------------------
 
 
-def _ball_ints(alg: AffineAlgebra, center, r2: Fraction):
-    """Integer vectors m with ||m - center||^2 <= r2 in the finite Gram norm,
-    in lexicographic order.  The test is exact in integers: with ``q``
-    clearing the denominators of ``center``, ``|q m - q center|^2`` in the
-    integer Gram ``gn`` is at most ``q^2 gd r2``."""
-    if r2 < 0:
-        return []
-    gn, gd = alg.finite_gram_int
-    q = math.lcm(*(Fraction(x).denominator for x in center))
-    cq = np.array([int(x * q) for x in center])
-    half = np.sqrt(float(r2) * gd * np.diag(np.linalg.inv(gn)))
-    axes = [np.arange(math.floor(c / q - w) - 1, math.ceil(c / q + w) + 2)
-            for c, w in zip(cq.tolist(), half.tolist())]
-    m = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, alg.rank)
-    v = q * m - cq
-    return list(map(tuple, m[np.einsum("ni,ij,nj->n", v, gn, v)
-                             <= math.floor(r2 * q * q * gd)].tolist()))
+class _SupportBall:
+    """The exact orbit-hull ball of the weights of ``V(lam)``: every weight
+    ``lam - d*delta - m`` has
+    ``||m - lam_finite||^2 <= ||lam_finite||^2 + 2*level*d``.  With ``q``
+    clearing the denominators of ``lam_finite = z / q``, that is
+    ``|q m - z|^2 <= r0 + r1 d`` in the integer Gram ``gn``, tested in
+    integers."""
 
+    def __init__(self, alg: AffineAlgebra, lam: Weight):
+        gn, gd = alg.finite_gram_int
+        self.q = math.lcm(*(x.denominator for x in lam.z))
+        self.z = np.array([int(x * self.q) for x in lam.z])
+        self.gn, self.r0 = gn, int(self.z @ gn @ self.z)
+        self.r1 = int(2 * lam.k * self.q * self.q * gd)
+        # |v_i| <= sqrt(bound * reach_i) on the ball, per axis
+        self.axes = list(zip(self.z.tolist(), np.diag(np.linalg.inv(gn)).tolist(),
+                             alg.marks[1:]))
 
-def _support_ball_candidates(alg: AffineAlgebra, lam: Weight, d: int):
-    """Depth-d candidate offsets: the exact orbit-hull ball meets the cone.
+    def contains(self, d, m):
+        """``m`` lies in the depth-d ball, elementwise over stacks, ``m``
+        with one more axis than ``d``."""
+        v = self.q * np.asarray(m) - self.z
+        return ((v @ self.gn) * v).sum(axis=-1) <= self.r0 + self.r1 * np.asarray(d)
 
-    Every weight ``lam - d*delta - m`` of an irreducible module satisfies
-    ``||m - lam_finite||^2 <= ||lam_finite||^2 + 2*level*d`` together with
-    the cone constraints ``m_i + d*a_i >= 0``.
-    """
-    r2 = alg.finite_norm2(lam.z) + 2 * lam.k * d
-    out = []
-    for m in _ball_ints(alg, lam.z, r2):
-        if all(m[i - 1] + d * alg.marks[i] >= 0 for i in range(1, alg.rank + 1)):
-            out.append(m)
-    out.sort(key=lambda m: (sum(m), m))
-    return out
-
-
-def _in_support_ball(alg: AffineAlgebra, lam: Weight, d, m):
-    """``m`` lies in the depth-d ball of :func:`_support_ball_candidates`,
-    tested in the integer Gram; elementwise over stacks, ``m`` with one
-    more axis than ``d``."""
-    gn, gd = alg.finite_gram_int
-    q = math.lcm(*(x.denominator for x in lam.z))
-    z = np.array([int(x * q) for x in lam.z])
-    v = q * np.asarray(m) - z
-    bound = int(z @ gn @ z) + int(2 * lam.k * q * q * gd) * np.asarray(d)
-    return ((v @ gn) * v).sum(axis=-1) <= bound
+    def box(self, d: int):
+        """``(lo, mask)``: the depth-d candidates of both oracles are the
+        offsets ``lo + i`` with ``mask[i]``, the ball met with the cone
+        ``m_i + d*a_i >= 0``; the box is their bounding box.  Ball and
+        cone are convex, so a line that leaves the candidates stays out."""
+        bound, q = self.r0 + self.r1 * d, self.q
+        lo, hi = [], []
+        for z, reach, mark in self.axes:
+            e = math.isqrt(int(bound * reach)) + 1      # + 1 covers the float rounding
+            lo.append(max((z - e) // q, -d * mark))
+            hi.append((z + e) // q + 1)
+        mask = self.contains(d, np.moveaxis(np.indices(np.subtract(hi, lo)), 0, -1) + lo)
+        nz = np.argwhere(mask)
+        a, b = nz.min(axis=0), nz.max(axis=0) + 1
+        return tuple((lo + a).tolist()), mask[tuple(map(slice, a, b))]
 
 
 # -- Freudenthal recursion --------------------------------------------------------
@@ -346,9 +341,14 @@ def freudenthal_table(alg: AffineAlgebra, lam: Weight, depth: int) -> Multiplici
     ``(||lam+rho||^2 - ||mu+rho||^2) dim V_mu
         = 2 sum_{beta>0} mult(beta) sum_{j>=1} (mu + j beta | beta) dim V_{mu+j beta}``.
 
-    Visits weights by increasing depth, then increasing offset height; the
-    denominator is asserted positive at every visited weight and the
-    division must be exact, so any bookkeeping error aborts loudly.
+    Visits weights by increasing depth, then offsets in C order, which
+    puts ``m - j*r`` before ``m`` for a positive finite root ``r >= 0``.
+    Every pairing is carried times ``S = gd * q`` as a Python int, ``gd``
+    the denominator of the finite Gram and ``q`` that of ``lam`` and
+    ``lam+rho``.  The denominator is asserted positive at every visited
+    weight and the division must be exact, so any bookkeeping error aborts
+    loudly.  A string along a depth-0 root ends where it leaves the
+    candidates of :meth:`_SupportBall.box`.
     """
     cls = classify_weight(alg, lam)
     if not cls.dominant:
@@ -359,75 +359,80 @@ def freudenthal_table(alg: AffineAlgebra, lam: Weight, depth: int) -> Multiplici
         return MultiplicityTable(lam, depth, {(0, (0,) * alg.rank): 1})
 
     rho = weyl_vector(alg)
-    c = tuple(a + b for a, b in zip(lam.z, rho.z))      # finite part of lam+rho
-    lev = lam.k + rho.k                                  # level of lam+rho
-    g = alg.finite_gram
-    roots = positive_roots(alg, depth)
-    real_roots = [(n, r) for (n, r, mlt) in roots if any(r)]
-    norm2 = {r: alg.finite_norm2([Fraction(x) for x in r])
-             for r in finite_roots(alg)}
-    gr = {r: tuple(sum(g[i][j] * r[j] for j in range(alg.rank))
-                   for i in range(alg.rank)) for r in finite_roots(alg)}
-    lam_dot = {r: sum(lam.z[i] * gr[r][i] for i in range(alg.rank))
-               for r in finite_roots(alg)}
+    c = [a + b for a, b in zip(lam.z, rho.z)]          # finite part of lam+rho
+    gn, gd = alg.finite_gram_int
+    gn = gn.tolist()
+    q = math.lcm(*(x.denominator for x in (*lam.z, *c)))
+    scale = gd * q
+    k, lev = int(lam.k), int(lam.k + rho.k)             # levels of lam, lam+rho
+    lz = [int(x * q) for x in lam.z]
+    cg = [sum(int(x * q) * y for x, y in zip(c, row)) for row in gn]   # S (lam+rho|.)
+    # per finite root r: S (lam|r), S (.|r) on offsets, S ||r||^2
+    pair = {}
+    for r in finite_roots(alg):
+        g = [sum(a * b for a, b in zip(row, r)) for row in gn]
+        pair[r] = (sum(a * b for a, b in zip(lz, g)), [q * x for x in g],
+                   q * sum(a * b for a, b in zip(r, g)))
+    strings0 = [(r, *pair[r]) for (n, r, _) in positive_roots(alg, 0)]
+    real = [(n, r, *pair[r]) for (n, r, _) in positive_roots(alg, depth)
+            if n and any(r)]
 
-    entries: dict[Key, int] = {}
-    zero_off = (0,) * alg.rank
-
-    def get(d, m):
-        return entries.get((d, m), 0)
-
+    ball = _SupportBall(alg, lam)
+    layers: list[dict[tuple[int, ...], int]] = []
     for d in range(depth + 1):
-        for m in _support_ball_candidates(alg, lam, d):
-            if d == 0 and m == zero_off:
-                entries[(0, zero_off)] = 1
+        lo, mask = ball.box(d)
+        ms = list(map(tuple, (np.argwhere(mask) + lo).tolist()))
+        inside = set(ms)
+        layer: dict[tuple[int, ...], int] = {}
+        layers.append(layer)
+        for m in ms:
+            if d == 0 and not any(m):
+                layer[m] = 1
                 continue
-            acc = Fraction(0)
-            for (n, r) in real_roots:
-                if n > d:
-                    continue
-                rr = norm2[r]
-                mu_dot = lam_dot[r] - sum(m[i] * gr[r][i] for i in range(alg.rank))
-                base = mu_dot + n * lam.k
-                j = 1
+            acc = 0
+            for (r, lam_r, g, rr) in strings0:
+                base = lam_r - sum(a * b for a, b in zip(m, g))
+                mm, j = m, 1
                 while True:
-                    dd = d - j * n
-                    if dd < 0:
+                    mm = tuple(a - b for a, b in zip(mm, r))
+                    if mm not in inside:
                         break
-                    mm = tuple(m[i] - j * r[i] for i in range(alg.rank))
-                    if n == 0 and not _in_support_ball(alg, lam, dd, mm):
-                        break  # straight line has left the convex ball for good
-                    e = get(dd, mm)
+                    e = layer.get(mm)
                     if e:
                         acc += (base + j * rr) * e
                     j += 1
+            for (n, r, lam_r, g, rr) in real:
+                if n > d:
+                    break
+                base = lam_r - sum(a * b for a, b in zip(m, g)) + n * k * scale
+                mm = m
+                for j in range(1, d // n + 1):
+                    mm = tuple(a - b for a, b in zip(mm, r))
+                    e = layers[d - j * n].get(mm)
+                    if e:
+                        acc += (base + j * rr) * e
             for n in range(1, d + 1):
-                s = 0
-                j = 1
-                while d - j * n >= 0:
-                    s += get(d - j * n, m)
-                    j += 1
+                s = sum(layers[dd].get(m, 0) for dd in range(d - n, -1, -n))
                 if s:
-                    acc += alg.rank * n * lam.k * s
+                    acc += alg.rank * n * k * scale * s
             if acc == 0:
                 continue
-            mvec = [Fraction(x) for x in m]
-            denom = (2 * d * lev + 2 * sum(c[i] * sum(g[i][j] * mvec[j]
-                                                      for j in range(alg.rank))
-                                           for i in range(alg.rank))
-                     - alg.finite_norm2(mvec))
+            denom = (2 * d * lev * scale + 2 * sum(a * b for a, b in zip(cg, m))
+                     - q * sum(m[i] * gn[i][j] * m[j] for i in range(alg.rank)
+                               for j in range(alg.rank)))
             if denom <= 0:
                 raise ArithmeticError(
                     f"nonpositive Freudenthal denominator at depth={d}, m={m}")
-            val = 2 * acc / denom
-            if val.denominator != 1:
-                raise ArithmeticError(
-                    f"non-integer multiplicity at depth={d}, m={m}: {val}")
+            val, rem = divmod(2 * acc, denom)
+            if rem:
+                raise ArithmeticError(f"non-integer multiplicity at depth={d}, "
+                                      f"m={m}: {2 * acc}/{denom}")
             if val < 0:
                 raise ArithmeticError(f"negative multiplicity at depth={d}, m={m}")
             if val:
-                entries[(d, m)] = int(val)
-    return MultiplicityTable(lam, depth, entries)
+                layer[m] = val
+    return MultiplicityTable(lam, depth, {(d, m): v for d, layer in enumerate(layers)
+                                          for m, v in layer.items()})
 
 
 # -- alternating Weyl-orbit series ------------------------------------------------
@@ -462,6 +467,13 @@ def alternant_terms(alg: AffineAlgebra, mu: Weight, depth: int) -> dict[Key, int
     return {kk: v for kk, v in terms.items() if v != 0}
 
 
+# A layer is ``(lo, arr)``: the multiplicity at root offset ``m`` of one
+# delta-depth is ``arr[m - lo]``, zero outside the box; ``arr`` holds exact
+# Python ints (object dtype), since entries pass 2^63 (A1~ 2 Lambda0, n = 3,
+# reaches 8.8e19 at depth 100).
+Layer = tuple[tuple[int, ...], np.ndarray]
+
+
 def _quotient_terms(alg: AffineAlgebra, lam: Weight, depth: int):
     """Numerator ``A_{lam+rho}`` and the non-constant denominator terms
     ``(d, m, c)`` of ``A_rho``, the alternants the series oracle divides."""
@@ -473,31 +485,62 @@ def _quotient_terms(alg: AffineAlgebra, lam: Weight, depth: int):
     return num, [(d, m, c) for (d, m), c in den.items() if (d or any(m))]
 
 
-def _series_layer(alg: AffineAlgebra, lam: Weight, num, den_rest,
-                  entries: dict[Key, int], d: int) -> dict[tuple[int, ...], int]:
-    """Depth ``d`` of the quotient ``num / den``, read from ``entries`` at
-    the depths below and the offsets before it, which it extends; returns
-    the layer's nonzero values by offset."""
-    layer = {}
-    for m in _support_ball_candidates(alg, lam, d):
-        val = num.get((d, m), 0)
-        for (dg, mg, cg) in den_rest:
-            if dg > d:
-                continue
-            prev = entries.get((d - dg, tuple(a - b for a, b in zip(m, mg))), 0)
-            if prev:
-                val -= cg * prev
-        if val < 0:
-            raise ArithmeticError(
-                f"negative series coefficient at depth={d}, m={m}")
-        if val:
-            entries[(d, m)] = layer[m] = val
-    return layer
+def _quotient_layer(ball: _SupportBall, num, den_rest, layers: list[Layer],
+                    d: int) -> Layer:
+    """Layer ``d`` of the quotient ``num / den`` of :func:`_quotient_terms`
+    over the depth's box of ``ball``, the module's support ball, read from
+    ``layers``, the quotient's layers below ``d``.
+
+    The layer starts as the numerator's, and each denominator term of
+    positive delta-depth subtracts one slice of an earlier layer.  The
+    depth-0 terms, at the offsets ``rho - w(rho) >= 0`` of the finite Weyl
+    group, are then solved point by point in C order, which visits
+    ``m - (rho - w(rho))`` before ``m``, over the box padded below so that
+    reads past its low edges find zeros.  A negative coefficient, or a
+    nonzero one outside the ball and cone, raises ``ArithmeticError``.
+    """
+    lo, mask = ball.box(d)
+    fin = [(mg, c) for (dg, mg, c) in den_rest if dg == 0]
+    pad = [max(x) for x in zip((0,) * mask.ndim, *(mg for mg, _ in fin))]
+    full = np.zeros([w + p for w, p in zip(mask.shape, pad)], dtype=object)  # Python 0
+    inner = tuple(slice(p, None) for p in pad)
+    out = full[inner]
+    for (dn, m), c in num.items():
+        idx = tuple(x - a for x, a in zip(m, lo))
+        if dn == d and all(0 <= i < w for i, w in zip(idx, mask.shape)):
+            out[idx] += c
+    for (dg, mg, c) in den_rest:
+        if 0 < dg <= d:
+            plo, prev = layers[d - dg]
+            at = [p + g - a for p, g, a in zip(plo, mg, lo)]   # where prev[0] lands
+            dst = [slice(max(x, 0), min(x + n, w))
+                   for x, n, w in zip(at, prev.shape, mask.shape)]
+            if all(sl.start < sl.stop for sl in dst):
+                out[tuple(dst)] -= c * prev[tuple(slice(sl.start - x, sl.stop - x)
+                                                  for sl, x in zip(dst, at))]
+    strides = np.array(full.strides) // full.itemsize
+    offs = [(int(np.dot(mg, strides)), c) for mg, c in fin]
+    flat = full.reshape(-1)
+    v = flat.tolist()
+    for i, ok in zip(np.arange(full.size).reshape(full.shape)[inner].ravel().tolist(),
+                     mask.ravel().tolist()):
+        x = v[i]
+        for o, c in offs:
+            x -= c * v[i - o]
+        if x < 0 or x and not ok:
+            m = tuple(int(j) - p + a
+                      for j, p, a in zip(np.unravel_index(i, full.shape), pad, lo))
+            raise ArithmeticError(f"series coefficient {x} at depth={d}, m={m} "
+                                  "is negative or outside the support ball")
+        v[i] = x
+    flat[:] = v
+    return lo, out
 
 
 def character_series_oracle(alg: AffineAlgebra, lam: Weight, depth: int) -> MultiplicityTable:
     """Multiplicities by dividing the alternating numerator by the
-    alternating denominator as formal series in the root-cone variables.
+    alternating denominator as formal series in the root-cone variables,
+    one :func:`_quotient_layer` per delta-depth.
 
     Independent of the Freudenthal recursion: only the Weyl orbit and the
     strictly dominant points ``lam+rho`` and ``rho`` enter.
@@ -508,10 +551,10 @@ def character_series_oracle(alg: AffineAlgebra, lam: Weight, depth: int) -> Mult
     if lam.k == 0:
         return MultiplicityTable(lam, depth, {(0, (0,) * alg.rank): 1})
     num, den_rest = _quotient_terms(alg, lam, depth)
-    entries: dict[Key, int] = {}
+    ball, layers = _SupportBall(alg, lam), []
     for d in range(depth + 1):
-        _series_layer(alg, lam, num, den_rest, entries, d)
-    return MultiplicityTable(lam, depth, entries)
+        layers.append(_quotient_layer(ball, num, den_rest, layers, d))
+    return MultiplicityTable(lam, depth, dict(_nonzero_items(layers)))
 
 
 # -- tensor powers ----------------------------------------------------------------
@@ -533,23 +576,6 @@ def _convolve(alg: AffineAlgebra, a: dict[Key, int], b: dict[Key, int],
     return out
 
 
-# A layer is ``(lo, arr)``: the multiplicity at root offset ``m`` of one
-# delta-depth is ``arr[m - lo]``, zero outside the box; ``arr`` holds exact
-# Python ints (object dtype), since entries pass 2^63 (A1~ 2 Lambda0, n = 3,
-# reaches 8.8e19 at depth 100).
-Layer = tuple[tuple[int, ...], np.ndarray]
-
-
-def _dense(rank: int, layer: dict[tuple[int, ...], int]) -> Layer:
-    if not layer:
-        return (0,) * rank, np.zeros((0,) * rank, dtype=object)
-    lo = tuple(map(min, zip(*layer)))
-    arr = np.zeros([max(c) - a + 1 for c, a in zip(zip(*layer), lo)], dtype=object)
-    for m, v in layer.items():
-        arr[tuple(x - a for x, a in zip(m, lo))] = v
-    return lo, arr
-
-
 def _convolve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full convolution of two arrays of one rank by one ``np.convolve``:
     every axis but the first is zero-padded to the output width, so flat
@@ -568,8 +594,6 @@ def _product_layer(prev: list[Layer], base: list[Layer], d: int) -> Layer:
     parts = [(tuple(x + y for x, y in zip(prev[j][0], base[d - j][0])),
               _convolve_dense(prev[j][1], base[d - j][1]))
              for j in range(d + 1) if prev[j][1].size and base[d - j][1].size]
-    if not parts:
-        return _dense(base[0][1].ndim, {})
     lo = tuple(map(min, zip(*(p for p, _ in parts))))
     hi = tuple(map(max, zip(*(tuple(x + s for x, s in zip(p, arr.shape))
                               for p, arr in parts))))
@@ -577,6 +601,14 @@ def _product_layer(prev: list[Layer], base: list[Layer], d: int) -> Layer:
     for p, arr in parts:
         out[tuple(slice(x - a, x - a + s) for x, a, s in zip(p, lo, arr.shape))] += arr
     return lo, out
+
+
+def _nonzero_items(layers: list[Layer]):
+    """``((d, m), mult)`` for every nonzero entry of the layers, by depth."""
+    for d, (lo, arr) in enumerate(layers):
+        idx = np.nonzero(arr)
+        for m, v in zip((np.transpose(idx) + lo).tolist(), arr[idx].tolist()):
+            yield (d, tuple(m)), v
 
 
 class _LayerEntries(Mapping):
@@ -600,9 +632,7 @@ class _LayerEntries(Mapping):
         raise KeyError(key)
 
     def __iter__(self):
-        for d, (lo, arr) in enumerate(self._layers):
-            for idx in zip(*np.nonzero(arr)):
-                yield d, tuple(int(i) + a for i, a in zip(idx, lo))
+        return (key for key, _ in _nonzero_items(self._layers))
 
     def __len__(self):
         return sum(int(np.count_nonzero(arr)) for _, arr in self._layers)
@@ -613,14 +643,14 @@ class _TensorPowers:
 
     ``powers[n-1][d]`` is layer ``d`` of the n-th power; a request for depth
     ``D`` computes only the layers missing below ``D``.  The first power
-    resumes the series oracle's loop, on alternants computed with doubling
+    appends :func:`_quotient_layer`s, on alternants computed with doubling
     headroom so one-layer extensions do not recompute them; power ``n`` is
     power ``n-1`` times the first, layer by layer.
     """
 
     def __init__(self, alg: AffineAlgebra, omega: Weight):
         self.alg, self.omega = alg, omega
-        self.series: dict[Key, int] = {}
+        self.ball = _SupportBall(alg, omega)
         self.alternants = (-1, {}, [])     # (depth, num, den_rest)
         self.powers: list[list[Layer]] = [[]]
 
@@ -632,8 +662,7 @@ class _TensorPowers:
                 self.alternants = (got, *_quotient_terms(self.alg, self.omega, got))
             _, num, den_rest = self.alternants
             for d in range(len(base), depth + 1):
-                base.append(_dense(self.alg.rank, _series_layer(
-                    self.alg, self.omega, num, den_rest, self.series, d)))
+                base.append(_quotient_layer(self.ball, num, den_rest, base, d))
         while len(self.powers) < n:
             self.powers.append([])
         for prev, cur in zip(self.powers, self.powers[1:n]):
@@ -734,6 +763,7 @@ def _brancher(alg: AffineAlgebra, lam: Weight, omega: Weight, n: int):
     z_lam, c_om = np.sqrt(np.einsum("ni,ij,nj->n", zi, gn, zi) / (q * q * gd))
     # longest basis vector
     shell = math.sqrt(max(float(row[i]) for i, row in enumerate(_lattice_gram(alg))))
+    ball = _SupportBall(alg, om_n)
 
     def branch(d: int, ms: np.ndarray) -> list[int]:
         zq = top - q * ms
@@ -751,7 +781,7 @@ def _brancher(alg: AffineAlgebra, lam: Weight, omega: Weight, n: int):
         m, dt = orbit_offsets(alg, terms, int(mu0.k), zq, q)
         m += ms[:, None, :]
         dt += d
-        need = (dt >= 0) & _in_support_ball(alg, om_n, dt, m)
+        need = (dt >= 0) & ball.contains(dt, m)
         # boundary-shell certificate: the terms beyond the radius contribute nothing
         if (need & (terms.norm2 > (radius * radius)[:, None])).any():
             raise BranchingCertificationError(

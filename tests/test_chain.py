@@ -231,24 +231,28 @@ def test_row_refuses_non_dominant_omega(a1):
 
 
 def test_support_ball_matches_fraction_ball():
-    # the integer support ball of highestweight against the Fraction ball,
-    # candidates in their order and the membership test point by point
+    # the integer support ball of highestweight against the Fraction ball:
+    # the candidates of a depth and their bounding box, and the membership
+    # test point by point
     cases = [("A1~", [2, 0], 12), ("A1~", [3, 2], 12), ("A2~", [1, 1, 0], 6),
              ("A2~", [0, 2, 1], 6), ("A3~", [1, 0, 1, 0], 3), ("A3~", [0, 1, 0, 2], 3)]
     for name, pairings, depth in cases:
         alg = al.algebra_from_name(name)
         lam = al.weight_from_pairings(alg, pairings)
+        support = hw._SupportBall(alg, lam)
         for d in range(depth + 1):
             r2 = alg.finite_norm2(lam.z) + 2 * lam.k * d
             ball = _fraction_ball(alg, lam.z, r2)
             cone = [m for m in ball if all(m[i - 1] + d * alg.marks[i] >= 0
                                            for i in range(1, alg.rank + 1))]
-            assert hw._support_ball_candidates(alg, lam, d) == \
-                sorted(cone, key=lambda m: (sum(m), m))
-            assert hw._ball_ints(alg, lam.z, r2) == ball
+            lo, mask = support.box(d)
+            assert {tuple((np.array(lo) + i).tolist()) for i in np.argwhere(mask)} \
+                == set(cone)
+            assert lo == tuple(map(min, zip(*cone)))
+            assert mask.shape == tuple(max(c) - a + 1 for c, a in zip(zip(*cone), lo))
             shell = {tuple(x + e for x, e in zip(m, step)) for m in ball
                      for step in itertools.product((-1, 0, 1), repeat=alg.rank)}
-            assert {m for m in shell if hw._in_support_ball(alg, lam, d, m)} == set(ball)
+            assert {m for m in shell if support.contains(d, m)} == set(ball)
 
 
 def test_row_aggregation_matches_fast_kernel(a1):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -27,6 +28,138 @@ def test_oracle_agreement_small(a1):
     for lam in (a1.Lambda0(), lam1, Weight.make(2, (0,), 0)):
         assert hw.freudenthal_table(a1, lam, 8) == \
             hw.character_series_oracle(a1, lam, 8)
+
+
+C2 = '{"rank": 2, "matrix": [[2,-1,0],[-2,2,-2],[0,-1,2]]}'
+G2 = '{"rank": 2, "matrix": [[2,-1,0],[-1,2,-1],[0,-3,2]]}'
+
+
+def _fraction_candidates(alg, lam, depth):
+    """Per depth ``d <= depth``: the ball of finite parts in exact
+    rationals, and its points in the cone ``m_i + d a_i >= 0`` in
+    increasing height."""
+    r2 = [alg.finite_norm2(lam.z) + 2 * lam.k * d for d in range(depth + 1)]
+    ginv = np.linalg.inv(np.array(alg.finite_gram, dtype=float))
+    axes = [range(math.floor(float(c) - w) - 1, math.ceil(float(c) + w) + 2)
+            for c, w in zip(lam.z, np.sqrt(float(r2[-1]) * np.diag(ginv)))]
+    norms = {m: alg.finite_norm2([x - c for x, c in zip(m, lam.z)])
+             for m in itertools.product(*axes)}
+    out = []
+    for d in range(depth + 1):
+        ball = {m for m, v in norms.items() if v <= r2[d]}
+        out.append((ball, sorted((m for m in ball if all(
+            x + d * a >= 0 for x, a in zip(m, alg.marks[1:]))),
+            key=lambda m: (sum(m), m))))
+    return out
+
+
+def _fraction_freudenthal(alg, lam, balls):
+    """The recursion of :func:`freudenthal_table` in ``Fraction`` arithmetic
+    over the candidates ``balls``, every string read until it leaves the
+    ball or passes depth 0."""
+    depth = len(balls) - 1
+    rho = al.weyl_vector(alg)
+    c = [a + b for a, b in zip(lam.z, rho.z)]
+    lev, g, l = lam.k + rho.k, alg.finite_gram, alg.rank
+    roots = [(n, r, [sum(g[i][j] * r[j] for j in range(l)) for i in range(l)],
+              alg.finite_norm2([Fraction(x) for x in r]))
+             for (n, r, _) in hw.positive_roots(alg, depth) if any(r)]
+    entries = {}
+    for d in range(depth + 1):
+        for m in balls[d][1]:
+            if d == 0 and not any(m):
+                entries[(0, m)] = 1
+                continue
+            acc = Fraction(0)
+            for (n, r, gr, rr) in roots:
+                if n > d:
+                    continue
+                base = sum((lam.z[i] - m[i]) * gr[i] for i in range(l)) + n * lam.k
+                j = 1
+                while d - j * n >= 0:
+                    mm = tuple(a - j * b for a, b in zip(m, r))
+                    if n == 0 and mm not in balls[d][0]:
+                        break
+                    acc += (base + j * rr) * entries.get((d - j * n, mm), 0)
+                    j += 1
+            for n in range(1, d + 1):
+                acc += l * n * lam.k * sum(entries.get((dd, m), 0)
+                                           for dd in range(d - n, -1, -n))
+            mv = [Fraction(x) for x in m]
+            denom = (2 * d * lev + 2 * sum(c[i] * g[i][j] * mv[j] for i in range(l)
+                                           for j in range(l)) - alg.finite_norm2(mv))
+            val = 2 * acc / denom
+            assert denom > 0 and val.denominator == 1 and val >= 0
+            if val:
+                entries[(d, m)] = int(val)
+    return entries
+
+
+def _dict_series(alg, lam, balls):
+    """The series quotient by a dict, point by point over the candidates
+    ``balls`` in increasing height."""
+    num, den_rest = hw._quotient_terms(alg, lam, len(balls) - 1)
+    entries = {}
+    for d, (_, cone) in enumerate(balls):
+        for m in cone:
+            val = num.get((d, m), 0) - sum(
+                c * entries.get((d - dg, tuple(a - b for a, b in zip(m, mg))), 0)
+                for (dg, mg, c) in den_rest if dg <= d)
+            assert val >= 0
+            if val:
+                entries[(d, m)] = val
+    return entries
+
+
+@pytest.mark.parametrize("name,level,depth", [
+    ("A1~", "L0", 10), ("A1~", "L0+a/2", 10), ("A1~", "2L0", 10), ("A2~", "L0", 6),
+    ("A2~", "2L0", 4), ("A2~", "3L0", 3), ("A3~", "L0", 3), ("A3~", "2L0", 2),
+    ("C2~", "L0", 4), ("C2~", "2L0", 3), ("G2~", "L0", 4)])
+def test_oracles_equal_fraction_and_dict_references(name, level, depth):
+    # both integer oracles reproduce the Fraction recursion and the dict
+    # quotient, table for table, nonzero entries only
+    alg = (al.algebra_from_json({"C2~": C2, "G2~": G2}[name]) if name in ("C2~", "G2~")
+           else al.algebra_from_name(name))
+    lam = (Weight.make(1, (Fraction(1, 2),), 0) if level == "L0+a/2"
+           else alg.Lambda0().scale(int(level[0]) if level[0].isdigit() else 1))
+    balls = _fraction_candidates(alg, lam, depth)
+    ref = _fraction_freudenthal(alg, lam, balls)
+    assert dict(hw.freudenthal_table(alg, lam, depth).entries) == ref
+    assert dict(hw.character_series_oracle(alg, lam, depth).entries) == ref
+    assert _dict_series(alg, lam, balls) == ref
+
+
+def test_first_power_layers_equal_dict_series(a1, a2):
+    # the tensor store's first power against the dict quotient, grown in
+    # two requests; 2 Lambda0 to depth 168 is what criterion 4 reads
+    hw._tensor_store.cache_clear()
+    for alg, om, depths in ((a1, a1.Lambda0().scale(2), (40, 168)),
+                            (a2, a2.Lambda0().scale(3), (2, 4))):
+        ref = _dict_series(alg, om, _fraction_candidates(alg, om, depths[-1]))
+        for depth in depths:
+            assert dict(hw.tensor_power_table(alg, om, 1, depth).entries) == \
+                {k: v for k, v in ref.items() if k[0] <= depth}
+
+
+def test_oracles_fail_loud(a1, a2, monkeypatch):
+    # the series quotient without one denominator term goes negative or
+    # leaves the support ball; a Freudenthal scale off by a factor leaves
+    # the integers
+    core = hw._quotient_terms
+    for alg, lam, dropped in ((a1, a1.Lambda0(), (0, (1,))),
+                              (a1, a1.Lambda0().scale(2), (3, (3,))),
+                              (a2, a2.Lambda0(), (0, (1, 0)))):
+        num, den_rest = core(alg, lam, 8)
+        assert dropped in {(dg, mg) for dg, mg, _ in den_rest}
+        monkeypatch.setattr(hw, "_quotient_terms", lambda *args, dropped=dropped: (
+            num, [t for t in den_rest if t[:2] != dropped]))
+        with pytest.raises(ArithmeticError, match="negative or outside the support"):
+            hw.character_series_oracle(alg, lam, 8)
+    monkeypatch.setattr(hw, "_quotient_terms", core)
+    gn, gd = a2.finite_gram_int
+    monkeypatch.setitem(a2.__dict__, "finite_gram_int", (gn, 2 * gd))
+    with pytest.raises(ArithmeticError, match="non-integer multiplicity"):
+        hw.freudenthal_table(a2, a2.Lambda0(), 4)
 
 
 def test_freudenthal_rejects_bad_inputs(a1):
@@ -179,8 +312,7 @@ def _dict_denominator_steps(alg, depth):
 def test_denominator_series_equals_alternant(a1, a2):
     # the int64 layers equal the dict expansion and the Weyl-orbit side,
     # on non-simply-laced algebras too
-    c2 = al.algebra_from_json('{"rank": 2, "matrix": [[2,-1,0],[-2,2,-2],[0,-1,2]]}')
-    g2 = al.algebra_from_json('{"rank": 2, "matrix": [[2,-1,0],[-1,2,-1],[0,-3,2]]}')
+    c2, g2 = al.algebra_from_json(C2), al.algebra_from_json(G2)
     sizes = []
     for alg, depth in ((a1, 20), (a2, 20), (c2, 10), (g2, 10)):
         *_, expected = _dict_denominator_steps(alg, depth)
@@ -337,10 +469,8 @@ _KAC_ALGEBRAS = {
     "A1~": lambda: al.algebra_from_name("A1~"),
     "A2~": lambda: al.algebra_from_name("A2~"),
     "A3~": lambda: al.algebra_from_name("A3~"),
-    "C2~": lambda: al.algebra_from_json(
-        '{"rank": 2, "matrix": [[2,-1,0],[-2,2,-2],[0,-1,2]]}'),
-    "G2~": lambda: al.algebra_from_json(
-        '{"rank": 2, "matrix": [[2,-1,0],[-1,2,-1],[0,-3,2]]}'),
+    "C2~": lambda: al.algebra_from_json(C2),
+    "G2~": lambda: al.algebra_from_json(G2),
 }
 
 
