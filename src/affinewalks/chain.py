@@ -373,14 +373,18 @@ class FastBarredKernel:
     cancel at low levels, and the rows take ``Nhat`` ratios as exponentials
     of its differences.
 
-    A row gathers atoms only for its live (source state, Weyl term) pairs:
-    those whose offsets over all next states span a box that meets the box
-    of the nonzero atoms, fixed at construction, on every axis.  Any other
-    pair reads zero atoms only, and adding ``w * 0.0`` to a finite sum
-    leaves it unchanged, so with the live pairs added in the same term
-    order the rows, cdfs and defects are bit-equal to gathering every pair.
-    Most pairs are not live: a term's offset moves far outside the atoms'
-    support.
+    A row reads atoms only for its live (source state, Weyl term) pairs:
+    those whose offsets over the next states span a box that meets the box
+    of the nonzero atoms, fixed at construction, on every axis.  An offset
+    is on the root lattice only when source and next state share a
+    root-lattice coset (at most det(Cartan) of them), so the next states
+    are kept as one column array per coset and each box comes from the
+    coset's column extremes; no (source x next state x rank) array is
+    formed (:meth:`_offsets`).  Any other pair reads zero atoms only, and
+    adding ``w * 0.0`` to a finite sum leaves it unchanged, so with the
+    live pairs added in the same term order the rows, cdfs and defects are
+    bit-equal to gathering every pair.  Most pairs are not live: a term's
+    offset moves far outside the atoms' support.
 
     States of a level are indexed in :func:`dominant_states` order (on A1~
     the index is the coroot pairing ``q``).  A row whose defect exceeds the
@@ -399,10 +403,11 @@ class FastBarredKernel:
         self.s = s
         self.defect_threshold = defect_threshold
         self.atoms = increment_atoms(alg, self.omega, s)
-        # the box of the nonzero atoms, in the indices of the padded atoms
+        # the box of the nonzero atoms: its offsets and its atoms
         nz = np.nonzero(self.atoms.prob)
-        self._support = (np.array([x.min() for x in nz]) + 1,
-                         np.array([x.max() for x in nz]) + 1)
+        lo, hi = (np.array([f(x) for x in nz]) for f in (np.min, np.max))
+        self._support = (lo + self.atoms.lo, hi + self.atoms.lo)
+        self._box = self.atoms.prob[tuple(map(slice, lo, hi + 1))]
         self.rho = weyl_vector(alg)
         t = s.point.k / self.rho.k
         if t <= 0 or s.point.z != self.rho.scale(t).z:
@@ -433,16 +438,39 @@ class FastBarredKernel:
             hit = (zq, m, sign * np.exp(expo / den), log_nhat)
         return hit
 
-    def _live_pairs(self, base: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """``live[i, t]``: the offsets ``base[i, :] - m[i, t]`` of source
-        ``i`` under term ``t`` (padded atom indices, ``-2**62`` off the
-        root lattice) span a box that meets the atoms' nonzero box on every
-        axis.  A pair that is not live reads only zero atoms."""
-        on = base[:, :, :1] > -2 ** 62
-        bmin = base.min(axis=1, where=on, initial=2 ** 62)[:, None, :] - m
-        bmax = base.max(axis=1)[:, None, :] - m
+    def _offsets(self, zq: np.ndarray, m: np.ndarray, zq_next: np.ndarray):
+        """``(table, a, cols, coset, live)`` for the source states ``zq``
+        (rows of ``den`` times root coordinates), their terms' offsets ``m``
+        and the next level's states ``zq_next``.
+
+        The offset ``lam0 - m + omega - beta0`` is on the root lattice
+        exactly when ``lam0 + omega`` and ``beta0`` share their residue mod
+        ``den``, and it is then ``A - m - Z`` with ``A = (lam0 + omega) //
+        den`` and ``Z = beta0 // den``.  ``table`` is the nonzero atoms' box
+        padded by the largest span of a coset's columns plus one, so every
+        offset of a live pair falls inside it; pair ``(i, t)`` reads
+        ``table[a[i, t] - cols[coset[i]]]``, where row ``c`` of ``cols`` is
+        the flat ``Z`` of the next states in coset ``c`` and ``2**62``
+        elsewhere, clipped onto the table's zero corner."""
+        den = self._den
+        src = zq + self._om_q
+        radix = den ** np.arange(self.alg.rank)     # a residue as one int
+        cosets, col = np.unique((zq_next % den) @ radix, return_inverse=True)
+        on = col == np.arange(cosets.size)[:, None]
+        z = zq_next // den
+        zlo = np.array([z[o].min(axis=0) for o in on])
+        zhi = np.array([z[o].max(axis=0) for o in on])
+        # lam0 + omega is a next state, so its coset is among the columns'
+        coset = cosets.searchsorted((src % den) @ radix)
+        x = (src // den)[:, None, :] - m            # the offsets at Z = 0
         lo, hi = self._support
-        return ((bmin <= hi) & (bmax >= lo)).all(axis=2)
+        live = ((x - zhi[coset][:, None, :] <= hi)
+                & (x - zlo[coset][:, None, :] >= lo)).all(axis=2)
+        pad = (zhi - zlo).max(axis=0) + 1
+        table = np.pad(self._box, np.column_stack((pad, pad)))
+        step = np.array(table.strides) // table.itemsize
+        cols = np.where(on, z @ step, 2 ** 62)
+        return table.ravel(), (x - lo + pad) @ step, cols, coset, live
 
     def row(self, level: int, q):
         """(probabilities over the next level's states, cdf, defect) for the
@@ -454,24 +482,13 @@ class FastBarredKernel:
         zq_next, _, _, log_nhat_next = new = self._level(nxt)
         self._levels = {level: cur, nxt: new}
         # the term w moves lam0 to bar(w(lam0+rho)-rho) = lam0 - m, so beta0
-        # takes the atom at offset lam0 - m + omega - beta0; an offset off
-        # the root lattice or outside the table is clipped onto the zero
-        # border of the padded atoms
-        pad = np.pad(self.atoms.prob, 1)
-        base = zq[qs][:, None, :] + self._om_q - zq_next[None, :, :]
-        base = np.where((base % self._den == 0).all(axis=2, keepdims=True),
-                        base // self._den - np.array(self.atoms.lo) + 1,
-                        -2 ** 62)
-        mq, wq = m[qs], weights[qs]
-        live = self._live_pairs(base, mq)
-        base = np.moveaxis(base, 2, 0).copy()          # one array per axis
+        # takes the atom at offset lam0 - m + omega - beta0
+        table, a, cols, coset, live = self._offsets(zq[qs], m[qs], zq_next)
+        wq = weights[qs]
         raw = np.zeros((qs.size, len(zq_next)))
         for t in np.flatnonzero(live.any(axis=0)).tolist():
             i = np.flatnonzero(live[:, t])
-            flat = sum(np.clip(b[i] - mq[i, t, j, None], 0, pad.shape[j] - 1)
-                       * (pad.strides[j] // pad.itemsize)
-                       for j, b in enumerate(base))
-            atoms = pad.ravel()[flat]
+            atoms = table.take(a[i, t, None] - cols[coset[i]], mode="clip")
             atoms *= wq[i, t, None]         # in place: one row-sized array less
             raw[i] += atoms
         # Nhat(beta0+rho) / Nhat(lam0+rho), split at the next level's largest
@@ -502,11 +519,18 @@ class FastBarredKernel:
 
         Each step builds the rows of all occupied states in one batched
         call and draws one uniform per path, handed out in stable-sorted
-        state order.
+        state order: each state's draws fill its block of that order, and
+        one scatter moves them back to the paths.  No paths give empty
+        arrays; a negative ``n_paths`` raises ``ValueError``.
         """
+        if n_paths < 0:
+            raise ValueError(f"n_paths must be >= 0, got {n_paths}")
         start = start.bar()
         if not classify_weight(self.alg, start).dominant:
             raise ValueError("start must be dominant integral")
+        if not n_paths:
+            return {k: np.empty((0, self.alg.rank))
+                    for k in range(steps + 1) if k in record_steps}
         rng = np.random.Generator(np.random.Philox(seed))
         level = int(start.k)
         k_om = int(self.omega.k)
@@ -515,17 +539,20 @@ class FastBarredKernel:
         if 0 in record_steps:
             recorded[0] = _dominant_coords(self.alg, level)[0][cur] / self._den
         for k in range(1, steps + 1):
-            order = np.argsort(cur, kind="stable")
-            states, counts = np.unique(cur, return_counts=True)
+            # a 16-bit key sorts by radix, several times faster
+            order = np.argsort(cur.astype(np.min_scalar_type(cur.max())),
+                               kind="stable")
+            counts = np.bincount(cur)
+            states = np.flatnonzero(counts)
             _, cdfs, _ = self.row(level, states)
             u = rng.random(n_paths)
-            new = np.empty_like(cur)
-            stop = np.cumsum(counts)
-            for cdf, a, b in zip(cdfs, stop - counts, stop):
-                new[order[a:b]] = np.searchsorted(cdf, u[a:b])
-            if new.max() >= cdfs.shape[1]:
+            ends = np.cumsum(counts[states]).tolist()
+            drawn = np.empty_like(cur)
+            for cdf, a, b in zip(cdfs, [0] + ends, ends):
+                drawn[a:b] = cdf.searchsorted(u[a:b])
+            if drawn.max() >= cdfs.shape[1]:
                 raise ChainDefectError("draw landed in the defect mass")
-            cur = new
+            cur[order] = drawn
             level += k_om
             if k in record_steps:
                 recorded[k] = self._levels[level][0][cur] / self._den

@@ -517,8 +517,11 @@ def sample_path_batch(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,
 
     ``record=True`` records every grid index, ``record_times`` the indices
     nearest those times; ``PathBatch.z`` maps each recorded index to the
-    positions of all paths.
+    positions of all paths (empty arrays for no paths; a negative
+    ``n_paths`` raises ``ValueError``).
     """
+    if n_paths < 0:
+        raise ValueError(f"n_paths must be >= 0, got {n_paths}")
     f = _frame(alg)
     _, margin = chamber_test(alg, x0)
     if conditioned and margin <= 0:
@@ -539,7 +542,7 @@ def sample_path_batch(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,
         ks = sorted(i for i in rec_idx if 0 < i <= n_steps)
         gaps = np.diff(times[[0] + ks])
         recorded.update(zip(ks, _conditioned_transitions(
-            alg, rng, x0.s, z, gaps)))
+            alg, rng, x0.s, z, gaps) if n_paths else (z.copy() for _ in gaps)))
     else:
         ids = np.arange(n_paths)        # path index of each tested path
         drift, wall_dt = f.rho_o * dt, (f.wall_var * dt)[:, None]

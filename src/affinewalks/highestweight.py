@@ -467,6 +467,24 @@ def alternant_terms(alg: AffineAlgebra, mu: Weight, depth: int) -> dict[Key, int
     return {kk: v for kk, v in terms.items() if v != 0}
 
 
+@lru_cache(maxsize=_ALGEBRAS_MAX)
+def _weyl_denominator_memo(alg: AffineAlgebra) -> list:
+    """``[depth, terms]``: the deepest :func:`alternant_terms` of ``rho``
+    computed so far for an algebra; one per algebra, so bounded with the
+    algebras."""
+    return [-1, {}]
+
+
+def _weyl_denominator(alg: AffineAlgebra, depth: int) -> dict[Key, int]:
+    """:func:`alternant_terms` of ``rho`` to ``depth``, the deepest one so
+    far cut at ``depth``: the terms up to a depth do not depend on how deep
+    the orbit was enumerated."""
+    memo = _weyl_denominator_memo(alg)
+    if depth > memo[0]:
+        memo[:] = depth, alternant_terms(alg, weyl_vector(alg), depth)
+    return {key: c for key, c in memo[1].items() if key[0] <= depth}
+
+
 # A layer is ``(lo, arr)``: the multiplicity at root offset ``m`` of one
 # delta-depth is ``arr[m - lo]``, zero outside the box; ``arr`` holds exact
 # Python ints (object dtype), since entries pass 2^63 (A1~ 2 Lambda0, n = 3,
@@ -476,10 +494,10 @@ Layer = tuple[tuple[int, ...], np.ndarray]
 
 def _quotient_terms(alg: AffineAlgebra, lam: Weight, depth: int):
     """Numerator ``A_{lam+rho}`` and the non-constant denominator terms
-    ``(d, m, c)`` of ``A_rho``, the alternants the series oracle divides."""
-    rho = weyl_vector(alg)
-    num = alternant_terms(alg, lam + rho, depth)
-    den = alternant_terms(alg, rho, depth)
+    ``(d, m, c)`` of ``A_rho`` (from a memo per algebra), the alternants
+    the series oracle divides."""
+    num = alternant_terms(alg, lam + weyl_vector(alg), depth)
+    den = _weyl_denominator(alg, depth)
     if den.get((0, (0,) * alg.rank)) != 1:
         raise AssertionError("denominator constant term must be 1")
     return num, [(d, m, c) for (d, m), c in den.items() if (d or any(m))]

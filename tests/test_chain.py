@@ -492,18 +492,19 @@ def test_fast_kernel_live_pairs_bit_identical_to_dense(a1, a2, monkeypatch):
     # pair that reads a nonzero atom is live, and some skipped pair reads
     # the atoms array outside its nonzero box, so the box is what decides
     cases = [(a1, 100, 200, 1), (a1, 100, 300, 1), (a2, 20, 60, 50),
-             (al.algebra_from_json(C2), 5, 12, 1)]
+             (al.algebra_from_json(C2), 5, 12, 1),
+             (al.algebra_from_json(G2), 10, 12, 1)]
     skipped = skipped_inside = 0
     for alg, n, level, step in cases:
         om = Weight.make(alg.dual_coxeter, (0,) * alg.rank, 0)
         fk = cn.FastBarredKernel(alg, om, ch.rho_specialization(alg, n))
         masks = []
-        core = fk._live_pairs
-        monkeypatch.setattr(fk, "_live_pairs",
+        core = fk._offsets
+        monkeypatch.setattr(fk, "_offsets",
                             lambda *args: masks.append(core(*args)) or masks[-1])
         qs = np.arange(0, len(cn.dominant_states(alg, level)), step)
         probs, cdf, defect = fk.row(level, qs)
-        (live,) = masks
+        ((*_, live),) = masks
         want_p, want_c, want_d, hit, inside = _dense_row(fk, level, qs)
         assert np.array_equal(probs, want_p)
         assert np.array_equal(cdf, want_c)
@@ -553,27 +554,47 @@ def test_fast_kernel_keeps_two_levels(a1):
     assert sorted(fk._levels) == [78, 80]
 
 
-def test_fast_kernel_sample_matches_scalar_reference(a1):
+def test_fast_kernel_sample_matches_scalar_reference(a1, a2):
     # the per-state loop of scalar rows, each state's paths drawing their
-    # uniforms in path order, states in ascending order
+    # uniforms in path order, states in ascending order; on rank 2 the
+    # states of a level lie in several root-lattice cosets
+    c2 = al.algebra_from_json(C2)
+    for alg, n, start, n_paths, steps, seed in (
+            (a1, 20, Weight.make(40, (10,), 0), 300, 20, 11),
+            (a2, 10, al.weight_from_pairings(a2, [3, 3, 3]), 100, 4, 12),
+            (c2, 10, al.weight_from_pairings(c2, [3, 3, 3]), 100, 3, 13)):
+        om = Weight.make(alg.dual_coxeter, (0,) * alg.rank, 0)
+        fk = cn.FastBarredKernel(alg, om, ch.rho_specialization(alg, n))
+        got = fk.sample(start, steps, n_paths, seed, record_steps=range(steps + 1))
+        rng = np.random.Generator(np.random.Philox(seed))
+        level = int(start.k)
+        cur = np.full(n_paths, cn.dominant_states(alg, level).index(start))
+        for k in range(steps + 1):
+            if k:
+                new = np.empty_like(cur)
+                for uid in np.unique(cur):
+                    sel = np.flatnonzero(cur == uid)
+                    _, cdf, _ = fk.row(level, int(uid))
+                    new[sel] = np.searchsorted(cdf, rng.random(sel.size))
+                cur = new
+                level += alg.dual_coxeter
+            coords = np.array([[float(x) for x in w.z]
+                               for w in cn.dominant_states(alg, level)])
+            assert got[k].shape == (n_paths, alg.rank)
+            assert np.array_equal(got[k], coords[cur])
+    assert np.array_equal(got[0], np.tile([float(x) for x in start.z], (n_paths, 1)))
+
+
+def test_fast_kernel_sample_path_counts(a1):
+    # no paths give an empty array at each recorded step, as many as with
+    # paths; a negative count is refused at entry
     fk = cn.FastBarredKernel(a1, omega(a1), ch.rho_specialization(a1, 20))
     start = Weight.make(40, (10,), 0)
-    n_paths, steps, seed = 300, 20, 11
-    got = fk.sample(start, steps, n_paths, seed, record_steps=range(steps + 1))
-    rng = np.random.Generator(np.random.Philox(seed))
-    cur = np.full(n_paths, 20, dtype=np.int64)
-    level = 40
-    for k in range(1, steps + 1):
-        new = np.empty_like(cur)
-        for uid in np.unique(cur):
-            sel = np.flatnonzero(cur == uid)
-            _, cdf, _ = fk.row(level, int(uid))
-            new[sel] = np.searchsorted(cdf, rng.random(sel.size))
-        cur = new
-        level += 2
-        assert got[k].shape == (n_paths, 1)
-        assert np.array_equal(got[k][:, 0], cur / 2.0)
-    assert np.array_equal(got[0][:, 0], np.full(n_paths, 10.0))
+    got = fk.sample(start, 3, 0, 1, record_steps=(0, 2, 3, 5))
+    assert got.keys() == fk.sample(start, 3, 2, 1, record_steps=(0, 2, 3, 5)).keys()
+    assert all(v.shape == (0, 1) and v.dtype == float for v in got.values())
+    with pytest.raises(ValueError, match="n_paths"):
+        fk.sample(start, 3, -1, 1)
 
 
 def test_ch_cache_bounded(a1):

@@ -553,3 +553,17 @@ def test_sample_csv_paths_and_levels(tmp_path):
     for k, row in enumerate(rows):
         assert abs(float(row["t"]) - (k % 11) * 1e-2) < 1e-12
         assert abs(float(row["s"]) - (2.0 + 2.0 * (k % 11) * 1e-2)) < 1e-12
+
+
+@pytest.mark.parametrize("conditioned", [True, False])
+def test_sampler_path_counts(a1, rho1, conditioned):
+    # no paths give an empty array at each recorded time, as many as with
+    # paths; a negative count is refused at entry
+    x0 = df.weight_to_point(a1, rho1)
+    kw = dict(conditioned=conditioned, record_times=(0.5, 1.0))
+    b = df.sample_path_batch(a1, x0, 1.0, 0.1, 0, seed=1, **kw)
+    assert b.z.keys() == df.sample_path_batch(a1, x0, 1.0, 0.1, 2, seed=1, **kw).z.keys()
+    assert all(v.shape == (0, 1) for v in b.z.values())
+    assert b.exit_times.shape == (0,)
+    with pytest.raises(ValueError, match="n_paths"):
+        df.sample_path_batch(a1, x0, 1.0, 0.1, -1, seed=1, **kw)

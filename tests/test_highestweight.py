@@ -323,6 +323,27 @@ def test_denominator_series_equals_alternant(a1, a2):
     assert sizes[2:] == [96, 120]
 
 
+def test_weyl_denominator_memo(a1, a2, monkeypatch):
+    # one memo per algebra keeps the deepest alternant of rho so far; a
+    # request at any depth equals a fresh call, and only a deeper one than
+    # before enumerates the orbit again
+    fresh, calls = hw.alternant_terms, []
+    monkeypatch.setattr(hw, "alternant_terms",
+                        lambda *args: calls.append(args[2]) or fresh(*args))
+    hw._weyl_denominator_memo.cache_clear()
+    algs = [(a1, 12), (a2, 6), (al.algebra_from_name("A3~"), 3),
+            (al.algebra_from_json(C2), 5), (al.algebra_from_json(G2), 5)]
+    for alg, depth in algs:
+        rho = al.weyl_vector(alg)
+        calls.clear()
+        for d in (1, 0, depth - 1, *range(depth + 1)):
+            assert hw._weyl_denominator(alg, d) == fresh(alg, rho, d)
+        assert calls == [1, depth - 1, depth]
+        assert hw._weyl_denominator_memo(alg)[0] == depth
+    info = hw._weyl_denominator_memo.cache_info()
+    assert info.currsize == len(algs) and info.maxsize == al._ALGEBRAS_MAX
+
+
 def test_denominator_overflow_bound(a2, a1, monkeypatch):
     # the bound dominates the absolute coefficients of every partial product
     bound = hw._denominator_bound(a2, 8)
