@@ -582,7 +582,6 @@ def test_fast_kernel_sample_matches_scalar_reference(a1, a2):
                                for w in cn.dominant_states(alg, level)])
             assert got[k].shape == (n_paths, alg.rank)
             assert np.array_equal(got[k], coords[cur])
-    assert np.array_equal(got[0], np.tile([float(x) for x in start.z], (n_paths, 1)))
 
 
 def test_fast_kernel_sample_path_counts(a1):
