@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals and the integers.
 
-Everything here operates on tiny dense matrices (at most rank+2 square:
-Cartan matrices, Gram blocks, lattice bases), so Gaussian elimination with
+Everything here operates on tiny dense matrices (at most rank+1 square:
+Cartan matrices and Gram blocks), so Gaussian elimination with
 ``Fraction`` entries is fast enough and keeps the algebraic layer free of
 floating-point drift.
 """
@@ -15,33 +15,12 @@ Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
 
-def as_fraction_matrix(rows) -> Mat:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 def as_fraction_vector(row) -> Vec:
     return tuple(Fraction(x) for x in row)
 
 
-def identity(n: int) -> Mat:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-
-
-def transpose(m: Mat) -> Mat:
-    return tuple(zip(*m))
-
-
 def mat_vec(m: Mat, v) -> Vec:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
 
 
 def invert(m: Mat) -> Mat:
@@ -84,7 +63,7 @@ def det(m: Mat) -> Fraction:
 
 def nullspace(m) -> list[Vec]:
     """Basis of the right null space of a rational matrix."""
-    m = [list(row) for row in as_fraction_matrix(m)]
+    m = [[Fraction(x) for x in row] for row in m]
     rows, cols = len(m), len(m[0])
     pivots: list[int] = []
     r = 0
@@ -134,49 +113,3 @@ def primitive_integer_vector(v) -> tuple[int, ...]:
     if lead < 0:
         ints = [-x for x in ints]
     return tuple(ints)
-
-
-def hermite_normal_form(rows) -> list[tuple[int, ...]]:
-    """Row-style Hermite normal form of an integer row span.
-
-    Returns the nonzero rows: pivots positive, entries above each pivot
-    reduced to ``[0, pivot)``.  Two generating sets span the same lattice
-    iff their HNFs coincide.
-    """
-    work = [list(map(int, r)) for r in rows if any(r)]
-    ncols = len(rows[0]) if rows else 0
-    result: list[list[int]] = []
-    col = 0
-    while work and col < ncols:
-        sel = [r for r in work if r[col] != 0]
-        if not sel:
-            col += 1
-            continue
-        while len(sel) > 1 or any(r[col] != 0 for r in work if r is not sel[0]):
-            sel.sort(key=lambda r: abs(r[col]))
-            p = sel[0]
-            for r in work:
-                if r is not p and r[col] != 0:
-                    q = r[col] // p[col]
-                    for j in range(ncols):
-                        r[j] -= q * p[j]
-            sel = [r for r in work if r[col] != 0]
-            if len(sel) <= 1:
-                break
-        if sel:
-            pivot_row = sel[0]
-            if pivot_row[col] < 0:
-                pivot_row[:] = [-x for x in pivot_row]
-            work.remove(pivot_row)
-            work = [r for r in work if any(r)]
-            result.append(pivot_row)
-        col += 1
-    # reduce entries above pivots
-    for i in reversed(range(len(result))):
-        pcol = next(j for j in range(ncols) if result[i][j] != 0)
-        pval = result[i][pcol]
-        for k in range(i):
-            q = result[k][pcol] // pval
-            if q:
-                result[k] = [a - q * b for a, b in zip(result[k], result[i])]
-    return [tuple(r) for r in result]

@@ -55,6 +55,12 @@ def _a1():
     return algebra_from_name("A1~")
 
 
+def _worst(residuals) -> float:
+    """The largest residual, 0 for none, NaN if any is NaN: a gate compares
+    it with ``<``, so a NaN fails it (``max`` would drop the NaN)."""
+    return float(np.max(residuals, initial=0.0))
+
+
 def _omega(alg):
     return Weight.make(alg.dual_coxeter, (0,) * alg.rank, 0)
 
@@ -89,14 +95,15 @@ def check_oracle_equivalence(fast=False):
 
 def check_denominator(fast=False):
     t0 = time.time()
-    worst = 0.0
+    residuals = []
     algs = ["A1~"] if fast else ["A1~", "A2~"]
     for name in algs:
         alg = algebra_from_name(name)
         for n in GOLDEN.denominator_spec_ns:
             s = characters.rho_specialization(alg, n)
-            worst = max(worst, characters.denominator_residual(
+            residuals.append(characters.denominator_residual(
                 alg, s, GOLDEN.denominator_depth))
+    worst = _worst(residuals)
     dt = time.time() - t0
     ok = worst < GOLDEN.denominator_rtol and dt < GOLDEN.denominator_runtime_s
     return ok, f"worst residual {worst:.2e} at depth {GOLDEN.denominator_depth}; {dt:.1f}s"
@@ -138,18 +145,16 @@ def check_row_stochasticity(fast=False):
     om = _omega(alg)
     ns = (1, 5) if fast else GOLDEN.row_spec_ns
     sources = [alg.Lambda0(), Weight.make(2, (Fraction(1, 2),), 0)]
-    worst = 0.0
-    rows = 0
+    gaps = []
     for n in ns:
         s = characters.rho_specialization(alg, n)
         for lam in sources:
             row = chain.q_omega_row(alg, lam, om, s, GOLDEN.row_depth,
                                     defect_target=GOLDEN.row_mass_tol / 10)
-            gap = abs(row.total() + row.defect - 1.0)
-            worst = max(worst, gap)
-            rows += 1
+            gaps.append(abs(row.total() + row.defect - 1.0))
+    worst = _worst(gaps)
     ok = worst <= GOLDEN.row_mass_tol
-    return ok, f"{rows} rows, worst |mass+defect-1| = {worst:.2e}"
+    return ok, f"{len(gaps)} rows, worst |mass+defect-1| = {worst:.2e}"
 
 
 # -- 5: discrete reflection principle -------------------------------------------------
@@ -175,12 +180,9 @@ def check_discrete_reflection(fast=False):
     lam0 = alg.Lambda0()
     steps = (1, 2) if fast else GOLDEN.reflection_steps
     depth = GOLDEN.reflection_depth if not fast else 80
-    worst = 0.0
-    pairs = 0
-    for n_steps in steps:
-        for _, res in _reflection_residuals(alg, s, n_steps, lam0, depth):
-            worst = max(worst, res)
-            pairs += 1
+    residuals = [res for n_steps in steps
+                 for _, res in _reflection_residuals(alg, s, n_steps, lam0, depth)]
+    worst, pairs = _worst(residuals), len(residuals)
     ok = worst < GOLDEN.reflection_rtol and pairs >= (
         3 if fast else GOLDEN.reflection_min_pairs)
     return ok, f"{pairs} (lam0,beta0) pairs, worst residual {worst:.2e}"
@@ -195,7 +197,7 @@ def check_wonpt(fast=False, alg=None):
     alpha_norm = math.sqrt(float(alg.finite_norm2(alg.alpha(1).z)))
     els = list(enumerate_bounded(alg, GOLDEN.wonpt_radius_alpha1 * alpha_norm
                                  + 1e-9))
-    worst = 0.0
+    residuals = []
     count = GOLDEN.wonpt_samples if not fast else 25
 
     def quarters():
@@ -210,7 +212,8 @@ def check_wonpt(fast=False, alg=None):
                         Fraction(int(rng.integers(-8, 8)), 4))
         t = float(dt_lvl)
         w = els[int(rng.integers(0, len(els)))]
-        worst = max(worst, diffusion.wonpt_residual(alg, x, y, t, w))
+        residuals.append(diffusion.wonpt_residual(alg, x, y, t, w))
+    worst = _worst(residuals)
     ok = worst < GOLDEN.wonpt_rtol
     return ok, f"{count} random (x,y,t,w), worst log residual {worst:.2e}"
 
@@ -223,8 +226,7 @@ def check_continuous_reflection(fast=False, alg=None):
     rng = np.random.default_rng(71)
     frame = diffusion._frame(alg)
     count = GOLDEN.creflect_samples if not fast else 15
-    worst_xy = 0.0
-    worst_gir = 0.0
+    gaps_xy, gaps_gir = [], []
     for _ in range(count):
         t = 0.3 + 1.5 * rng.random()
         s0 = 1.0 + 2.0 * rng.random()
@@ -235,10 +237,11 @@ def check_continuous_reflection(fast=False, alg=None):
         d2 = diffusion.reflected_density(alg, x, y, t, "drifted-by-y")
         d0 = diffusion.reflected_density(alg, x, y, t, "undrifted")
         scale = max(abs(d1), abs(d2), 1e-290)
-        worst_xy = max(worst_xy, abs(d1 - d2) / scale)
+        gaps_xy.append(abs(d1 - d2) / scale)
         lr = math.exp(float((y.z - x.z) @ frame.rho_o)
                       - 0.5 * float(frame.rho_o @ frame.rho_o) * t)
-        worst_gir = max(worst_gir, abs(d1 - d0 * lr) / scale)
+        gaps_gir.append(abs(d1 - d0 * lr) / scale)
+    worst_xy, worst_gir = _worst(gaps_xy), _worst(gaps_gir)
     ok = worst_xy < GOLDEN.creflect_rtol and worst_gir < GOLDEN.girsanov_rtol
     return ok, (f"{count} configs: x-vs-y {worst_xy:.2e}, "
                 f"Girsanov {worst_gir:.2e}")
@@ -253,7 +256,7 @@ def check_harmonicity(fast=False, alg=None):
     els = [w for w in enumerate_bounded(alg, 3.0)][:GOLDEN.harmonic_elements]
     step = GOLDEN.harmonic_step
     n_points = GOLDEN.harmonic_points if not fast else 6
-    worst = 0.0
+    residuals = []
     ratios = []
     for w in els:
         for _ in range(n_points // 2):
@@ -261,9 +264,10 @@ def check_harmonicity(fast=False, alg=None):
                                          rng.normal(0, 1, alg.rank))
             r1 = diffusion.harmonic_residual(alg, w, p, step)
             r2 = diffusion.harmonic_residual(alg, w, p, step / 2)
-            worst = max(worst, abs(r1))
+            residuals.append(abs(r1))
             if abs(r1) > 1e-10:
                 ratios.append(abs(r2) / abs(r1))
+    worst = _worst(residuals)
     ratio = float(np.mean(ratios))
     ok = (worst < GOLDEN.harmonic_rtol
           and GOLDEN.richardson_lo <= ratio <= GOLDEN.richardson_hi)

@@ -3,10 +3,10 @@
 A weight lives in the dual of the extended Cartan subalgebra and is stored
 in the coordinate system ``(Lambda0, alpha_1, ..., alpha_l, delta)``: every
 weight decomposes uniquely as ``k*Lambda0 + z + b*delta`` with ``z`` in the
-span of the finite simple roots.  The invariant bilinear form is assembled
-once per algebra from the defining pairings on the coroot side and pushed
-to the dual space; all of it stays in ``Fraction`` arithmetic so that the
-reflection identities checked downstream hold exactly.
+span of the finite simple roots.  The normalized invariant form is written
+once per algebra from Kac's closed form in the marks and comarks; it stays
+in ``Fraction`` arithmetic so that the reflection identities checked
+downstream hold exactly.
 """
 
 from __future__ import annotations
@@ -127,9 +127,8 @@ class WeightClassification:
 class AffineAlgebra:
     """Validated affine Cartan matrix with its derived invariant data.
 
-    ``gram_hstar`` is the Gram matrix of the induced form on the dual space
-    in the basis ``(Lambda0, alpha_1..alpha_l, delta)``; ``nu_matrix`` sends
-    coroot-side coordinates ``(coroot_0..coroot_l, d)`` to that basis.
+    ``gram_hstar`` is the Gram matrix of the normalized invariant form on
+    the dual space in the basis ``(Lambda0, alpha_1..alpha_l, delta)``.
 
     Identity is decided by the Cartan matrix alone (everything else is
     derived deterministically); hashing the full rational Gram data on
@@ -142,7 +141,6 @@ class AffineAlgebra:
     coxeter: int
     dual_coxeter: int
     gram_hstar: _linalg.Mat
-    nu_matrix: _linalg.Mat
     name: str | None = None
 
     def __eq__(self, other):
@@ -254,13 +252,14 @@ def _highest_root(matrix: AffineCartanMatrix) -> tuple[int, ...]:
 def build_algebra(matrix: AffineCartanMatrix, name: str | None = None) -> AffineAlgebra:
     """Assemble marks, comarks, Coxeter numbers and the bilinear form.
 
-    The form on the Cartan side is fixed by the pairings
-    ``(coroot_i | coroot_j) = (a_j / a∨_j) a_ij``, ``(coroot_i | d) = a_0 δ_{i0}``
-    and ``(d | d) = 0``; it is pushed to the dual space through the
-    isomorphism ``nu``.  Matrices whose integer null space is not spanned by
-    a single strictly positive vector are rejected, and so are twisted types:
-    the matrix must be untwisted with node 0 the affine node, i.e.
-    ``a_0 = 1`` and ``marks[1:]`` the highest root of the finite part.
+    The normalized invariant form is Kac's closed form (*Infinite-dimensional
+    Lie algebras*, section 6.2): ``(alpha_i | alpha_j) = (a∨_i / a_i) a_ij``
+    and ``(Lambda0 | delta) = 1 / a_0``; every other pairing of the basis
+    ``(Lambda0, alpha_1..alpha_l, delta)`` is zero.  Matrices whose integer
+    null space is not spanned by a single strictly positive vector are
+    rejected, and so are twisted types: the matrix must be untwisted with
+    node 0 the affine node, i.e. ``a_0 = 1`` and ``marks[1:]`` the highest
+    root of the finite part.
     """
     if not isinstance(matrix, AffineCartanMatrix):
         matrix = AffineCartanMatrix(tuple(tuple(int(x) for x in row) for row in matrix))
@@ -273,36 +272,21 @@ def build_algebra(matrix: AffineCartanMatrix, name: str | None = None) -> Affine
     l = matrix.rank
     a = matrix.entries
 
-    # Gram matrix on the Cartan side, basis (coroot_0..coroot_l, d).
-    n = l + 2
-    bh = [[Fraction(0)] * n for _ in range(n)]
+    # (alpha_i | alpha_j) = (a∨_i / a_i) a_ij over all nodes
+    form = [[Fraction(comarks[i], marks[i]) * a[i][j] for j in range(l + 1)]
+            for i in range(l + 1)]
     for i in range(l + 1):
         for j in range(l + 1):
-            bh[i][j] = Fraction(marks[j], comarks[j]) * a[i][j]
-    bh[0][l + 1] = bh[l + 1][0] = Fraction(marks[0])
-    for i in range(l + 1):
-        for j in range(l + 1):
-            if bh[i][j] != bh[j][i]:
+            if form[i][j] != form[j][i]:
                 raise NotAffineError("not affine: defining form is not symmetric")
 
-    # Pairing matrix P[row: dual basis][col: Cartan basis].
-    p = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(l + 1):
-        p[0][i] = Fraction(1 if i == 0 else 0)       # Lambda0(coroot_i)
-        for j in range(1, l + 1):
-            p[j][i] = Fraction(a[i][j])              # alpha_j(coroot_i)
-    p[l + 1][l + 1] = Fraction(marks[0])             # delta(d) = a_0
-
-    p = tuple(tuple(row) for row in p)
-    bh = tuple(tuple(row) for row in bh)
-    p_inv_t = _linalg.transpose(_linalg.invert(p))
-    nu = _linalg.mat_mul(p_inv_t, bh)                # columns: nu(basis of h)
-    gram = _linalg.mat_mul(p, _linalg.invert(nu))    # induced form on h*
-
-    for i in range(n):
-        for j in range(n):
-            if gram[i][j] != gram[j][i]:
-                raise NotAffineError("induced form failed symmetry check")
+    # basis (Lambda0, alpha_1..alpha_l, delta): the finite block of the form,
+    # (Lambda0 | delta) = 1 / a_0 and zero elsewhere
+    gram = [[Fraction(0)] * (l + 2) for _ in range(l + 2)]
+    for i in range(1, l + 1):
+        gram[i][1:l + 1] = form[i][1:]
+    gram[0][l + 1] = gram[l + 1][0] = Fraction(1, marks[0])
+    gram = tuple(map(tuple, gram))
 
     alg = AffineAlgebra(
         cartan=matrix,
@@ -311,7 +295,6 @@ def build_algebra(matrix: AffineCartanMatrix, name: str | None = None) -> Affine
         coxeter=sum(marks),
         dual_coxeter=sum(comarks),
         gram_hstar=gram,
-        nu_matrix=nu,
         name=name,
     )
     _check_form(alg)

@@ -32,7 +32,7 @@ import numpy as np
 from . import _linalg, weyl
 from .algebra import (_ALGEBRAS_MAX, AffineAlgebra, Weight, classify_weight,
                       inner_product, pair_delta, weyl_vector)
-from .highestweight import (_U, alternant_terms, denominator_product_series,
+from .highestweight import (_U, _weyl_denominator, denominator_product_series,
                             finite_roots)
 from .weyl import (ConvergenceError, certified_terms, finite_group,
                    lattice_basis, orbit_offsets)
@@ -131,8 +131,11 @@ class _DualLattice:
 @lru_cache(maxsize=_ALGEBRAS_MAX)
 def _dual_lattice(alg: AffineAlgebra) -> _DualLattice:
     gram = _linalg.invert(weyl._lattice_gram(alg))
-    (gn, gd), (tn, td) = _int_scaled(gram), _int_scaled(_linalg.transpose(
-        _linalg.invert(_linalg.as_fraction_matrix(lattice_basis(alg)))))
+    gn, gd = _int_scaled(gram)
+    # the inverse transpose of the diagonal basis, as tn / td
+    scale = [b[i] for i, b in enumerate(lattice_basis(alg))]
+    td = math.lcm(*scale)
+    tn = np.diag(np.array([td // x for x in scale], dtype=np.int64))
     roots = np.array(finite_roots(alg), dtype=np.int64)
     # the finite Weyl vector is a regular point of M*
     nb = np.array(weyl.translation_vectors(alg, math.sqrt(float(
@@ -457,9 +460,10 @@ _DENOMINATOR_MAX = 16
 @lru_cache(maxsize=_DENOMINATOR_MAX)
 def _denominator_sides(alg: AffineAlgebra, depth: int):
     """The product and the sum side of the denominator identity as integer
-    series items ``((d, m), coeff)``; neither depends on the specialization."""
+    series items ``((d, m), coeff)``; neither depends on the specialization.
+    The sum side is the series oracle's memo of ``A_rho``."""
     return (tuple(denominator_product_series(alg, depth).items()),
-            tuple(alternant_terms(alg, weyl_vector(alg), depth).items()))
+            tuple(_weyl_denominator(alg, depth).items()))
 
 
 def denominator_residual(alg: AffineAlgebra, s: Specialization, depth: int) -> float:
@@ -469,11 +473,11 @@ def denominator_residual(alg: AffineAlgebra, s: Specialization, depth: int) -> f
     The product over the root datum is expanded as an exact integer series
     (int64 layers, :func:`~affinewalks.highestweight.denominator_product_series`);
     the sum side is the alternating Weyl-orbit series of the Weyl vector
-    with the radius needed to reach the same depth.  Both are built once per
-    ``(alg, depth)`` and kept in a bounded memo.  The identity asserts the
-    two truncated series are equal coefficient-by-coefficient, so the
-    evaluated residual sits at floating-point noise whenever the
-    coefficients agree.
+    with the radius needed to reach the same depth, shared with the series
+    oracle.  Both are kept per ``(alg, depth)`` in a bounded memo.  The
+    identity asserts the two truncated series are equal
+    coefficient-by-coefficient, so the evaluated residual sits at
+    floating-point noise whenever the coefficients agree.
     """
     cf = float(_require_convergent(alg, s))
     gp = alg.finite_covector(s.point.z)

@@ -38,7 +38,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _linalg
 from .algebra import (_ALGEBRAS_MAX, AffineAlgebra, Weight, classify_weight,
                       pairing_coroot, weyl_vector)
 from .weyl import (ConvergenceError, _lattice_gram, apply, enumerate_bounded,

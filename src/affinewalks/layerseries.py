@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _linalg
 from .algebra import AffineAlgebra, Weight, classify_weight, weyl_vector
 from .characters import (_U, Specialization, _int_scaled, _log_alternant,
                          delta_pairing)
@@ -76,9 +77,9 @@ def increment_atoms(alg: AffineAlgebra, omega: Weight, s: Specialization,
     """Fourier inversion of the normalized character on the torus.
 
     ``grid`` is the FFT size per finite axis and must be a power of two
-    (default scales with the Gaussian spread of the atoms).  The torus
-    points, indices centred on zero, go to the alternant evaluator in
-    chunks of ``_CHUNK``; the quotient's certified error, relative to its
+    (default scales with the Gaussian spread of the atoms' root
+    coordinates).  The torus points, indices centred on zero, go to the
+    alternant evaluator in chunks of ``_CHUNK``; the quotient's certified error, relative to its
     value at ``theta = 0``, is added to the aliasing defect.
     """
     if grid is not None and (grid < 2 or grid & (grid - 1)):
@@ -91,8 +92,15 @@ def increment_atoms(alg: AffineAlgebra, omega: Weight, s: Specialization,
         raise ValueError("specialization must have positive delta pairing")
     rho = weyl_vector(alg)
     if grid is None:
+        # root coordinate i spreads with variance (k/c) (G^-1)_ii, G the
+        # finite Gram matrix: 24 sqrt(k/c) + 8 points (34 standard
+        # deviations on A1~), and at least 16 of the widest coordinate (6k/c
+        # on G2~'s short root)
         spread = math.sqrt(float(omega.k) / c)
-        need = int(2 ** math.ceil(math.log2(max(64.0, 24.0 * spread + 8))))
+        widest = math.sqrt(float(omega.k) / c * float(max(
+            row[i] for i, row in enumerate(_linalg.invert(alg.finite_gram)))))
+        need = int(2 ** math.ceil(math.log2(
+            max(64.0, 24.0 * spread + 8, 16.0 * widest + 8))))
         grid = min(need, 8192 if l == 1 else 512)
 
     # FFT order, each index centred on zero so the dual Gaussians stay near

@@ -142,30 +142,17 @@ def finite_apply(alg: AffineAlgebra, w: FiniteWeylElement, lam: Weight) -> Weigh
 
 @lru_cache(maxsize=_ALGEBRAS_MAX)
 def lattice_basis(alg: AffineAlgebra) -> tuple[tuple[int, ...], ...]:
-    """Z-basis (in root coordinates) of the translation lattice.
+    """Z-basis (in root coordinates) of the translation lattice ``nu(Q∨)``.
 
-    The lattice is generated by the finite-Weyl orbit of the image of
-    ``theta∨ = sum_{i>=1} a∨_i coroot_i`` under ``nu``; the Hermite normal
-    form of the orbit is returned, so the basis is canonical.
+    The basis is diagonal: ``nu(coroot_i) = (a_i / a∨_i) alpha_i`` for
+    ``i >= 1`` (Kac, section 6.5), an integer multiple of ``alpha_i``.
     """
     l = alg.rank
-    nu = alg.nu_matrix
-    # nu(theta∨) in dual coordinates (Lambda0, alpha_1.., delta)
-    coords = [sum(Fraction(alg.comarks[i]) * nu[r][i] for i in range(1, l + 1))
-              for r in range(l + 2)]
-    if coords[0] != 0 or coords[l + 1] != 0:
-        raise AssertionError("nu(theta∨) must be a finite vector")
-    theta = coords[1:l + 1]
-    orbit = set()
-    for w in finite_group(alg):
-        vec = w.act_z(theta)
-        if any(x.denominator != 1 for x in map(Fraction, vec)):
-            raise AssertionError("orbit of nu(theta∨) left the root lattice")
-        orbit.add(tuple(int(x) for x in vec))
-    hnf = _linalg.hermite_normal_form(sorted(orbit))
-    if len(hnf) != l:
-        raise AssertionError("translation lattice is not full rank")
-    return tuple(hnf)
+    scale = [Fraction(alg.marks[i], alg.comarks[i]) for i in range(1, l + 1)]
+    if any(x.denominator != 1 for x in scale):
+        raise AssertionError("nu(coroot_i) left the root lattice")
+    return tuple(tuple(int(scale[i]) if i == j else 0 for j in range(l))
+                 for i in range(l))
 
 
 def translate(alg: AffineAlgebra, alpha_z, lam: Weight) -> Weight:
@@ -189,9 +176,7 @@ def translate(alg: AffineAlgebra, alpha_z, lam: Weight) -> Weight:
 
 def _trans_to_z(alg: AffineAlgebra, coeffs) -> tuple[Fraction, ...]:
     basis = lattice_basis(alg)
-    return tuple(
-        Fraction(sum(coeffs[i] * basis[i][j] for i in range(alg.rank)))
-        for j in range(alg.rank))
+    return tuple(Fraction(c * basis[i][i]) for i, c in enumerate(coeffs))
 
 
 def apply(alg: AffineAlgebra, w: AffineWeylElement, lam: Weight) -> Weight:
@@ -207,10 +192,8 @@ _ELEMENT_MATRICES_MAX = 4096
 def _finite_on_lattice(alg: AffineAlgebra, w: FiniteWeylElement) -> tuple[tuple[int, ...], ...]:
     """Matrix of w on lattice-basis coordinates (integer; the lattice is stable)."""
     basis = lattice_basis(alg)
-    bmat = _linalg.as_fraction_matrix(list(zip(*basis)))  # columns = basis vectors
-    binv = _linalg.invert(bmat)
-    wmat = _linalg.as_fraction_matrix(w.matrix)
-    m = _linalg.mat_mul(binv, _linalg.mat_mul(wmat, bmat))
+    m = [[Fraction(x * basis[c][c], basis[r][r]) for c, x in enumerate(row)]
+         for r, row in enumerate(w.matrix)]
     for row in m:
         for x in row:
             if x.denominator != 1:
@@ -235,12 +218,9 @@ def compose(alg: AffineAlgebra, w1: AffineWeylElement, w2: AffineWeylElement) ->
 
 @lru_cache(maxsize=_ALGEBRAS_MAX)
 def _lattice_gram(alg: AffineAlgebra) -> _linalg.Mat:
-    basis = lattice_basis(alg)
-    l = alg.rank
-    return tuple(
-        tuple(alg.finite_inner([Fraction(x) for x in basis[i]],
-                               [Fraction(x) for x in basis[j]])
-              for j in range(l)) for i in range(l))
+    basis, g = lattice_basis(alg), alg.finite_gram
+    return tuple(tuple(basis[i][i] * basis[j][j] * x for j, x in enumerate(row))
+                 for i, row in enumerate(g))
 
 
 def translation_vectors(alg: AffineAlgebra, radius,
