@@ -33,7 +33,8 @@ import numpy as np
 from .algebra import (AffineAlgebra, Weight, classify_weight, inner_product,
                       weyl_vector)
 from .characters import (EvalResult, Specialization, _alternant_exponents,
-                         _int_scaled, delta_pairing, eval_character)
+                         _alternant_terms, _int_scaled, delta_pairing,
+                         eval_character)
 from .highestweight import (_brancher, character_series_oracle,
                             log_kac_product, tensor_power_table)
 
@@ -352,6 +353,9 @@ def simulate_chain(alg: AffineAlgebra, start: Weight, omega: Weight,
 
 # -- fast projected kernel for near-critical specializations ------------------------
 
+# bytes of row arrays per batched ``row`` call of ``FastBarredKernel.sample``
+_ROW_BYTES = 64 << 20
+
 
 class FastBarredKernel:
     """Single-step rows of the projected dominant-weight kernel, built from
@@ -365,10 +369,11 @@ class FastBarredKernel:
     and ``Nhat(mu) = sum_w det(w) e^{<w(mu)-mu, h>}`` the alternant.  The
     numerators' terms, offsets and exact exponents come from
     :func:`affinewalks.characters._alternant_exponents` for any rank, cut
-    at the largest ``|lam0 + rho|`` of the level, so batched and single rows
-    are bit-equal; the sums are float64.  At ``h = rho/n`` (the point must
-    be a positive multiple of rho) ``Nhat(mu)`` is the survival function
-    ``h(mu/n)``, so ``log Nhat`` comes from Kac's product
+    at the largest ``|lam0 + rho|`` of the level and formed for a row's
+    sources alone, so batched and single rows are bit-equal; the sums are
+    float64.  At ``h = rho/n`` (the point must be a positive multiple of
+    rho) ``Nhat(mu)`` is the survival function ``h(mu/n)``, so
+    ``log Nhat`` comes from Kac's product
     (:func:`affinewalks.highestweight.log_kac_product`), which does not
     cancel at low levels, and the rows take ``Nhat`` ratios as exponentials
     of its differences.
@@ -389,9 +394,10 @@ class FastBarredKernel:
     States of a level are indexed in :func:`dominant_states` order (on A1~
     the index is the coroot pairing ``q``).  A row whose defect exceeds the
     threshold refuses to sample rather than renormalizing.  ``sample``
-    calls ``row`` once per step for the occupied states.  Rows are not
-    cached (the level grows every step), and only the current and the next
-    level's terms are kept.
+    calls ``row`` every step, for blocks of the occupied states that the
+    byte budget ``_ROW_BYTES`` sizes.  Rows are not cached (the level grows
+    every step); a level keeps its states, ``log Nhat`` and its term list,
+    and only the current and the next level are kept.
     """
 
     def __init__(self, alg: AffineAlgebra, omega: Weight, s: Specialization,
@@ -423,20 +429,29 @@ class FastBarredKernel:
         self._levels: dict[int, tuple] = {}
 
     def _level(self, level: int) -> tuple:
-        """States of a level (:func:`_dominant_coords`), the offsets and
-        signed float weights of the alternant terms of ``mu = state + rho``,
-        and ``log Nhat(mu)``, Kac's ``log h(t mu)`` at ``h = t rho``."""
+        """States of a level (:func:`_dominant_coords`), ``log Nhat(mu)`` of
+        ``mu = state + rho`` (Kac's ``log h(t mu)`` at ``h = t rho``), and the
+        alternant term list cut at the level's largest ``|mu|``."""
         hit = self._levels.get(level)
         if hit is None:
             zq, _ = _dominant_coords(self.alg, level)
             k = level + int(self.rho.k)
             mu = zq + self._rho_q
-            sign, m, expo, den, _ = _alternant_exponents(
-                self.alg, k, mu, self._den, self.s, 1e-13)
             log_nhat = log_kac_product(self.alg, float(self._t * k),
                                        mu @ self._pair.T)[0]
-            hit = (zq, m, sign * np.exp(expo / den), log_nhat)
+            terms = _alternant_terms(self.alg, k, mu, self._den, self.s, 1e-13)
+            hit = self._levels[level] = (zq, log_nhat, terms)
         return hit
+
+    def _terms(self, level: int, qs: np.ndarray) -> tuple:
+        """Offsets and signed float weights of the alternant terms of
+        ``mu = state + rho`` for the states ``qs`` of a level, from the
+        level's term list: the rows of the whole level's arrays."""
+        zq, _, terms = self._level(level)
+        k = level + int(self.rho.k)
+        sign, m, expo, den, _ = _alternant_exponents(
+            self.alg, k, zq[qs] + self._rho_q, self._den, self.s, 1e-13, terms)
+        return m, sign * np.exp(expo / den)
 
     def _offsets(self, zq: np.ndarray, m: np.ndarray, zq_next: np.ndarray):
         """``(table, a, cols, coset, live)`` for the source states ``zq``
@@ -478,13 +493,13 @@ class FastBarredKernel:
         entry, defects as an array) when ``q`` is an int array."""
         qs = np.atleast_1d(np.asarray(q, dtype=np.int64))
         nxt = level + int(self.omega.k)
-        zq, m, weights, log_nhat = cur = self._level(level)
-        zq_next, _, _, log_nhat_next = new = self._level(nxt)
+        zq, log_nhat, _ = cur = self._level(level)
+        zq_next, log_nhat_next, _ = new = self._level(nxt)
         self._levels = {level: cur, nxt: new}
         # the term w moves lam0 to bar(w(lam0+rho)-rho) = lam0 - m, so beta0
         # takes the atom at offset lam0 - m + omega - beta0
-        table, a, cols, coset, live = self._offsets(zq[qs], m[qs], zq_next)
-        wq = weights[qs]
+        m, wq = self._terms(level, qs)
+        table, a, cols, coset, live = self._offsets(zq[qs], m, zq_next)
         raw = np.zeros((qs.size, len(zq_next)))
         for t in np.flatnonzero(live.any(axis=0)).tolist():
             i = np.flatnonzero(live[:, t])
@@ -517,11 +532,13 @@ class FastBarredKernel:
         """Simulate the projected chain; returns the root coordinates (float,
         shape ``(n_paths, rank)``) of every path at the requested steps.
 
-        Each step builds the rows of all occupied states in one batched
-        call and draws one uniform per path, handed out in stable-sorted
-        state order: each state's draws fill its block of that order, and
-        one scatter moves them back to the paths.  No paths give empty
-        arrays; a negative ``n_paths`` raises ``ValueError``.
+        Each step draws one uniform per path, handed out in stable-sorted
+        state order: each state's draws fill its stretch of that order, and
+        one scatter moves them back to the paths.  The rows of the occupied
+        states are built by batched ``row`` calls over blocks of states,
+        each block as many as ``_ROW_BYTES`` holds, so the draws do not
+        depend on the blocks.  No paths give empty arrays; a negative
+        ``n_paths`` raises ``ValueError``.
         """
         if n_paths < 0:
             raise ValueError(f"n_paths must be >= 0, got {n_paths}")
@@ -544,13 +561,20 @@ class FastBarredKernel:
                                kind="stable")
             counts = np.bincount(cur)
             states = np.flatnonzero(counts)
-            _, cdfs, _ = self.row(level, states)
             u = rng.random(n_paths)
             ends = np.cumsum(counts[states]).tolist()
+            starts = [0] + ends
+            # a source's row arrays: four over the next level's states, a
+            # few over its terms' offsets
+            width = len(self._level(level + k_om)[0])
+            n_terms = len(self._level(level)[2].sign)
+            per = max(1, _ROW_BYTES // (8 * (4 * width + 8 * self.alg.rank * n_terms)))
             drawn = np.empty_like(cur)
-            for cdf, a, b in zip(cdfs, [0] + ends, ends):
-                drawn[a:b] = cdf.searchsorted(u[a:b])
-            if drawn.max() >= cdfs.shape[1]:
+            for i in range(0, states.size, per):
+                _, cdfs, _ = self.row(level, states[i:i + per])
+                for cdf, a, b in zip(cdfs, starts[i:], ends[i:i + per]):
+                    drawn[a:b] = cdf.searchsorted(u[a:b])
+            if drawn.max() >= width:
                 raise ChainDefectError("draw landed in the defect mass")
             cur[order] = drawn
             level += k_om

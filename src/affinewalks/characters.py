@@ -170,19 +170,12 @@ def _vanishes(n: int, exps: tuple[int, ...], signs: tuple[int, ...]) -> bool:
     return not poly.any()
 
 
-def _alternant_exponents(alg: AffineAlgebra, k: int, zq: np.ndarray, q: int,
-                         s: Specialization, tol: float):
-    """Signs, offsets and exact exponents of the alternants ``A_mu(p)`` of a
-    stack of ``mu`` at level ``k``, each ``mu - rho`` dominant integral; row
-    ``i`` of the integer array ``zq`` is ``q`` times the root coordinates of
-    ``mu_i``.  One term list of :func:`~affinewalks.weyl.certified_terms`,
-    with a tail of ``tol`` at the largest ``|mu|``, serves every row.
-    Returns ``(sign, m, expo, den, radius)``: ``m[i, t]`` is the finite part
-    of ``mu_i - w_t(mu_i)`` in root coordinates, ``expo[i, t] / den`` is
-    ``(w_t(mu_i) - mu_i|p)``, and ``radius`` is the largest translation
-    norm, rounded up."""
-    c = delta_pairing(alg, s)
-    cf = float(c)
+def _alternant_terms(alg: AffineAlgebra, k: int, zq: np.ndarray, q: int,
+                     s: Specialization, tol: float) -> weyl.WeylTerms:
+    """The one term list of :func:`~affinewalks.weyl.certified_terms`, with
+    a tail of ``tol`` at the largest ``|mu|``, that serves the alternants of
+    every row of ``zq`` (see :func:`_alternant_exponents`)."""
+    cf = float(delta_pairing(alg, s))
     gn, gd = alg.finite_gram_int
     z_norm = math.sqrt(int(np.einsum("ni,ij,nj->n", zq, gn, zq).max())
                        / (q * q * gd))
@@ -191,6 +184,25 @@ def _alternant_exponents(alg: AffineAlgebra, k: int, zq: np.ndarray, q: int,
     terms, _ = certified_terms(
         alg, 0.5 * k * cf, k * p_norm + cf * z_norm,
         len(finite_group(alg)) * math.exp(2.0 * z_norm * p_norm), tol)
+    return terms
+
+
+def _alternant_exponents(alg: AffineAlgebra, k: int, zq: np.ndarray, q: int,
+                         s: Specialization, tol: float,
+                         terms: weyl.WeylTerms | None = None):
+    """Signs, offsets and exact exponents of the alternants ``A_mu(p)`` of a
+    stack of ``mu`` at level ``k``, each ``mu - rho`` dominant integral; row
+    ``i`` of the integer array ``zq`` is ``q`` times the root coordinates of
+    ``mu_i``.  One term list, :func:`_alternant_terms` with a tail of ``tol``,
+    serves every row; ``terms``, the list cut for a larger stack, replaces
+    it (and ``tol``), so the rows of a block of that stack are the stack's.
+    Returns ``(sign, m, expo, den, radius)``: ``m[i, t]`` is the finite part
+    of ``mu_i - w_t(mu_i)`` in root coordinates, ``expo[i, t] / den`` is
+    ``(w_t(mu_i) - mu_i|p)``, and ``radius`` is the largest translation
+    norm, rounded up."""
+    if terms is None:
+        terms = _alternant_terms(alg, k, zq, q, s, tol)
+    c = delta_pairing(alg, s)
     m, d = orbit_offsets(alg, terms, k, zq, q)
     # the exponent -(mu - w(mu)|p) = -(d c + (m|p)), here over den = 2ke
     gp = alg.finite_covector(s.point.z)

@@ -186,6 +186,9 @@ def round_to_dominant(alg: AffineAlgebra, x: Weight, n: int) -> Weight:
 
 # -- experiments ---------------------------------------------------------------------
 
+# paths per block of walk draws, which bounds the walk's arrays
+_WALK_BLOCK = 256
+
 
 def scaling_walk_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     """Scaled weight-walk marginals against the drifted Gaussian limit.
@@ -195,6 +198,12 @@ def scaling_walk_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     scaled finite part is tested against N(t*rho_drift, t).  The KS gate
     is ``GOLDEN.walk_ks_threshold``, sized for ``GOLDEN.walk_samples``,
     times ``sqrt(GOLDEN.walk_samples / samples)``.
+
+    Increments are drawn by :meth:`~affinewalks.layerseries.IncrementAtoms.draw`
+    in blocks of ``_WALK_BLOCK`` paths, which take the uniforms in the
+    order of one ``rng.choice`` over all paths and steps and give its
+    draws; each block adds its paths' sums at the grid times, so no
+    (samples x steps) array is formed.
     """
     alg = algebra_from_name(cfg.algebra)
     omega = Weight.make(alg.dual_coxeter, (0,) * alg.rank, 0)
@@ -205,18 +214,22 @@ def scaling_walk_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     n = cfg.spec_n
     steps = max(int(round(n * max(cfg.time_grid))), 1)
-    draws = rng.choice(atoms.prob.size, p=atoms.prob.ravel(),
-                       size=(cfg.samples, steps))
     frame = diffusion._frame(alg)
     rho_drift = float(frame.rho_o[0])
-    # first orthonormal coordinate, summed in root units one axis at a time
-    first: dict[int, np.ndarray] = {}
-    for j, m_j in enumerate(atoms.offsets().T):
-        z_alpha = (float(omega.z[j]) - m_j)[draws]    # increment omega_f - m
-        np.cumsum(z_alpha, axis=1, out=z_alpha)
-        for k in {int(round(n * t)) for t in cfg.time_grid} - {0}:
-            first[k] = (first.get(k, 0.0)
-                        + z_alpha[:, k - 1] / n * float(frame.LT[0, j]))
+    grid = {int(round(n * t)) for t in cfg.time_grid} - {0}
+    # increments omega_f - m in root units, one table per axis
+    incr = [float(omega.z[j]) - m_j for j, m_j in enumerate(atoms.offsets().T)]
+    # first orthonormal coordinate, summed in root units one axis at a time;
+    # the blocks of paths take the uniforms in the order of one big draw
+    first = {k: np.zeros(cfg.samples) for k in grid}
+    for a in range(0, cfg.samples, _WALK_BLOCK):
+        draws = atoms.draw(rng, (min(_WALK_BLOCK, cfg.samples - a), steps))
+        for j, table in enumerate(incr):
+            z_alpha = table[draws]
+            np.cumsum(z_alpha, axis=1, out=z_alpha)
+            for k in grid:
+                first[k][a:a + len(draws)] += (z_alpha[:, k - 1] / n
+                                               * float(frame.LT[0, j]))
 
     ks_threshold = GOLDEN.walk_ks_threshold * math.sqrt(
         GOLDEN.walk_samples / cfg.samples)

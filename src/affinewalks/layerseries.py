@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,47 @@ class IncrementAtoms:
         """Offset ``m`` of every atom, shape ``(prob.size, rank)``, in the
         order of ``prob.ravel()``."""
         return np.indices(self.prob.shape).reshape(len(self.lo), -1).T + self.lo
+
+    @cached_property
+    def _guide(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(cdf, first, crowded)``: the cdf ``Generator.choice`` forms, the
+        count of cdf points at or below each bucket's left end ``b/_GUIDE``,
+        and whether a bucket holds two or more cdf points."""
+        p = self.prob.ravel()
+        if np.isnan(p).any():
+            raise ValueError("probabilities contain NaN")
+        if (p < 0).any():
+            raise ValueError("probabilities are not non-negative")
+        if not abs(float(p.sum()) - 1.0) <= math.sqrt(np.finfo(float).eps):
+            raise ValueError("probabilities do not sum to 1")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        edges = cdf.searchsorted(np.arange(_GUIDE + 1) / _GUIDE, "right")
+        return cdf, edges[:-1], np.diff(edges) > 1
+
+    def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
+        """Atom indices into ``prob.ravel()`` of ``rng.random(shape)``: bit
+        for bit the draws of ``rng.choice(prob.size, p=prob.ravel(),
+        size=shape)``, with its refusals (``ValueError``).
+
+        The inverse cdf is Chen and Asau's guide table: a uniform ``u`` lies
+        in bucket ``b = int(u * _GUIDE)`` (exact, ``_GUIDE`` a power of two),
+        whose left end has ``first[b]`` cdf points at or below it.  A bucket
+        holding at most one cdf point answers ``first[b] + (cdf[first[b]]
+        <= u)``; the few crowded ones search the cdf."""
+        cdf, first, crowded = self._guide
+        u = rng.random(shape)
+        b = (u * _GUIDE).astype(np.intp)
+        i = first[b]
+        idx = i + (cdf[i] <= u)
+        c = crowded[b]
+        idx[c] = cdf.searchsorted(u[c], "right")
+        return idx
+
+
+# buckets of the draws' guide table; a power of two, so a uniform's bucket
+# is exact
+_GUIDE = 4096
 
 
 # torus points per evaluator call, which bounds its arrays

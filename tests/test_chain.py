@@ -460,18 +460,18 @@ def _dense_row(fk, level, qs):
     # term and every next state gathers its atom; also per (source, term),
     # whether a nonzero atom was read and whether an index fell inside the
     # unpadded atoms array
-    zq, m, weights, log_nhat = fk._level(level)
-    zq_next, _, _, log_nhat_next = fk._level(level + int(fk.omega.k))
+    zq, log_nhat, _ = fk._level(level)
+    zq_next, log_nhat_next, _ = fk._level(level + int(fk.omega.k))
     pad = np.pad(fk.atoms.prob, 1)
     base = zq[qs][:, None, :] + fk._om_q - zq_next[None, :, :]
     base = np.where((base % fk._den == 0).all(axis=2, keepdims=True),
                     base // fk._den - np.array(fk.atoms.lo) + 1, -2 ** 62)
     base = np.moveaxis(base, 2, 0).copy()
-    mq, wq = m[qs], weights[qs]
+    mq, wq = fk._terms(level, qs)
     raw = np.zeros((qs.size, len(zq_next)))
     hit = np.zeros(mq.shape[:2], dtype=bool)
     inside = np.zeros_like(hit)
-    for t in range(m.shape[1]):
+    for t in range(mq.shape[1]):
         idx = [b - mq[:, t, j, None] for j, b in enumerate(base)]
         flat = sum(np.clip(x, 0, pad.shape[j] - 1) * (pad.strides[j] // pad.itemsize)
                    for j, x in enumerate(idx))
@@ -594,6 +594,52 @@ def test_fast_kernel_sample_path_counts(a1):
     assert all(v.shape == (0, 1) and v.dtype == float for v in got.values())
     with pytest.raises(ValueError, match="n_paths"):
         fk.sample(start, 3, -1, 1)
+
+
+def test_fast_kernel_block_terms_are_whole_level_rows(a1, a2):
+    # a block's alternant terms are the rows of the whole level's arrays:
+    # cut at the level's largest |lam + rho|, not at the block's own
+    for alg, n, level in ((a1, 20, 60), (a2, 20, 60), (al.algebra_from_json(C2), 5, 12)):
+        om = Weight.make(alg.dual_coxeter, (0,) * alg.rank, 0)
+        fk = cn.FastBarredKernel(alg, om, ch.rho_specialization(alg, n))
+        zq = fk._level(level)[0]
+        k = level + int(fk.rho.k)
+        sign, m, expo, den, _ = ch._alternant_exponents(
+            alg, k, zq + fk._rho_q, fk._den, fk.s, 1e-13)
+        qs = np.array([0, len(zq) // 3])
+        got_m, got_w = fk._terms(level, qs)
+        assert np.array_equal(got_m, m[qs])
+        assert np.array_equal(got_w, (sign * np.exp(expo / den))[qs])
+        # the first source alone would cut fewer terms
+        own = ch._alternant_exponents(alg, k, zq[:1] + fk._rho_q, fk._den, fk.s, 1e-13)
+        assert own[0].size < sign.size
+
+
+def test_fast_kernel_blocks_of_one_source(a1, a2, monkeypatch):
+    # with the byte budget down to one source per row call the recorded
+    # paths equal the default's, which batches several sources per call
+    c2 = al.algebra_from_json(C2)
+    default = cn._ROW_BYTES
+    for alg, n, start, n_paths, steps, seed in (
+            (a1, 20, Weight.make(40, (10,), 0), 300, 10, 21),
+            (a2, 10, al.weight_from_pairings(a2, [3, 3, 3]), 200, 5, 22),
+            (c2, 10, al.weight_from_pairings(c2, [3, 3, 3]), 200, 4, 23)):
+        om = Weight.make(alg.dual_coxeter, (0,) * alg.rank, 0)
+        fk = cn.FastBarredKernel(alg, om, ch.rho_specialization(alg, n))
+        row, sizes = fk.row, {}
+
+        def run(budget):
+            sizes[budget] = []
+            monkeypatch.setattr(cn, "_ROW_BYTES", budget)
+            monkeypatch.setattr(fk, "row", lambda level, q: (
+                sizes[budget].append(len(q)) or row(level, q)))
+            return fk.sample(start, steps, n_paths, seed, record_steps=range(steps + 1))
+
+        want, got = run(default), run(1)
+        assert len(sizes[1]) == sum(sizes[1]) == sum(sizes[default]) > steps
+        assert max(sizes[default]) > 1
+        for k in range(steps + 1):
+            assert np.array_equal(got[k], want[k])
 
 
 def test_ch_cache_bounded(a1):

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from affinewalks import algebra as al, harness
+from affinewalks import algebra as al, characters as ch, diffusion, harness
 from affinewalks.algebra import Weight
+from affinewalks.layerseries import increment_atoms
+from affinewalks.thresholds import GOLDEN
 
 
 def test_ks_statistic_basics():
@@ -72,6 +74,47 @@ def test_walk_experiment_smoke_and_reproducible():
     assert r1.config_hash == cfg.content_hash()
     assert len(r1.per_time) == 1             # report generated (n far from
     # asymptopia, pass not asserted)
+
+
+def _walk_reference(cfg):
+    # the walk in one piece: rng.choice over all paths and steps, then the
+    # cumulative sums of each root coordinate; first orthonormal coordinate
+    # at each grid time
+    alg = al.algebra_from_name(cfg.algebra)
+    omega = Weight.make(alg.dual_coxeter, (0,) * alg.rank, 0)
+    atoms = increment_atoms(alg, omega, ch.rho_specialization(alg, cfg.spec_n))
+    n = cfg.spec_n
+    steps = max(int(round(n * max(cfg.time_grid))), 1)
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    draws = rng.choice(atoms.prob.size, p=atoms.prob.ravel(), size=(cfg.samples, steps))
+    z = np.array([float(x) for x in omega.z]) - atoms.offsets()
+    walk = z[draws].cumsum(axis=1)
+    lt = diffusion._frame(alg).LT[0]
+    return {t: sum(walk[:, int(round(n * t)) - 1, j] / n * float(lt[j])
+                   for j in range(alg.rank))
+            for t in cfg.time_grid}
+
+
+@pytest.mark.parametrize("algebra, n, times, samples", [
+    ("A1~", 50, (0.4, 1.0), 1001), ("A2~", 10, (0.5, 1.0), 700)])
+def test_walk_experiment_matches_reference(algebra, n, times, samples):
+    # per_time from the blocked guide-table draws equals the statistics of
+    # the one-piece reference, bit for bit; the samples are not a multiple
+    # of the block
+    assert samples % harness._WALK_BLOCK
+    cfg = harness.ExperimentConfig(algebra=algebra, spec_n=n, time_grid=times,
+                                   samples=samples, seed=17)
+    report = harness.scaling_walk_experiment(cfg)
+    ref = _walk_reference(cfg)
+    drift = float(diffusion._frame(al.algebra_from_name(algebra)).rho_o[0])
+    assert [row["t"] for row in report.per_time] == list(times)
+    for row in report.per_time:
+        z, t = ref[row["t"]], row["t"]
+        assert row["mean"] == float(z.mean())
+        assert row["var"] == float(z.var())
+        assert row["mean_band"] == GOLDEN.walk_mean_sigmas * float(z.std() / math.sqrt(z.size))
+        assert row["ks"] == harness.ks_statistic(z, lambda x: harness._normal_cdf(
+            (x - t * drift) / math.sqrt(t)))
 
 
 def test_walk_experiment_se_scaling():

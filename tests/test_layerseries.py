@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from affinewalks import algebra as al, characters as ch
 from affinewalks.algebra import Weight
 from affinewalks.highestweight import character_series_oracle
-from affinewalks.layerseries import increment_atoms
+from affinewalks.layerseries import _GUIDE, increment_atoms
 from affinewalks.weyl import apply, enumerate_bounded
 
 G2 = '{"rank": 2, "matrix": [[2,-1,0],[-1,2,-1],[0,-3,2]]}'
@@ -149,3 +150,83 @@ def test_torus_values_of_atom_terms(a1):
     atoms = increment_atoms(a1, om, s, grid=grid)
     assert atoms.lo == (-grid // 2,)
     assert np.abs(atoms.prob - want / want.sum()).max() < 1e-14
+
+
+def _philox(seed):
+    return np.random.Generator(np.random.Philox(seed))
+
+
+class _Uniforms:
+    """Stands in for a generator whose ``random`` returns given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        return self.u.reshape(shape)
+
+
+def _crowded_atoms(a1):
+    # zero atoms at both ends and one atom holding almost all the mass, so
+    # many cdf points share the buckets around it
+    atoms = increment_atoms(a1, Weight.make(2, (0,), 0), ch.rho_specialization(a1, 5))
+    prob = np.zeros(300)
+    prob[20:280] = np.linspace(1.0, 2.0, 260) * 1e-12
+    prob[150] = 0.0
+    prob[151] = 1.0 - prob.sum()
+    return dataclasses.replace(atoms, lo=(-150,), prob=prob)
+
+
+def test_draw_equals_generator_choice(a1, a2):
+    # the guide-table draws are rng.choice's bit for bit, and both leave the
+    # generator in the same state
+    cases = [(increment_atoms(a1, Weight.make(2, (0,), 0), ch.rho_specialization(a1, 200)),
+              (257, 200)),
+             (increment_atoms(a2, Weight.make(3, (0, 0), 0), ch.rho_specialization(a2, 10)),
+              (50_000,)),
+             (_crowded_atoms(a1), (40_000,))]
+    for atoms, shape in cases:
+        mine, theirs = _philox(7), _philox(7)
+        got = atoms.draw(mine, shape)
+        want = theirs.choice(atoms.prob.size, p=atoms.prob.ravel(), size=shape)
+        assert got.shape == shape and np.array_equal(got, want)
+        assert mine.random() == theirs.random()
+    # the last case sends draws down the search in crowded buckets
+    crowded = cases[-1][0]._guide[2]
+    assert crowded[(_philox(7).random(40_000) * _GUIDE).astype(int)].any()
+
+
+def test_draw_on_bucket_edges(a1):
+    # uniforms on the buckets' left ends k/G and one ulp below them, where a
+    # cdf point may sit exactly, and on the cdf points inside the buckets:
+    # the answer is searchsorted's, side right
+    quarters = dataclasses.replace(_crowded_atoms(a1),
+                                   prob=np.array([0.25, 0.25, 0.0, 0.5]))
+    for atoms in (quarters, _crowded_atoms(a1),
+                  increment_atoms(a1, Weight.make(2, (0,), 0), ch.rho_specialization(a1, 200))):
+        cdf = atoms.prob.ravel().cumsum()
+        cdf /= cdf[-1]
+        edges = np.arange(_GUIDE) / _GUIDE
+        inner = cdf[cdf < 1.0]
+        u = np.concatenate([edges, np.nextafter(edges[1:], 0.0),
+                            inner, np.nextafter(inner, 0.0)])
+        got = atoms.draw(_Uniforms(u), u.shape)
+        assert np.array_equal(got, cdf.searchsorted(u, "right"))
+    assert (quarters.draw(_Uniforms(np.array([0.0, 0.25, 0.5, 0.75])), (4,))
+            == [0, 1, 3, 3]).all()
+
+
+@pytest.mark.parametrize("bad", ["negative", "nan", "sum"])
+def test_draw_refuses_what_choice_refuses(a1, bad):
+    prob = np.full(8, 1 / 8)
+    if bad == "negative":
+        prob[[0, 1]] = [-1 / 8, 3 / 8]
+    elif bad == "nan":
+        prob[3] = math.nan
+    else:
+        prob *= 1 + 1e-6
+    atoms = dataclasses.replace(_crowded_atoms(a1), prob=prob)
+    with pytest.raises(ValueError):
+        _philox(1).choice(prob.size, p=prob, size=3)
+    with pytest.raises(ValueError):
+        atoms.draw(_philox(1), (3,))
