@@ -227,26 +227,25 @@ def _null_marks(matrix: AffineCartanMatrix) -> tuple[int, ...]:
     return vec
 
 
-def _highest_root(matrix: AffineCartanMatrix) -> tuple[int, ...]:
-    """Root coordinates of the highest root of the finite part (nodes 1..l).
+def _highest_root(finite, short=False) -> tuple[int, ...]:
+    """Root coordinates of the highest root of a finite Cartan matrix (with
+    ``short``, of the highest short root).
 
     Reflecting a simple root up to the dominant chamber gives the dominant
     root of its Weyl orbit; the highest root is the tallest of these.
     """
-    a, l = matrix.entries, matrix.rank
-    best: list[int] = []
+    l = len(finite)
+    roots = []
     for s in range(l):
         beta = [int(j == s) for j in range(l)]
         while True:
-            pairings = [sum(a[i + 1][j + 1] * beta[j] for j in range(l))
-                        for i in range(l)]
+            pairings = [sum(a * b for a, b in zip(row, beta)) for row in finite]
             i = next((i for i, p in enumerate(pairings) if p < 0), None)
             if i is None:
                 break
             beta[i] -= pairings[i]
-        if sum(beta) > sum(best):
-            best = beta
-    return tuple(best)
+        roots.append(tuple(beta))
+    return (min if short else max)(roots, key=sum)
 
 
 def build_algebra(matrix: AffineCartanMatrix, name: str | None = None) -> AffineAlgebra:
@@ -264,7 +263,7 @@ def build_algebra(matrix: AffineCartanMatrix, name: str | None = None) -> Affine
     if not isinstance(matrix, AffineCartanMatrix):
         matrix = AffineCartanMatrix(tuple(tuple(int(x) for x in row) for row in matrix))
     marks = _null_marks(matrix)
-    if marks[0] != 1 or marks[1:] != _highest_root(matrix):
+    if marks[0] != 1 or marks[1:] != _highest_root([r[1:] for r in matrix.entries[1:]]):
         raise NotAffineError(
             f"twisted affine types are not supported: marks {marks} are not "
             "a_0 = 1 followed by the highest root of the finite part")
@@ -392,26 +391,43 @@ def classify_weight(alg: AffineAlgebra, lam: Weight) -> WeightClassification:
 
 # -- registry and JSON loading ---------------------------------------------------
 
-_NAME_RE = re.compile(r"^A(\d+)~$")
+# family: (smallest rank, largest rank, the entries ``(i, j, a_ij)`` of its
+# finite Cartan matrix that differ from a path's), in the node order of
+# Kac's Table Aff 1; E6-E8 are not built
+_FAMILIES = {
+    "A": (1, math.inf, lambda l: []),
+    "B": (2, math.inf, lambda l: [(l - 1, l - 2, -2)]),
+    "C": (2, math.inf, lambda l: [(l - 2, l - 1, -2)]),
+    "D": (4, math.inf, lambda l: [(l - 1, l - 2, 0), (l - 2, l - 1, 0),
+                                  (l - 1, l - 3, -1), (l - 3, l - 1, -1)]),
+    "F": (4, 4, lambda l: [(2, 1, -2)]),
+    "G": (2, 2, lambda l: [(1, 0, -3)]),
+}
 
 
 @lru_cache(maxsize=_ALGEBRAS_MAX)
 def algebra_from_name(name: str) -> AffineAlgebra:
-    """Built-in untwisted type A registry: ``A1~``, ``A2~``, ..."""
-    m = _NAME_RE.match(name)
-    if not m:
-        raise KeyError(f"unknown algebra name {name!r}; expected 'A<n>~'")
-    n = int(m.group(1))
-    size = n + 1
-    if n == 1:
-        rows = ((2, -2), (-2, 2))
-    else:
-        rows = tuple(
-            tuple(2 if i == j else (-1 if (i - j) % size in (1, size - 1) else 0)
-                  for j in range(size))
-            for i in range(size)
-        )
-    return build_algebra(AffineCartanMatrix(rows), name=name)
+    """The untwisted affine algebra ``X<l>~`` of Kac's Table Aff 1, for the
+    families and ranks of ``_FAMILIES``."""
+    m = re.fullmatch(r"([A-Z])([1-9][0-9]*)~", name)
+    family, l = (m[1], int(m[2])) if m else ("", 0)
+    low, high, bonds = _FAMILIES.get(family, (1, 0, None))
+    if not low <= l <= high:
+        names = ", ".join(f"{f}<l>~ (l >= {lo})" if hi == math.inf else f"{f}{lo}~"
+                          for f, (lo, hi, _) in _FAMILIES.items())
+        raise KeyError(f"unknown algebra name {name!r}; expected one of {names}")
+    finite = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(l)]
+              for i in range(l)]
+    for i, j, a in bonds(l):
+        finite[i][j] = a
+    # node 0 is alpha_0 = delta - theta: a_i0 = -theta(coroot_i) and a_0j =
+    # -alpha_j(theta∨), where theta∨ is the highest short root of the
+    # coroots, whose Cartan matrix is the transpose
+    theta = _highest_root(finite)
+    coroot = _highest_root(list(zip(*finite)), short=True)
+    top = (2,) + tuple(-sum(a * c for a, c in zip(col, coroot)) for col in zip(*finite))
+    rows = ((-sum(a * t for a, t in zip(row, theta)), *row) for row in finite)
+    return build_algebra(AffineCartanMatrix((top, *rows)), name=name)
 
 
 def algebra_from_json(text_or_obj) -> AffineAlgebra:

@@ -144,6 +144,12 @@ def dominant_states(alg: AffineAlgebra, level: int) -> list[Weight]:
             for row in zq.tolist()]
 
 
+def _state_index(alg: AffineAlgebra, lam: Weight) -> int:
+    """Index of ``lam`` in :func:`dominant_states` order, from integer rows."""
+    zq, den = _dominant_coords(alg, int(lam.k))
+    return int(np.flatnonzero((zq == [int(x * den) for x in lam.z]).all(axis=1))[0])
+
+
 # -- kernel rows -------------------------------------------------------------------
 
 
@@ -551,7 +557,7 @@ class FastBarredKernel:
         rng = np.random.Generator(np.random.Philox(seed))
         level = int(start.k)
         k_om = int(self.omega.k)
-        cur = np.full(n_paths, dominant_states(self.alg, level).index(start))
+        cur = np.full(n_paths, _state_index(self.alg, start))
         recorded: dict[int, np.ndarray] = {}
         if 0 in record_steps:
             recorded[0] = _dominant_coords(self.alg, level)[0][cur] / self._den

@@ -347,13 +347,26 @@ class _InputError(ValueError):
 
 
 def _load_algebra(args) -> AffineAlgebra:
-    if getattr(args, "json", None):
-        with open(args.json) as fh:
-            return algebra_from_json(fh.read())
     try:
+        if args.json:
+            with open(args.json) as fh:
+                return algebra_from_json(fh.read())
         return algebra_from_name(args.algebra)
-    except KeyError as exc:
-        raise _InputError(exc.args[0]) from None
+    # an unknown name, or a --json file missing, malformed or not affine
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise _InputError(f"--json {args.json}: {exc}" if args.json
+                          else exc.args[0]) from None
+
+
+def _at_least(convert, low, above=False):
+    """An argparse ``type``: ``convert(text)``, at least ``low`` (or above)."""
+    def number(text):                   # argparse names a failed convert
+        x = convert(text)
+        if not (x > low if above else x >= low):
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not {'>' if above else '>='} {low}")
+        return x
+    return number
 
 
 def _weight_arg(alg, text) -> Weight:
@@ -424,6 +437,8 @@ def _cmd_characters(args) -> int:
                "depth": r.truncation_depth}
     elif args.action == "theta":
         lam = _weight_arg(alg, args.pairings)
+        if lam.k <= 0:
+            raise _InputError(f"{args.pairings!r}: theta needs a positive level")
         r = characters.eval_theta(alg, lam, s, eps=args.eps)
         out = {"value": r.value, "tail_bound": r.tail_bound,
                "depth": r.truncation_depth}
@@ -495,7 +510,7 @@ def _cmd_diffusion(args) -> int:
         print(json.dumps({"paths": args.paths, "out": args.out}))
         return 0
     if args.action == "survival":
-        pt = diffusion.weight_to_point(alg, rho.scale(Fraction(str(args.scale))))
+        pt = diffusion.weight_to_point(alg, rho.scale(args.scale))
         v, bound = diffusion.survival(alg, pt)    # truncation plus rounding
         print(json.dumps({"value": v, "bound": bound}))
         return 0
@@ -530,20 +545,17 @@ def _cmd_experiment(args) -> int:
     # config defaults; a config's keys, then the flags, override them
     defaults = ({"spec_n": GOLDEN.walk_n, "samples": GOLDEN.walk_samples,
                  "time_grid": [GOLDEN.walk_t]} if args.kind == "walk" else {})
+    flags = {k: v for k, v in (("seed", args.seed), ("samples", args.samples),
+                               ("spec_n", args.n)) if v is not None}
     text = "{}"
     if args.config:
         with open(args.config) as fh:
             text = fh.read()
     try:
-        cfg = ExperimentConfig.from_json(json.dumps({**defaults, **json.loads(text)}))
+        cfg = ExperimentConfig.from_json(
+            json.dumps({**defaults, **json.loads(text), **flags}))
     except ValueError as exc:          # bad JSON, unknown key or value
         raise _InputError(f"--config {args.config}: {exc}") from None
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.samples:
-        cfg.samples = args.samples
-    if args.n:
-        cfg.spec_n = args.n
     if args.kind != "walk":             # the chain runs start at start_pairings
         _weight_arg(algebra_from_name(cfg.algebra), ",".join(cfg.start_pairings))
     if args.kind == "walk":
@@ -591,7 +603,7 @@ def run_cli(argv=None) -> int:
     add_algebra(p)
     p.add_argument("--pairings", required=True,
                    help="coroot pairings q0,q1,... of the highest weight")
-    p.add_argument("--depth", type=int, default=10)
+    p.add_argument("--depth", type=_at_least(int, 0), default=10)
     p.add_argument("--method", choices=["series", "freudenthal"],
                    default="series")
     p.add_argument("--csv")
@@ -600,8 +612,8 @@ def run_cli(argv=None) -> int:
     p = sub.add_parser("tensor", help="tensor power multiplicity table")
     add_algebra(p)
     p.add_argument("--pairings", required=True)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--depth", type=int, default=10)
+    p.add_argument("--n", type=_at_least(int, 0), default=2)
+    p.add_argument("--depth", type=_at_least(int, 0), default=10)
     p.add_argument("--csv")
     p.set_defaults(func=_cmd_tensor)
 
@@ -609,18 +621,19 @@ def run_cli(argv=None) -> int:
     p.add_argument("action", choices=["eval", "theta", "denominator"])
     add_algebra(p)
     p.add_argument("--pairings", default="1,0")
-    p.add_argument("--n", type=int, default=1, help="rho/n specialization")
-    p.add_argument("--eps", type=float, default=1e-10)
-    p.add_argument("--depth", type=int, default=GOLDEN.denominator_depth)
+    p.add_argument("--n", type=_at_least(int, 1), default=1, help="rho/n specialization")
+    p.add_argument("--eps", type=_at_least(float, 0, above=True), default=1e-10)
+    p.add_argument("--depth", type=_at_least(int, 0), default=GOLDEN.denominator_depth)
     p.set_defaults(func=_cmd_characters)
 
     p = sub.add_parser("chain", help="dominant-weight Markov chain")
     p.add_argument("action", choices=["simulate", "verify-reflection"])
     add_algebra(p)
-    p.add_argument("--n", type=int, required=True, help="rho/n specialization")
-    p.add_argument("--steps", type=int, default=5)
+    p.add_argument("--n", type=_at_least(int, 1), required=True,
+                   help="rho/n specialization")
+    p.add_argument("--steps", type=_at_least(int, 0), default=5)
     p.add_argument("--seed", type=int)
-    p.add_argument("--depth", type=int, default=60)
+    p.add_argument("--depth", type=_at_least(int, 0), default=60)
     p.add_argument("--start", help="coroot pairings of the start weight")
     p.add_argument("--out", default="chain.csv")
     p.set_defaults(func=_cmd_chain)
@@ -629,12 +642,13 @@ def run_cli(argv=None) -> int:
     p.add_argument("action", choices=["sample", "survival", "verify-reflection",
                                       "verify-wonpt", "verify-harmonic"])
     add_algebra(p)
-    p.add_argument("--horizon", type=float, default=1.0)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--paths", type=int, default=10)
+    p.add_argument("--horizon", type=_at_least(float, 0), default=1.0)
+    p.add_argument("--dt", type=_at_least(float, 0, above=True), default=1e-3)
+    p.add_argument("--paths", type=_at_least(int, 0), default=10)
     p.add_argument("--seed", type=int)
     p.add_argument("--conditioned", action="store_true")
-    p.add_argument("--scale", default="1", help="start at scale*rho")
+    p.add_argument("--scale", type=_at_least(Fraction, 0, above=True), default="1",
+                   help="start at scale*rho")
     p.add_argument("--out", default="paths.csv")
     p.set_defaults(func=_cmd_diffusion)
 
@@ -642,9 +656,9 @@ def run_cli(argv=None) -> int:
     p.add_argument("kind", choices=["walk", "chain", "calibrate"])
     p.add_argument("--config", help="JSON ExperimentConfig")
     p.add_argument("--seed", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--runs", type=int, default=None)
+    p.add_argument("--samples", type=_at_least(int, 1))
+    p.add_argument("--n", type=_at_least(int, 1))
+    p.add_argument("--runs", type=_at_least(int, 1), default=None)
     p.add_argument("--out")
     p.add_argument("--csv")
     p.set_defaults(func=_cmd_experiment)

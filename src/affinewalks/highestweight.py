@@ -565,6 +565,8 @@ def character_series_oracle(alg: AffineAlgebra, lam: Weight, depth: int) -> Mult
     cls = classify_weight(alg, lam)
     if not cls.dominant:
         raise ValueError("highest weight must be dominant integral")
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     if lam.k == 0:
         return MultiplicityTable(lam, depth, {(0, (0,) * alg.rank): 1})
     num, den_rest = _quotient_terms(alg, lam, depth)

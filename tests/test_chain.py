@@ -15,9 +15,6 @@ from affinewalks import (acceptance, algebra as al, chain as cn,
 from affinewalks.algebra import Weight
 from affinewalks.thresholds import GOLDEN
 
-C2 = '{"rank": 2, "matrix": [[2,-1,0],[-2,2,-2],[0,-1,2]]}'
-G2 = '{"rank": 2, "matrix": [[2,-1,0],[-1,2,-1],[0,-3,2]]}'
-
 
 def omega(a1):
     return Weight.make(2, (0,), 0)
@@ -492,8 +489,8 @@ def test_fast_kernel_live_pairs_bit_identical_to_dense(a1, a2, monkeypatch):
     # pair that reads a nonzero atom is live, and some skipped pair reads
     # the atoms array outside its nonzero box, so the box is what decides
     cases = [(a1, 100, 200, 1), (a1, 100, 300, 1), (a2, 20, 60, 50),
-             (al.algebra_from_json(C2), 5, 12, 1),
-             (al.algebra_from_json(G2), 10, 12, 1)]
+             (al.algebra_from_name("C2~"), 5, 12, 1),
+             (al.algebra_from_name("G2~"), 10, 12, 1)]
     skipped = skipped_inside = 0
     for alg, n, level, step in cases:
         om = Weight.make(alg.dual_coxeter, (0,) * alg.rank, 0)
@@ -558,7 +555,7 @@ def test_fast_kernel_sample_matches_scalar_reference(a1, a2):
     # the per-state loop of scalar rows, each state's paths drawing their
     # uniforms in path order, states in ascending order; on rank 2 the
     # states of a level lie in several root-lattice cosets
-    c2 = al.algebra_from_json(C2)
+    c2 = al.algebra_from_name("C2~")
     for alg, n, start, n_paths, steps, seed in (
             (a1, 20, Weight.make(40, (10,), 0), 300, 20, 11),
             (a2, 10, al.weight_from_pairings(a2, [3, 3, 3]), 100, 4, 12),
@@ -599,7 +596,7 @@ def test_fast_kernel_sample_path_counts(a1):
 def test_fast_kernel_block_terms_are_whole_level_rows(a1, a2):
     # a block's alternant terms are the rows of the whole level's arrays:
     # cut at the level's largest |lam + rho|, not at the block's own
-    for alg, n, level in ((a1, 20, 60), (a2, 20, 60), (al.algebra_from_json(C2), 5, 12)):
+    for alg, n, level in ((a1, 20, 60), (a2, 20, 60), (al.algebra_from_name("C2~"), 5, 12)):
         om = Weight.make(alg.dual_coxeter, (0,) * alg.rank, 0)
         fk = cn.FastBarredKernel(alg, om, ch.rho_specialization(alg, n))
         zq = fk._level(level)[0]
@@ -618,7 +615,7 @@ def test_fast_kernel_block_terms_are_whole_level_rows(a1, a2):
 def test_fast_kernel_blocks_of_one_source(a1, a2, monkeypatch):
     # with the byte budget down to one source per row call the recorded
     # paths equal the default's, which batches several sources per call
-    c2 = al.algebra_from_json(C2)
+    c2 = al.algebra_from_name("C2~")
     default = cn._ROW_BYTES
     for alg, n, start, n_paths, steps, seed in (
             (a1, 20, Weight.make(40, (10,), 0), 300, 10, 21),
@@ -654,7 +651,7 @@ def test_ch_cache_bounded(a1):
 def test_dominant_coords_match_product_enumeration(a1, a2):
     # the itertools enumeration the index grid replaces: every pairing tuple
     # whose comark-weighted sum stays within the level
-    for alg in (a1, a2, al.algebra_from_json(C2), al.algebra_from_json(G2)):
+    for alg in (a1, a2, al.algebra_from_name("C2~"), al.algebra_from_name("G2~")):
         for level in (0, 1, 2, 5, 12, 31):
             ranges = [range(level // c + 1) for c in alg.comarks[1:]]
             pairings = [q for q in itertools.product(*ranges)
@@ -665,6 +662,9 @@ def test_dominant_coords_match_product_enumeration(a1, a2):
             want = np.array(pairings, dtype=np.int64) @ cinv.T
             assert zq.dtype == np.int64
             assert np.array_equal(zq, want[np.lexsort(want.T[::-1])])
+            # the fast kernel's start index is the state's place among them
+            states = cn.dominant_states(alg, level)
+            assert [cn._state_index(alg, st) for st in states] == list(range(len(states)))
 
 
 def test_dominant_states_pairings(a1, a2):

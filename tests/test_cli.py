@@ -237,8 +237,8 @@ def test_verify_all_refuses_other_algebras():
 
 @pytest.mark.parametrize("argv,config", [
     (["experiment", "chain"], {"algebra": "A2~", "samples": 200, "spec_n": 3}),
-    (["experiment", "walk"], {"algebra": "B2~"}),
-    (["algebra", "--algebra", "B2~"], None),
+    (["experiment", "walk"], {"algebra": "E6~"}),
+    (["algebra", "--algebra", "E6~"], None),
     (["mult", "--algebra", "A2~", "--pairings", "1,0"], None),
     (["tensor", "--pairings", "1,x"], None),
     (["mult", "--pairings", "1,-1"], None),
@@ -264,3 +264,31 @@ def test_experiment_walk_a2_needs_no_start_pairings(tmp_path):
                     "--config", str(cfg_path), "--out", str(out)])
     assert code in (0, 1)          # smoke scale: pass not asserted
     assert json.loads(out.read_text())["kind"] == "walk-scaling"
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["algebra", "--algebra", "A0~"], None),
+    (["algebra", "--json", "missing.json"], None),
+    (["algebra", "--json", "bad.json"], '{"rank": 2, "matrix": [[2,-1,0],'),
+    (["algebra", "--json", "bad.json"],         # twisted: marks (1, 2, 2)
+     '{"rank": 2, "matrix": [[2,-1,0],[-2,2,-1],[0,-2,2]]}'),
+    (["diffusion", "survival", "--scale", "0"], None),
+    (["diffusion", "survival", "--scale", "abc"], None),
+    (["diffusion", "sample", "--dt", "0", "--seed", "1"], None),
+    (["chain", "simulate", "--n", "0", "--seed", "1"], None),
+    (["characters", "theta", "--pairings", "0,0"], None),
+    (["tensor", "--n", "-1", "--pairings", "1,0"], None),
+    (["mult", "--depth", "-1", "--pairings", "1,0"], None),
+    (["experiment", "walk", "--samples", "-5", "--seed", "1"], None),
+    (["experiment", "walk", "--seed", "1", "--n", "0", "--samples", "0"], None)])
+def test_bad_algebra_or_number_exits_2(argv, text, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / argv[-1]).write_text(text)
+    try:
+        code = run_cli(argv)
+    except SystemExit as exc:       # argparse refused a value
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == 1

@@ -9,8 +9,6 @@ from affinewalks import (acceptance as ac, algebra as al, diffusion as df,
                          harness as hs, highestweight as hw, weyl as wy)
 from affinewalks.algebra import Weight
 
-C2 = '{"rank": 2, "matrix": [[2,-1,0],[-2,2,-2],[0,-1,2]]}'
-
 
 def test_chamber_examples(a1, rho1):
     inside, margin = df.chamber_test(a1, df.SpaceTimePoint(1.0, np.zeros(1)))
@@ -80,7 +78,7 @@ def test_survival_matches_weyl_sum(name):
     # Kac's product against the alternating Weyl sum, at interior points
     # where the sum resolves the value: the values within both bounds, the
     # gradients against the termwise derivative sums
-    alg = al.algebra_from_json(C2) if name == "C2~" else al.algebra_from_name(name)
+    alg = al.algebra_from_name(name)
     rng = np.random.default_rng(21)
     for _ in range(12):
         s0 = 0.7 + 3.0 * rng.random()
@@ -314,7 +312,7 @@ def test_free_sampler_bit_identical_to_bridge_loop(a1, a2):
     # the compact step loop draws the same normals and uniforms as the
     # gather/scatter loop, so positions and exit times agree bit for bit,
     # unrecorded (exited paths dropped), with every index and at given times
-    c2 = al.algebra_from_json(C2)
+    c2 = al.algebra_from_name("C2~")
 
     def start(alg, scale):
         return df.weight_to_point(alg, al.weyl_vector(alg).scale(Fraction(scale)))

@@ -12,8 +12,6 @@ from affinewalks.highestweight import character_series_oracle
 from affinewalks.layerseries import _GUIDE, increment_atoms
 from affinewalks.weyl import apply, enumerate_bounded
 
-G2 = '{"rank": 2, "matrix": [[2,-1,0],[-1,2,-1],[0,-3,2]]}'
-
 
 def exact_marginal(alg, om, s, depth):
     c = float(ch.delta_pairing(alg, s))
@@ -62,7 +60,7 @@ def test_atoms_defect_finite_far_below_critical(a1, n):
 def test_atoms_default_grid_follows_the_widest_coordinate():
     # G2~'s short-root coordinate has variance 6 k/c, twelve times A1~'s;
     # a grid from k/c alone (128 here) leaves a defect near 1e-6
-    g2 = al.algebra_from_json(G2)
+    g2 = al.algebra_from_name("G2~")
     om = Weight.make(g2.dual_coxeter, (0, 0), 0)
     atoms = increment_atoms(g2, om, ch.rho_specialization(g2, 20))
     assert atoms.prob.shape == (256, 256)
