@@ -346,7 +346,11 @@ def check_survival(fast=False):
                 f"(gap {gap:.4f}, band {band:.4f}); {boundary}; {dt:.0f}s")
 
 
-def _slice_quadrature(alg, x0, t, lo, hi, nodes=400):
+# Gauss-Legendre nodes of the slice quadrature; half as many give its error
+_QUAD_NODES = 400
+
+
+def _slice_quadrature(alg, x0, t, lo, hi):
     """Integral of the killed density over a level slice (Gauss-Legendre),
     with a node-doubling error estimate."""
     def integrate(n):
@@ -361,8 +365,8 @@ def _slice_quadrature(alg, x0, t, lo, hi, nodes=400):
                                                       "drifted-by-x")
         return total
 
-    coarse = integrate(nodes // 2)
-    fine = integrate(nodes)
+    coarse = integrate(_QUAD_NODES // 2)
+    fine = integrate(_QUAD_NODES)
     return fine, abs(fine - coarse)
 
 

@@ -111,10 +111,6 @@ class Weight:
         """Projection killing the delta component."""
         return Weight(self.k, self.z, Fraction(0))
 
-    def barbar(self) -> "Weight":
-        """Projection onto the span of the finite simple roots."""
-        return Weight(Fraction(0), self.z, Fraction(0))
-
 
 @dataclass(frozen=True)
 class WeightClassification:

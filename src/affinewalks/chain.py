@@ -88,19 +88,21 @@ def _require_positive_level(omega: Weight) -> None:
 # least-recently-used character values; the full test suite holds at most
 # 66 at once (the exact-rows benchmark pass 21), so nothing there evicts
 _CH_CACHE_MAX = 512
+# certified relative error of the character values kernel rows read
+_CH_EPS = 1e-12
+# the largest row defect a sampler accepts
+_ROW_DEFECT_MAX = 1e-4
 
 
 @lru_cache(maxsize=_CH_CACHE_MAX)
-def _ch_barred(alg: AffineAlgebra, canon: Weight, s: Specialization,
-               eps: float) -> EvalResult:
-    return eval_character(alg, canon, s, eps=eps)
+def _ch_barred(alg: AffineAlgebra, canon: Weight, s: Specialization) -> EvalResult:
+    return eval_character(alg, canon, s, eps=_CH_EPS)
 
 
-def _log_ch(alg: AffineAlgebra, w: Weight, s: Specialization,
-            eps: float = 1e-12) -> float:
+def _log_ch(alg: AffineAlgebra, w: Weight, s: Specialization) -> float:
     """log character value; cached on the barred representative."""
     shift = float(w.b) * float(delta_pairing(alg, s))
-    return _ch_barred(alg, w.bar(), s, eps).log_value + shift
+    return _ch_barred(alg, w.bar(), s).log_value + shift
 
 
 def mu_omega(alg: AffineAlgebra, omega: Weight, s: Specialization,
@@ -113,7 +115,7 @@ def mu_omega(alg: AffineAlgebra, omega: Weight, s: Specialization,
     p = s.point
     support = []
     for (d, m), mult in sorted(table.entries.items()):
-        mu = table.weight_of(alg, d, m)
+        mu = table.weight_of(d, m)
         logp = math.log(mult) + float(inner_product(alg, mu, p)) - log_ch
         support.append((mu, math.exp(logp)))
     mass = math.fsum(pr for _, pr in support)
@@ -314,14 +316,14 @@ def pbar_power(alg: AffineAlgebra, omega: Weight, s: Specialization,
 
 
 def simulate_chain(alg: AffineAlgebra, start: Weight, omega: Weight,
-                   s: Specialization, steps: int, seed: int, depth: int = 40,
-                   defect_threshold: float = 1e-4) -> list[Weight]:
+                   s: Specialization, steps: int, seed: int,
+                   depth: int = 40) -> list[Weight]:
     """Sample a trajectory of the dominant-weight chain.
 
-    Rows are refused (not renormalized) when their defect exceeds the
-    threshold, and a uniform draw landing inside the defect mass raises:
-    silent renormalization would bias the reflection-identity checks run
-    against simulated data.
+    Rows are refused (not renormalized) when their defect exceeds
+    ``_ROW_DEFECT_MAX``, and a uniform draw landing inside the defect mass
+    raises: silent renormalization would bias the reflection-identity
+    checks run against simulated data.
     """
     if not classify_weight(alg, start).dominant:
         raise ValueError("start must be dominant integral")
@@ -334,9 +336,8 @@ def simulate_chain(alg: AffineAlgebra, start: Weight, omega: Weight,
         row = row_cache.get(key)
         if row is None:
             row = q_omega_row(alg, key, omega, s, depth,
-                              defect_target=min(defect_threshold / 10, 1e-6),
-                              extend_entries=True)
-            if not row.defect <= defect_threshold:
+                              defect_target=1e-6, extend_entries=True)
+            if not row.defect <= _ROW_DEFECT_MAX:
                 raise ChainDefectError(
                     f"row defect {row.defect:.3e} above threshold at {key}")
             row_cache[key] = row
@@ -398,22 +399,20 @@ class FastBarredKernel:
     offset moves far outside the atoms' support.
 
     States of a level are indexed in :func:`dominant_states` order (on A1~
-    the index is the coroot pairing ``q``).  A row whose defect exceeds the
-    threshold refuses to sample rather than renormalizing.  ``sample``
-    calls ``row`` every step, for blocks of the occupied states that the
-    byte budget ``_ROW_BYTES`` sizes.  Rows are not cached (the level grows
+    the index is the coroot pairing ``q``).  A row whose defect exceeds
+    ``_ROW_DEFECT_MAX`` refuses to sample rather than renormalizing.
+    ``sample`` calls ``row`` every step, for blocks of the occupied states
+    that the byte budget ``_ROW_BYTES`` sizes.  Rows are not cached (the level grows
     every step); a level keeps its states, ``log Nhat`` and its term list,
     and only the current and the next level are kept.
     """
 
-    def __init__(self, alg: AffineAlgebra, omega: Weight, s: Specialization,
-                 defect_threshold: float = 1e-4):
+    def __init__(self, alg: AffineAlgebra, omega: Weight, s: Specialization):
         from .layerseries import increment_atoms
         _require_positive_level(omega)
         self.alg = alg
         self.omega = omega.bar()
         self.s = s
-        self.defect_threshold = defect_threshold
         self.atoms = increment_atoms(alg, self.omega, s)
         # the box of the nonzero atoms: its offsets and its atoms
         nz = np.nonzero(self.atoms.prob)
@@ -524,7 +523,7 @@ class FastBarredKernel:
                 raise ChainDefectError(
                     f"fast row negative mass {neg[i]:.3e} at level={level} "
                     f"q={qs[i]}")
-            if not defect[i] <= self.defect_threshold:
+            if not defect[i] <= _ROW_DEFECT_MAX:
                 raise ChainDefectError(
                     f"fast row defect {defect[i]:.3e} above threshold at "
                     f"level={level} q={qs[i]}")

@@ -215,12 +215,12 @@ def _alternant_exponents(alg: AffineAlgebra, k: int, zq: np.ndarray, q: int,
 
 def _phase_sums(alg: AffineAlgebra, k: int, zq: np.ndarray, q: int,
                 s: Specialization, nb: np.ndarray) -> np.ndarray:
-    """``e^{2 pi i (beta|p)/c} sum_w det(w) e^{-2 pi i (beta|w(z_i))/k}``
+    """``e^{2 pi i (beta|p)/c} sum_w det(w) e^{-2 pi i (beta|w(z))/k}``
     over the finite Weyl group, for the dual points of the rows of ``nb``
-    and ``z_i = zq_i/q``; shape ``(len(zq), len(nb))``.  Each sum is decided
-    exactly zero or nonzero before a float is formed: a singular ``beta``
-    (fixed by a reflection) cancels in pairs, and any other is decided on
-    its exact rational phases by :func:`_vanishes`."""
+    and ``z = zq/q``, ``zq`` an integer vector; shape ``(len(nb),)``.  Each
+    sum is decided exactly zero or nonzero before a float is formed: a
+    singular ``beta`` (fixed by a reflection) cancels in pairs, and any
+    other is decided on its exact rational phases by :func:`_vanishes`."""
     dl = _dual_lattice(alg)
     group = finite_group(alg)
     sign = tuple(w.sign for w in group)
@@ -228,41 +228,38 @@ def _phase_sums(alg: AffineAlgebra, k: int, zq: np.ndarray, q: int,
     den = math.lcm(q * k, *(x.denominator for x in pc))
     # phase (beta|p/c - w(z)/k) = n . tn v / (td den), v integer
     v = (np.array([int(x * den) for x in pc], dtype=np.int64) - np.einsum(
-        "wij,nj->nwi", np.array([w.matrix for w in group]), zq) * (den // (q * k)))
+        "wij,j->wi", np.array([w.matrix for w in group]), zq) * (den // (q * k)))
     big = dl.td * den
-    psi = np.einsum("bj,ji,nwi->nbw", nb, dl.tn, v) % big
-    zero = np.zeros(psi.shape[:2], dtype=bool)
-    zero[:, (nb @ dl.tn @ dl.roots.T == 0).any(axis=1)] = True
-    for i, b in zip(*np.nonzero(~zero)):
-        zero[i, b] = _vanishes(big, tuple(psi[i, b].tolist()), sign)
+    psi = np.einsum("bj,ji,wi->bw", nb, dl.tn, v) % big
+    zero = (nb @ dl.tn @ dl.roots.T == 0).any(axis=1)
+    for b in np.flatnonzero(~zero):
+        zero[b] = _vanishes(big, tuple(psi[b].tolist()), sign)
     turn = ((psi + big // 2) % big - big // 2) / big      # in [-1/2, 1/2)
-    sums = (np.exp(2j * np.pi * turn) * np.array(sign)).sum(axis=2)
+    sums = (np.exp(2j * np.pi * turn) * np.array(sign)).sum(axis=1)
     sums[zero] = 0.0
     return sums
 
 
 @dataclass(frozen=True)
 class _LogAlternants:
-    """``log A_mu = ref + rest`` for a stack of weights (rows) at torus
-    points (columns), ``ref[i]`` exact, with
-    ``|A_mu e^{-ref[i]} - e^{rest[i, j]}| <= e^{log_err[i, j]}`` for
-    truncation and rounding together; ``radius`` is that of the lattice
-    sum used, over ``M`` or ``M*``, rounded up."""
+    """``log A_mu = ref + rest`` at a list of torus points, ``ref`` exact,
+    with ``|A_mu e^{-ref} - e^{rest[j]}| <= e^{log_err[j]}`` at point ``j``
+    for truncation and rounding together; ``radius`` is that of the
+    lattice sum used, over ``M`` or ``M*``, rounded up."""
 
-    ref: list
+    ref: Fraction
     rest: np.ndarray
     log_err: np.ndarray
     radius: int
 
 
-def _log_alternant(alg: AffineAlgebra, k: int, zq: np.ndarray, q: int,
-                   s: Specialization, theta=None) -> _LogAlternants:
-    """Log alternants ``A_mu(p) = sum_w det(w) e^{(w(mu) - mu|p)}`` of a
-    stack of ``mu`` at level ``k``, each ``mu - rho`` dominant integral (row
-    ``i`` of ``zq`` is ``q`` times the root coordinates of ``mu_i``), at
-    the point or, with ``theta = (idx, grid)``, at the torus points
-    ``p + i phi``, ``(alpha_j|phi) = 2 pi idx_j/grid`` per row of ``idx``,
-    where the terms gain ``e^{-2 pi i m.idx/grid}``.
+def _log_alternant(alg: AffineAlgebra, mu: Weight, s: Specialization,
+                   theta=None) -> _LogAlternants:
+    """Log alternant ``A_mu(p) = sum_w det(w) e^{(w(mu) - mu|p)}`` of one
+    ``mu`` with ``mu - rho`` dominant integral, at the point (one entry)
+    or, with ``theta = (idx, grid)``, at the torus points ``p + i phi``,
+    ``(alpha_j|phi) = 2 pi idx_j/grid`` per row of ``idx``, where the terms
+    gain ``e^{-2 pi i m.idx/grid}``.
 
     Two float64 series give the value (one unit roundoff counted per float
     operation and ``exp``):
@@ -284,23 +281,22 @@ def _log_alternant(alg: AffineAlgebra, k: int, zq: np.ndarray, q: int,
     if min(c - sum(a * x for a, x in zip(alg.marks[1:], gp)), *gp) <= 0:
         raise SpecializationError("the Weyl-Kac quotient needs every positive "
                                   "root paired positively with the point")
+    k, (zq, q) = int(mu.k), _int_scaled([mu.z])
     l, dl, ck = alg.rank, _dual_lattice(alg), float(c * k)
     idx, grid = theta if theta is not None else (np.zeros((1, l), np.int64), 1)
-    gn, gd = alg.finite_gram_int
-    z_norm = math.sqrt(int(np.einsum("ni,ij,nj->n", zq, gn, zq).max()) / (q * q * gd))
+    z_norm = math.sqrt(float(alg.finite_norm2(mu.z)))
     b = k * math.sqrt(float(alg.finite_norm2(s.point.z))) + float(c) * z_norm
     direct = (2 * b / ck + math.sqrt(92 / ck) + 1) ** l * math.exp(-dl.log_covol)
     dual = (math.sqrt(23 * ck) / math.pi + 1) ** l * math.exp(dl.log_covol)
     if 2 * math.pi ** 2 / ck * dl.reg2 <= _DIRECT_LOSS and direct < dual:
         sign, m, expo, den, radius = _alternant_exponents(alg, k, zq, q, s, _TAIL)
-        x = expo / den                                   # <= 0, within u|x|
+        x = expo[0] / den                                # <= 0, within u|x|
         w = sign * np.exp(x)
         roots = np.exp(-2j * np.pi * np.arange(grid) / grid)      # within 21u
-        total = np.einsum("npt,nt->np", roots[idx @ m.transpose(0, 2, 1) % grid], w)
-        err = _TAIL + _U * (np.abs(w) * (np.abs(x) + x.shape[1] + 21)).sum(axis=1)
-        return _finish([Fraction(0)] * len(zq), np.zeros(total.shape), 0.0,
-                       total, err[:, None], radius)
-    return _dual_sum(alg, k, zq, q, s, c, idx, grid)
+        total = np.einsum("pt,t->p", roots[idx @ m[0].T % grid], w)
+        err = _TAIL + _U * (np.abs(w) * (np.abs(x) + x.size + 21)).sum()
+        return _finish(Fraction(0), np.zeros(total.shape), 0.0, total, err, radius)
+    return _dual_sum(alg, k, zq[0], q, s, c, idx, grid)
 
 
 def _finish(ref, pre, turn, total, err, radius) -> _LogAlternants:
@@ -339,10 +335,10 @@ def _dual_sum(alg, k, zq, q, s, c, idx, grid) -> _LogAlternants:
         v = grid * nb[None, :, :] - ncen[:, None, :]
         qi = ((v @ dl.gn) * v).sum(axis=2)
         live = sums != 0
-        if not live.any(axis=1).all():
+        if not live.any():
             r *= 2
             continue
-        qmin = np.where(live[:, None, :], qi[None], np.iinfo(np.int64).max).min(axis=2)
+        qmin = np.where(live, qi, np.iinfo(np.int64).max).min(axis=1)
         # the tail past r_need is below 2^-60 of each point's nearest live
         # term, at most r_far away: there a r_far^2 <= a r_far |beta - n*|.
         # The shells run on M* scaled by sc, narrow against the Gaussian
@@ -354,27 +350,25 @@ def _dual_sum(alg, k, zq, q, s, c, idx, grid) -> _LogAlternants:
         if r_need <= r:
             break
         r = r_need
-    qref = qmin.min(axis=1)
+    qref = int(qmin.min())
     pbar = s.point.z
-    ref = [k * alg.finite_norm2(pbar) / (2 * c) + c * alg.finite_norm2(z) / (2 * k)
-           - alg.finite_inner(z, pbar) - _TWO_PI2 * Fraction(qr * c.denominator, qden)
-           for z, qr in zip(([Fraction(x, q) for x in row] for row in zq.tolist()),
-                            qref.tolist())]
+    z = [Fraction(x, q) for x in zq.tolist()]
+    ref = (k * alg.finite_norm2(pbar) / (2 * c) + c * alg.finite_norm2(z) / (2 * k)
+           - alg.finite_inner(z, pbar) - _TWO_PI2 * Fraction(qref * c.denominator, qden))
     # exponents below the reference, each within 4u of its size
-    dead = ~live[:, None, :]
-    y = float(_TWO_PI2) * c.denominator / qden * (qref[:, None, None] - qi[None])
+    dead = ~live
+    y = float(_TWO_PI2) * c.denominator / qden * (qref - qi)
     d = np.where(dead, -np.inf, y)
-    m = d.max(axis=2)
-    d -= m[:, :, None]
+    m = d.max(axis=1)
+    d -= m[:, None]
     e = np.exp(d)
     err = n_w * (_TAIL + _U * (e * np.where(
-        dead, 0.0, 4 * np.abs(y) - d + n_w + nb.shape[0] + 20)).sum(axis=2))
-    # the torus phase (k pbar/c - z_i).(2 pi idx/grid), exact until the float
-    un, ud = _int_scaled([[k * x / c - Fraction(zi, q) for x, zi in zip(pbar, row)]
-                          for row in zq.tolist()])
-    turn = ((un @ idx.T + ud * grid // 2) % (ud * grid) - ud * grid // 2) / (ud * grid)
+        dead, 0.0, 4 * np.abs(y) - d + n_w + nb.shape[0] + 20)).sum(axis=1))
+    # the torus phase (k pbar/c - z).(2 pi idx/grid), exact until the float
+    un, ud = _int_scaled([[k * x / c - zi for x, zi in zip(pbar, z)]])
+    turn = ((un[0] @ idx.T + ud * grid // 2) % (ud * grid) - ud * grid // 2) / (ud * grid)
     pre = 0.5 * l * math.log(2 * math.pi / float(c * k)) - dl.log_covol + m
-    return _finish(ref, pre, turn, np.einsum("npb,nb->np", e, sums), err,
+    return _finish(ref, pre, turn, np.einsum("pb,b->p", e, sums), err,
                    math.ceil(r))
 
 
@@ -398,14 +392,12 @@ def eval_character(alg: AffineAlgebra, lam: Weight, s: Specialization,
     if not classify_weight(alg, lam).dominant:
         raise ValueError("character evaluation needs a dominant integral weight")
     rho = weyl_vector(alg)
-    num, den = (_log_alternant(alg, int(mu.k), *_int_scaled([mu.z]), s)
-                for mu in (lam + rho, rho))
-    rel_num, rel_den = (math.exp(r.log_err[0, 0] - r.rest[0, 0].real)
-                        for r in (num, den))
+    num, den = (_log_alternant(alg, mu, s) for mu in (lam + rho, rho))
+    rel_num, rel_den = (math.exp(r.log_err[0] - r.rest[0].real) for r in (num, den))
     if not rel_den < 0.5:
         raise ArithmeticError("denominator alternant not resolved")
-    small = float(num.rest[0, 0].real - den.rest[0, 0].real)
-    log_value = float(inner_product(alg, lam, s.point) + num.ref[0] - den.ref[0]
+    small = float(num.rest[0].real - den.rest[0].real)
+    log_value = float(inner_product(alg, lam, s.point) + num.ref - den.ref
                       + Fraction(small))
     # the quotient, then the roundings of small, log_value and exp
     rel = ((rel_num + rel_den) / (1 - rel_den)
@@ -506,19 +498,22 @@ def denominator_residual(alg: AffineAlgebra, s: Specialization, depth: int) -> f
 # -- alternating Weyl-orbit values (numerator route) ----------------------------------
 
 
-def weyl_alternating_value(alg: AffineAlgebra, mu: Weight, s: Specialization,
-                           rtol: float = 1e-13) -> float:
+# relative error certified by weyl_alternating_value
+_ALTERNANT_RTOL = 1e-13
+
+
+def weyl_alternating_value(alg: AffineAlgebra, mu: Weight, s: Specialization) -> float:
     """Value of ``A_mu(p) = sum_w det(w) exp((w(mu) - mu | p))`` within
-    ``rtol`` relative, certified by :func:`_log_alternant`, for ``mu``
-    strictly dominant integral; with ``mu = rho`` it is the denominator
-    product.  The final rounding to float is included.
+    ``_ALTERNANT_RTOL`` relative, certified by :func:`_log_alternant`, for
+    ``mu`` strictly dominant integral; with ``mu = rho`` it is the
+    denominator product.  The final rounding to float is included.
     """
     if not classify_weight(alg, mu - weyl_vector(alg)).dominant:
         raise ValueError("alternant point must be strictly dominant integral")
-    r = _log_alternant(alg, int(mu.k), *_int_scaled([mu.z]), s)
-    small = float(r.rest[0, 0].real)
-    rel = math.exp(r.log_err[0, 0] - small) + 2 * _U * (abs(small) + 4)
-    if not rel <= rtol:
+    r = _log_alternant(alg, mu, s)
+    small = float(r.rest[0].real)
+    rel = math.exp(r.log_err[0] - small) + 2 * _U * (abs(small) + 4)
+    if not rel <= _ALTERNANT_RTOL:
         raise ArithmeticError(
-            f"certified relative error {rel:.2e} above rtol {rtol:.2e}")
-    return math.exp(float(r.ref[0] + Fraction(small)))
+            f"certified relative error {rel:.2e} above rtol {_ALTERNANT_RTOL:.2e}")
+    return math.exp(float(r.ref + Fraction(small)))

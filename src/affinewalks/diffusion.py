@@ -187,13 +187,20 @@ def _log_h(alg: AffineAlgebra, s, z: np.ndarray):
         return lh, ds, dv @ L, err
 
 
-def survival(alg: AffineAlgebra, p: SpaceTimePoint, eps: float = 1e-12):
+# the largest absolute error survival returns
+_SURVIVAL_EPS = 1e-12
+# truncation of reflected_density's Weyl sum, relative to the heat kernel's scale
+_DENSITY_RTOL = 1e-12
+
+
+def survival(alg: AffineAlgebra, p: SpaceTimePoint):
     """Probability of never leaving the chamber, for the drifted process:
     ``h(x) = sum_w det(w) e^{(x, w(rho)-rho)}``, as Kac's product
     (:func:`~affinewalks.highestweight.log_kac_product`).
 
     Returns ``(value, bound)``, ``bound`` on the absolute error of the value;
-    a bound above ``eps`` raises :class:`~affinewalks.weyl.ConvergenceError`.
+    a bound above ``_SURVIVAL_EPS`` raises
+    :class:`~affinewalks.weyl.ConvergenceError`.
     The value lies in (0, 1] inside and is exactly 0.0 on the walls, where
     the bound is the rounding of the wall pairings.  Points outside the
     chamber or at a level ``s <= 0`` raise :class:`OutsideChamberError`.
@@ -207,17 +214,17 @@ def survival(alg: AffineAlgebra, p: SpaceTimePoint, eps: float = 1e-12):
     # on a wall a factor 1 - e^{-u} <= u vanished, u within rounding of 0
     bound = (value * math.expm1(err[0]) if value else 8 * (f.l + 2) * np.finfo(
         float).eps * (p.s + float((np.abs(f.pairing) @ np.abs(p.z)).max())))
-    if not bound <= eps:
-        raise ConvergenceError(f"survival bound {bound:.2e} above eps {eps:.2e}")
+    if not bound <= _SURVIVAL_EPS:
+        raise ConvergenceError(
+            f"survival bound {bound:.2e} above eps {_SURVIVAL_EPS:.2e}")
     return value, bound
 
 
-def survival_gradient(alg: AffineAlgebra, p: SpaceTimePoint,
-                      eps: float = 1e-12) -> tuple[float, np.ndarray]:
+def survival_gradient(alg: AffineAlgebra, p: SpaceTimePoint) -> tuple[float, np.ndarray]:
     """Gradient ``(d_s h, grad_z h)`` of the survival function at an
     interior point: ``h`` times the gradient of Kac's ``log h``, the one the
     conditioned sampler draws its drift from."""
-    value, _ = survival(alg, p, eps)
+    value, _ = survival(alg, p)
     if not value:
         raise OutsideChamberError("gradient needs an interior point")
     _, ds, dz, _ = _log_h(alg, p.s, p.z[None, :])
@@ -243,8 +250,7 @@ def heat_density(alg: AffineAlgebra, x: SpaceTimePoint, y: SpaceTimePoint,
 
 
 def reflected_density(alg: AffineAlgebra, x: SpaceTimePoint, y: SpaceTimePoint,
-                      t: float, mode: str = "drifted-by-x",
-                      rtol: float = 1e-12) -> float:
+                      t: float, mode: str = "drifted-by-x") -> float:
     """Density of the drifted process killed at the chamber wall.
 
     modes:  ``drifted-by-x``  sum_w det(w) e^{(w(x)-x, rho)} p^rho_t(bar wx, y)
@@ -259,7 +265,8 @@ def reflected_density(alg: AffineAlgebra, x: SpaceTimePoint, y: SpaceTimePoint,
         raise ValueError(f"unknown mode {mode!r}")
     base = x if mode != "drifted-by-y" else y
     norm = heat_density_scale(alg, t)
-    tm, _ = _terms_for(alg, base.s, float(np.linalg.norm(base.z)), rtol * norm)
+    tm, _ = _terms_for(alg, base.s, float(np.linalg.norm(base.z)),
+                       _DENSITY_RTOL * norm)
     w_z, b_w = (a[0] for a in _images(tm, base.s, base.z[None, :]))
     if mode == "drifted-by-x":
         pref = b_w * f.hv + (w_z - x.z) @ f.rho_o

@@ -29,7 +29,7 @@ from .algebra import (AffineAlgebra, Weight, algebra_from_json,
                       weight_from_pairings, weyl_vector)
 from .layerseries import increment_atoms
 from .thresholds import GOLDEN
-from .weyl import dominant_representative
+from .weyl import WeylEnumerationError, dominant_representative
 
 __all__ = [
     "ExperimentConfig",
@@ -61,6 +61,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.spec_n < 1:
             raise ValueError("spec_n must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not self.dt > 0:
+            raise ValueError("dt must be > 0")
         if self.samples <= 0 or any(t < 0 for t in self.time_grid):
             raise ValueError("counts and times must be positive")
         try:
@@ -525,14 +529,18 @@ def _cmd_diffusion(args) -> int:
     return 0 if result.passed else 1
 
 
-def _random_interior(alg, s, rng, margin_frac=0.15):
+# least wall margin of a random interior point, as a share of s / (rank + 1)
+_INTERIOR_MARGIN = 0.15
+
+
+def _random_interior(alg, s, rng):
     """Random point of the level-s chamber slice, away from the walls."""
     frame = diffusion._frame(alg)
     for _ in range(1000):
         z = rng.normal(0, max(s / 2.0, 0.5), alg.rank)
         pt = diffusion.SpaceTimePoint(float(s), z)
         inside, margin = diffusion.chamber_test(alg, pt)
-        if inside and margin > margin_frac * s / (alg.rank + 1):
+        if inside and margin > _INTERIOR_MARGIN * s / (alg.rank + 1):
             return z
     raise RuntimeError("could not sample an interior point")
 
@@ -632,7 +640,7 @@ def run_cli(argv=None) -> int:
     p.add_argument("--n", type=_at_least(int, 1), required=True,
                    help="rho/n specialization")
     p.add_argument("--steps", type=_at_least(int, 0), default=5)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_at_least(int, 0))
     p.add_argument("--depth", type=_at_least(int, 0), default=60)
     p.add_argument("--start", help="coroot pairings of the start weight")
     p.add_argument("--out", default="chain.csv")
@@ -645,7 +653,7 @@ def run_cli(argv=None) -> int:
     p.add_argument("--horizon", type=_at_least(float, 0), default=1.0)
     p.add_argument("--dt", type=_at_least(float, 0, above=True), default=1e-3)
     p.add_argument("--paths", type=_at_least(int, 0), default=10)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_at_least(int, 0))
     p.add_argument("--conditioned", action="store_true")
     p.add_argument("--scale", type=_at_least(Fraction, 0, above=True), default="1",
                    help="start at scale*rho")
@@ -655,7 +663,7 @@ def run_cli(argv=None) -> int:
     p = sub.add_parser("experiment", help="scaling-limit experiments")
     p.add_argument("kind", choices=["walk", "chain", "calibrate"])
     p.add_argument("--config", help="JSON ExperimentConfig")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_at_least(int, 0))
     p.add_argument("--samples", type=_at_least(int, 1))
     p.add_argument("--n", type=_at_least(int, 1))
     p.add_argument("--runs", type=_at_least(int, 1), default=None)
@@ -671,7 +679,7 @@ def run_cli(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
+    except (_InputError, WeylEnumerationError) as exc:  # the latter: E7~, E8~
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

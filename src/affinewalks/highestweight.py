@@ -82,7 +82,7 @@ class MultiplicityTable:
     def layer_total(self, d: int) -> int:
         return sum(v for (dd, _), v in self.entries.items() if dd == d)
 
-    def weight_of(self, alg: AffineAlgebra, d: int, m: tuple[int, ...]) -> Weight:
+    def weight_of(self, d: int, m: tuple[int, ...]) -> Weight:
         off = Weight.make(0, m, d)
         return self.highest - off
 

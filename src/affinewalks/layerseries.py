@@ -35,8 +35,7 @@ import numpy as np
 
 from . import _linalg
 from .algebra import AffineAlgebra, Weight, classify_weight, weyl_vector
-from .characters import (_U, Specialization, _int_scaled, _log_alternant,
-                         delta_pairing)
+from .characters import _U, Specialization, _log_alternant, delta_pairing
 
 __all__ = ["IncrementAtoms", "increment_atoms"]
 
@@ -156,18 +155,17 @@ def increment_atoms(alg: AffineAlgebra, omega: Weight, s: Specialization,
     for a in range(0, len(idx), _CHUNK):
         at = order[a:a + _CHUNK]
         pts = (idx[at], grid)
-        num, den = (_log_alternant(alg, int(mu.k), *_int_scaled([mu.z]), s, pts)
-                    for mu in (omega + rho, rho))
+        num, den = (_log_alternant(alg, mu, s, pts) for mu in (omega + rho, rho))
         if a == 0:
-            ref = num.ref[0] - den.ref[0]
-        shift = float(num.ref[0] - den.ref[0] - ref)
-        chunk = num.rest[0] - den.rest[0] + shift
-        rel_den = np.exp(den.log_err[0] - den.rest[0].real)
+            ref = num.ref - den.ref
+        shift = float(num.ref - den.ref - ref)
+        chunk = num.rest - den.rest + shift
+        rel_den = np.exp(den.log_err - den.rest.real)
         if not (rel_den < 0.5).all():
             raise ArithmeticError("denominator alternant not resolved on the torus")
         with np.errstate(divide="ignore"):
             log_err[at] = np.logaddexp(
-                num.log_err[0] - den.rest[0].real + shift,
+                num.log_err - den.rest.real + shift,
                 chunk.real + np.log(rel_den + 2 * _U * abs(shift) * (1 - rel_den))
             ) - np.log1p(-rel_den)
         logf[at] = chunk

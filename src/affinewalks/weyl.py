@@ -3,9 +3,9 @@ finite Weyl group.
 
 Elements are kept in translation-first normal form ``t_alpha * w`` with
 ``alpha`` an integer vector in a fixed basis of the translation lattice and
-``w`` a finite Weyl element acting on the finite coordinates.  Composition
-uses the semidirect rule, so no reduced-word machinery is needed beyond the
-breadth-first enumeration of the finite group.
+``w`` a finite Weyl element acting on the finite coordinates, so no
+reduced-word machinery is needed beyond the breadth-first enumeration of
+the finite group, whose order is known in closed form before it is built.
 
 Alternating sums over the group (theta functions, Weyl-orbit sums and
 reflected densities) are cut off by translation norm.
@@ -16,7 +16,6 @@ in a bounded cache.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +35,6 @@ __all__ = [
     "lattice_basis",
     "translate",
     "apply",
-    "compose",
     "enumerate_bounded",
     "translation_vectors",
     "dominant_representative",
@@ -51,7 +49,7 @@ __all__ = [
 
 
 class WeylEnumerationError(RuntimeError):
-    """Finite Weyl group larger than the configured enumeration cap."""
+    """Finite Weyl group larger than the enumeration cap."""
 
 
 class ConvergenceError(RuntimeError):
@@ -84,9 +82,6 @@ class AffineWeylElement:
     def is_identity(self) -> bool:
         return all(c == 0 for c in self.trans) and not self.finite.word
 
-    def to_json(self) -> str:
-        return json.dumps({"alpha": list(self.trans), "word": list(self.finite.word)})
-
 
 def _simple_matrix(alg: AffineAlgebra, i: int) -> tuple[tuple[int, ...], ...]:
     l = alg.rank
@@ -101,9 +96,25 @@ def _simple_matrix(alg: AffineAlgebra, i: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+# finite Weyl groups larger than this are refused before enumeration
+_GROUP_MAX = 10**6
+
+
+def _group_order(alg: AffineAlgebra) -> int:
+    """``|W| = l! a_1 ... a_l det(C)`` for the finite Cartan matrix ``C``
+    and the marks ``a_i`` of its highest root (Bourbaki, ch. VI, 2.4)."""
+    c = [row[1:] for row in alg.cartan.entries[1:]]
+    return math.factorial(alg.rank) * math.prod(alg.marks[1:]) * int(_linalg.det(c))
+
+
 @lru_cache(maxsize=_ALGEBRAS_MAX)
-def finite_group(alg: AffineAlgebra, cap: int = 10**6) -> tuple[FiniteWeylElement, ...]:
-    """Breadth-first closure of the finite Weyl group under the generators."""
+def finite_group(alg: AffineAlgebra) -> tuple[FiniteWeylElement, ...]:
+    """Breadth-first closure of the finite Weyl group under the generators;
+    a group of more than ``_GROUP_MAX`` elements is refused by its order."""
+    order = _group_order(alg)
+    if order > _GROUP_MAX:
+        raise WeylEnumerationError(
+            f"finite Weyl group of order {order} exceeds the cap {_GROUP_MAX}")
     l = alg.rank
     ident = FiniteWeylElement(
         matrix=tuple(tuple(1 if i == j else 0 for j in range(l)) for i in range(l)),
@@ -123,10 +134,9 @@ def finite_group(alg: AffineAlgebra, cap: int = 10**6) -> tuple[FiniteWeylElemen
                     elem = FiniteWeylElement(prod, w.word + (i,), -w.sign)
                     seen[prod] = elem
                     nxt.append(elem)
-                    if len(seen) > cap:
-                        raise WeylEnumerationError(
-                            f"finite Weyl group exceeds cap {cap}")
         frontier = nxt
+    if len(seen) != order:
+        raise AssertionError(f"enumerated {len(seen)} Weyl elements, expected {order}")
     return tuple(sorted(seen.values(), key=lambda e: (len(e.word), e.word)))
 
 
@@ -182,38 +192,6 @@ def _trans_to_z(alg: AffineAlgebra, coeffs) -> tuple[Fraction, ...]:
 def apply(alg: AffineAlgebra, w: AffineWeylElement, lam: Weight) -> Weight:
     """Apply ``t_alpha * w`` to a weight (finite part first, then translate)."""
     return translate(alg, _trans_to_z(alg, w.trans), finite_apply(alg, w.finite, lam))
-
-
-# one matrix per finite Weyl element, for any of the cached algebras
-_ELEMENT_MATRICES_MAX = 4096
-
-
-@lru_cache(maxsize=_ELEMENT_MATRICES_MAX)
-def _finite_on_lattice(alg: AffineAlgebra, w: FiniteWeylElement) -> tuple[tuple[int, ...], ...]:
-    """Matrix of w on lattice-basis coordinates (integer; the lattice is stable)."""
-    basis = lattice_basis(alg)
-    m = [[Fraction(x * basis[c][c], basis[r][r]) for c, x in enumerate(row)]
-         for r, row in enumerate(w.matrix)]
-    for row in m:
-        for x in row:
-            if x.denominator != 1:
-                raise AssertionError("finite Weyl element does not preserve lattice")
-    return tuple(tuple(int(x) for x in row) for row in m)
-
-
-def compose(alg: AffineAlgebra, w1: AffineWeylElement, w2: AffineWeylElement) -> AffineWeylElement:
-    """Semidirect product rule: ``(t_a u)(t_b v) = t_{a + u(b)} (u v)``."""
-    m = _finite_on_lattice(alg, w1.finite)
-    moved = tuple(sum(m[r][c] * w2.trans[c] for c in range(alg.rank))
-                  for r in range(alg.rank))
-    trans = tuple(a + b for a, b in zip(w1.trans, moved))
-    l = alg.rank
-    prod = tuple(
-        tuple(sum(w1.finite.matrix[r][k] * w2.finite.matrix[k][c] for k in range(l))
-              for c in range(l)) for r in range(l))
-    finite = FiniteWeylElement(prod, w1.finite.word + w2.finite.word,
-                               w1.finite.sign * w2.finite.sign)
-    return AffineWeylElement(trans, finite)
 
 
 @lru_cache(maxsize=_ALGEBRAS_MAX)
@@ -386,7 +364,11 @@ def certified_terms(alg: AffineAlgebra, a: float, b: float, scale: float,
         f"Weyl sum tail not certified within translation radius {_MAX_RADIUS}")
 
 
-def dominant_representative(alg: AffineAlgebra, lam: Weight, max_steps: int = 100000):
+# reflections after which dominant_representative gives up
+_REFLECTIONS_MAX = 100000
+
+
+def dominant_representative(alg: AffineAlgebra, lam: Weight):
     """Reflect a positive-level weight into the dominant chamber.
 
     Returns ``(mu, sign)`` where ``mu`` is dominant up to its delta
@@ -395,7 +377,7 @@ def dominant_representative(alg: AffineAlgebra, lam: Weight, max_steps: int = 10
     """
     mu = lam
     sign = 1
-    for _ in range(max_steps):
+    for _ in range(_REFLECTIONS_MAX):
         neg = next((i for i in range(alg.rank + 1)
                     if pairing_coroot(alg, mu, i) < 0), None)
         if neg is None:

@@ -118,10 +118,7 @@ def test_classify(a1):
 def test_projections_idempotent(a1):
     lam = Weight.make(2, (Fraction(1, 3),), Fraction(5, 7))
     assert lam.bar().bar() == lam.bar()
-    assert lam.barbar().barbar() == lam.barbar()
-    assert lam.bar().barbar() == lam.barbar()
     assert lam.bar().b == 0 and lam.bar().k == lam.k
-    assert lam.barbar().k == 0
 
 
 def test_gram_symmetric_positive(a1, a2):

@@ -8,6 +8,7 @@ forms replaced.  Kac's Coxeter numbers are the reference for every name.
 """
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -64,6 +65,36 @@ def test_coxeter_numbers_match_kac_table(name):
     assert (alg.coxeter, alg.dual_coxeter) == KAC[name]
     if name[0] in THETA:
         assert alg.marks == (1,) + THETA[name[0]](alg.rank)
+
+
+# |W| of the finite part: (l+1)! for A_l, 2^l l! for B_l and C_l, 2^(l-1) l!
+# for D_l
+WEYL_ORDER = {"A": lambda l: math.factorial(l + 1),
+              "B": lambda l: 2 ** l * math.factorial(l),
+              "C": lambda l: 2 ** l * math.factorial(l),
+              "D": lambda l: 2 ** (l - 1) * math.factorial(l),
+              "F": lambda l: 1152, "G": lambda l: 12}
+
+
+@pytest.mark.parametrize("name", sorted(KAC))
+def test_weyl_group_order_formula(name):
+    # the closed form finite_group checks before enumerating, against the
+    # textbook orders, and against the enumeration on the frozen names
+    alg = al.algebra_from_name(name)
+    order = wy._group_order(alg)
+    assert order == WEYL_ORDER[name[0]](alg.rank)
+    if name in GOLDEN:
+        assert len(wy.finite_group(alg)) == order
+
+
+@pytest.mark.parametrize("l, order", [(6, 51840), (7, 2903040), (8, 696729600)])
+def test_weyl_group_order_of_e_types(affine_e, l, order):
+    # E7 and E8 are past the cap: refused from the order, before any element
+    alg = al.build_algebra(affine_e(l))
+    assert wy._group_order(alg) == order
+    if order > wy._GROUP_MAX:
+        with pytest.raises(wy.WeylEnumerationError, match=str(order)):
+            wy.finite_group(alg)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

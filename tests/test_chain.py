@@ -423,18 +423,28 @@ def test_level_coset_conservation(a1):
         assert (w.z[0] - 0).denominator == 1     # integral coset of z=0
 
 
-def test_fast_kernel_defect_guard(a1):
+def test_fast_kernel_defect_guard(a1, monkeypatch):
     s = ch.rho_specialization(a1, 5)
-    fk = cn.FastBarredKernel(a1, omega(a1), s, defect_threshold=1e-30)
+    fk = cn.FastBarredKernel(a1, omega(a1), s)
+    monkeypatch.setattr(cn, "_ROW_DEFECT_MAX", 1e-30)
     with pytest.raises(cn.ChainDefectError):
         fk.row(1, 0)
 
 
-def test_fast_kernel_defect_guard_batched(a1):
+def test_fast_kernel_defect_guard_batched(a1, monkeypatch):
     s = ch.rho_specialization(a1, 5)
-    fk = cn.FastBarredKernel(a1, omega(a1), s, defect_threshold=1e-30)
+    fk = cn.FastBarredKernel(a1, omega(a1), s)
+    monkeypatch.setattr(cn, "_ROW_DEFECT_MAX", 1e-30)
     with pytest.raises(cn.ChainDefectError, match="level=1 q=0"):
         fk.row(1, np.array([0, 1]))
+
+
+def test_simulate_chain_defect_guard(a1, monkeypatch):
+    # the same row-defect constant refuses simulate_chain's first row
+    monkeypatch.setattr(cn, "_ROW_DEFECT_MAX", 1e-30)
+    with pytest.raises(cn.ChainDefectError):
+        cn.simulate_chain(a1, a1.Lambda0(), omega(a1), ch.rho_specialization(a1, 5),
+                          steps=1, seed=1)
 
 
 def test_fast_kernel_batched_rows_match_scalar(a1, a2):

@@ -225,6 +225,23 @@ def test_diffusion_verify_refuses_seed(capsys):
     assert "--seed does not apply" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("l", [7, 8])
+def test_weyl_group_past_the_cap_exits_2(affine_e, l, tmp_path):
+    # E7~ and E8~ are refused from the group order at once; a run that
+    # enumerates instead hits the timeout, not the job limit
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({"rank": l, "matrix": affine_e(l)}))
+    env = dict(os.environ, PYTHONPATH=str(Path(affinewalks.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "affinewalks", "characters", "eval", "--json",
+         str(path), "--pairings", ",".join(["1"] + ["0"] * l)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "exceeds the cap" in proc.stderr
+
+
 def test_verify_all_refuses_other_algebras():
     env = dict(os.environ, PYTHONPATH=str(Path(affinewalks.__file__).parents[1]))
     proc = subprocess.run(
@@ -244,7 +261,10 @@ def test_verify_all_refuses_other_algebras():
     (["mult", "--pairings", "1,-1"], None),
     (["tensor", "--pairings", "1,-1"], None),
     (["characters", "eval", "--pairings", "1,-1"], None),
-    (["characters", "denominator", "--depth", "400"], None)])
+    (["characters", "denominator", "--depth", "400"], None),
+    (["experiment", "chain", "--seed", "1"], {"dt": 0, "samples": 50, "spec_n": 5}),
+    (["experiment", "chain", "--seed", "1"], {"dt": -0.01, "samples": 50, "spec_n": 5}),
+    (["experiment", "walk"], {"seed": -1, "samples": 10, "spec_n": 5})])
 def test_bad_input_exits_2(argv, config, tmp_path, capsys):
     if config is not None:
         cfg_path = tmp_path / "cfg.json"
@@ -280,7 +300,10 @@ def test_experiment_walk_a2_needs_no_start_pairings(tmp_path):
     (["tensor", "--n", "-1", "--pairings", "1,0"], None),
     (["mult", "--depth", "-1", "--pairings", "1,0"], None),
     (["experiment", "walk", "--samples", "-5", "--seed", "1"], None),
-    (["experiment", "walk", "--seed", "1", "--n", "0", "--samples", "0"], None)])
+    (["experiment", "walk", "--seed", "1", "--n", "0", "--samples", "0"], None),
+    (["experiment", "walk", "--seed", "-1", "--n", "5", "--samples", "10"], None),
+    (["chain", "simulate", "--n", "3", "--seed", "-5"], None),
+    (["diffusion", "sample", "--seed", "-5"], None)])
 def test_bad_algebra_or_number_exits_2(argv, text, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     if text is not None:
