@@ -360,8 +360,10 @@ def simulate_chain(alg: AffineAlgebra, start: Weight, omega: Weight,
 
 # -- fast projected kernel for near-critical specializations ------------------------
 
-# bytes of row arrays per batched ``row`` call of ``FastBarredKernel.sample``
-_ROW_BYTES = 64 << 20
+# bytes of row arrays per batched ``row`` call of ``FastBarredKernel.sample``;
+# arrays this small are reused by the allocator rather than mapped afresh
+# (and faulted in) for every block: 64 MiB took about 1.5 times as long
+_ROW_BYTES = 8 << 20
 
 
 class FastBarredKernel:
@@ -385,26 +387,33 @@ class FastBarredKernel:
     cancel at low levels, and the rows take ``Nhat`` ratios as exponentials
     of its differences.
 
-    A row reads atoms only for its live (source state, Weyl term) pairs:
-    those whose offsets over the next states span a box that meets the box
-    of the nonzero atoms, fixed at construction, on every axis.  An offset
-    is on the root lattice only when source and next state share a
-    root-lattice coset (at most det(Cartan) of them), so the next states
-    are kept as one column array per coset and each box comes from the
-    coset's column extremes; no (source x next state x rank) array is
-    formed (:meth:`_offsets`).  Any other pair reads zero atoms only, and
-    adding ``w * 0.0`` to a finite sum leaves it unchanged, so with the
-    live pairs added in the same term order the rows, cdfs and defects are
-    bit-equal to gathering every pair.  Most pairs are not live: a term's
-    offset moves far outside the atoms' support.
+    A step keeps the root-lattice coset: ``beta0`` is reached from ``lam0``
+    only when ``beta0 - lam0 - omega`` is on the root lattice, so a row is
+    formed over the next states of its source's coset alone (one of
+    det(Cartan) cosets; on A2~ a third of the level) and returns their
+    indices with it.  The chain from a start stays in the coset of
+    ``start + k omega`` at step ``k``, so a step's occupied states share
+    one coset and ``sample`` never mixes them.  A row reads atoms only for
+    its live (source state, Weyl term) pairs: those whose offsets over the
+    coset's states span a box that meets the box of the nonzero atoms,
+    fixed at construction, on every axis (:meth:`_offsets`).  Any other
+    pair reads zero atoms only, and adding ``w * 0.0`` to a finite sum
+    leaves it unchanged, so with the live pairs added in the same term
+    order the rows and cdfs are bit-equal to gathering every pair over
+    every next state, where the other cosets' columns stay exact zeros.
+    Most pairs are not live: a term's offset moves far outside the atoms'
+    support.
 
     States of a level are indexed in :func:`dominant_states` order (on A1~
     the index is the coroot pairing ``q``).  A row whose defect exceeds
     ``_ROW_DEFECT_MAX`` refuses to sample rather than renormalizing.
     ``sample`` calls ``row`` every step, for blocks of the occupied states
-    that the byte budget ``_ROW_BYTES`` sizes.  Rows are not cached (the level grows
-    every step); a level keeps its states, ``log Nhat`` and its term list,
-    and only the current and the next level are kept.
+    that the byte budget ``_ROW_BYTES`` sizes by the coset's width.  Rows
+    are not cached (the level grows every step); a level keeps its states,
+    ``log Nhat`` and its term list, and only the current and the next
+    level are kept.  On A2~ at rho/100, 5 000 paths from pairings
+    (100, 100, 100) take about 2.6 s and 58 MB for two steps (full-width
+    rows took 7.5 s and 140 MB).
     """
 
     def __init__(self, alg: AffineAlgebra, omega: Weight, s: Specialization):
@@ -458,79 +467,87 @@ class FastBarredKernel:
             self.alg, k, zq[qs] + self._rho_q, self._den, self.s, 1e-13, terms)
         return m, sign * np.exp(expo / den)
 
-    def _offsets(self, zq: np.ndarray, m: np.ndarray, zq_next: np.ndarray):
-        """``(table, a, cols, coset, live)`` for the source states ``zq``
-        (rows of ``den`` times root coordinates), their terms' offsets ``m``
-        and the next level's states ``zq_next``.
-
-        The offset ``lam0 - m + omega - beta0`` is on the root lattice
-        exactly when ``lam0 + omega`` and ``beta0`` share their residue mod
-        ``den``, and it is then ``A - m - Z`` with ``A = (lam0 + omega) //
-        den`` and ``Z = beta0 // den``.  ``table`` is the nonzero atoms' box
-        padded by the largest span of a coset's columns plus one, so every
-        offset of a live pair falls inside it; pair ``(i, t)`` reads
-        ``table[a[i, t] - cols[coset[i]]]``, where row ``c`` of ``cols`` is
-        the flat ``Z`` of the next states in coset ``c`` and ``2**62``
-        elsewhere, clipped onto the table's zero corner."""
+    def _coset(self, level: int, qs: np.ndarray) -> np.ndarray:
+        """Indices of the next level's states in the root-lattice coset of
+        ``lam0 + omega`` for the sources ``qs`` of a level, the only next
+        states they reach; ``ValueError`` when the sources do not share it.
+        Weights share a coset when ``den`` times their root coordinates
+        share their residues mod ``den``."""
         den = self._den
-        src = zq + self._om_q
         radix = den ** np.arange(self.alg.rank)     # a residue as one int
-        cosets, col = np.unique((zq_next % den) @ radix, return_inverse=True)
-        on = col == np.arange(cosets.size)[:, None]
-        z = zq_next // den
-        zlo = np.array([z[o].min(axis=0) for o in on])
-        zhi = np.array([z[o].max(axis=0) for o in on])
-        # lam0 + omega is a next state, so its coset is among the columns'
-        coset = cosets.searchsorted((src % den) @ radix)
-        x = (src // den)[:, None, :] - m            # the offsets at Z = 0
+        src = ((self._level(level)[0][qs] + self._om_q) % den) @ radix
+        if (src != src[0]).any():
+            raise ValueError(f"the sources at level {level} lie in more than "
+                             "one root-lattice coset")
+        nxt = self._level(level + int(self.omega.k))[0]
+        return np.flatnonzero((nxt % den) @ radix == src[0])
+
+    def _offsets(self, zq: np.ndarray, m: np.ndarray, zq_next: np.ndarray):
+        """``(table, a, cols, live)`` for the source states ``zq`` (rows of
+        ``den`` times root coordinates), their terms' offsets ``m`` and the
+        next states ``zq_next`` of their coset.
+
+        The offset ``lam0 - m + omega - beta0`` is then on the root lattice,
+        and it is ``A - m - Z`` with ``A = (lam0 + omega) // den`` and ``Z =
+        beta0 // den``.  ``table`` is the nonzero atoms' box padded by the
+        span of the columns plus one, so every offset of a live pair falls
+        inside it; pair ``(i, t)`` reads ``table[a[i, t] - cols]``, where
+        ``cols`` is the flat ``Z`` of the next states."""
+        z = zq_next // self._den
+        zlo, zhi = z.min(axis=0), z.max(axis=0)
+        x = ((zq + self._om_q) // self._den)[:, None, :] - m  # offsets at Z = 0
         lo, hi = self._support
-        live = ((x - zhi[coset][:, None, :] <= hi)
-                & (x - zlo[coset][:, None, :] >= lo)).all(axis=2)
-        pad = (zhi - zlo).max(axis=0) + 1
+        live = ((x - zhi <= hi) & (x - zlo >= lo)).all(axis=2)
+        pad = zhi - zlo + 1
         table = np.pad(self._box, np.column_stack((pad, pad)))
         step = np.array(table.strides) // table.itemsize
-        cols = np.where(on, z @ step, 2 ** 62)
-        return table.ravel(), (x - lo + pad) @ step, cols, coset, live
+        return table.ravel(), (x - lo + pad) @ step, z @ step, live
 
     def row(self, level: int, q):
-        """(probabilities over the next level's states, cdf, defect) for the
-        source state of index ``q``, or stacked per source state (one row per
-        entry, defects as an array) when ``q`` is an int array."""
+        """``(states, probs, cdf, defect)`` for the source state of index
+        ``q``: the indices of the next level's states in its root-lattice
+        coset (:meth:`_coset`), the probabilities over them, their cdf and
+        the row defect; stacked per source state (one row per entry,
+        defects as an array) when ``q`` is an int array, whose states must
+        share a coset (else ``ValueError``).  Every other next state has
+        probability exactly zero."""
         qs = np.atleast_1d(np.asarray(q, dtype=np.int64))
         nxt = level + int(self.omega.k)
         zq, log_nhat, _ = cur = self._level(level)
         zq_next, log_nhat_next, _ = new = self._level(nxt)
         self._levels = {level: cur, nxt: new}
+        states = self._coset(level, qs)
         # the term w moves lam0 to bar(w(lam0+rho)-rho) = lam0 - m, so beta0
         # takes the atom at offset lam0 - m + omega - beta0
         m, wq = self._terms(level, qs)
-        table, a, cols, coset, live = self._offsets(zq[qs], m, zq_next)
-        raw = np.zeros((qs.size, len(zq_next)))
+        table, a, cols, live = self._offsets(zq[qs], m, zq_next[states])
+        probs = np.zeros((qs.size, states.size))
         for t in np.flatnonzero(live.any(axis=0)).tolist():
             i = np.flatnonzero(live[:, t])
-            atoms = table.take(a[i, t, None] - cols[coset[i]], mode="clip")
-            atoms *= wq[i, t, None]         # in place: one row-sized array less
-            raw[i] += atoms
+            # no name outlives the term: at most three row-sized arrays
+            probs[i] += table.take(a[i, t, None] - cols) * wq[i, t, None]
         # Nhat(beta0+rho) / Nhat(lam0+rho), split at the next level's largest
         top = log_nhat_next.max()
-        probs = (raw * np.exp(log_nhat_next - top)
-                 * np.exp(top - log_nhat[qs])[:, None])
+        probs *= np.exp(log_nhat_next[states] - top)
+        probs *= np.exp(top - log_nhat[qs])[:, None]
         neg = probs.min(axis=1)
         np.clip(probs, 0.0, None, out=probs)
         defect = np.abs(1.0 - probs.sum(axis=1))
-        for i in range(qs.size):
+        # NaN fails both comparisons; the first failing source is named
+        bad = ~(neg >= -1e-10) | ~(defect <= _ROW_DEFECT_MAX)
+        if bad.any():
+            i = bad.argmax()
             if not neg[i] >= -1e-10:
                 raise ChainDefectError(
                     f"fast row negative mass {neg[i]:.3e} at level={level} "
                     f"q={qs[i]}")
-            if not defect[i] <= _ROW_DEFECT_MAX:
-                raise ChainDefectError(
-                    f"fast row defect {defect[i]:.3e} above threshold at "
-                    f"level={level} q={qs[i]}")
+            raise ChainDefectError(
+                f"fast row defect {defect[i]:.3e} above threshold at "
+                f"level={level} q={qs[i]}")
         cdf = np.cumsum(probs, axis=1)
         if np.ndim(q) == 0:
-            return probs[0], cdf[0], float(defect[0])
-        return probs, cdf, defect
+            return states, probs[0], cdf[0], float(defect[0])
+        return states, probs, cdf, defect
 
     def sample(self, start: Weight, steps: int, n_paths: int, seed: int,
                record_steps=()) -> dict[int, np.ndarray]:
@@ -539,10 +556,13 @@ class FastBarredKernel:
 
         Each step draws one uniform per path, handed out in stable-sorted
         state order: each state's draws fill its stretch of that order, and
-        one scatter moves them back to the paths.  The rows of the occupied
-        states are built by batched ``row`` calls over blocks of states,
-        each block as many as ``_ROW_BYTES`` holds, so the draws do not
-        depend on the blocks.  No paths give empty arrays; a negative
+        one scatter moves them back to the paths.  The occupied states of a
+        step share the root-lattice coset of ``start + k omega``, so their
+        rows are over the same next states; they are built by batched
+        ``row`` calls over blocks of states, each block as many as
+        ``_ROW_BYTES`` holds at that coset's width, so the draws do not
+        depend on the blocks.  A draw's place in its cdf is mapped back
+        through the row's states.  No paths give empty arrays; a negative
         ``n_paths`` raises ``ValueError``.
         """
         if n_paths < 0:
@@ -569,19 +589,19 @@ class FastBarredKernel:
             u = rng.random(n_paths)
             ends = np.cumsum(counts[states]).tolist()
             starts = [0] + ends
-            # a source's row arrays: four over the next level's states, a
+            # a source's row arrays: four over the coset's next states, a
             # few over its terms' offsets
-            width = len(self._level(level + k_om)[0])
+            width = self._coset(level, states).size
             n_terms = len(self._level(level)[2].sign)
             per = max(1, _ROW_BYTES // (8 * (4 * width + 8 * self.alg.rank * n_terms)))
             drawn = np.empty_like(cur)
             for i in range(0, states.size, per):
-                _, cdfs, _ = self.row(level, states[i:i + per])
+                targets, _, cdfs, _ = self.row(level, states[i:i + per])
                 for cdf, a, b in zip(cdfs, starts[i:], ends[i:i + per]):
                     drawn[a:b] = cdf.searchsorted(u[a:b])
             if drawn.max() >= width:
                 raise ChainDefectError("draw landed in the defect mass")
-            cur[order] = drawn
+            cur[order] = targets[drawn]
             level += k_om
             if k in record_steps:
                 recorded[k] = self._levels[level][0][cur] / self._den

@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,6 +60,13 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
+        # a config file can carry any JSON value, and a bool is an int
+        for name, kind in (("spec_n", numbers.Integral), ("seed", numbers.Integral),
+                           ("samples", numbers.Integral), ("dt", numbers.Real)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an integer" if kind is numbers.Integral else "a number"
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         if self.spec_n < 1:
             raise ValueError("spec_n must be >= 1")
         if self.seed < 0:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import sys
@@ -18,6 +19,21 @@ from affinewalks.thresholds import GOLDEN
 
 def omega(a1):
     return Weight.make(2, (0,), 0)
+
+
+@functools.lru_cache(maxsize=None)
+def _fast(alg, n):
+    # one fast kernel at rho/n per algebra for the tests that only read it
+    # (G2~'s atoms take seconds)
+    om = Weight.make(alg.dual_coxeter, (0,) * alg.rank, 0)
+    return cn.FastBarredKernel(alg, om, ch.rho_specialization(alg, n))
+
+
+def _coset(alg, level, lam):
+    # indices of the states of a level whose root coordinates differ from
+    # lam's by integers: lam's root-lattice coset, in dominant_states order
+    return np.array([i for i, w in enumerate(cn.dominant_states(alg, level))
+                     if all((x - y).denominator == 1 for x, y in zip(w.z, lam.z))])
 
 
 def test_mu_omega_top_probability(a1):
@@ -263,8 +279,9 @@ def test_row_aggregation_matches_fast_kernel(a1):
         for w, p in cn.barred_row(a1, lam0, om, s, 40,
                                   defect_target=1e-11).items():
             agg[int(2 * w.z[0])] += p
-        probs, _, _ = fast.row(level, int(2 * lam0.z[0]))
-        assert np.abs(probs - agg).max() < 1e-9
+        states, probs, _, _ = fast.row(level, int(2 * lam0.z[0]))
+        assert np.abs(probs - agg[states]).max() < 1e-9
+        assert not np.delete(agg, states).any()
 
 
 def test_pbar_basics(a1):
@@ -435,8 +452,8 @@ def test_fast_kernel_defect_guard_batched(a1, monkeypatch):
     s = ch.rho_specialization(a1, 5)
     fk = cn.FastBarredKernel(a1, omega(a1), s)
     monkeypatch.setattr(cn, "_ROW_DEFECT_MAX", 1e-30)
-    with pytest.raises(cn.ChainDefectError, match="level=1 q=0"):
-        fk.row(1, np.array([0, 1]))
+    with pytest.raises(cn.ChainDefectError, match="level=2 q=0"):
+        fk.row(2, np.array([0, 2]))
 
 
 def test_simulate_chain_defect_guard(a1, monkeypatch):
@@ -451,22 +468,45 @@ def test_fast_kernel_batched_rows_match_scalar(a1, a2):
     for alg, n, level, step in ((a1, 20, 60, 3), (a2, 2, 2, 1)):
         om = Weight.make(alg.dual_coxeter, (0,) * alg.rank, 0)
         fk = cn.FastBarredKernel(alg, om, ch.rho_specialization(alg, n))
-        qs = np.arange(0, len(cn.dominant_states(alg, level)), step)
-        probs, cdf, defect = fk.row(level, qs)
-        width = len(cn.dominant_states(alg, level + alg.dual_coxeter))
-        assert probs.shape == cdf.shape == (qs.size, width)
+        qs = _coset(alg, level, cn.dominant_states(alg, level)[0])[::step]
+        states, probs, cdf, defect = fk.row(level, qs)
+        assert probs.shape == cdf.shape == (qs.size, states.size)
         for i, q in enumerate(qs):
-            p1, c1, d1 = fk.row(level, int(q))
+            s1, p1, c1, d1 = fk.row(level, int(q))
+            assert np.array_equal(s1, states)
             assert np.array_equal(probs[i], p1)
             assert np.array_equal(cdf[i], c1)
             assert defect[i] == d1 and isinstance(d1, float)
 
 
-def _dense_row(fk, level, qs):
+def test_fast_kernel_row_states_are_the_source_coset(a1, a2):
+    # a row's states are exactly the next level's states in the coset of
+    # lam0 + omega (here omega's finite part is 0): the level's states fall
+    # into det(finite Cartan) cosets, one on G2~, whose root lattice is its
+    # weight lattice; sources of two cosets are refused
+    c2, g2 = al.algebra_from_name("C2~"), al.algebra_from_name("G2~")
+    for alg, n, level, det in ((a1, 5, 6, 2), (a2, 10, 4, 3), (c2, 10, 4, 2),
+                               (g2, 10, 3, 1)):
+        fk = _fast(alg, n)
+        sources = cn.dominant_states(alg, level)
+        nxt = cn.dominant_states(alg, level + alg.dual_coxeter)
+        cosets = set()
+        for q, lam in enumerate(sources):
+            states = fk.row(level, q)[0]
+            assert np.array_equal(states, _coset(alg, level + alg.dual_coxeter, lam))
+            cosets.add(tuple(states))
+        assert len(cosets) == det
+        assert sorted(i for c in cosets for i in c) == list(range(len(nxt)))
+    fk = cn.FastBarredKernel(a1, omega(a1), ch.rho_specialization(a1, 5))
+    with pytest.raises(ValueError, match="coset"):
+        fk.row(2, np.array([0, 1]))
+
+
+def _dense_row(fk, level, qs, states):
     # the dense per-term loop the live pairs replace: every source, every
-    # term and every next state gathers its atom; also per (source, term),
-    # whether a nonzero atom was read and whether an index fell inside the
-    # unpadded atoms array
+    # term and every next state gathers its atom, the defect summed over the
+    # next states ``states``; also per (source, term), whether a nonzero atom
+    # was read and whether an index fell inside the unpadded atoms array
     zq, log_nhat, _ = fk._level(level)
     zq_next, log_nhat_next, _ = fk._level(level + int(fk.omega.k))
     pad = np.pad(fk.atoms.prob, 1)
@@ -491,13 +531,17 @@ def _dense_row(fk, level, qs):
     probs = (raw * np.exp(log_nhat_next - top)
              * np.exp(top - log_nhat[qs])[:, None])
     np.clip(probs, 0.0, None, out=probs)
-    return probs, np.cumsum(probs, axis=1), np.abs(1.0 - probs.sum(axis=1)), hit, inside
+    # take, not probs[:, states], whose column-major copy sums in another order
+    defect = np.abs(1.0 - probs.take(states, axis=1).sum(axis=1))
+    return probs, np.cumsum(probs, axis=1), defect, hit, inside
 
 
 def test_fast_kernel_live_pairs_bit_identical_to_dense(a1, a2, monkeypatch):
-    # rows from the live pairs only equal the dense loop bit for bit; every
-    # pair that reads a nonzero atom is live, and some skipped pair reads
-    # the atoms array outside its nonzero box, so the box is what decides
+    # rows from the live pairs only equal the dense loop bit for bit at the
+    # source coset's states, and the dense row is exactly zero elsewhere;
+    # every pair that reads a nonzero atom is live, and some skipped pair
+    # reads the atoms array outside its nonzero box, so the box is what
+    # decides
     cases = [(a1, 100, 200, 1), (a1, 100, 300, 1), (a2, 20, 60, 50),
              (al.algebra_from_name("C2~"), 5, 12, 1),
              (al.algebra_from_name("G2~"), 10, 12, 1)]
@@ -509,12 +553,13 @@ def test_fast_kernel_live_pairs_bit_identical_to_dense(a1, a2, monkeypatch):
         core = fk._offsets
         monkeypatch.setattr(fk, "_offsets",
                             lambda *args: masks.append(core(*args)) or masks[-1])
-        qs = np.arange(0, len(cn.dominant_states(alg, level)), step)
-        probs, cdf, defect = fk.row(level, qs)
+        qs = _coset(alg, level, cn.dominant_states(alg, level)[0])[::step]
+        states, probs, cdf, defect = fk.row(level, qs)
         ((*_, live),) = masks
-        want_p, want_c, want_d, hit, inside = _dense_row(fk, level, qs)
-        assert np.array_equal(probs, want_p)
-        assert np.array_equal(cdf, want_c)
+        want_p, want_c, want_d, hit, inside = _dense_row(fk, level, qs, states)
+        assert np.array_equal(probs, want_p[:, states])
+        assert np.array_equal(cdf, want_c[:, states])
+        assert not np.delete(want_p, states, axis=1).any()
         assert np.array_equal(defect, want_d)
         assert not (hit & ~live).any()
         skipped += (~live).sum()
@@ -533,8 +578,9 @@ def test_fast_kernel_rank_two_matches_aggregated_row(a2):
                               defect_target=1e-9).items():
         agg[states.index(w)] += p
     lam0 = cn.dominant_states(a2, 1).index(a2.Lambda0())
-    probs, _, _ = cn.FastBarredKernel(a2, om, s).row(1, lam0)
-    assert np.abs(probs - agg).max() < 1e-12
+    cols, probs, _, _ = cn.FastBarredKernel(a2, om, s).row(1, lam0)
+    assert np.abs(probs - agg[cols]).max() < 1e-12
+    assert not np.delete(agg, cols).any()
 
 
 @pytest.mark.parametrize("level", [1, 2])
@@ -551,8 +597,8 @@ def test_fast_kernel_rows_from_level_three_at_rho_100(a1):
     # the rows of the wall state sum to one within the defect threshold
     # (level 3 loses about 5 digits), and by level 10 within rounding
     fk = cn.FastBarredKernel(a1, omega(a1), ch.rho_specialization(a1, 100))
-    assert fk.row(3, 0)[2] < 1e-4
-    assert fk.row(10, 0)[2] < 1e-12
+    assert fk.row(3, 0)[3] < 1e-4
+    assert fk.row(10, 0)[3] < 1e-12
 
 
 def test_fast_kernel_keeps_two_levels(a1):
@@ -563,15 +609,15 @@ def test_fast_kernel_keeps_two_levels(a1):
 
 def test_fast_kernel_sample_matches_scalar_reference(a1, a2):
     # the per-state loop of scalar rows, each state's paths drawing their
-    # uniforms in path order, states in ascending order; on rank 2 the
-    # states of a level lie in several root-lattice cosets
-    c2 = al.algebra_from_name("C2~")
+    # uniforms in path order, states in ascending order; on A2~ and C2~ the
+    # states of a level lie in several root-lattice cosets, on G2~ in one
+    c2, g2 = al.algebra_from_name("C2~"), al.algebra_from_name("G2~")
     for alg, n, start, n_paths, steps, seed in (
             (a1, 20, Weight.make(40, (10,), 0), 300, 20, 11),
             (a2, 10, al.weight_from_pairings(a2, [3, 3, 3]), 100, 4, 12),
-            (c2, 10, al.weight_from_pairings(c2, [3, 3, 3]), 100, 3, 13)):
-        om = Weight.make(alg.dual_coxeter, (0,) * alg.rank, 0)
-        fk = cn.FastBarredKernel(alg, om, ch.rho_specialization(alg, n))
+            (c2, 10, al.weight_from_pairings(c2, [3, 3, 3]), 100, 3, 13),
+            (g2, 10, al.weight_from_pairings(g2, [3, 3, 3]), 100, 3, 14)):
+        fk = _fast(alg, n)
         got = fk.sample(start, steps, n_paths, seed, record_steps=range(steps + 1))
         rng = np.random.Generator(np.random.Philox(seed))
         level = int(start.k)
@@ -581,8 +627,8 @@ def test_fast_kernel_sample_matches_scalar_reference(a1, a2):
                 new = np.empty_like(cur)
                 for uid in np.unique(cur):
                     sel = np.flatnonzero(cur == uid)
-                    _, cdf, _ = fk.row(level, int(uid))
-                    new[sel] = np.searchsorted(cdf, rng.random(sel.size))
+                    states, _, cdf, _ = fk.row(level, int(uid))
+                    new[sel] = states[np.searchsorted(cdf, rng.random(sel.size))]
                 cur = new
                 level += alg.dual_coxeter
             coords = np.array([[float(x) for x in w.z]

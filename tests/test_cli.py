@@ -275,6 +275,20 @@ def test_bad_input_exits_2(argv, config, tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("config", [
+    {"seed": "a"}, {"seed": True}, {"seed": 1.5}, {"dt": "x"}, {"dt": False},
+    {"samples": "5"}, {"samples": True}, {"spec_n": "5"}, {"spec_n": 5.0}])
+def test_config_field_of_wrong_type_exits_2(config, tmp_path, capsys):
+    # a config's value of the wrong JSON type is refused with its field's
+    # name, never compared or used (a bool is an int in Python)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run_cli(["experiment", "walk", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert next(iter(config)) in err
+
+
 def test_experiment_walk_a2_needs_no_start_pairings(tmp_path):
     # the walk does not read start_pairings, so the rank-1 default stays valid
     cfg_path = tmp_path / "cfg.json"
