@@ -440,12 +440,14 @@ class FastBarredKernel:
                                for row in alg.finite_gram])
         self._rho_q = np.array([int(x * self._den) for x in self.rho.z])
         self._om_q = np.array([int(x * self._den) for x in self.omega.z])
+        self._radix = self._den ** np.arange(alg.rank)   # a residue as one int
         self._levels: dict[int, tuple] = {}
 
     def _level(self, level: int) -> tuple:
         """States of a level (:func:`_dominant_coords`), ``log Nhat(mu)`` of
-        ``mu = state + rho`` (Kac's ``log h(t mu)`` at ``h = t rho``), and the
-        alternant term list cut at the level's largest ``|mu|``."""
+        ``mu = state + rho`` (Kac's ``log h(t mu)`` at ``h = t rho``), the
+        alternant term list cut at the level's largest ``|mu|``, and each
+        state's root-lattice coset as one int (:meth:`_coset`)."""
         hit = self._levels.get(level)
         if hit is None:
             zq, _ = _dominant_coords(self.alg, level)
@@ -454,14 +456,15 @@ class FastBarredKernel:
             log_nhat = log_kac_product(self.alg, float(self._t * k),
                                        mu @ self._pair.T)[0]
             terms = _alternant_terms(self.alg, k, mu, self._den, self.s, 1e-13)
-            hit = self._levels[level] = (zq, log_nhat, terms)
+            res = (zq % self._den) @ self._radix
+            hit = self._levels[level] = (zq, log_nhat, terms, res)
         return hit
 
     def _terms(self, level: int, qs: np.ndarray) -> tuple:
         """Offsets and signed float weights of the alternant terms of
         ``mu = state + rho`` for the states ``qs`` of a level, from the
         level's term list: the rows of the whole level's arrays."""
-        zq, _, terms = self._level(level)
+        zq, _, terms, _ = self._level(level)
         k = level + int(self.rho.k)
         sign, m, expo, den, _ = _alternant_exponents(
             self.alg, k, zq[qs] + self._rho_q, self._den, self.s, 1e-13, terms)
@@ -473,14 +476,11 @@ class FastBarredKernel:
         states they reach; ``ValueError`` when the sources do not share it.
         Weights share a coset when ``den`` times their root coordinates
         share their residues mod ``den``."""
-        den = self._den
-        radix = den ** np.arange(self.alg.rank)     # a residue as one int
-        src = ((self._level(level)[0][qs] + self._om_q) % den) @ radix
+        src = ((self._level(level)[0][qs] + self._om_q) % self._den) @ self._radix
         if (src != src[0]).any():
             raise ValueError(f"the sources at level {level} lie in more than "
                              "one root-lattice coset")
-        nxt = self._level(level + int(self.omega.k))[0]
-        return np.flatnonzero((nxt % den) @ radix == src[0])
+        return np.flatnonzero(self._level(level + int(self.omega.k))[3] == src[0])
 
     def _offsets(self, zq: np.ndarray, m: np.ndarray, zq_next: np.ndarray):
         """``(table, a, cols, live)`` for the source states ``zq`` (rows of
@@ -513,8 +513,8 @@ class FastBarredKernel:
         probability exactly zero."""
         qs = np.atleast_1d(np.asarray(q, dtype=np.int64))
         nxt = level + int(self.omega.k)
-        zq, log_nhat, _ = cur = self._level(level)
-        zq_next, log_nhat_next, _ = new = self._level(nxt)
+        zq, log_nhat, _, _ = cur = self._level(level)
+        zq_next, log_nhat_next, _, _ = new = self._level(nxt)
         self._levels = {level: cur, nxt: new}
         states = self._coset(level, qs)
         # the term w moves lam0 to bar(w(lam0+rho)-rho) = lam0 - m, so beta0

@@ -36,6 +36,16 @@ def _coset(alg, level, lam):
                      if all((x - y).denominator == 1 for x, y in zip(w.z, lam.z))])
 
 
+def _by_coset(alg, level, qs):
+    # the source indices qs of a level split by root-lattice coset (the
+    # fractional parts of the root coordinates), one array per coset
+    states = cn.dominant_states(alg, level)
+    groups = {}
+    for q in qs:
+        groups.setdefault(tuple(x % 1 for x in states[q].z), []).append(q)
+    return [np.array(g) for g in groups.values()]
+
+
 def test_mu_omega_top_probability(a1):
     s = ch.rho_specialization(a1, 3)
     om = omega(a1)
@@ -465,18 +475,21 @@ def test_simulate_chain_defect_guard(a1, monkeypatch):
 
 
 def test_fast_kernel_batched_rows_match_scalar(a1, a2):
-    for alg, n, level, step in ((a1, 20, 60, 3), (a2, 2, 2, 1)):
+    # one batched row per coset of the sources, every coset of the level
+    for alg, n, level, step, det in ((a1, 20, 60, 3, 2), (a2, 2, 2, 1, 3)):
         om = Weight.make(alg.dual_coxeter, (0,) * alg.rank, 0)
         fk = cn.FastBarredKernel(alg, om, ch.rho_specialization(alg, n))
-        qs = _coset(alg, level, cn.dominant_states(alg, level)[0])[::step]
-        states, probs, cdf, defect = fk.row(level, qs)
-        assert probs.shape == cdf.shape == (qs.size, states.size)
-        for i, q in enumerate(qs):
-            s1, p1, c1, d1 = fk.row(level, int(q))
-            assert np.array_equal(s1, states)
-            assert np.array_equal(probs[i], p1)
-            assert np.array_equal(cdf[i], c1)
-            assert defect[i] == d1 and isinstance(d1, float)
+        groups = _by_coset(alg, level, range(0, len(cn.dominant_states(alg, level)), step))
+        assert len(groups) == det
+        for qs in groups:
+            states, probs, cdf, defect = fk.row(level, qs)
+            assert probs.shape == cdf.shape == (qs.size, states.size)
+            for i, q in enumerate(qs):
+                s1, p1, c1, d1 = fk.row(level, int(q))
+                assert np.array_equal(s1, states)
+                assert np.array_equal(probs[i], p1)
+                assert np.array_equal(cdf[i], c1)
+                assert defect[i] == d1 and isinstance(d1, float)
 
 
 def test_fast_kernel_row_states_are_the_source_coset(a1, a2):
@@ -507,8 +520,8 @@ def _dense_row(fk, level, qs, states):
     # term and every next state gathers its atom, the defect summed over the
     # next states ``states``; also per (source, term), whether a nonzero atom
     # was read and whether an index fell inside the unpadded atoms array
-    zq, log_nhat, _ = fk._level(level)
-    zq_next, log_nhat_next, _ = fk._level(level + int(fk.omega.k))
+    zq, log_nhat, *_ = fk._level(level)
+    zq_next, log_nhat_next, *_ = fk._level(level + int(fk.omega.k))
     pad = np.pad(fk.atoms.prob, 1)
     base = zq[qs][:, None, :] + fk._om_q - zq_next[None, :, :]
     base = np.where((base % fk._den == 0).all(axis=2, keepdims=True),
@@ -538,32 +551,36 @@ def _dense_row(fk, level, qs, states):
 
 def test_fast_kernel_live_pairs_bit_identical_to_dense(a1, a2, monkeypatch):
     # rows from the live pairs only equal the dense loop bit for bit at the
-    # source coset's states, and the dense row is exactly zero elsewhere;
-    # every pair that reads a nonzero atom is live, and some skipped pair
-    # reads the atoms array outside its nonzero box, so the box is what
-    # decides
-    cases = [(a1, 100, 200, 1), (a1, 100, 300, 1), (a2, 20, 60, 50),
-             (al.algebra_from_name("C2~"), 5, 12, 1),
-             (al.algebra_from_name("G2~"), 10, 12, 1)]
+    # source coset's states, and the dense row is exactly zero elsewhere,
+    # for one batched row per coset of the sources, every coset of the
+    # level; every pair that reads a nonzero atom is live, and some skipped
+    # pair reads the atoms array outside its nonzero box, so the box is
+    # what decides
+    cases = [(a1, 100, 200, 1, 2), (a1, 100, 300, 1, 2), (a2, 20, 60, 50, 3),
+             (al.algebra_from_name("C2~"), 5, 12, 1, 2),
+             (al.algebra_from_name("G2~"), 10, 12, 1, 1)]
     skipped = skipped_inside = 0
-    for alg, n, level, step in cases:
+    for alg, n, level, step, det in cases:
         om = Weight.make(alg.dual_coxeter, (0,) * alg.rank, 0)
         fk = cn.FastBarredKernel(alg, om, ch.rho_specialization(alg, n))
         masks = []
         core = fk._offsets
         monkeypatch.setattr(fk, "_offsets",
                             lambda *args: masks.append(core(*args)) or masks[-1])
-        qs = _coset(alg, level, cn.dominant_states(alg, level)[0])[::step]
-        states, probs, cdf, defect = fk.row(level, qs)
-        ((*_, live),) = masks
-        want_p, want_c, want_d, hit, inside = _dense_row(fk, level, qs, states)
-        assert np.array_equal(probs, want_p[:, states])
-        assert np.array_equal(cdf, want_c[:, states])
-        assert not np.delete(want_p, states, axis=1).any()
-        assert np.array_equal(defect, want_d)
-        assert not (hit & ~live).any()
-        skipped += (~live).sum()
-        skipped_inside += (inside & ~live).sum()
+        groups = _by_coset(alg, level, range(0, len(cn.dominant_states(alg, level)), step))
+        assert len(groups) == det
+        for qs in groups:
+            states, probs, cdf, defect = fk.row(level, qs)
+            live = masks[-1][-1]
+            want_p, want_c, want_d, hit, inside = _dense_row(fk, level, qs, states)
+            assert np.array_equal(probs, want_p[:, states])
+            assert np.array_equal(cdf, want_c[:, states])
+            assert not np.delete(want_p, states, axis=1).any()
+            assert np.array_equal(defect, want_d)
+            assert not (hit & ~live).any()
+            skipped += (~live).sum()
+            skipped_inside += (inside & ~live).sum()
+        assert len(masks) == det
     assert skipped and skipped_inside
 
 
