@@ -324,7 +324,8 @@ def check_survival(fast=False):
         if not (v > 0 and v <= 1.0 + tail + 1e-12):
             return False, f"interior value {v:.3e} outside (0,1]"
 
-    # Monte Carlo exit probability against the reflected-density quadrature
+    # Monte Carlo exit probability against the mass of the killed density on
+    # the level slice, in closed form with a certified bound (rank 1)
     horizon = GOLDEN.survival_exit_horizon
     n_paths = GOLDEN.survival_exit_paths if not fast else 2000
     x0 = diffusion.weight_to_point(alg, rho)
@@ -346,28 +347,10 @@ def check_survival(fast=False):
                 f"(gap {gap:.4f}, band {band:.4f}); {boundary}; {dt:.0f}s")
 
 
-# Gauss-Legendre nodes of the slice quadrature; half as many give its error
-_QUAD_NODES = 400
-
-
 def _slice_quadrature(alg, x0, t, lo, hi):
-    """Integral of the killed density over a level slice (Gauss-Legendre),
-    with a node-doubling error estimate."""
-    def integrate(n):
-        xs, ws = np.polynomial.legendre.leggauss(n)
-        xs = 0.5 * (hi - lo) * xs + 0.5 * (hi + lo)
-        ws = 0.5 * (hi - lo) * ws
-        total = 0.0
-        for xx, ww in zip(xs, ws):
-            y = diffusion.SpaceTimePoint(x0.s + t * alg.dual_coxeter,
-                                         np.array([xx]))
-            total += ww * diffusion.reflected_density(alg, x0, y, t,
-                                                      "drifted-by-x")
-        return total
-
-    coarse = integrate(_QUAD_NODES // 2)
-    fine = integrate(_QUAD_NODES)
-    return fine, abs(fine - coarse)
+    """Mass of the killed density on ``[lo, hi]`` of a level slice, with a
+    certified bound on its error: :func:`diffusion._slice_mass`, rank 1."""
+    return diffusion._slice_mass(alg, x0, t, lo, hi)
 
 
 # -- 10: walk scaling limit -----------------------------------------------------------

@@ -11,6 +11,7 @@ root coordinates, chosen once per algebra).  The module provides:
   product (:func:`affinewalks.highestweight.log_kac_product`), which does
   not cancel near the walls or at small levels,
 * reflected densities for the killed process (three equivalent forms),
+  and their mass on an interval of a rank-1 level slice in closed form,
 * Euler-Maruyama sampling of the drifted process, with a Brownian-bridge
   wall-crossing test on each coarse step (exit times are resolved to the
   end of the step): one step loop over a compact array of the moving
@@ -258,15 +259,28 @@ def reflected_density(alg: AffineAlgebra, x: SpaceTimePoint, y: SpaceTimePoint,
             ``undrifted``     rho replaced by h_vee*Lambda0 and p^0 (free kernel
                               form of the same reflection argument)
     """
+    tm, _, pref, disp = _reflection_terms(alg, x, y, t, mode)
+    e = np.exp(pref - np.einsum("ni,ni->n", disp, disp) / (2 * t))
+    return float(tm.sign @ e) * heat_density_scale(alg, t)
+
+
+def _reflection_terms(alg: AffineAlgebra, x: SpaceTimePoint, y: SpaceTimePoint,
+                      t: float, mode: str) -> tuple[_Terms, float, np.ndarray,
+                                                    np.ndarray]:
+    """The reflection sum of :func:`reflected_density` in ``mode``:
+    ``(terms, tail, pref, disp)`` with the density
+    ``sum_w det(w) e^{pref_w - |disp_w|^2 / (2t)}`` times the heat kernel's
+    scale.  The ``e^{pref_w}`` of the terms beyond ``terms`` sum to at most
+    ``tail``.  In ``drifted-by-x`` mode ``disp_w = y - mu_w``, the Gaussian
+    of term ``w`` having mean ``mu_w = w(x) + t rho``."""
     f = _frame(alg)
     if abs(y.s - x.s - t * f.hv) > 1e-9:
         raise ValueError("level slice mismatch: need y.s = x.s + t*h_vee")
     if mode not in ("drifted-by-x", "drifted-by-y", "undrifted"):
         raise ValueError(f"unknown mode {mode!r}")
     base = x if mode != "drifted-by-y" else y
-    norm = heat_density_scale(alg, t)
-    tm, _ = _terms_for(alg, base.s, float(np.linalg.norm(base.z)),
-                       _DENSITY_RTOL * norm)
+    tm, tail = _terms_for(alg, base.s, float(np.linalg.norm(base.z)),
+                          _DENSITY_RTOL * heat_density_scale(alg, t))
     w_z, b_w = (a[0] for a in _images(tm, base.s, base.z[None, :]))
     if mode == "drifted-by-x":
         pref = b_w * f.hv + (w_z - x.z) @ f.rho_o
@@ -277,8 +291,87 @@ def reflected_density(alg: AffineAlgebra, x: SpaceTimePoint, y: SpaceTimePoint,
     else:
         pref = b_w * f.hv
         disp = y.z - w_z
-    e = np.exp(pref - np.einsum("ni,ni->n", disp, disp) / (2 * t))
-    return float(tm.sign @ e) * norm
+    return tm, tail, pref, disp
+
+
+# the largest value of the standard normal density, 1/sqrt(2 pi)
+_PHI_MAX = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _slice_mass(alg: AffineAlgebra, x: SpaceTimePoint, t: float, lo: float,
+                hi: float) -> tuple[float, float]:
+    """Mass of the killed drifted density from ``x`` after time ``t``
+    (:func:`reflected_density`, ``drifted-by-x``) on ``lo <= z <= hi`` of
+    the level slice ``x.s + t h_vee``; rank 1 only, where that slice is
+    one-dimensional.  Returns ``(mass, bound)``, ``bound`` on the absolute
+    error of ``mass``.
+
+    Term ``w`` of the sum is ``det(w) e^{pref_w}`` times the normal density
+    of mean ``mu_w`` and variance ``t`` (:func:`_reflection_terms`), so the
+    mass is ``sum_w det(w) e^{pref_w} (Phi(b_w) - Phi(a_w))``, where
+    ``a_w = (lo - mu_w) / sqrt(t)`` and ``b_w = (hi - mu_w) / sqrt(t)`` come
+    from the displacements that the density forms at the two ends.  A
+    difference of ``Phi`` is taken from ``erf`` when the ends straddle
+    ``mu_w``, else from ``erfc`` of the two ends on the same side, which
+    does not cancel; the terms are added by ``math.fsum``.
+
+    The bound, to first order in the machine epsilon ``eps``:
+
+    * the omitted terms carry Gaussians of mass at most 1, so they add at
+      most the ``tail`` that bounds the sum of their ``e^{pref_w}``;
+    * ``pref_w`` and the end displacements are formed from values of size
+      at most ``M_w = h_vee (|alpha| |z| + s |alpha|^2 / 2)
+      + |rho| (2 |z| + s |alpha|)`` and
+      ``D_w = max(|lo|, |hi|) + t |rho| + |z| + s |alpha|`` (``alpha`` the
+      term's translation, ``x = (s, z)``; the finite part is a rotation),
+      so they are off by at most ``g M_w`` and ``g D_w``,
+      ``g = 8 (rank + 2) eps``, a margin over the operation count that
+      also covers scaling the ends by ``1 / sqrt(2t)``;
+    * ``g M_w`` in ``pref_w`` scales ``e^{pref_w}`` by at most
+      ``1 + 2 g M_w``, and ``exp``, the product and the subtraction add
+      ``3 eps``, relative to the term;
+    * ``g D_w`` at an end moves its ``Phi`` by at most
+      ``g D_w / sqrt(2 pi t)``, the normal density being at most
+      ``1 / sqrt(2 pi)``;
+    * ``erf`` and ``erfc`` err by at most ``2 eps`` of their values
+      ``E_1, E_2``, halved exactly: ``eps (E_1 + E_2)``;
+    * ``math.fsum`` rounds the exact sum of the terms once: ``eps |mass|``.
+    """
+    if alg.rank != 1:
+        raise ValueError("the slice mass needs a one-dimensional level slice "
+                         f"(rank 1), got rank {alg.rank}")
+    f = _frame(alg)
+    sy = x.s + t * f.hv
+    (tm, tail, pref, d_lo), (_, _, _, d_hi) = (
+        _reflection_terms(alg, x, SpaceTimePoint(sy, np.array([end])), t,
+                          "drifted-by-x") for end in (lo, hi))
+    eps = float(np.finfo(float).eps)
+    g = 8 * (f.l + 2) * eps
+    alpha = np.sqrt(tm.alpha_norm2)
+    z, rho = float(np.linalg.norm(x.z)), float(np.linalg.norm(f.rho_o))
+    pref_err = 2 * g * (f.hv * (alpha * z + 0.5 * x.s * tm.alpha_norm2)
+                        + rho * (2 * z + x.s * alpha)) + 3 * eps
+    ends_err = (2 * g * (max(abs(lo), abs(hi)) + t * rho + z + x.s * alpha)
+                / math.sqrt(2 * math.pi * t))
+    root = math.sqrt(2 * t)         # Phi(d / sqrt(t)) = erfc(-d / root) / 2
+    terms, errs = [], []
+    for sign, p, u, v, p_err, d_err in zip(tm.sign, pref, d_lo[:, 0] / root,
+                                           d_hi[:, 0] / root, pref_err,
+                                           ends_err):
+        if u >= 0:              # both ends above the mean
+            e1, e2 = math.erfc(u), math.erfc(v)
+            diff = 0.5 * (e1 - e2)
+        elif v <= 0:            # both ends below it
+            e1, e2 = math.erfc(-v), math.erfc(-u)
+            diff = 0.5 * (e1 - e2)
+        else:
+            e1, e2 = math.erf(v), math.erf(-u)
+            diff = 0.5 * (e1 + e2)
+        w = math.exp(p)
+        terms.append(sign * w * diff)
+        errs.append(w * (abs(diff) * p_err + d_err + eps * (e1 + e2)))
+    mass = math.fsum(terms)
+    return mass, tail + math.fsum(errs) + eps * abs(mass)
 
 
 def _images(tm: _Terms, s, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

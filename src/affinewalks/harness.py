@@ -61,19 +61,31 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # a config file can carry any JSON value, and a bool is an int
+        def refuse(name, what):
+            raise ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
+
         for name, kind in (("spec_n", numbers.Integral), ("seed", numbers.Integral),
                            ("samples", numbers.Integral), ("dt", numbers.Real)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
-                what = "an integer" if kind is numbers.Integral else "a number"
-                raise ValueError(f"{name} must be {what}, got {value!r}")
+                refuse(name, "an integer" if kind is numbers.Integral else "a number")
+        if not isinstance(self.algebra, str):
+            refuse("algebra", "a string")
+        if not (self.out is None or isinstance(self.out, str)):
+            refuse("out", "a string or null")
+        if not isinstance(self.start_pairings, (list, tuple)):
+            refuse("start_pairings", "a list")
+        if not (isinstance(self.time_grid, (list, tuple)) and all(
+                isinstance(t, numbers.Real) and not isinstance(t, bool)
+                for t in self.time_grid)):
+            refuse("time_grid", "a list of numbers")
         if self.spec_n < 1:
             raise ValueError("spec_n must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if not self.dt > 0:
             raise ValueError("dt must be > 0")
-        if self.samples <= 0 or any(t < 0 for t in self.time_grid):
+        if self.samples <= 0 or not all(0 <= t < math.inf for t in self.time_grid):
             raise ValueError("counts and times must be positive")
         try:
             algebra_from_name(self.algebra)
@@ -92,9 +104,11 @@ class ExperimentConfig:
         unknown = set(d) - {f.name for f in dataclasses.fields(ExperimentConfig)}
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        d["time_grid"] = tuple(d.get("time_grid", GOLDEN.chain_times))
-        d["start_pairings"] = tuple(str(x) for x in d.get(
-            "start_pairings", ("1", "1")))
+        # JSON lists become tuples; any other value is refused by the fields' checks
+        if isinstance(d.get("time_grid"), list):
+            d["time_grid"] = tuple(d["time_grid"])
+        if isinstance(d.get("start_pairings"), list):
+            d["start_pairings"] = tuple(str(x) for x in d["start_pairings"])
         return ExperimentConfig(**d)
 
     def content_hash(self) -> str:
@@ -568,8 +582,10 @@ def _cmd_experiment(args) -> int:
         with open(args.config) as fh:
             text = fh.read()
     try:
-        cfg = ExperimentConfig.from_json(
-            json.dumps({**defaults, **json.loads(text), **flags}))
+        given = json.loads(text)
+        if not isinstance(given, dict):
+            raise ValueError("a config must be a JSON object")
+        cfg = ExperimentConfig.from_json(json.dumps({**defaults, **given, **flags}))
     except ValueError as exc:          # bad JSON, unknown key or value
         raise _InputError(f"--config {args.config}: {exc}") from None
     if args.kind != "walk":             # the chain runs start at start_pairings

@@ -264,7 +264,8 @@ def test_verify_all_refuses_other_algebras():
     (["characters", "denominator", "--depth", "400"], None),
     (["experiment", "chain", "--seed", "1"], {"dt": 0, "samples": 50, "spec_n": 5}),
     (["experiment", "chain", "--seed", "1"], {"dt": -0.01, "samples": 50, "spec_n": 5}),
-    (["experiment", "walk"], {"seed": -1, "samples": 10, "spec_n": 5})])
+    (["experiment", "walk"], {"seed": -1, "samples": 10, "spec_n": 5}),
+    (["experiment", "walk"], [1])])
 def test_bad_input_exits_2(argv, config, tmp_path, capsys):
     if config is not None:
         cfg_path = tmp_path / "cfg.json"
@@ -277,7 +278,9 @@ def test_bad_input_exits_2(argv, config, tmp_path, capsys):
 
 @pytest.mark.parametrize("config", [
     {"seed": "a"}, {"seed": True}, {"seed": 1.5}, {"dt": "x"}, {"dt": False},
-    {"samples": "5"}, {"samples": True}, {"spec_n": "5"}, {"spec_n": 5.0}])
+    {"samples": "5"}, {"samples": True}, {"spec_n": "5"}, {"spec_n": 5.0},
+    {"time_grid": ["a"]}, {"time_grid": [True]}, {"time_grid": 1.0},
+    {"algebra": 5}, {"start_pairings": 3}, {"out": 5}])
 def test_config_field_of_wrong_type_exits_2(config, tmp_path, capsys):
     # a config's value of the wrong JSON type is refused with its field's
     # name, never compared or used (a bool is an int in Python)

@@ -193,6 +193,74 @@ def test_reflected_density_deep_interior_is_free(a1):
     assert abs(refl - free) / free < 1e-8
 
 
+# (t, x.s, x.z, y.z) -> (drifted-by-x, drifted-by-y, undrifted) values on A1~:
+# the first three configurations of criterion 7 (seed 71), and criterion 9's
+# start rho at t = 4 with y at node 137 of the 400-point Gauss-Legendre rule
+_DENSITY_HEX = {
+    ("0x1.5c38c19c74f90p-1", "0x1.070cc8fe78a84p+1", "0x1.085dfb010c307p-1",
+     "0x1.be67df3d20d7ap-1"):
+        ("0x1.606a9648385c8p-2", "0x1.606a9648385c7p-2", "0x1.44df9a1dad6e0p-2"),
+    ("0x1.15b20e36a2a51p+0", "0x1.671f73e8f64fbp+0", "0x1.09973ac1c9591p-1",
+     "0x1.5950cd69ce805p-1"):
+        ("0x1.9b826c5f7dcd8p-4", "0x1.9b826c5f7dcc5p-4", "0x1.e36ef39db00b0p-4"),
+    ("0x1.aa6efaa5ed8acp+0", "0x1.6b46952111a7fp+0", "0x1.89660ff6329b5p-2",
+     "0x1.029ed4fd83b30p-1"):
+        ("0x1.f3ea2964d0986p-6", "0x1.f3ea2964d0974p-6", "0x1.5c00d9bcce1e9p-5"),
+    ("0x1.0000000000000p+2", "0x1.0000000000000p+1", "0x1.6a09e667f3bcdp-1",
+     "0x1.deed387f8a57cp+0"):
+        ("0x1.92fadf7f04418p-5", "0x1.92fadf7f0442cp-5", "0x1.e11398dc301bcp-5"),
+}
+
+
+@pytest.mark.parametrize("config", list(_DENSITY_HEX))
+def test_reflected_density_bit_identical(a1, config):
+    # the values recorded before the reflection sum moved into
+    # _reflection_terms, which the slice mass shares
+    t, s0, xz, yz = (float.fromhex(v) for v in config)
+    x = df.SpaceTimePoint(s0, np.array([xz]))
+    y = df.SpaceTimePoint(s0 + t * a1.dual_coxeter, np.array([yz]))
+    got = tuple(df.reflected_density(a1, x, y, t, mode).hex()
+                for mode in ("drifted-by-x", "drifted-by-y", "undrifted"))
+    assert got == _DENSITY_HEX[config]
+
+
+def _gauss_legendre_mass(alg, x0, t, lo, hi, n):
+    # the reference: Gauss-Legendre quadrature of the killed density
+    xs, ws = np.polynomial.legendre.leggauss(n)
+    xs = 0.5 * (hi - lo) * xs + 0.5 * (hi + lo)
+    ws = 0.5 * (hi - lo) * ws
+    total = 0.0
+    for xx, ww in zip(xs, ws):
+        y = df.SpaceTimePoint(x0.s + t * alg.dual_coxeter, np.array([xx]))
+        total += ww * df.reflected_density(alg, x0, y, t, "drifted-by-x")
+    return total
+
+
+@pytest.mark.parametrize("start,t,window", [
+    (None, 4.0, None),              # criterion 9: from rho, the whole slice
+    ((2.0, 0.15), 1.0, None),
+    ((2.0, 0.15), 1.0, (0.2, 0.7)),
+    ((1.1, 0.5), 0.3, None)])
+def test_slice_mass_matches_quadrature(a1, rho1, start, t, window):
+    x0 = (df.weight_to_point(a1, rho1) if start is None
+          else df.SpaceTimePoint(start[0], np.array([start[1]])))
+    f = df._frame(a1)
+    lo, hi = window or (0.0, (x0.s + t * f.hv) / 2.0 * float(f.LT[0, 0]))
+    mass, bound = ac._slice_quadrature(a1, x0, t, lo, hi)
+    fine = _gauss_legendre_mass(a1, x0, t, lo, hi, 400)
+    estimate = abs(fine - _gauss_legendre_mass(a1, x0, t, lo, hi, 200))
+    assert bound < 1e-12
+    assert abs(mass - fine) <= bound + estimate
+
+
+def test_slice_mass_empty_and_rank_2(a1, a2):
+    x0 = df.SpaceTimePoint(2.0, np.array([0.15]))
+    assert df._slice_mass(a1, x0, 1.0, 0.4, 0.4)[0] == 0.0
+    x2 = df.weight_to_point(a2, al.weyl_vector(a2))
+    with pytest.raises(ValueError, match="rank 2"):
+        df._slice_mass(a2, x2, 1.0, 0.0, 1.0)
+
+
 def test_wonpt_identity(a1):
     rng = np.random.default_rng(6)
     els = list(wy.enumerate_bounded(a1, 3 * math.sqrt(2) + 1e-9))

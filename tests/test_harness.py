@@ -43,6 +43,10 @@ def test_config_roundtrip_and_hash():
     assert again.content_hash() == cfg.content_hash()
     with pytest.raises(ValueError):
         harness.ExperimentConfig(spec_n=0)
+    # JSON integers are times, and numbers are pairings
+    cfg = harness.ExperimentConfig.from_json(
+        '{"time_grid": [1], "start_pairings": [1, 1], "out": "r.json"}')
+    assert cfg.time_grid == (1,) and cfg.start_pairings == ("1", "1")
 
 
 def test_weight_from_pairings(a1):
