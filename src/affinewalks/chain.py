@@ -324,8 +324,8 @@ def simulate_chain(alg: AffineAlgebra, start: Weight, omega: Weight,
     ``_ROW_DEFECT_MAX``, and a uniform draw landing inside the defect mass
     raises: silent renormalization would bias the reflection-identity
     checks run against simulated data.  Until row defects are certified
-    (ROADMAP direction 6) that refusal fires only on a NaN defect: the
-    row's defect is the fitted tail envelope that ``q_omega_row`` has
+    bounds, that refusal fires only on a NaN defect: the row's defect is
+    the fitted tail envelope (``_geometric_tail``) that ``q_omega_row`` has
     already driven below its target, so the guard compares the envelope
     with itself.
     """

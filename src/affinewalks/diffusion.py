@@ -294,10 +294,6 @@ def _reflection_terms(alg: AffineAlgebra, x: SpaceTimePoint, y: SpaceTimePoint,
     return tm, tail, pref, disp
 
 
-# the largest value of the standard normal density, 1/sqrt(2 pi)
-_PHI_MAX = 1.0 / math.sqrt(2.0 * math.pi)
-
-
 def _slice_mass(alg: AffineAlgebra, x: SpaceTimePoint, t: float, lo: float,
                 hi: float) -> tuple[float, float]:
     """Mass of the killed drifted density from ``x`` after time ``t``
@@ -308,12 +304,12 @@ def _slice_mass(alg: AffineAlgebra, x: SpaceTimePoint, t: float, lo: float,
 
     Term ``w`` of the sum is ``det(w) e^{pref_w}`` times the normal density
     of mean ``mu_w`` and variance ``t`` (:func:`_reflection_terms`), so the
-    mass is ``sum_w det(w) e^{pref_w} (Phi(b_w) - Phi(a_w))``, where
-    ``a_w = (lo - mu_w) / sqrt(t)`` and ``b_w = (hi - mu_w) / sqrt(t)`` come
-    from the displacements that the density forms at the two ends.  A
-    difference of ``Phi`` is taken from ``erf`` when the ends straddle
-    ``mu_w``, else from ``erfc`` of the two ends on the same side, which
-    does not cancel; the terms are added by ``math.fsum``.
+    mass is ``sum_w det(w) e^{pref_w} (Phi((hi - mu_w) / sqrt(t))
+    - Phi((lo - mu_w) / sqrt(t)))``, with ``hi - mu_w`` and ``lo - mu_w``
+    the displacements that the density forms at the two ends.  A difference
+    of ``Phi`` is taken from ``erf`` when the ends straddle ``mu_w``, else
+    from ``erfc`` of the two ends on the same side, which does not cancel;
+    the terms are added by ``math.fsum``.
 
     The bound, to first order in the machine epsilon ``eps``:
 
@@ -330,7 +326,7 @@ def _slice_mass(alg: AffineAlgebra, x: SpaceTimePoint, t: float, lo: float,
     * ``g M_w`` in ``pref_w`` scales ``e^{pref_w}`` by at most
       ``1 + 2 g M_w``, and ``exp``, the product and the subtraction add
       ``3 eps``, relative to the term;
-    * ``g D_w`` at an end moves its ``Phi`` by at most
+    * ``g D_w`` at each end moves its ``Phi`` by at most
       ``g D_w / sqrt(2 pi t)``, the normal density being at most
       ``1 / sqrt(2 pi)``;
     * ``erf`` and ``erfc`` err by at most ``2 eps`` of their values

@@ -265,7 +265,9 @@ def test_verify_all_refuses_other_algebras():
     (["experiment", "chain", "--seed", "1"], {"dt": 0, "samples": 50, "spec_n": 5}),
     (["experiment", "chain", "--seed", "1"], {"dt": -0.01, "samples": 50, "spec_n": 5}),
     (["experiment", "walk"], {"seed": -1, "samples": 10, "spec_n": 5}),
-    (["experiment", "walk"], [1])])
+    (["experiment", "walk"], [1]),
+    (["experiment", "walk"], {"time_grid": [float("nan")]}),
+    (["experiment", "walk"], {"time_grid": [float("inf")]})])
 def test_bad_input_exits_2(argv, config, tmp_path, capsys):
     if config is not None:
         cfg_path = tmp_path / "cfg.json"
