@@ -20,7 +20,7 @@ def main():
     L0 = alg.Lambda0()
 
     dist = mu_omega(alg, omega, s, 25)
-    print(f"increment law: {len(dist.support)} atoms, "
+    print(f"increment law: {len(dist.entries)} atoms, "
           f"mass {dist.total():.9f}, defect {dist.defect:.1e}")
 
     row = q_omega_row(alg, L0, omega, s, 15)

@@ -8,10 +8,10 @@ line as n grows.
 import math
 
 from affinewalks import algebra_from_name, weyl_vector
-from affinewalks.algebra import Weight, inner_product
-from affinewalks.characters import (delta_pairing, denominator_residual,
-                                    eval_character, eval_theta,
-                                    rho_specialization, weyl_alternating_value)
+from affinewalks.algebra import Weight, inner_product, pair_delta
+from affinewalks.characters import (denominator_residual, eval_character,
+                                    eval_theta, rho_specialization,
+                                    weyl_alternating_value)
 from affinewalks.highestweight import character_series_oracle
 
 
@@ -29,9 +29,9 @@ def main():
     # the quotient against the multiplicity series of the independent oracle
     s = rho_specialization(alg, 2)
     r = eval_character(alg, L0, s, eps=1e-13)
-    c = float(delta_pairing(alg, s))
-    gp = [float(x) for x in alg.finite_covector(s.point.z)]
-    series = math.exp(float(inner_product(alg, L0, s.point))) * math.fsum(
+    c = float(pair_delta(alg, s))
+    gp = [float(x) for x in alg.finite_covector(s.z)]
+    series = math.exp(float(inner_product(alg, L0, s))) * math.fsum(
         v * math.exp(-d * c - sum(x * y for x, y in zip(m, gp)))
         for (d, m), v in character_series_oracle(alg, L0, 60).entries.items())
     print(f"\ncharacter formula cross-check: Weyl-Kac quotient {r.value:.12g} "

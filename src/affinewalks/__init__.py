@@ -8,15 +8,13 @@ from .algebra import (AffineAlgebra, AffineCartanMatrix, NotAffineError,
                       Weight, WeightClassification, algebra_from_json,
                       algebra_from_name, build_algebra, classify_weight,
                       inner_product, pairing_coroot, weyl_vector)
-from .characters import (EvalResult, Specialization, delta_pairing,
-                         denominator_residual, eval_character, eval_theta,
-                         rho_specialization)
-from .chain import (DiscreteDistribution, KernelRow, FastBarredKernel,
-                    mu_omega, pbar_power, q_omega_row,
-                    reflection_discrete_residual, simulate_chain)
+from .characters import (EvalResult, denominator_residual, eval_character,
+                         eval_theta, rho_specialization)
+from .chain import (KernelRow, FastBarredKernel, mu_omega, pbar_power,
+                    q_omega_row, reflection_discrete_residual, simulate_chain)
 from .diffusion import (SpaceTimePoint, chamber_test, harmonic_residual,
                         heat_density, reflected_density, sample_path_batch,
-                        survival, survival_gradient, wonpt_residual)
+                        survival, wonpt_residual)
 from .harness import (ComparisonReport, ExperimentConfig, ks_statistic,
                       run_cli, scaling_chain_experiment,
                       scaling_walk_experiment)

@@ -3,24 +3,30 @@
 Everything here operates on tiny dense matrices (at most rank+1 square:
 Cartan matrices and Gram blocks), so Gaussian elimination with
 ``Fraction`` entries is fast enough and keeps the algebraic layer free of
-floating-point drift.
+floating-point drift.  :func:`int_scaled` is the one passage from rational
+rows to integer arrays.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+
+import numpy as np
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
 
-def as_fraction_vector(row) -> Vec:
-    return tuple(Fraction(x) for x in row)
-
-
 def mat_vec(m: Mat, v) -> Vec:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+
+
+def int_scaled(rows) -> tuple[np.ndarray, int]:
+    """``(n, d)`` with the rational matrix ``rows == n / d``, ``n`` an int64
+    array and ``d`` the least common denominator of the entries."""
+    d = lcm(*(Fraction(x).denominator for row in rows for x in row))
+    return np.array([[int(x * d) for x in row] for row in rows], dtype=np.int64), d
 
 
 def invert(m: Mat) -> Mat:
@@ -98,18 +104,8 @@ def primitive_integer_vector(v) -> tuple[int, ...]:
 
     The sign is normalized so that the first nonzero entry is positive.
     """
-    v = as_fraction_vector(v)
-    if all(x == 0 for x in v):
+    ints = int_scaled([v])[0][0].tolist()
+    if not any(ints):
         raise ValueError("zero vector has no primitive form")
-    denom_lcm = 1
-    for x in v:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    g = gcd(*ints) if next(x for x in ints if x) > 0 else -gcd(*ints)
+    return tuple(x // g for x in ints)

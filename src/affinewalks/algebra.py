@@ -159,8 +159,7 @@ class AffineAlgebra:
     @cached_property
     def finite_gram_int(self) -> tuple[np.ndarray, int]:
         """``(gn, gd)`` with ``finite_gram == gn / gd`` and ``gn`` integer."""
-        gd = math.lcm(*(x.denominator for row in self.finite_gram for x in row))
-        return np.array([[int(x * gd) for x in row] for row in self.finite_gram]), gd
+        return _linalg.int_scaled(self.finite_gram)
 
     @cached_property
     def _finite_cartan_inverse(self) -> _linalg.Mat:

@@ -30,16 +30,15 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _linalg
 from .algebra import (AffineAlgebra, Weight, classify_weight, inner_product,
-                      weyl_vector)
-from .characters import (EvalResult, Specialization, _alternant_exponents,
-                         _alternant_terms, _int_scaled, delta_pairing,
+                      pair_delta, weyl_vector)
+from .characters import (EvalResult, _alternant_exponents, _alternant_terms,
                          eval_character)
 from .highestweight import (_brancher, character_series_oracle,
                             log_kac_product, tensor_power_table)
 
 __all__ = [
-    "DiscreteDistribution",
     "KernelRow",
     "ChainDefectError",
     "FastBarredKernel",
@@ -55,15 +54,6 @@ __all__ = [
 
 class ChainDefectError(RuntimeError):
     """A sampling draw landed in (or a row exceeded) the defect mass."""
-
-
-@dataclass
-class DiscreteDistribution:
-    support: list[tuple[Weight, float]]
-    defect: float
-
-    def total(self) -> float:
-        return sum(p for _, p in self.support)
 
 
 @dataclass
@@ -95,31 +85,32 @@ _ROW_DEFECT_MAX = 1e-4
 
 
 @lru_cache(maxsize=_CH_CACHE_MAX)
-def _ch_barred(alg: AffineAlgebra, canon: Weight, s: Specialization) -> EvalResult:
+def _ch_barred(alg: AffineAlgebra, canon: Weight, s: Weight) -> EvalResult:
     return eval_character(alg, canon, s, eps=_CH_EPS)
 
 
-def _log_ch(alg: AffineAlgebra, w: Weight, s: Specialization) -> float:
+def _log_ch(alg: AffineAlgebra, w: Weight, s: Weight) -> float:
     """log character value; cached on the barred representative."""
-    shift = float(w.b) * float(delta_pairing(alg, s))
+    shift = float(w.b) * float(pair_delta(alg, s))
     return _ch_barred(alg, w.bar(), s).log_value + shift
 
 
-def mu_omega(alg: AffineAlgebra, omega: Weight, s: Specialization,
-             depth: int) -> DiscreteDistribution:
-    """Increment law of the weight walk: multiplicity times the exponential
-    of the pairing, normalized by the character value."""
+def mu_omega(alg: AffineAlgebra, omega: Weight, s: Weight,
+             depth: int) -> KernelRow:
+    """Increment law of the weight walk, as the row from ``alg.zero()``:
+    multiplicity times the exponential of the pairing, normalized by the
+    character value, over the weights of ``V(omega)`` to ``depth``.  Its
+    defect is ``max(0, 1 - mass)``, the mass of the deeper weights."""
     _require_positive_level(omega)
     table = character_series_oracle(alg, omega, depth)
     log_ch = _log_ch(alg, omega, s)
-    p = s.point
-    support = []
+    entries = []
     for (d, m), mult in sorted(table.entries.items()):
         mu = table.weight_of(d, m)
-        logp = math.log(mult) + float(inner_product(alg, mu, p)) - log_ch
-        support.append((mu, math.exp(logp)))
-    mass = math.fsum(pr for _, pr in support)
-    return DiscreteDistribution(support=support, defect=max(0.0, 1.0 - mass))
+        logp = math.log(mult) + float(inner_product(alg, mu, s)) - log_ch
+        entries.append((mu, math.exp(logp)))
+    mass = math.fsum(pr for _, pr in entries)
+    return KernelRow(source=alg.zero(), entries=entries, defect=max(0.0, 1.0 - mass))
 
 
 # -- dominant state enumeration ----------------------------------------------------
@@ -128,13 +119,11 @@ def mu_omega(alg: AffineAlgebra, omega: Weight, s: Specialization,
 def _dominant_coords(alg: AffineAlgebra, level: int) -> tuple[np.ndarray, int]:
     """``(zq, den)``: the rows of ``zq``, sorted, are ``den`` times the root
     coordinates of the dominant integral barred weights of a level."""
-    cinv = alg._finite_cartan_inverse
-    den = math.lcm(*(x.denominator for row in cinv for x in row))
+    cinv, den = _linalg.int_scaled(alg._finite_cartan_inverse)
     comarks = np.array(alg.comarks[1:], dtype=np.int64)
     pairings = np.indices(level // comarks + 1).reshape(alg.rank, -1).T
     # node 0 has comark 1, so q_0 = level - sum_i comark_i q_i need only be >= 0
-    zq = (pairings[pairings @ comarks <= level]
-          @ np.array([[int(x * den) for x in row] for row in cinv]).T)
+    zq = pairings[pairings @ comarks <= level] @ cinv.T
     return zq[np.lexsort(zq.T[::-1])], den
 
 
@@ -208,7 +197,7 @@ def _row_candidates(alg: AffineAlgebra, lam: Weight, omega: Weight):
 
 
 def q_omega_row(alg: AffineAlgebra, lam: Weight, omega: Weight,
-                s: Specialization, depth: int,
+                s: Weight, depth: int,
                 defect_target: float = 1e-7,
                 extend_entries: bool = False) -> KernelRow:
     """One row of the tensor-product kernel on dominant weights.
@@ -268,7 +257,7 @@ def q_omega_row(alg: AffineAlgebra, lam: Weight, omega: Weight,
 
 
 def barred_row(alg: AffineAlgebra, lam0: Weight, omega: Weight,
-               s: Specialization, depth: int, **kw) -> dict[Weight, float]:
+               s: Weight, depth: int, **kw) -> dict[Weight, float]:
     """Row of the projected kernel: aggregate an exact row over delta shifts."""
     kw.setdefault("extend_entries", True)
     row = q_omega_row(alg, lam0.bar(), omega, s, depth, **kw)
@@ -282,7 +271,7 @@ def barred_row(alg: AffineAlgebra, lam0: Weight, omega: Weight,
 # -- projected n-step walk kernel --------------------------------------------------
 
 
-def pbar_power(alg: AffineAlgebra, omega: Weight, s: Specialization,
+def pbar_power(alg: AffineAlgebra, omega: Weight, s: Weight,
                n_steps: int, lam0: Weight, beta0: Weight, depth: int) -> float:
     """n-step transition of the projected weight walk:
 
@@ -304,9 +293,8 @@ def pbar_power(alg: AffineAlgebra, omega: Weight, s: Specialization,
         return 0.0
     zeta = tuple(int(x) for x in zeta)
     table = tensor_power_table(alg, omega.bar(), n_steps, depth)
-    c = float(delta_pairing(alg, s))
-    p = s.point
-    base = float(inner_product(alg, diff, p)) - n_steps * _log_ch(alg, omega.bar(), s)
+    c = float(pair_delta(alg, s))
+    base = float(inner_product(alg, diff, s)) - n_steps * _log_ch(alg, omega.bar(), s)
     return math.fsum(mult * math.exp(base - d * c)
                      for d in range(depth + 1)
                      if (mult := table.entries.get((d, zeta), 0)))
@@ -316,7 +304,7 @@ def pbar_power(alg: AffineAlgebra, omega: Weight, s: Specialization,
 
 
 def simulate_chain(alg: AffineAlgebra, start: Weight, omega: Weight,
-                   s: Specialization, steps: int, seed: int,
+                   s: Weight, steps: int, seed: int,
                    depth: int = 40) -> list[Weight]:
     """Sample a trajectory of the dominant-weight chain.
 
@@ -420,7 +408,7 @@ class FastBarredKernel:
     rows took 7.5 s and 140 MB).
     """
 
-    def __init__(self, alg: AffineAlgebra, omega: Weight, s: Specialization):
+    def __init__(self, alg: AffineAlgebra, omega: Weight, s: Weight):
         from .layerseries import increment_atoms
         _require_positive_level(omega)
         self.alg = alg
@@ -433,8 +421,8 @@ class FastBarredKernel:
         self._support = (lo + self.atoms.lo, hi + self.atoms.lo)
         self._box = self.atoms.prob[tuple(map(slice, lo, hi + 1))]
         self.rho = weyl_vector(alg)
-        t = s.point.k / self.rho.k
-        if t <= 0 or s.point.z != self.rho.scale(t).z:
+        t = s.k / self.rho.k
+        if t <= 0 or s.z != self.rho.scale(t).z:
             raise ValueError("the fast kernel needs a point that is a "
                              "positive multiple of rho")
         self._den = _dominant_coords(alg, 0)[1]
@@ -621,13 +609,13 @@ _DIRECT_ROWS_MAX = 32
 
 @lru_cache(maxsize=_DIRECT_ROWS_MAX)
 def _direct_row(alg: AffineAlgebra, st: Weight, omega: Weight,
-                s: Specialization, depth: int) -> tuple[tuple[Weight, float], ...]:
+                s: Weight, depth: int) -> tuple[tuple[Weight, float], ...]:
     return tuple(barred_row(alg, st, omega, s, depth,
                             defect_target=1e-11).items())
 
 
 def reflection_discrete_residual(alg: AffineAlgebra, omega: Weight,
-                                 s: Specialization, n_steps: int,
+                                 s: Weight, n_steps: int,
                                  lam0: Weight, beta0: Weight,
                                  depth: int) -> float:
     """Relative gap between the two expressions for the n-step projected
@@ -652,7 +640,6 @@ def reflection_discrete_residual(alg: AffineAlgebra, omega: Weight,
     for w_, nm in ((lam0, "lam0"), (beta0, "beta0")):
         if not classify_weight(alg, w_).dominant:
             raise ValueError(f"{nm} must be dominant integral")
-    p = s.point
     rho = weyl_vector(alg)
 
     # direct side: compose exact single-step barred rows (the n-step kernel
@@ -673,11 +660,11 @@ def reflection_discrete_residual(alg: AffineAlgebra, omega: Weight,
     # by the walk kernel from bar(w(mu) - rho), whose finite part is
     # z - m - rho_z; truncated so that the tail moves the residual by 1e-13
     hhat_ratio = math.exp(
-        (_log_ch(alg, beta0, s) - float(inner_product(alg, beta0, p)))
-        - (_log_ch(alg, lam0, s) - float(inner_product(alg, lam0, p))))
+        (_log_ch(alg, beta0, s) - float(inner_product(alg, beta0, s)))
+        - (_log_ch(alg, lam0, s) - float(inner_product(alg, lam0, s))))
     mu = lam0 + rho
     sign, m, expo, den, _ = _alternant_exponents(
-        alg, int(mu.k), *_int_scaled([mu.z]), s, 1e-13 * direct / hhat_ratio)
+        alg, int(mu.k), *_linalg.int_scaled([mu.z]), s, 1e-13 * direct / hhat_ratio)
     total = math.fsum(
         w * pbar_power(alg, omega, s, n_steps, Weight.make(
             mu.k - rho.k, [z - mi - r for z, mi, r in zip(mu.z, mt, rho.z)], 0),

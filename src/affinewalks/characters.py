@@ -35,15 +35,13 @@ from .algebra import (_ALGEBRAS_MAX, AffineAlgebra, Weight, classify_weight,
 from .highestweight import (_U, _weyl_denominator, denominator_product_series,
                             finite_roots)
 from .weyl import (ConvergenceError, certified_terms, finite_group,
-                   lattice_basis, orbit_offsets)
+                   lattice_basis, orbit_offsets, orbit_sum_terms)
 
 __all__ = [
-    "Specialization",
     "EvalResult",
     "SpecializationError",
     "ConvergenceError",
     "rho_specialization",
-    "delta_pairing",
     "eval_character",
     "eval_theta",
     "denominator_residual",
@@ -53,14 +51,6 @@ __all__ = [
 
 class SpecializationError(ValueError):
     """Evaluation point outside the convergence half-space."""
-
-
-@dataclass(frozen=True)
-class Specialization:
-    """Evaluation point ``p`` with ``<mu,h> = (mu|p)``."""
-
-    point: Weight
-    description: str = ""
 
 
 @dataclass
@@ -75,20 +65,15 @@ class EvalResult:
         return self.tail_bound / self.value if self.value else math.inf
 
 
-def rho_specialization(alg: AffineAlgebra, n: int) -> Specialization:
-    """The ``rho/n`` family; its delta pairing is ``h_vee / n``."""
+def rho_specialization(alg: AffineAlgebra, n: int) -> Weight:
+    """The point ``rho/n``; its delta pairing is ``h_vee / n``."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    return Specialization(point=weyl_vector(alg).scale(Fraction(1, n)),
-                          description=f"rho/{n}")
+    return weyl_vector(alg).scale(Fraction(1, n))
 
 
-def delta_pairing(alg: AffineAlgebra, s: Specialization) -> Fraction:
-    return pair_delta(alg, s.point)
-
-
-def _require_convergent(alg: AffineAlgebra, s: Specialization) -> Fraction:
-    c = delta_pairing(alg, s)
+def _require_convergent(alg: AffineAlgebra, s: Weight) -> Fraction:
+    c = pair_delta(alg, s)
     if c <= 0:
         raise SpecializationError(
             f"(delta|point) = {c} <= 0: character series does not converge")
@@ -101,12 +86,6 @@ _TAIL = 2.0 ** -60         # truncation target, relative to the leading term
 _DIRECT_LOSS = 3.0         # nats of cancellation the direct series may carry
 # 2 pi^2 to 36 digits: exact reference exponents lose nothing to it
 _TWO_PI2 = 2 * Fraction("3.14159265358979323846264338327950288") ** 2
-
-
-def _int_scaled(rows) -> tuple[np.ndarray, int]:
-    """``(n, d)`` with the rational matrix ``rows == n / d``, ``n`` integer."""
-    d = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
-    return np.array([[int(x * d) for x in row] for row in rows], dtype=np.int64), d
 
 
 @dataclass(frozen=True)
@@ -131,7 +110,7 @@ class _DualLattice:
 @lru_cache(maxsize=_ALGEBRAS_MAX)
 def _dual_lattice(alg: AffineAlgebra) -> _DualLattice:
     gram = _linalg.invert(weyl._lattice_gram(alg))
-    gn, gd = _int_scaled(gram)
+    gn, gd = _linalg.int_scaled(gram)
     # the inverse transpose of the diagonal basis, as tn / td
     scale = [b[i] for i, b in enumerate(lattice_basis(alg))]
     td = math.lcm(*scale)
@@ -171,24 +150,19 @@ def _vanishes(n: int, exps: tuple[int, ...], signs: tuple[int, ...]) -> bool:
 
 
 def _alternant_terms(alg: AffineAlgebra, k: int, zq: np.ndarray, q: int,
-                     s: Specialization, tol: float) -> weyl.WeylTerms:
-    """The one term list of :func:`~affinewalks.weyl.certified_terms`, with
+                     s: Weight, tol: float) -> weyl.WeylTerms:
+    """The one term list of :func:`~affinewalks.weyl.orbit_sum_terms`, with
     a tail of ``tol`` at the largest ``|mu|``, that serves the alternants of
     every row of ``zq`` (see :func:`_alternant_exponents`)."""
-    cf = float(delta_pairing(alg, s))
     gn, gd = alg.finite_gram_int
     z_norm = math.sqrt(int(np.einsum("ni,ij,nj->n", zq, gn, zq).max())
                        / (q * q * gd))
-    p_norm = math.sqrt(float(alg.finite_norm2(s.point.z)))
-    # |exponent + a|alpha|^2| <= 2|z||p| + b|alpha|
-    terms, _ = certified_terms(
-        alg, 0.5 * k * cf, k * p_norm + cf * z_norm,
-        len(finite_group(alg)) * math.exp(2.0 * z_norm * p_norm), tol)
-    return terms
+    p_norm = math.sqrt(float(alg.finite_norm2(s.z)))
+    return orbit_sum_terms(alg, k, float(pair_delta(alg, s)), p_norm, z_norm, tol)[0]
 
 
 def _alternant_exponents(alg: AffineAlgebra, k: int, zq: np.ndarray, q: int,
-                         s: Specialization, tol: float,
+                         s: Weight, tol: float,
                          terms: weyl.WeylTerms | None = None):
     """Signs, offsets and exact exponents of the alternants ``A_mu(p)`` of a
     stack of ``mu`` at level ``k``, each ``mu - rho`` dominant integral; row
@@ -202,19 +176,16 @@ def _alternant_exponents(alg: AffineAlgebra, k: int, zq: np.ndarray, q: int,
     norm, rounded up."""
     if terms is None:
         terms = _alternant_terms(alg, k, zq, q, s, tol)
-    c = delta_pairing(alg, s)
     m, d = orbit_offsets(alg, terms, k, zq, q)
     # the exponent -(mu - w(mu)|p) = -(d c + (m|p)), here over den = 2ke
-    gp = alg.finite_covector(s.point.z)
-    e = math.lcm(c.denominator, *(x.denominator for x in gp))
-    expo = -(2 * k * int(c * e) * d
-             + m @ np.array([int(2 * k * x * e) for x in gp], dtype=np.int64))
+    n, e = _linalg.int_scaled([[pair_delta(alg, s), *alg.finite_covector(s.z)]])
+    expo = -(2 * k * int(n[0, 0]) * d + m @ (2 * k * n[0, 1:]))
     radius = int(math.ceil(math.sqrt(float(terms.norm2.max()))))
     return terms.sign, m, expo, 2 * k * e, radius
 
 
 def _phase_sums(alg: AffineAlgebra, k: int, zq: np.ndarray, q: int,
-                s: Specialization, nb: np.ndarray) -> np.ndarray:
+                s: Weight, nb: np.ndarray) -> np.ndarray:
     """``e^{2 pi i (beta|p)/c} sum_w det(w) e^{-2 pi i (beta|w(z))/k}``
     over the finite Weyl group, for the dual points of the rows of ``nb``
     and ``z = zq/q``, ``zq`` an integer vector; shape ``(len(nb),)``.  Each
@@ -224,11 +195,12 @@ def _phase_sums(alg: AffineAlgebra, k: int, zq: np.ndarray, q: int,
     dl = _dual_lattice(alg)
     group = finite_group(alg)
     sign = tuple(w.sign for w in group)
-    pc = [x / pair_delta(alg, s.point) for x in s.point.z]
-    den = math.lcm(q * k, *(x.denominator for x in pc))
+    c = pair_delta(alg, s)
+    pn, pd = _linalg.int_scaled([[x / c for x in s.z]])
+    den = math.lcm(q * k, pd)
     # phase (beta|p/c - w(z)/k) = n . tn v / (td den), v integer
-    v = (np.array([int(x * den) for x in pc], dtype=np.int64) - np.einsum(
-        "wij,j->wi", np.array([w.matrix for w in group]), zq) * (den // (q * k)))
+    v = pn[0] * (den // pd) - np.einsum(
+        "wij,j->wi", np.array([w.matrix for w in group]), zq) * (den // (q * k))
     big = dl.td * den
     psi = np.einsum("bj,ji,wi->bw", nb, dl.tn, v) % big
     zero = (nb @ dl.tn @ dl.roots.T == 0).any(axis=1)
@@ -253,7 +225,7 @@ class _LogAlternants:
     radius: int
 
 
-def _log_alternant(alg: AffineAlgebra, mu: Weight, s: Specialization,
+def _log_alternant(alg: AffineAlgebra, mu: Weight, s: Weight,
                    theta=None) -> _LogAlternants:
     """Log alternant ``A_mu(p) = sum_w det(w) e^{(w(mu) - mu|p)}`` of one
     ``mu`` with ``mu - rho`` dominant integral, at the point (one entry)
@@ -277,15 +249,15 @@ def _log_alternant(alg: AffineAlgebra, mu: Weight, s: Specialization,
     when ``loss <= _DIRECT_LOSS`` and its Gaussian needs fewer points.
     """
     c = _require_convergent(alg, s)
-    gp = alg.finite_covector(s.point.z)
+    gp = alg.finite_covector(s.z)
     if min(c - sum(a * x for a, x in zip(alg.marks[1:], gp)), *gp) <= 0:
         raise SpecializationError("the Weyl-Kac quotient needs every positive "
                                   "root paired positively with the point")
-    k, (zq, q) = int(mu.k), _int_scaled([mu.z])
+    k, (zq, q) = int(mu.k), _linalg.int_scaled([mu.z])
     l, dl, ck = alg.rank, _dual_lattice(alg), float(c * k)
     idx, grid = theta if theta is not None else (np.zeros((1, l), np.int64), 1)
     z_norm = math.sqrt(float(alg.finite_norm2(mu.z)))
-    b = k * math.sqrt(float(alg.finite_norm2(s.point.z))) + float(c) * z_norm
+    b = k * math.sqrt(float(alg.finite_norm2(s.z))) + float(c) * z_norm
     direct = (2 * b / ck + math.sqrt(92 / ck) + 1) ** l * math.exp(-dl.log_covol)
     dual = (math.sqrt(23 * ck) / math.pi + 1) ** l * math.exp(dl.log_covol)
     if 2 * math.pi ** 2 / ck * dl.reg2 <= _DIRECT_LOSS and direct < dual:
@@ -351,7 +323,7 @@ def _dual_sum(alg, k, zq, q, s, c, idx, grid) -> _LogAlternants:
             break
         r = r_need
     qref = int(qmin.min())
-    pbar = s.point.z
+    pbar = s.z
     z = [Fraction(x, q) for x in zq.tolist()]
     ref = (k * alg.finite_norm2(pbar) / (2 * c) + c * alg.finite_norm2(z) / (2 * k)
            - alg.finite_inner(z, pbar) - _TWO_PI2 * Fraction(qref * c.denominator, qden))
@@ -365,7 +337,7 @@ def _dual_sum(alg, k, zq, q, s, c, idx, grid) -> _LogAlternants:
     err = n_w * (_TAIL + _U * (e * np.where(
         dead, 0.0, 4 * np.abs(y) - d + n_w + nb.shape[0] + 20)).sum(axis=1))
     # the torus phase (k pbar/c - z).(2 pi idx/grid), exact until the float
-    un, ud = _int_scaled([[k * x / c - zi for x, zi in zip(pbar, z)]])
+    un, ud = _linalg.int_scaled([[k * x / c - zi for x, zi in zip(pbar, z)]])
     turn = ((un[0] @ idx.T + ud * grid // 2) % (ud * grid) - ud * grid // 2) / (ud * grid)
     pre = 0.5 * l * math.log(2 * math.pi / float(c * k)) - dl.log_covol + m
     return _finish(ref, pre, turn, np.einsum("pb,b->p", e, sums), err,
@@ -375,7 +347,7 @@ def _dual_sum(alg, k, zq, q, s, c, idx, grid) -> _LogAlternants:
 # -- character evaluation ------------------------------------------------------------
 
 
-def eval_character(alg: AffineAlgebra, lam: Weight, s: Specialization,
+def eval_character(alg: AffineAlgebra, lam: Weight, s: Weight,
                    eps: float = 1e-10) -> EvalResult:
     """Character value as the Weyl-Kac quotient
     ``e^{(lam|p)} A_{lam+rho}(p) / A_rho(p)``, with a certified relative
@@ -397,7 +369,7 @@ def eval_character(alg: AffineAlgebra, lam: Weight, s: Specialization,
     if not rel_den < 0.5:
         raise ArithmeticError("denominator alternant not resolved")
     small = float(num.rest[0].real - den.rest[0].real)
-    log_value = float(inner_product(alg, lam, s.point) + num.ref - den.ref
+    log_value = float(inner_product(alg, lam, s) + num.ref - den.ref
                       + Fraction(small))
     # the quotient, then the roundings of small, log_value and exp
     rel = ((rel_num + rel_den) / (1 - rel_den)
@@ -416,7 +388,7 @@ def eval_character(alg: AffineAlgebra, lam: Weight, s: Specialization,
 # -- theta functions ---------------------------------------------------------------
 
 
-def eval_theta(alg: AffineAlgebra, lam: Weight, s: Specialization,
+def eval_theta(alg: AffineAlgebra, lam: Weight, s: Weight,
                eps: float = 1e-10) -> EvalResult:
     """Classical theta function of a positive-level weight:
 
@@ -430,11 +402,10 @@ def eval_theta(alg: AffineAlgebra, lam: Weight, s: Specialization,
     if k <= 0:
         raise ValueError("theta functions need a positive level")
     c = float(_require_convergent(alg, s))
-    p = s.point
     kf = float(k)
     a_coef = 0.5 * kf * c
     # exponent(alpha) - (lam|p) = (alpha | k*p - c*lam)_finite - a|alpha|^2
-    drift = kf * np.array(p.z, dtype=float) - c * np.array(lam.z, dtype=float)
+    drift = kf * np.array(s.z, dtype=float) - c * np.array(lam.z, dtype=float)
     g_drift = np.array(alg.finite_gram, dtype=float) @ drift
     bnorm = math.sqrt(max(float(drift @ g_drift), 0.0))
     # the alpha = 0 term is 1 and all are positive, so the sum is at least
@@ -445,7 +416,7 @@ def eval_theta(alg: AffineAlgebra, lam: Weight, s: Specialization,
     partial = float(np.exp(terms.trans[::n_w] @ g_drift
                            - a_coef * terms.norm2[::n_w]).sum())
     radius = int(math.ceil(math.sqrt(float(terms.norm2.max()))))
-    log_base = (float(inner_product(alg, lam, p))
+    log_base = (float(inner_product(alg, lam, s))
                 - float(inner_product(alg, lam, lam) / (2 * k)) * c)
     log_value = log_base + math.log(partial)
     value = math.exp(log_value)
@@ -470,7 +441,7 @@ def _denominator_sides(alg: AffineAlgebra, depth: int):
             tuple(_weyl_denominator(alg, depth).items()))
 
 
-def denominator_residual(alg: AffineAlgebra, s: Specialization, depth: int) -> float:
+def denominator_residual(alg: AffineAlgebra, s: Weight, depth: int) -> float:
     """Relative gap between the two sides of the denominator identity, both
     truncated at the same delta depth and evaluated at the specialization.
 
@@ -484,7 +455,7 @@ def denominator_residual(alg: AffineAlgebra, s: Specialization, depth: int) -> f
     floating-point noise whenever the coefficients agree.
     """
     cf = float(_require_convergent(alg, s))
-    gp = alg.finite_covector(s.point.z)
+    gp = alg.finite_covector(s.z)
 
     def evaluate(series) -> float:
         return math.fsum(
@@ -502,7 +473,7 @@ def denominator_residual(alg: AffineAlgebra, s: Specialization, depth: int) -> f
 _ALTERNANT_RTOL = 1e-13
 
 
-def weyl_alternating_value(alg: AffineAlgebra, mu: Weight, s: Specialization) -> float:
+def weyl_alternating_value(alg: AffineAlgebra, mu: Weight, s: Weight) -> float:
     """Value of ``A_mu(p) = sum_w det(w) exp((w(mu) - mu | p))`` within
     ``_ALTERNANT_RTOL`` relative, certified by :func:`_log_alternant`, for
     ``mu`` strictly dominant integral; with ``mu = rho`` it is the

@@ -7,9 +7,10 @@ root coordinates, chosen once per algebra).  The module provides:
 
 * the chamber membership test with its margin,
 * free and drifted heat kernels on level slices,
-* the survival function ``h`` and its gradient, by Kac's denominator
-  product (:func:`affinewalks.highestweight.log_kac_product`), which does
-  not cancel near the walls or at small levels,
+* the survival function ``h`` and the gradient of ``log h`` that the
+  conditioned sampler draws its drift from, by Kac's denominator product
+  (:func:`affinewalks.highestweight.log_kac_product`), which does not
+  cancel near the walls or at small levels,
 * reflected densities for the killed process (three equivalent forms),
   and their mass on an interval of a rank-1 level slice in closed form,
 * Euler-Maruyama sampling of the drifted process, with a Brownian-bridge
@@ -29,7 +30,7 @@ root coordinates, chosen once per algebra).  The module provides:
 
 The Weyl sums of the killed densities are truncated by translation norm
 with the certified Gaussian shell bound of
-:func:`affinewalks.weyl.certified_terms`.
+:func:`affinewalks.weyl.orbit_sum_terms`.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ import numpy as np
 
 from .algebra import _ALGEBRAS_MAX, AffineAlgebra, Weight, weyl_vector
 from .highestweight import log_kac_product
-from .weyl import (AffineWeylElement, ConvergenceError, apply, certified_terms,
-                   finite_group)
+from .weyl import AffineWeylElement, ConvergenceError, apply, orbit_sum_terms
 
 __all__ = [
     "SpaceTimePoint",
@@ -52,7 +52,6 @@ __all__ = [
     "weight_to_point",
     "heat_density",
     "survival",
-    "survival_gradient",
     "reflected_density",
     "wonpt_residual",
     "harmonic_residual",
@@ -155,20 +154,17 @@ def _terms_for(alg: AffineAlgebra, s_min: float, z_norm: float,
                rtol: float) -> tuple[_Terms, float]:
     """Terms plus certified bound on everything beyond the chosen radius.
 
-    The survival-type summand obeys ``|term| <= exp(const + b r - a r^2)``
-    with ``a = s_min*h_vee/2``; the radius grows until the lattice tail
-    bound sits below ``rtol`` in those units.
+    The survival-type summand is a Weyl-orbit sum of ``x = (s_min, z)``
+    at ``rho`` (:func:`~affinewalks.weyl.orbit_sum_terms`, of Gaussian rate
+    ``s_min*h_vee/2``); the radius grows until the lattice tail bound sits
+    below ``rtol`` in those units.
     """
     if s_min <= 0:
         raise OutsideChamberError(
             "alternating sums need a positive level coordinate")
     f = _frame(alg)
-    a = 0.5 * s_min * f.hv
-    rho_norm = float(np.linalg.norm(f.rho_o))
-    b = s_min * rho_norm + f.hv * z_norm
-    const = 2.0 * z_norm * rho_norm
-    terms, tail = certified_terms(
-        alg, a, b, len(finite_group(alg)) * math.exp(const), rtol)
+    terms, tail = orbit_sum_terms(alg, s_min, f.hv, float(np.linalg.norm(f.rho_o)),
+                                  z_norm, rtol)
     alpha = terms.trans.astype(float) @ f.LT.T
     rot = f.LT @ terms.matrix.astype(float) @ f.LT_inv
     norm2 = np.einsum("ni,ni->n", alpha, alpha)
@@ -219,17 +215,6 @@ def survival(alg: AffineAlgebra, p: SpaceTimePoint):
         raise ConvergenceError(
             f"survival bound {bound:.2e} above eps {_SURVIVAL_EPS:.2e}")
     return value, bound
-
-
-def survival_gradient(alg: AffineAlgebra, p: SpaceTimePoint) -> tuple[float, np.ndarray]:
-    """Gradient ``(d_s h, grad_z h)`` of the survival function at an
-    interior point: ``h`` times the gradient of Kac's ``log h``, the one the
-    conditioned sampler draws its drift from."""
-    value, _ = survival(alg, p)
-    if not value:
-        raise OutsideChamberError("gradient needs an interior point")
-    _, ds, dz, _ = _log_h(alg, p.s, p.z[None, :])
-    return value * float(ds[0]), value * dz[0]
 
 
 # -- heat kernels --------------------------------------------------------------------

@@ -57,7 +57,6 @@ class ExperimentConfig:
     seed: int = 20260808
     dt: float = GOLDEN.chain_dt
     start_pairings: tuple[str, ...] = ("1", "1")   # coroot pairings of x, rationals
-    out: str | None = None
 
     def __post_init__(self):
         # a config file can carry any JSON value, and a bool is an int
@@ -71,8 +70,6 @@ class ExperimentConfig:
                 refuse(name, "an integer" if kind is numbers.Integral else "a number")
         if not isinstance(self.algebra, str):
             refuse("algebra", "a string")
-        if not (self.out is None or isinstance(self.out, str)):
-            refuse("out", "a string or null")
         if not isinstance(self.start_pairings, (list, tuple)):
             refuse("start_pairings", "a list")
         if not (isinstance(self.time_grid, (list, tuple)) and all(
@@ -502,7 +499,7 @@ def _cmd_chain(args) -> int:
     lam0 = _weight_arg(alg, args.start) if args.start else alg.Lambda0()
     cases = acceptance._reflection_residuals(alg, s, args.steps, lam0,
                                              args.depth)
-    worst = max([0.0] + [res for _, res in cases])
+    worst = acceptance._worst([res for _, res in cases])
     reports = [{"beta0": [str(x) for x in b0.z], "residual": res}
                for b0, res in cases]
     print(json.dumps({"steps": args.steps, "worst": worst,

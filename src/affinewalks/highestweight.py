@@ -38,6 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _linalg
 from .algebra import (_ALGEBRAS_MAX, AffineAlgebra, Weight, classify_weight,
                       pairing_coroot, weyl_vector)
 from .weyl import (ConvergenceError, _lattice_gram, apply, enumerate_bounded,
@@ -300,8 +301,7 @@ class _SupportBall:
 
     def __init__(self, alg: AffineAlgebra, lam: Weight):
         gn, gd = alg.finite_gram_int
-        self.q = math.lcm(*(x.denominator for x in lam.z))
-        self.z = np.array([int(x * self.q) for x in lam.z])
+        (self.z,), self.q = _linalg.int_scaled([lam.z])
         self.gn, self.r0 = gn, int(self.z @ gn @ self.z)
         self.r1 = int(2 * lam.k * self.q * self.q * gd)
         # |v_i| <= sqrt(bound * reach_i) on the ball, per axis
@@ -361,11 +361,11 @@ def freudenthal_table(alg: AffineAlgebra, lam: Weight, depth: int) -> Multiplici
     c = [a + b for a, b in zip(lam.z, rho.z)]          # finite part of lam+rho
     gn, gd = alg.finite_gram_int
     gn = gn.tolist()
-    q = math.lcm(*(x.denominator for x in (*lam.z, *c)))
+    (lz, cq), q = _linalg.int_scaled([lam.z, c])
+    lz, cq = lz.tolist(), cq.tolist()
     scale = gd * q
     k, lev = int(lam.k), int(lam.k + rho.k)             # levels of lam, lam+rho
-    lz = [int(x * q) for x in lam.z]
-    cg = [sum(int(x * q) * y for x, y in zip(c, row)) for row in gn]   # S (lam+rho|.)
+    cg = [sum(x * y for x, y in zip(cq, row)) for row in gn]   # S (lam+rho|.)
     # per finite root r: S (lam|r), S (.|r) on offsets, S ||r||^2
     pair = {}
     for r in finite_roots(alg):
@@ -776,9 +776,8 @@ def _brancher(alg: AffineAlgebra, lam: Weight, omega: Weight, n: int):
         raise BranchingCertificationError("level bookkeeping error: k <= n*k_omega")
     # the norms on the integer Gram: int / int rounds once, as float(Fraction)
     gn, gd = alg.finite_gram_int
-    q = math.lcm(*(x.denominator for z in (mu0.z, lam_rho.z, omega.z) for x in z))
-    top = np.array([int(x * q) for x in mu0.z], dtype=np.int64)
-    zi = np.array([[int(x * q) for x in z] for z in (lam_rho.z, omega.z)])
+    zi, q = _linalg.int_scaled([mu0.z, lam_rho.z, omega.z])
+    top, zi = zi[0], zi[1:]
     z_lam, c_om = np.sqrt(np.einsum("ni,ij,nj->n", zi, gn, zi) / (q * q * gd))
     # longest basis vector
     shell = math.sqrt(max(float(row[i]) for i, row in enumerate(_lattice_gram(alg))))

@@ -34,8 +34,8 @@ from functools import cached_property
 import numpy as np
 
 from . import _linalg
-from .algebra import AffineAlgebra, Weight, classify_weight, weyl_vector
-from .characters import _U, Specialization, _log_alternant, delta_pairing
+from .algebra import AffineAlgebra, Weight, classify_weight, pair_delta, weyl_vector
+from .characters import _U, _log_alternant
 
 __all__ = ["IncrementAtoms", "increment_atoms"]
 
@@ -51,7 +51,7 @@ class IncrementAtoms:
 
     alg: AffineAlgebra
     omega: Weight
-    spec: Specialization
+    spec: Weight
     lo: tuple[int, ...]
     prob: np.ndarray
     defect: float
@@ -113,7 +113,7 @@ _GUIDE = 4096
 _CHUNK = 2048
 
 
-def increment_atoms(alg: AffineAlgebra, omega: Weight, s: Specialization,
+def increment_atoms(alg: AffineAlgebra, omega: Weight, s: Weight,
                     grid: int | None = None) -> IncrementAtoms:
     """Fourier inversion of the normalized character on the torus.
 
@@ -128,7 +128,7 @@ def increment_atoms(alg: AffineAlgebra, omega: Weight, s: Specialization,
     if not classify_weight(alg, omega).dominant or omega.k <= 0:
         raise ValueError("increments need a dominant weight of positive level")
     l = alg.rank
-    c = float(delta_pairing(alg, s))
+    c = float(pair_delta(alg, s))
     if c <= 0:
         raise ValueError("specialization must have positive delta pairing")
     rho = weyl_vector(alg)

@@ -11,7 +11,8 @@ Alternating sums over the group (theta functions, Weyl-orbit sums and
 reflected densities) are cut off by translation norm.
 :func:`certified_terms` owns that cutoff: one radius policy, the certified
 Gaussian shell bound for everything beyond it, and the stacked term arrays
-in a bounded cache.
+in a bounded cache; :func:`orbit_sum_terms` states it for the Weyl-orbit
+sums of the characters and of the survival function.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
     "orbit_offsets",
     "gaussian_lattice_tail",
     "certified_terms",
+    "orbit_sum_terms",
 ]
 
 
@@ -213,8 +215,7 @@ def translation_vectors(alg: AffineAlgebra, radius,
     r2 = Fraction(radius) ** 2
     gram = _lattice_gram(alg) if gram is None else gram
     ginv = _linalg.invert(gram)
-    gd = math.lcm(*(x.denominator for row in gram for x in row))
-    gn = np.array([[int(x * gd) for x in row] for row in gram], dtype=np.int64)
+    gn, gd = _linalg.int_scaled(gram)
     bounds = [math.isqrt(int(r2 * ginv[i][i])) + 1 if r2 * ginv[i][i] > 0 else 0
               for i in range(len(gram))]
     # the box in lexicographic order; |c|^2 <= r2 iff c.gn.c <= floor(r2 gd)
@@ -362,6 +363,19 @@ def certified_terms(alg: AffineAlgebra, a: float, b: float, scale: float,
         r += 1.0
     raise ConvergenceError(
         f"Weyl sum tail not certified within translation radius {_MAX_RADIUS}")
+
+
+def orbit_sum_terms(alg: AffineAlgebra, level: float, rate: float, p_norm: float,
+                    z_norm: float, tol: float) -> tuple[WeylTerms, float]:
+    """:func:`certified_terms` of the Weyl-orbit sum
+    ``sum_w det(w) e^{(w(mu) - mu|p)}`` for ``mu`` of level ``level`` and
+    finite part of norm ``z_norm``, at ``p`` of delta pairing ``rate`` and
+    finite part of norm ``p_norm`` (the pair may be swapped): the exponent
+    of ``t_alpha w`` lies within ``2|z||p| + (level |p| + rate |z|)|alpha|``
+    of ``-level rate |alpha|^2 / 2``."""
+    return certified_terms(alg, 0.5 * level * rate, level * p_norm + rate * z_norm,
+                           len(finite_group(alg)) * math.exp(2.0 * z_norm * p_norm),
+                           tol)
 
 
 # reflections after which dominant_representative gives up

@@ -4,10 +4,11 @@ import pkgutil
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import affinewalks
-from affinewalks import algebra as al
+from affinewalks import _linalg, algebra as al
 from affinewalks.algebra import Weight
 
 
@@ -101,6 +102,29 @@ def test_finite_gram_cached(a1, a2):
         assert alg.finite_gram == tuple(
             tuple(alg.gram_hstar[i][j] for j in range(1, alg.rank + 1))
             for i in range(1, alg.rank + 1))
+
+
+@pytest.mark.parametrize("rows, lcd", [
+    ([[Fraction(1, 2), Fraction(-2, 3)], [Fraction(5, 4), 0]], 12),  # mixed, negative
+    ([[Fraction(-7, 6)], [Fraction(1, 10)], [3]], 30),
+    ([[1, -2, 3], [0, 4, -5]], 1),                                    # all integers
+    ([[0, 0, 0]], 1),                                                 # the zero row
+    ([[Fraction(4, 6), Fraction(-9, 15)]], 15)])                     # unreduced inputs
+def test_int_scaled(rows, lcd):
+    # n / d is the rational matrix exactly, d its least common denominator
+    n, d = _linalg.int_scaled(rows)
+    assert n.dtype == np.int64 and n.shape == (len(rows), len(rows[0]))
+    assert d == lcd
+    assert [[Fraction(int(x), d) for x in row] for row in n] == \
+        [[Fraction(x) for x in row] for row in rows]
+
+
+def test_primitive_integer_vector():
+    assert _linalg.primitive_integer_vector(
+        [Fraction(-2, 3), Fraction(4, 9), 0]) == (3, -2, 0)
+    assert _linalg.primitive_integer_vector([0, 6, 9]) == (0, 2, 3)
+    with pytest.raises(ValueError):
+        _linalg.primitive_integer_vector([0, Fraction(0)])
 
 
 def test_classify(a1):

@@ -50,17 +50,20 @@ def test_mu_omega_top_probability(a1):
     s = ch.rho_specialization(a1, 3)
     om = omega(a1)
     dist = cn.mu_omega(a1, om, s, 20)
-    top = [p for w, p in dist.support if w == om]
+    top = [p for w, p in dist.entries if w == om]
     r = ch.eval_character(a1, om, s, eps=1e-13)
-    expected = math.exp(float(al.inner_product(a1, om, s.point)) - r.log_value)
+    expected = math.exp(float(al.inner_product(a1, om, s)) - r.log_value)
     assert top and abs(top[0] - expected) < 1e-13
 
 
 def test_mu_omega_normalization(a1):
     s = ch.rho_specialization(a1, 3)
     dist = cn.mu_omega(a1, omega(a1), s, 25)
+    # a kernel row from the zero weight, its defect the mass past depth 25
+    assert isinstance(dist, cn.KernelRow) and dist.source == a1.zero()
+    assert dist.defect == max(0.0, 1.0 - math.fsum(p for _, p in dist.entries))
     assert abs(dist.total() + dist.defect - 1.0) <= 1e-9
-    assert all(p >= 0 for _, p in dist.support)
+    assert all(p >= 0 for _, p in dist.entries)
     assert dist.defect >= 0
 
 
@@ -69,8 +72,8 @@ def test_mu_omega_deeper_refinement(a1):
     om = omega(a1)
     d1 = cn.mu_omega(a1, om, s, 15)
     d2 = cn.mu_omega(a1, om, s, 25)
-    probs2 = {w: p for w, p in d2.support}
-    for w, p in d1.support:
+    probs2 = {w: p for w, p in d2.entries}
+    for w, p in d1.entries:
         assert abs(probs2[w] - p) <= d1.defect + 1e-12
 
 
@@ -84,7 +87,7 @@ def test_empirical_increment_law(a1):
     # 1e5 samples against the table, chi-square p-value above 1e-3
     s = ch.rho_specialization(a1, 3)
     dist = cn.mu_omega(a1, omega(a1), s, 30)
-    probs = np.array([p for _, p in dist.support])
+    probs = np.array([p for _, p in dist.entries])
     probs = probs / probs.sum()
     rng = np.random.Generator(np.random.Philox(1234))
     counts = rng.multinomial(100_000, probs)
@@ -304,7 +307,7 @@ def test_pbar_basics(a1):
     # n = 1 equals the delta-aggregated increment mass
     dist = cn.mu_omega(a1, om, s, 60)
     for b0 in cn.dominant_states(a1, 3):
-        agg = sum(p for w, p in dist.support
+        agg = sum(p for w, p in dist.entries
                   if (lam0 + w).bar().z == b0.z)
         pb = cn.pbar_power(a1, om, s, 1, lam0, b0, 60)
         assert abs(pb - agg) < 1e-10
@@ -319,13 +322,13 @@ def test_pbar_two_steps_is_kernel_square(a1):
     # intermediate states: all integral barred weights reachable in one step
     dist = cn.mu_omega(a1, om, s, depth)
     one = {}
-    for w, p in dist.support:
+    for w, p in dist.entries:
         key = (lam0 + w).bar().z
         one[key] = one.get(key, 0.0) + p
     two_direct = {}
     for z_mid, p1 in one.items():
         mid = Weight.make(3, z_mid, 0)
-        for w, p in dist.support:
+        for w, p in dist.entries:
             key = (mid + w).bar().z
             two_direct[key] = two_direct.get(key, 0.0) + p1 * p
     for b0 in cn.dominant_states(a1, 5):
@@ -429,7 +432,7 @@ def test_doob_composition_matches_tensor_route(a1):
         dist = nxt
     from affinewalks.highestweight import branching_mult
     log_norm = cn._log_ch(a1, lam0, s) + 2 * cn._log_ch(a1, om, s)
-    c = float(ch.delta_pairing(a1, s))
+    c = float(al.pair_delta(a1, s))
     for b0 in cn.dominant_states(a1, 5):
         direct = 0.0
         for d in range(depth + 1):

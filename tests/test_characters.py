@@ -4,21 +4,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from affinewalks import algebra as al, characters as ch, highestweight as hw
+from affinewalks import (_linalg, algebra as al, characters as ch,
+                         highestweight as hw)
 from affinewalks.algebra import Weight
 from affinewalks.weyl import finite_group, lattice_basis, translate
 
 
 def test_rho_specialization(a1):
     s = ch.rho_specialization(a1, 1)
-    assert s.point == Weight.make(2, (Fraction(1, 2),), 0)
-    assert ch.delta_pairing(a1, s) == 2
+    assert s == Weight.make(2, (Fraction(1, 2),), 0)
+    assert al.pair_delta(a1, s) == 2
     s5 = ch.rho_specialization(a1, 5)
-    assert ch.delta_pairing(a1, s5) == Fraction(2, 5)
+    assert al.pair_delta(a1, s5) == Fraction(2, 5)
     # linearity of the pairing in the evaluation point
     mu = Weight.make(1, (Fraction(1, 3),), Fraction(1, 7))
-    assert al.inner_product(a1, mu, s5.point) == \
-        al.inner_product(a1, mu, s.point) / 5
+    assert al.inner_product(a1, mu, s5) == \
+        al.inner_product(a1, mu, s) / 5
     with pytest.raises(ValueError):
         ch.rho_specialization(a1, 0)
 
@@ -32,7 +33,7 @@ def test_depth0_truncation_is_highest_term(a1):
 def test_eval_character_positive_and_bounded_below(a1):
     s = ch.rho_specialization(a1, 1)
     r = ch.eval_character(a1, a1.Lambda0(), s, eps=1e-10)
-    base = math.exp(float(al.inner_product(a1, a1.Lambda0(), s.point)))
+    base = math.exp(float(al.inner_product(a1, a1.Lambda0(), s)))
     assert r.value > base
     assert r.value > 0
     assert r.tail_bound <= 1e-10 * r.value
@@ -46,7 +47,7 @@ def test_eval_character_self_consistency(a1):
 
 
 def test_eval_character_errors(a1):
-    bad = ch.Specialization(point=Weight.make(-1, (0,), 0), description="bad")
+    bad = Weight.make(-1, (0,), 0)
     with pytest.raises(ch.SpecializationError):
         ch.eval_character(a1, a1.Lambda0(), bad)
     with pytest.raises(ValueError):
@@ -59,9 +60,9 @@ def test_eval_character_errors(a1):
 def _frenkel_kac_log(alg, s, span):
     # Frenkel-Kac: ch_Lambda0 = e^(Lambda0|p) sum_{gamma in Q}
     # e^{-|gamma|^2 c/2 - (gamma|p)} / prod_m (1 - e^{-mc})^rank
-    c = float(ch.delta_pairing(alg, s))
+    c = float(al.pair_delta(alg, s))
     g = np.array(alg.finite_gram, dtype=float)
-    gp = np.array(alg.finite_covector(s.point.z), dtype=float)
+    gp = np.array(alg.finite_covector(s.z), dtype=float)
     grid = np.arange(-span, span + 1)
     gam = np.stack(np.meshgrid(*[grid] * alg.rank), -1).reshape(-1, alg.rank)
     expo = -0.5 * c * np.einsum("ij,jk,ik->i", gam, g, gam) - gam @ gp
@@ -69,7 +70,7 @@ def _frenkel_kac_log(alg, s, span):
     log_theta = top + math.log(math.fsum(np.exp(expo - top)))
     log_phi = math.fsum(math.log1p(-math.exp(-m * c))
                         for m in range(1, math.ceil(80 / c)))
-    return (float(al.inner_product(alg, alg.Lambda0(), s.point))
+    return (float(al.inner_product(alg, alg.Lambda0(), s))
             + log_theta - alg.rank * log_phi)
 
 
@@ -88,12 +89,12 @@ def test_eval_character_certified_near_critical_line(name, n):
 
 def _series_log_value(alg, lam, s, table):
     # the multiplicity series summed at the point, from its exact table
-    c = ch.delta_pairing(alg, s)
-    gp = alg.finite_covector(s.point.z)
+    c = al.pair_delta(alg, s)
+    gp = alg.finite_covector(s.z)
     total = math.fsum(
         v * math.exp(-float(d * c + sum(x * y for x, y in zip(m, gp))))
         for (d, m), v in table.entries.items())
-    return float(al.inner_product(alg, lam, s.point)) + math.log(total)
+    return float(al.inner_product(alg, lam, s)) + math.log(total)
 
 
 def test_weyl_kac_value_identity(a1, a2):
@@ -150,7 +151,7 @@ def test_theta_bridge_identity(a1, rho1):
     s = ch.rho_specialization(a1, 3)
     lam = rho1  # level 2, strictly dominant
     k = al.inner_product(a1, a1.delta(), lam)
-    c = float(ch.delta_pairing(a1, s))
+    c = float(al.pair_delta(a1, s))
     prefactor = math.exp(float(al.inner_product(a1, lam, lam) / (2 * k)) * c)
     lhs = 0.0
     bound = 0.0
@@ -160,7 +161,7 @@ def test_theta_bridge_identity(a1, rho1):
         lhs += w.sign * r.value
         bound += r.tail_bound
     lhs *= prefactor
-    rhs = math.exp(float(al.inner_product(a1, lam, s.point))) \
+    rhs = math.exp(float(al.inner_product(a1, lam, s))) \
         * ch.weyl_alternating_value(a1, lam, s)
     assert abs(lhs - rhs) <= prefactor * bound + 1e-10 * abs(rhs)
 
@@ -186,10 +187,10 @@ def test_denominator_analytic_small_n(a1, a2):
     # against the float product formula, whose own rounding is about 1e-15
     for alg, n in ((a1, 1), (a1, 5), (a2, 3)):
         s = ch.rho_specialization(alg, n)
-        c = ch.delta_pairing(alg, s)
+        c = al.pair_delta(alg, s)
         log_prod = math.fsum(
             mult * math.log1p(-math.exp(-float(
-                d * c + alg.finite_inner([Fraction(x) for x in r], s.point.z))))
+                d * c + alg.finite_inner([Fraction(x) for x in r], s.z))))
             for (d, r, mult) in hw.positive_roots(alg, math.ceil(60 / c)))
         total = ch.weyl_alternating_value(alg, al.weyl_vector(alg), s)
         assert abs(math.exp(log_prod) - total) / math.exp(log_prod) < 1e-14
@@ -209,8 +210,8 @@ def test_log_denominator_against_product(name, n):
     # its terms is within a few units of rounding
     alg = al.algebra_from_name(name)
     s = ch.rho_specialization(alg, n)
-    c = float(ch.delta_pairing(alg, s))
-    gp = np.array(alg.finite_covector(s.point.z), dtype=float)
+    c = float(al.pair_delta(alg, s))
+    gp = np.array(alg.finite_covector(s.z), dtype=float)
     terms = [mult * math.log(-math.expm1(-(d * c + float(np.dot(r, gp)))))
              for (d, r, mult) in hw.positive_roots(alg, math.ceil(40 / c))]
     want = math.fsum(terms)
@@ -240,7 +241,7 @@ def test_phase_sums_vanish_exactly(a1, a2):
             (a1, [(Fraction(j, 2),) for j in (2, 4, 6)],
              [(Fraction(j, 2),) for j in (1, 3, 5)])):
         rho = al.weyl_vector(alg)
-        (zq,), q = ch._int_scaled([rho.z])
+        (zq,), q = _linalg.int_scaled([rho.z])
         for n in (1, 7, 100):
             s = ch.rho_specialization(alg, n)
             for zs, vanish in ((shells, True), (regular, False)):

@@ -192,6 +192,29 @@ def test_chain_verify_reflection(depth, code, capsys):
         assert out["worst"] == pytest.approx(2.5145e-7, rel=1e-4)
 
 
+def test_chain_verify_reflection_nan_fails(monkeypatch, capsys):
+    # a NaN residual fails the gate; max([0.0, nan]) would drop it
+    def nan_residuals(alg, s, n_steps, lam0, depth):
+        return [(lam0, float("nan"))]
+    monkeypatch.setattr(acceptance, "_reflection_residuals", nan_residuals)
+    assert run_cli(["chain", "verify-reflection", "--n", "5", "--steps", "2"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["worst"] != out["worst"]
+
+
+def test_experiment_config_out_key_exits_2(tmp_path, monkeypatch, capsys):
+    # the report's file is named by --out alone; a config's "out" was
+    # accepted and then never read, so no file was written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"out": "report.json",
+                                                   "samples": 100}))
+    assert run_cli(["experiment", "walk", "--seed", "1", "--config", "cfg.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "unknown config keys: out" in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
 @pytest.mark.parametrize("action,check", [
     ("verify-wonpt", acceptance.check_wonpt),
     ("verify-reflection", acceptance.check_continuous_reflection),

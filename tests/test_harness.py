@@ -45,8 +45,11 @@ def test_config_roundtrip_and_hash():
         harness.ExperimentConfig(spec_n=0)
     # JSON integers are times, and numbers are pairings
     cfg = harness.ExperimentConfig.from_json(
-        '{"time_grid": [1], "start_pairings": [1, 1], "out": "r.json"}')
+        '{"time_grid": [1], "start_pairings": [1, 1]}')
     assert cfg.time_grid == (1,) and cfg.start_pairings == ("1", "1")
+    # the report's file is named by --out alone
+    with pytest.raises(ValueError, match="unknown config keys: out"):
+        harness.ExperimentConfig.from_json('{"out": "r.json"}')
 
 
 def test_weight_from_pairings(a1):

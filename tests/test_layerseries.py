@@ -14,11 +14,11 @@ from affinewalks.weyl import apply, enumerate_bounded
 
 
 def exact_marginal(alg, om, s, depth):
-    c = float(ch.delta_pairing(alg, s))
+    c = float(al.pair_delta(alg, s))
     agg = {}
     for (d, m), v in character_series_oracle(alg, om, depth).entries.items():
         w = v * math.exp(-d * c - float(alg.finite_inner(
-            [Fraction(m[0])], s.point.z)))
+            [Fraction(m[0])], s.z)))
         agg[m[0]] = agg.get(m[0], 0.0) + w
     total = math.fsum(agg.values())
     return {m: v / total for m, v in agg.items()}
@@ -101,7 +101,7 @@ def _mp_torus_values(alg, mu, s, grid, radius):
         terms = []
         for w in enumerate_bounded(alg, radius):
             off = mu - apply(alg, w, mu)            # m + d delta, exactly
-            x = al.inner_product(alg, off, s.point)
+            x = al.inner_product(alg, off, s)
             terms.append((w.sign * mp.exp(-mp.mpf(x.numerator) / x.denominator),
                           off.z))
         for idx in pts:
