@@ -58,9 +58,10 @@ class ChainDefectError(RuntimeError):
 
 @dataclass
 class KernelRow:
-    """Entries of one kernel row.  ``defect`` is the mass summed beyond the
-    requested depth plus a fitted geometric envelope (:func:`_geometric_tail`)
-    for the rest: an estimate, not a certified bound."""
+    """Entries of one kernel row.  In :func:`q_omega_row`, ``defect`` is the
+    mass summed beyond the requested depth plus a fitted geometric envelope
+    (:func:`_geometric_tail`) for the rest: an estimate, not a certified
+    bound; :func:`mu_omega`'s is ``max(0, 1 - mass)``."""
 
     source: Weight
     entries: list[tuple[Weight, float]]
