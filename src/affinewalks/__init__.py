@@ -13,8 +13,8 @@ from .characters import (EvalResult, denominator_residual, eval_character,
 from .chain import (KernelRow, FastBarredKernel, mu_omega, pbar_power,
                     q_omega_row, reflection_discrete_residual, simulate_chain)
 from .diffusion import (SpaceTimePoint, chamber_test, harmonic_residual,
-                        heat_density, reflected_density, sample_path_batch,
-                        survival, wonpt_residual)
+                        reflected_density, sample_path_batch, survival,
+                        wonpt_residual)
 from .harness import (ComparisonReport, ExperimentConfig, ks_statistic,
                       run_cli, scaling_chain_experiment,
                       scaling_walk_experiment)

@@ -7,11 +7,11 @@ coordinate set to zero: modules whose highest weights differ by a multiple
 of delta are isomorphic, so kernels only depend on the barred data.  The
 unprojected kernel rows keep exact weights, delta coordinate included.
 
-Row defects are estimated independently of the row-sum identity being
-tested: the mass beyond the requested depth is summed out to a resolution
-depth and the remainder is estimated by a fitted geometric envelope with a
-factor-two safety margin (not a certified bound), so "mass + defect = 1"
-stays a genuine check of the character-product decomposition.
+An exact row keeps every delta-layer it resolves, and its defect, the mass
+beyond the last of them, is a fitted geometric envelope with a factor-two
+safety margin (not a certified bound) estimated independently of the
+row-sum identity being tested, so "mass + defect = 1" stays a genuine
+check of the character-product decomposition.
 
 :class:`FastBarredKernel` samples the projected chain on any untwisted
 algebra, and :func:`reflection_discrete_residual` weighs the walk kernel by
@@ -58,10 +58,11 @@ class ChainDefectError(RuntimeError):
 
 @dataclass
 class KernelRow:
-    """Entries of one kernel row.  In :func:`q_omega_row`, ``defect`` is the
-    mass summed beyond the requested depth plus a fitted geometric envelope
-    (:func:`_geometric_tail`) for the rest: an estimate, not a certified
-    bound; :func:`mu_omega`'s is ``max(0, 1 - mass)``."""
+    """Entries of one kernel row, and ``defect``, the mass the entries miss.
+    For :func:`q_omega_row` that is the fitted geometric envelope
+    (:func:`_geometric_tail`) on the mass beyond the last layer the row
+    resolves: an estimate, not a certified bound.  For :func:`mu_omega` it
+    is exactly ``max(0, 1 - mass)``."""
 
     source: Weight
     entries: list[tuple[Weight, float]]
@@ -199,17 +200,17 @@ def _row_candidates(alg: AffineAlgebra, lam: Weight, omega: Weight):
 
 def q_omega_row(alg: AffineAlgebra, lam: Weight, omega: Weight,
                 s: Weight, depth: int,
-                defect_target: float = 1e-7,
-                extend_entries: bool = False) -> KernelRow:
+                defect_target: float = 1e-7) -> KernelRow:
     """One row of the tensor-product kernel on dominant weights.
 
-    Entries cover dominant ``beta`` with nonzero branching multiplicity at
-    delta-depth <= ``depth`` below ``lam + omega``; each probability is
-    ``M(beta) ch(beta) / (ch(lam) ch(omega))``.  The defect sums the same
-    expression over ``depth < d <= resolution`` and adds a fitted geometric
-    envelope for everything beyond, extending the resolution until the
-    envelope drops below ``defect_target`` (or a hard cap trips).  The
-    envelope is an estimate, not a certificate, so neither is the defect.
+    Entries are the dominant ``beta`` with nonzero branching multiplicity
+    on every delta-layer the row resolves below ``lam + omega``; each
+    probability is ``M(beta) ch(beta) / (ch(lam) ch(omega))``.  ``depth``
+    is the least resolution: the row resolves further layers until the
+    fitted geometric envelope on the mass beyond the last of them drops
+    below ``defect_target``, and raises :class:`ChainDefectError` when a
+    hard cap trips first.  The defect is that envelope, an estimate, not a
+    certificate.
     """
     _require_positive_level(omega)
     for w_, nm in ((lam, "row source"), (omega, "omega")):
@@ -236,8 +237,7 @@ def q_omega_row(alg: AffineAlgebra, lam: Weight, omega: Weight,
                 beta = top - Weight.make(0, m, d)
                 pr = math.exp(math.log(mlt) + _log_ch(alg, beta, s) - log_norm)
                 layer_mass[d] = layer_mass.get(d, 0.0) + pr
-                if d <= depth or extend_entries:
-                    entries.append((beta, pr))
+                entries.append((beta, pr))
 
     compute_layers(range(resolution + 1))
     while True:
@@ -251,22 +251,28 @@ def q_omega_row(alg: AffineAlgebra, lam: Weight, omega: Weight,
         compute_layers(range(resolution + 1, min(resolution + step, hard_cap) + 1))
         resolution = min(resolution + step, hard_cap)
 
-    if extend_entries:
-        return KernelRow(source=lam, entries=entries, defect=tail)
-    beyond = math.fsum(v for d, v in layer_mass.items() if d > depth)
-    return KernelRow(source=lam, entries=entries, defect=beyond + tail)
+    return KernelRow(source=lam, entries=entries, defect=tail)
 
 
+# least-recently-used projected rows, shared by every beta0 and step count
+# of the reflection residuals; full criterion 5 needs 6
+_BARRED_ROWS_MAX = 32
+
+
+@lru_cache(maxsize=_BARRED_ROWS_MAX)
 def barred_row(alg: AffineAlgebra, lam0: Weight, omega: Weight,
-               s: Weight, depth: int, **kw) -> dict[Weight, float]:
-    """Row of the projected kernel: aggregate an exact row over delta shifts."""
-    kw.setdefault("extend_entries", True)
-    row = q_omega_row(alg, lam0.bar(), omega, s, depth, **kw)
+               s: Weight, depth: int) -> tuple[tuple[Weight, float], ...]:
+    """Row of the projected kernel from ``lam0``: the exact row of
+    ``lam0.bar()`` (:func:`q_omega_row` with defect target 1e-11),
+    aggregated over delta shifts into ``(beta0, prob)`` pairs.  A bounded
+    memo keyed by ``(alg, lam0, omega, s, depth)``; the tuple keeps the
+    cached row immutable."""
+    row = q_omega_row(alg, lam0.bar(), omega, s, depth, defect_target=1e-11)
     out: dict[Weight, float] = {}
     for beta, pr in row.entries:
         key = beta.bar()
         out[key] = out.get(key, 0.0) + pr
-    return out
+    return tuple(out.items())
 
 
 # -- projected n-step walk kernel --------------------------------------------------
@@ -309,7 +315,10 @@ def simulate_chain(alg: AffineAlgebra, start: Weight, omega: Weight,
                    depth: int = 40) -> list[Weight]:
     """Sample a trajectory of the dominant-weight chain.
 
-    Rows are refused (not renormalized) when their defect exceeds
+    A step draws one uniform ``u`` and moves to the first entry of the
+    current row whose cdf reaches it, the rule of
+    :meth:`FastBarredKernel.sample`; rows and their cdfs are kept per barred
+    state.  Rows are refused (not renormalized) when their defect exceeds
     ``_ROW_DEFECT_MAX``, and a uniform draw landing inside the defect mass
     raises: silent renormalization would bias the reflection-identity
     checks run against simulated data.  Until row defects are certified
@@ -323,29 +332,23 @@ def simulate_chain(alg: AffineAlgebra, start: Weight, omega: Weight,
     rng = np.random.Generator(np.random.Philox(seed))
     traj = [start]
     current = start
-    row_cache: dict[Weight, KernelRow] = {}
+    rows: dict[Weight, tuple[list[Weight], np.ndarray]] = {}
     for _ in range(steps):
         key = current.bar()
-        row = row_cache.get(key)
-        if row is None:
-            row = q_omega_row(alg, key, omega, s, depth,
-                              defect_target=1e-6, extend_entries=True)
+        hit = rows.get(key)
+        if hit is None:
+            row = q_omega_row(alg, key, omega, s, depth, defect_target=1e-6)
             if not row.defect <= _ROW_DEFECT_MAX:
                 raise ChainDefectError(
                     f"row defect {row.defect:.3e} above threshold at {key}")
-            row_cache[key] = row
-        u = float(rng.random())
-        acc = 0.0
-        chosen = None
-        for beta, pr in row.entries:
-            acc += pr
-            if u <= acc:
-                chosen = beta
-                break
-        if chosen is None:
+            hit = rows[key] = ([beta for beta, _ in row.entries],
+                               np.cumsum([pr for _, pr in row.entries]))
+        targets, cdf = hit
+        i = int(cdf.searchsorted(rng.random()))    # first i with cdf[i] >= u
+        if i == len(cdf):
             raise ChainDefectError("draw landed in the defect mass")
         # re-attach the delta offset accumulated by the actual (unbarred) state
-        chosen = chosen + Weight.make(0, (0,) * alg.rank, current.b - key.b)
+        chosen = targets[i] + Weight.make(0, (0,) * alg.rank, current.b - key.b)
         traj.append(chosen)
         current = chosen
     return traj
@@ -405,8 +408,7 @@ class FastBarredKernel:
     are not cached (the level grows every step); a level keeps its states,
     ``log Nhat`` and its term list, and only the current and the next
     level are kept.  On A2~ at rho/100, 5 000 paths from pairings
-    (100, 100, 100) take about 2.6 s and 58 MB for two steps (full-width
-    rows took 7.5 s and 140 MB).
+    (100, 100, 100) take about 2.6 s and 58 MB for two steps.
     """
 
     def __init__(self, alg: AffineAlgebra, omega: Weight, s: Weight):
@@ -603,18 +605,6 @@ class FastBarredKernel:
 
 # -- discrete reflection principle --------------------------------------------------
 
-# the barred rows the direct side composes, shared by every beta0 and step
-# count; full criterion 5 needs 6 and the full test suite holds at most 8
-_DIRECT_ROWS_MAX = 32
-
-
-@lru_cache(maxsize=_DIRECT_ROWS_MAX)
-def _direct_row(alg: AffineAlgebra, st: Weight, omega: Weight,
-                s: Weight, depth: int) -> tuple[tuple[Weight, float], ...]:
-    return tuple(barred_row(alg, st, omega, s, depth,
-                            defect_target=1e-11).items())
-
-
 def reflection_discrete_residual(alg: AffineAlgebra, omega: Weight,
                                  s: Weight, n_steps: int,
                                  lam0: Weight, beta0: Weight,
@@ -627,10 +617,10 @@ def reflection_discrete_residual(alg: AffineAlgebra, omega: Weight,
     reflected: ``(hhat(beta0)/hhat(lam0)) * sum_w det(w) e^{<w(lam0+rho)-(lam0+rho),h>}
                Pbar^n(bar(w(lam0+rho)-rho), beta0)`` (walk route),
 
-    with ``hhat = ch * exp(-<.,h>)``.  The direct side's barred rows are
-    kept in a bounded memo keyed by ``(alg, state, omega, s, depth)``, so
-    the targets of one source share them.  Both sides use matching depth
-    truncations; the Weyl sum runs over the float alternant terms of
+    with ``hhat = ch * exp(-<.,h>)``.  The direct side composes the rows of
+    the bounded memo :func:`barred_row`, so the targets of one source share
+    them.  Both sides use matching depth truncations; the Weyl sum runs
+    over the float alternant terms of
     :func:`affinewalks.characters._alternant_exponents`, cut by the
     certified Gaussian shell bound (which raises
     :class:`~affinewalks.weyl.ConvergenceError` at its radius cap).  A
@@ -649,7 +639,7 @@ def reflection_discrete_residual(alg: AffineAlgebra, omega: Weight,
     for _ in range(n_steps):
         nxt: dict[Weight, float] = {}
         for st, pr in dist.items():
-            for nu, q in _direct_row(alg, st, omega, s, depth):
+            for nu, q in barred_row(alg, st, omega, s, depth):
                 nxt[nu] = nxt.get(nu, 0.0) + pr * q
         dist = nxt
     direct = dist.get(beta0, 0.0)

@@ -50,7 +50,6 @@ __all__ = [
     "PathBatch",
     "chamber_test",
     "weight_to_point",
-    "heat_density",
     "survival",
     "reflected_density",
     "wonpt_residual",
@@ -218,21 +217,6 @@ def survival(alg: AffineAlgebra, p: SpaceTimePoint):
 
 
 # -- heat kernels --------------------------------------------------------------------
-
-
-def heat_density(alg: AffineAlgebra, x: SpaceTimePoint, y: SpaceTimePoint,
-                 t: float, drifted: bool) -> float:
-    """Gaussian transition density on the level slice ``y.s = x.s + t*h_vee``;
-    zero if the slice constraint fails beyond a 1e-9 tolerance."""
-    if t <= 0:
-        raise ValueError("time must be positive")
-    f = _frame(alg)
-    if abs(y.s - x.s - t * f.hv) > 1e-9:
-        return 0.0
-    disp = y.z - x.z
-    if drifted:
-        disp = disp - t * f.rho_o
-    return math.exp(-float(disp @ disp) / (2 * t)) / (2 * math.pi * t) ** (f.l / 2)
 
 
 def reflected_density(alg: AffineAlgebra, x: SpaceTimePoint, y: SpaceTimePoint,

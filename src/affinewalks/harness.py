@@ -30,7 +30,8 @@ from .algebra import (AffineAlgebra, Weight, algebra_from_json,
                       weight_from_pairings, weyl_vector)
 from .layerseries import increment_atoms
 from .thresholds import GOLDEN
-from .weyl import WeylEnumerationError, dominant_representative
+from .weyl import (ConvergenceError, WeylEnumerationError,
+                   dominant_representative)
 
 __all__ = [
     "ExperimentConfig",
@@ -84,6 +85,8 @@ class ExperimentConfig:
             raise ValueError("dt must be > 0")
         if self.samples <= 0 or not all(0 <= t < math.inf for t in self.time_grid):
             raise ValueError("counts and times must be positive")
+        if not any(t > 0 for t in self.time_grid):
+            raise ValueError("time_grid needs a positive time")
         try:
             algebra_from_name(self.algebra)
         except KeyError as exc:
@@ -452,10 +455,7 @@ def _cmd_characters(args) -> int:
     s = characters.rho_specialization(alg, args.n)
     if args.action == "eval":
         lam = _dominant_arg(alg, args.pairings)
-        try:
-            r = characters.eval_character(alg, lam, s, eps=args.eps)
-        except (characters.ConvergenceError, OverflowError) as exc:
-            raise _InputError(str(exc)) from None     # n beyond reach
+        r = characters.eval_character(alg, lam, s, eps=args.eps)
         out = {"value": r.value, "tail_bound": r.tail_bound,
                "depth": r.truncation_depth}
     elif args.action == "theta":
@@ -466,10 +466,7 @@ def _cmd_characters(args) -> int:
         out = {"value": r.value, "tail_bound": r.tail_bound,
                "depth": r.truncation_depth}
     else:
-        try:
-            res = characters.denominator_residual(alg, s, args.depth)
-        except OverflowError as exc:
-            raise _InputError(str(exc)) from None     # depth beyond int64
+        res = characters.denominator_residual(alg, s, args.depth)
         out = {"residual": res, "depth": args.depth}
     print(json.dumps(out))
     return 0
@@ -700,7 +697,10 @@ def run_cli(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_InputError, WeylEnumerationError) as exc:  # the latter: E7~, E8~
+    # an input out of reach: a Weyl group too large (E7~, E8~), a series or
+    # a row that does not converge under its cap, a value past float range
+    except (_InputError, WeylEnumerationError, ConvergenceError,
+            chain.ChainDefectError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -125,6 +125,17 @@ def test_row_mass_and_defect(a1):
     assert all(al.classify_weight(a1, w).dominant for w, _ in row.entries)
 
 
+def test_row_keeps_every_resolved_layer(a1):
+    # at rho/5 the envelope needs layers far below depth 5: the row keeps
+    # them, and its defect is the envelope on the mass beyond the last
+    lam, om = a1.Lambda0(), omega(a1)
+    row = cn.q_omega_row(a1, lam, om, ch.rho_specialization(a1, 5), 5,
+                         defect_target=1e-8)
+    assert max((lam + om).b - w.b for w, _ in row.entries) > 5
+    assert 0 <= row.defect <= 1e-8
+    assert abs(row.total() + row.defect - 1.0) <= 1e-7
+
+
 def _fraction_ball(alg, center, r2):
     # the Fraction ball the integer tests replace: every integer m in a box
     # around center with ||m - center||^2 <= r2 in exact rationals
@@ -289,8 +300,7 @@ def test_row_aggregation_matches_fast_kernel(a1):
     for level, q in ((1, 0), (3, 2)):
         lam0 = cn.dominant_states(a1, level)[q]
         agg = np.zeros(level + 2 + 1)
-        for w, p in cn.barred_row(a1, lam0, om, s, 40,
-                                  defect_target=1e-11).items():
+        for w, p in cn.barred_row(a1, lam0, om, s, 40):
             agg[int(2 * w.z[0])] += p
         states, probs, _, _ = fast.row(level, int(2 * lam0.z[0]))
         assert np.abs(probs - agg[states]).max() < 1e-9
@@ -361,6 +371,15 @@ def test_simulate_chain_contract(a1):
     assert isinstance(other, list)
 
 
+def test_simulate_chain_pinned_trajectory(a1):
+    # A1~ at rho/3 from Lambda0, seed 7: each step moves to the first
+    # entry whose running sum reaches the uniform, and these are its states
+    traj = cn.simulate_chain(a1, a1.Lambda0(), omega(a1),
+                             ch.rho_specialization(a1, 3), steps=4, seed=7)
+    assert [(w.k, w.z, w.b) for w in traj] == [
+        (1, (0,), 0), (3, (1,), -2), (5, (1,), -5), (7, (1,), -8), (9, (1,), -10)]
+
+
 def test_reflection_zero_steps(a1):
     s = ch.rho_specialization(a1, 3)
     res = cn.reflection_discrete_residual(a1, omega(a1), s, 0,
@@ -384,22 +403,24 @@ def test_reflection_direct_rows_memo(a1, monkeypatch):
         cases = acceptance._reflection_residuals(a1, s, n_steps, lam0, 80)
         assert cases
         for b0, res in cases:
-            cn._direct_row.cache_clear()
+            cn.barred_row.cache_clear()
             assert cn.reflection_discrete_residual(
                 a1, omega(a1), s, n_steps, lam0, b0, 80) == res
     # filled past its bound the memo stays at it, with unchanged values
-    monkeypatch.setattr(cn, "barred_row",
-                        lambda alg, st, om, s, depth, **kw: {st: depth / 7})
-    cn._direct_row.cache_clear()
+    monkeypatch.setattr(cn, "q_omega_row", lambda alg, lam, om, s, depth, **kw:
+                        cn.KernelRow(source=lam, entries=[(lam, depth / 7)],
+                                     defect=0.0))
+    cn.barred_row.cache_clear()
     try:
-        size = cn._direct_row.cache_info().maxsize
+        size = cn.barred_row.cache_info().maxsize
         keys = [(a1, lam0, omega(a1), s, d) for d in range(size + 5)]
-        first = [cn._direct_row(*key) for key in keys]
-        assert cn._direct_row.cache_info().currsize == size
-        assert [cn._direct_row(*key) for key in keys] == first
-        assert cn._direct_row.cache_info().currsize == size
+        first = [cn.barred_row(*key) for key in keys]
+        assert first[3] == ((lam0, 3 / 7),)
+        assert cn.barred_row.cache_info().currsize == size
+        assert [cn.barred_row(*key) for key in keys] == first
+        assert cn.barred_row.cache_info().currsize == size
     finally:
-        cn._direct_row.cache_clear()
+        cn.barred_row.cache_clear()
 
 
 def test_reflection_radius_cap(a1, monkeypatch):
@@ -425,9 +446,8 @@ def test_doob_composition_matches_tensor_route(a1):
         nxt = {}
         for st, pr in dist.items():
             if st not in rows:
-                rows[st] = cn.barred_row(a1, st, om, s, depth,
-                                         defect_target=1e-9)
-            for nu, q in rows[st].items():
+                rows[st] = cn.barred_row(a1, st, om, s, depth)
+            for nu, q in rows[st]:
                 nxt[nu] = nxt.get(nu, 0.0) + pr * q
         dist = nxt
     from affinewalks.highestweight import branching_mult
@@ -594,8 +614,7 @@ def test_fast_kernel_rank_two_matches_aggregated_row(a2):
     om = Weight.make(3, (0, 0), 0)
     states = cn.dominant_states(a2, 4)
     agg = np.zeros(len(states))
-    for w, p in cn.barred_row(a2, a2.Lambda0(), om, s, 4,
-                              defect_target=1e-9).items():
+    for w, p in cn.barred_row(a2, a2.Lambda0(), om, s, 4):
         agg[states.index(w)] += p
     lam0 = cn.dominant_states(a2, 1).index(a2.Lambda0())
     cols, probs, _, _ = cn.FastBarredKernel(a2, om, s).row(1, lam0)

@@ -290,7 +290,11 @@ def test_verify_all_refuses_other_algebras():
     (["experiment", "walk"], {"seed": -1, "samples": 10, "spec_n": 5}),
     (["experiment", "walk"], [1]),
     (["experiment", "walk"], {"time_grid": [float("nan")]}),
-    (["experiment", "walk"], {"time_grid": [float("inf")]})])
+    (["experiment", "walk"], {"time_grid": [float("inf")]}),
+    (["experiment", "walk"], {"time_grid": []}),
+    (["experiment", "chain"], {"time_grid": []}),
+    (["experiment", "calibrate"], {"time_grid": []}),
+    (["experiment", "walk"], {"time_grid": [0]})])
 def test_bad_input_exits_2(argv, config, tmp_path, capsys):
     if config is not None:
         cfg_path = tmp_path / "cfg.json"
@@ -299,6 +303,26 @@ def test_bad_input_exits_2(argv, config, tmp_path, capsys):
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["characters", "theta", "--n", "100000"], "translation radius 500"),
+    (["characters", "eval", "--n", "100000"], "exceeds float range"),
+    (["diffusion", "survival", "--scale", "1e-30"], "past the cap"),
+    (["chain", "simulate", "--n", "1000", "--steps", "1", "--seed", "1"],
+     "exceeds float range"),
+    (["chain", "simulate", "--n", "60", "--steps", "2", "--seed", "1"],
+     "row defect envelope not below 1e-06"),
+    (["chain", "verify-reflection", "--n", "300", "--steps", "1"],
+     "row defect envelope not below 1e-11")])
+def test_out_of_reach_input_exits_2(argv, message, tmp_path, capsys):
+    # a series, a row or a value out of reach is refused with one line
+    if argv[1] == "simulate":
+        argv = argv + ["--out", str(tmp_path / "walk.csv")]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("config", [
