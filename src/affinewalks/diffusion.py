@@ -15,9 +15,11 @@ root coordinates, chosen once per algebra).  The module provides:
   and their mass on an interval of a rank-1 level slice in closed form,
 * Euler-Maruyama sampling of the drifted process, with a Brownian-bridge
   wall-crossing test on each coarse step (exit times are resolved to the
-  end of the step): one step loop over a compact array of the moving
-  paths, so criterion 9's 10 000 A1~ paths over 4 000 steps take about
-  1.1 s (2-CPU host), some 40% of it in the normal and uniform draws,
+  end of the step): one uniform per path against the running product of
+  its stay factors, in blocks of steps under a byte budget, the factors
+  skipped where they are exactly 1.0 far from the walls, so criterion 9's
+  10 000 A1~ paths over 4 000 steps take about 0.5 s (2-CPU host), most of
+  it in the normal draws,
 * exact sampling of the conditioned process, whole paths or at recorded
   times: one Doob h-transform transition per recorded gap, made of
   substeps proposed along the Doob drift and accepted by rejection with a
@@ -56,11 +58,16 @@ __all__ = [
     "harmonic_residual",
     "sample_path_batch",
     "OutsideChamberError",
+    "GridSizeError",
 ]
 
 
 class OutsideChamberError(ValueError):
     pass
+
+
+class GridSizeError(ValueError):
+    """A sampler's time grid of more than ``_MAX_GRID_STEPS`` steps."""
 
 
 @dataclass
@@ -548,13 +555,45 @@ def _killed_over_free(f: _Frame, tm: _Terms, tail: float, s: np.ndarray,
     return qp
 
 
+# grid steps sample_path_batch accepts; its time and level arrays take 16
+# bytes a step before any path moves
+_MAX_GRID_STEPS = 10 ** 7
+# bytes per block of free paths, over the block's positions and one wall's
+# margins: the block length is this over the bytes one step of the moving
+# paths takes (the stay factors are formed only near the walls)
+_BLOCK_BYTES = 1 << 20
+# -expm1(-x) rounds to 1.0 in float64 for every x above 37.5: a path whose
+# margins on wall i stay at or above sqrt(_FAR |pairing_i|^2 dt) over a
+# block, both ends included, has a stay factor of exactly 1.0 on that wall
+# at every step of the block (2 _FAR = 38, the few roundings in between
+# cannot bring it below 37.5)
+_FAR = 19.0
+
+
+def _block_steps(n_moving: int, l: int) -> int:
+    """Grid steps per block of ``n_moving`` free paths of rank ``l``."""
+    return max(1, _BLOCK_BYTES // (8 * (l + 2) * max(n_moving, 1)))
+
+
+def _wall_pairing(f: _Frame, i: int, z: np.ndarray, out=None) -> np.ndarray:
+    """Pairing of the z part with wall ``i``, over the last axis of ``z``,
+    summed in coordinate order (so a block and a single step agree bit for
+    bit); wall 0 also needs the level."""
+    m = np.multiply(z[..., 0], f.pairing[i, 0], out=out)
+    for j in range(1, f.l):
+        m += z[..., j] * f.pairing[i, j]
+    return m
+
+
 def sample_path_batch(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,
                       dt: float, n_paths: int, seed: int,
                       conditioned: bool, record: bool = False,
                       record_times: tuple[float, ...] = ()) -> PathBatch:
     """Batch of paths on the grid ``k*dt``.
 
-    The level coordinate advances deterministically by ``h_vee * dt``.
+    The level coordinate advances deterministically by ``h_vee * dt``.  A
+    grid of more than ``_MAX_GRID_STEPS`` steps raises
+    :class:`GridSizeError` before anything is allocated.
 
     Free paths (``conditioned=False``) take one Gaussian step per grid
     interval with the constant drift rho.  A Brownian-bridge test on the
@@ -564,16 +603,25 @@ def sample_path_batch(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,
     variance rate ``|pairing_i|^2``; given margins ``a, b > 0`` at the two
     ends it stayed positive with probability
     ``1 - exp(-2ab / (|pairing_i|^2 dt))``, and the product over the walls
-    is Gobet's approximation for the alcove.  A recorded free path keeps
-    moving after its exit (exit is a stopping time of the free process,
-    not an absorbing state), but only the paths not yet exited are tested;
-    without recording an exited path is dropped.  The moving paths are one
-    contiguous array, and the tested paths' margins are held wall-major,
-    shape (rank+1, n), each step's end margins, at the grid level, being
-    the next step's start margins.  A step costs one normal draw over the
-    moving paths, one uniform draw over the tested ones and a few array
-    passes (the rank+1 rows multiplied in place: ``np.prod`` over so short
-    an axis costs more than the products).
+    is Gobet's stay factor for the alcove.  Each path draws one uniform
+    ``U`` and exits at the first grid step where the running product of
+    its stay factors is ``<= U``, so given the path it is alive after k
+    steps with probability the product of its first k factors, as with one
+    Bernoulli draw per step.
+
+    Free paths advance in blocks of grid steps, as many as the byte budget
+    ``_BLOCK_BYTES`` holds at the number of moving paths: one normal draw
+    of shape (steps, moving paths, rank), one ``cumsum`` for the positions,
+    then wall by wall the margins at every grid level of the block, and one
+    ``cumprod`` of the stay factors, whose first crossing gives the exit.
+    A path whose margins on a wall stay at or above
+    ``sqrt(_FAR |pairing_i|^2 dt)`` over the block, both ends included, has
+    stay factor exactly 1.0 on that wall at every step, so that factor is
+    not formed; a path far from every wall takes no ``expm1`` and no
+    product at all.  A recorded free path keeps moving after its exit (exit
+    is a stopping time of the free process, not an absorbing state), but
+    only the paths not yet exited are tested; without recording an exited
+    path leaves at the end of its block.
 
     Conditioned paths are exact: each recorded position is drawn from the
     previous one by the h-transform transition over the gap (see
@@ -587,12 +635,16 @@ def sample_path_batch(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,
     """
     if n_paths < 0:
         raise ValueError(f"n_paths must be >= 0, got {n_paths}")
+    steps = t_max / dt
+    if not steps <= _MAX_GRID_STEPS:
+        raise GridSizeError(f"a grid of {steps:.3g} steps (horizon {t_max:g}, "
+                            f"dt {dt:g}) is past the cap of {_MAX_GRID_STEPS}")
     f = _frame(alg)
     _, margin = chamber_test(alg, x0)
     if conditioned and margin <= 0:
         raise OutsideChamberError("conditioned sampling needs an interior start")
     rng = np.random.Generator(np.random.Philox(seed))
-    n_steps = int(round(t_max / dt))
+    n_steps = int(round(steps))
     times = np.arange(n_steps + 1) * dt
     svals = x0.s + times * f.hv
 
@@ -610,36 +662,62 @@ def sample_path_batch(alg: AffineAlgebra, x0: SpaceTimePoint, t_max: float,
             alg, rng, x0.s, z, gaps) if n_paths else (z.copy() for _ in gaps)))
     else:
         ids = np.arange(n_paths)        # path index of each tested path
-        drift, wall_dt = f.rho_o * dt, (f.wall_var * dt)[:, None]
-
-        def margins(s, zt):
-            m = f.pairing @ zt.T
-            m[0] += s
-            return np.maximum(m, 0.0, out=m)
-
-        before = margins(svals[0], z)
-        for k in range(n_steps):
-            if not (ids.size or rec_idx):
-                break
-            z += drift
-            z += rng.normal(0.0, math.sqrt(dt), z.shape)
-            if ids.size:
-                after = margins(svals[k + 1], z if ids.size == len(z) else z[ids])
-                q = -np.expm1(-2.0 * before * after / wall_dt)
-                stay = q[0]
-                for row in q[1:]:
-                    stay *= row
-                crossed = rng.random(stay.size) >= stay
-                if crossed.any():
-                    exit_times[ids[crossed]] = times[k + 1]
-                    ids, after = ids[~crossed], after[:, ~crossed]
-                    if not rec_idx:
-                        z = z[~crossed]
-                before = after
-            if k + 1 in rec_idx:
-                recorded[k + 1] = z.copy()
+        u = rng.random(n_paths)         # it exits once alive <= u
+        alive = np.ones(n_paths)        # its running product of stay factors
+        # its margins at the current grid level, one row per wall
+        edge = np.array([_wall_pairing(f, i, z) for i in range(f.l + 1)])
+        edge[0] += svals[0]
+        far = np.sqrt(_FAR * f.wall_var * dt)
+        scale = -2.0 / (f.wall_var * dt)
+        until, k0 = max(rec_idx, default=0), 0
+        while k0 < n_steps and (ids.size or k0 < until):
+            b = min(n_steps - k0, _block_steps(len(z), f.l))
+            block = rng.standard_normal((b, len(z), f.l))
+            block *= math.sqrt(dt)
+            block += f.rho_o * dt
+            block[0] += z
+            np.cumsum(block, axis=0, out=block)     # grid k0+1 .. k0+b
+            zt = block if ids.size == len(z) else block[:, ids]
+            near = []               # (tested columns, stay factors) per wall
+            m = np.empty((b + 1, ids.size))     # one wall's margins
+            for i in range(f.l + 1):
+                m[0] = edge[i]
+                _wall_pairing(f, i, zt, out=m[1:])
+                if i == 0:
+                    m[1:] += svals[k0 + 1:k0 + b + 1, None]
+                edge[i] = m[-1]
+                cols = np.flatnonzero(m.min(axis=0) < far[i])
+                if cols.size:
+                    a = np.maximum(m[:, cols], 0.0)
+                    q = a[:-1] * a[1:]
+                    q *= scale[i]
+                    np.expm1(q, out=q)
+                    near.append((cols, np.negative(q, out=q)))
+            keep = np.ones(ids.size, dtype=bool)
+            if near:
+                union = np.zeros(ids.size, dtype=bool)
+                for c, _ in near:
+                    union[c] = True
+                cols = np.flatnonzero(union)
+                run = np.ones((b, cols.size))
+                for c, q in near:
+                    run[:, np.searchsorted(cols, c)] *= q
+                run[0] *= alive[cols]
+                np.cumprod(run, axis=0, out=run)
+                crossed = run <= u[cols]
+                first = crossed.argmax(axis=0)
+                hit = crossed[first, np.arange(cols.size)]
+                exit_times[ids[cols[hit]]] = times[k0 + 1 + first[hit]]
+                alive[cols] = run[-1]
+                keep[cols[hit]] = False
+            for k in range(k0 + 1, k0 + b + 1):
+                if k in rec_idx:
+                    recorded[k] = block[k - k0 - 1].copy()
+            z = block[-1].copy() if rec_idx else block[-1][keep]
+            ids, u, alive, edge = ids[keep], u[keep], alive[keep], edge[:, keep]
+            k0 += b
+            del block, zt, m    # before the next block is drawn
 
     return PathBatch(times=times, s=svals, z=recorded or None,
                      exit_times=exit_times,
                      aborted=np.zeros(n_paths, dtype=bool), dt=dt, seed=seed)
-

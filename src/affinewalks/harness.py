@@ -475,13 +475,15 @@ def _cmd_characters(args) -> int:
 def _cmd_chain(args) -> int:
     alg = _load_algebra(args)
     s = characters.rho_specialization(alg, args.n)
+    depth = args.depth if args.depth is not None else (
+        60 if args.action == "simulate" else GOLDEN.reflection_depth)
     if args.action == "simulate":
         if args.seed is None:
             raise _InputError("--seed is required for stochastic commands")
         omega = Weight.make(alg.dual_coxeter, (0,) * alg.rank, 0)
         start = _weight_arg(alg, args.start) if args.start else omega
         traj = chain.simulate_chain(alg, start, omega, s, args.steps,
-                                    args.seed, depth=args.depth)
+                                    args.seed, depth=depth)
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "level"]
@@ -494,8 +496,7 @@ def _cmd_chain(args) -> int:
     # verify-reflection: criterion 5's loop at one step count
     from . import acceptance
     lam0 = _weight_arg(alg, args.start) if args.start else alg.Lambda0()
-    cases = acceptance._reflection_residuals(alg, s, args.steps, lam0,
-                                             args.depth)
+    cases = acceptance._reflection_residuals(alg, s, args.steps, lam0, depth)
     worst = acceptance._worst([res for _, res in cases])
     reports = [{"beta0": [str(x) for x in b0.z], "residual": res}
                for b0, res in cases]
@@ -659,7 +660,9 @@ def run_cli(argv=None) -> int:
                    help="rho/n specialization")
     p.add_argument("--steps", type=_at_least(int, 0), default=5)
     p.add_argument("--seed", type=_at_least(int, 0))
-    p.add_argument("--depth", type=_at_least(int, 0), default=60)
+    p.add_argument("--depth", type=_at_least(int, 0),
+                   help="delta-depth of the kernel rows (simulate: 60, "
+                   f"verify-reflection: criterion 5's {GOLDEN.reflection_depth})")
     p.add_argument("--start", help="coroot pairings of the start weight")
     p.add_argument("--out", default="chain.csv")
     p.set_defaults(func=_cmd_chain)
@@ -698,9 +701,11 @@ def run_cli(argv=None) -> int:
     try:
         return args.func(args)
     # an input out of reach: a Weyl group too large (E7~, E8~), a series or
-    # a row that does not converge under its cap, a value past float range
+    # a row that does not converge under its cap, a sampler grid past its
+    # cap, a value past float range
     except (_InputError, WeylEnumerationError, ConvergenceError,
-            chain.ChainDefectError, OverflowError) as exc:
+            chain.ChainDefectError, diffusion.GridSizeError,
+            OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

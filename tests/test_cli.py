@@ -192,6 +192,13 @@ def test_chain_verify_reflection(depth, code, capsys):
         assert out["worst"] == pytest.approx(2.5145e-7, rel=1e-4)
 
 
+def test_chain_verify_reflection_runs_at_criterion_5_depth(capsys):
+    # without --depth the rows keep criterion 5's 160 delta-layers; the 60
+    # that simulate keeps truncate at rho/5 (worst 1.0e-2 at two steps)
+    assert run_cli(["chain", "verify-reflection", "--n", "5", "--steps", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["worst"] < 1e-10
+
+
 def test_chain_verify_reflection_nan_fails(monkeypatch, capsys):
     # a NaN residual fails the gate; max([0.0, nan]) would drop it
     def nan_residuals(alg, s, n_steps, lam0, depth):
@@ -294,7 +301,8 @@ def test_verify_all_refuses_other_algebras():
     (["experiment", "walk"], {"time_grid": []}),
     (["experiment", "chain"], {"time_grid": []}),
     (["experiment", "calibrate"], {"time_grid": []}),
-    (["experiment", "walk"], {"time_grid": [0]})])
+    (["experiment", "walk"], {"time_grid": [0]}),
+    (["experiment", "chain"], {"dt": 1e-300})])
 def test_bad_input_exits_2(argv, config, tmp_path, capsys):
     if config is not None:
         cfg_path = tmp_path / "cfg.json"
@@ -314,7 +322,9 @@ def test_bad_input_exits_2(argv, config, tmp_path, capsys):
     (["chain", "simulate", "--n", "60", "--steps", "2", "--seed", "1"],
      "row defect envelope not below 1e-06"),
     (["chain", "verify-reflection", "--n", "300", "--steps", "1"],
-     "row defect envelope not below 1e-11")])
+     "row defect envelope not below 1e-11"),
+    (["diffusion", "sample", "--seed", "1", "--dt", "1e-300"], "past the cap"),
+    (["diffusion", "sample", "--seed", "1", "--horizon", "1e9"], "past the cap")])
 def test_out_of_reach_input_exits_2(argv, message, tmp_path, capsys):
     # a series, a row or a value out of reach is refused with one line
     if argv[1] == "simulate":

@@ -338,12 +338,38 @@ def test_bridge_exit_matches_quadrature(a1):
     assert abs(p_mc - (1.0 - stay)) < 3 * se + quad_err
 
 
-def _bridge_loop(alg, x0, t_max, dt, n_paths, seed, record=False,
-                 record_times=()):
-    # the per-step loop the compact free sampler replaces: every step
-    # gathers the moving paths and scatters them back, and tests the paths
-    # not yet exited with margins recomputed at both ends of the step (the
-    # end level s + h_vee dt) and a product over the walls
+def _bridge_loop(alg, x0, t_max, dt, n_paths, seed):
+    # the law reference: the per-step loop the block sampler replaces, with
+    # one uniform per tested path and step (exit when it is at or above the
+    # step's stay factor) and margins recomputed at both ends of the step
+    f = df._frame(alg)
+    rng = np.random.Generator(np.random.Philox(seed))
+    n_steps = int(round(t_max / dt))
+    times = np.arange(n_steps + 1) * dt
+    svals = x0.s + times * f.hv
+    z = np.tile(x0.z, (n_paths, 1))
+    exit_times = np.full(n_paths, np.inf)
+    for k in range(n_steps):
+        idx = np.flatnonzero(np.isinf(exit_times))
+        zi = z[idx]
+        znew = zi + f.rho_o * dt + rng.normal(0.0, math.sqrt(dt), zi.shape)
+        z[idx] = znew
+        before = np.maximum(df._wall_margins(f, float(svals[k]), zi), 0.0)
+        after = np.maximum(df._wall_margins(f, float(svals[k + 1]), znew), 0.0)
+        stay = np.prod(-np.expm1(-2.0 * before * after / (f.wall_var * dt)),
+                       axis=1)
+        crossed = rng.random(stay.size) >= stay
+        exit_times[idx[crossed]] = float(times[k + 1])
+    return exit_times
+
+
+def _step_loop(alg, x0, t_max, dt, n_paths, seed, record=False,
+               record_times=()):
+    # the block sampler's draws in a plain per-step loop: one uniform per
+    # path, then normals drawn per block of df._block_steps steps over the
+    # paths moving at the block's start (every path when recording, else
+    # those not yet exited); every wall's stay factor is formed at every
+    # step, and a path exits once its running product is <= its uniform
     f = df._frame(alg)
     rng = np.random.Generator(np.random.Philox(seed))
     n_steps = int(round(t_max / dt))
@@ -354,31 +380,46 @@ def _bridge_loop(alg, x0, t_max, dt, n_paths, seed, record=False,
     rec_idx = (set(range(n_steps + 1)) if record
                else {int(round(t / dt)) for t in record_times})
     recorded = {0: z.copy()} if 0 in rec_idx else {}
-    for k in range(n_steps):
-        idx = (np.arange(n_paths) if rec_idx
-               else np.flatnonzero(np.isinf(exit_times)))
-        zi = z[idx]
-        znew = zi + f.rho_o * dt + rng.normal(0.0, math.sqrt(dt), zi.shape)
-        z[idx] = znew
-        fresh = np.isinf(exit_times[idx])
-        if np.any(fresh):
-            s_now = float(svals[k])
-            before = np.maximum(df._wall_margins(f, s_now, zi[fresh]), 0.0)
-            after = np.maximum(df._wall_margins(f, s_now + f.hv * dt,
-                                                znew[fresh]), 0.0)
-            stay = np.prod(-np.expm1(-2.0 * before * after / (f.wall_var * dt)),
-                           axis=1)
-            crossed = rng.random(stay.size) >= stay
-            exit_times[idx[fresh][crossed]] = float(times[k + 1])
-        if (k + 1) in rec_idx:
-            recorded[k + 1] = z.copy()
+    u, run = rng.random(n_paths), np.ones(n_paths)
+    scale = -2.0 / (f.wall_var * dt)
+
+    def margins(k, zk):
+        rows = []
+        for i in range(f.l + 1):
+            m = zk[:, 0] * f.pairing[i, 0]
+            for j in range(1, f.l):
+                m = m + zk[:, j] * f.pairing[i, j]
+            rows.append(m + svals[k] if i == 0 else m)
+        return np.maximum(np.array(rows), 0.0)
+
+    until, k = max(rec_idx, default=0), 0
+    while k < n_steps and (np.isinf(exit_times).any() or k < until):
+        moving = (np.arange(n_paths) if rec_idx
+                  else np.flatnonzero(np.isinf(exit_times)))
+        b = min(n_steps - k, df._block_steps(moving.size, f.l))
+        normals = rng.standard_normal((b, moving.size, f.l))
+        for j in range(b):
+            test = moving[np.isinf(exit_times[moving])]
+            before = margins(k, z[test])
+            z[moving] = z[moving] + (normals[j] * math.sqrt(dt) + f.rho_o * dt)
+            k += 1
+            after = margins(k, z[test])
+            stay = np.ones(test.size)
+            for q in -np.expm1(before * after * scale[:, None]):
+                stay = stay * q
+            run[test] = run[test] * stay
+            exit_times[test[run[test] <= u[test]]] = times[k]
+            if k in rec_idx:
+                recorded[k] = z.copy()
     return exit_times, recorded
 
 
-def test_free_sampler_bit_identical_to_bridge_loop(a1, a2):
-    # the compact step loop draws the same normals and uniforms as the
-    # gather/scatter loop, so positions and exit times agree bit for bit,
-    # unrecorded (exited paths dropped), with every index and at given times
+def test_free_sampler_bit_identical_to_bridge_loop(a1, a2, monkeypatch):
+    # the block sampler's positions and exit times agree bit for bit with a
+    # per-step loop over the same draws that forms every stay factor: the
+    # factors it skips far from the walls are exactly 1.0; unrecorded
+    # (exited paths dropped), with every index and at given times, at the
+    # module's byte budget and at one that makes blocks of a few steps
     c2 = al.algebra_from_name("C2~")
 
     def start(alg, scale):
@@ -390,17 +431,70 @@ def test_free_sampler_bit_identical_to_bridge_loop(a1, a2):
         (a1, start(a1, "1/2"), 0.5, 1e-2, 300, 5, {"record": True}),
         (a2, start(a2, 1), 1.0, 1e-3, 500, 6, {}),
         (a2, start(a2, "1/2"), 0.5, 1e-2, 300, 7, {"record": True}),
-        (c2, start(c2, "1/2"), 1.0, 1e-3, 500, 8, {"record_times": (0.25, 1.0)}),
+        (c2, start(c2, "1/2"), 0.5, 1e-3, 500, 8, {"record_times": (0.25, 0.5)}),
         (c2, start(c2, 1), 1.0, 0.1, 1000, 9, {"record": True}),
     ]
-    for alg, x0, t_max, dt, n, seed, kw in cases:
-        batch = df.sample_path_batch(alg, x0, t_max, dt, n, seed=seed,
-                                     conditioned=False, **kw)
-        exit_times, recorded = _bridge_loop(alg, x0, t_max, dt, n, seed, **kw)
-        assert 0 < np.isfinite(exit_times).mean() < 1
-        assert np.array_equal(batch.exit_times, exit_times)
-        assert (batch.z or {}).keys() == recorded.keys()
-        assert all(np.array_equal(batch.z[k], z) for k, z in recorded.items())
+    for budget in (df._BLOCK_BYTES, 1 << 15):
+        monkeypatch.setattr(df, "_BLOCK_BYTES", budget)
+        for alg, x0, t_max, dt, n, seed, kw in cases:
+            batch = df.sample_path_batch(alg, x0, t_max, dt, n, seed=seed,
+                                         conditioned=False, **kw)
+            exit_times, recorded = _step_loop(alg, x0, t_max, dt, n, seed, **kw)
+            assert 0 < np.isfinite(exit_times).mean() < 1
+            assert np.array_equal(batch.exit_times, exit_times)
+            assert (batch.z or {}).keys() == recorded.keys()
+            assert all(np.array_equal(batch.z[k], z)
+                       for k, z in recorded.items())
+
+
+# 0.999 quantiles of chi-square with 10 and 20 degrees of freedom
+_CHI2_999 = {10: 29.588, 20: 45.315}
+
+
+@pytest.mark.parametrize("name,start,dt", [
+    ("A1~", Fraction(1, 2), 0.1), ("A2~", Fraction(1), 0.05)])
+def test_block_sampler_exit_law_matches_bridge_loop(name, start, dt):
+    # one uniform per path against one per step: the exit times of 20 000
+    # paths each, binned by grid step (and never), are homogeneous by a
+    # chi-square test at level 1e-3
+    alg = al.algebra_from_name(name)
+    x0 = df.weight_to_point(alg, al.weyl_vector(alg).scale(start))
+    n, t_max = 20_000, 1.0
+    n_steps = int(round(t_max / dt))
+    new = df.sample_path_batch(alg, x0, t_max, dt, n, seed=41,
+                               conditioned=False).exit_times
+    old = _bridge_loop(alg, x0, t_max, dt, n, seed=42)
+
+    def counts(exits):
+        k = np.where(np.isfinite(exits), np.rint(exits / dt), n_steps + 1)
+        return np.bincount(k.astype(int), minlength=n_steps + 2)[1:]
+
+    table = np.array([counts(new), counts(old)], dtype=float)
+    assert table.min() >= 20
+    expected = table.sum(axis=0) * 0.5          # two samples of equal size
+    chi2 = float(((table - expected) ** 2 / expected).sum())
+    assert chi2 < _CHI2_999[n_steps]
+
+
+def test_zero_stay_factor_exits_a_zero_uniform(a1, monkeypatch):
+    # a start on a wall has stay factor exactly 0 in its first step, so it
+    # exits there even with a uniform of 0.0: the exit rule is alive <= U
+    class ZeroUniforms(np.random.Generator):
+        def random(self, size=None):
+            return np.zeros(size)
+
+    monkeypatch.setattr(np.random, "Generator", ZeroUniforms)
+    batch = df.sample_path_batch(a1, df.SpaceTimePoint(2.0, np.zeros(1)), 0.01,
+                                 1e-3, 50, seed=1, conditioned=False)
+    assert (batch.exit_times == batch.times[1]).all()
+
+
+def test_stay_factor_rounds_to_one_far_from_the_walls():
+    # the block sampler skips the stay factors of a wall whose margins keep
+    # 2 a b / (|pairing|^2 dt) >= 2 * _FAR = 38, where they are exactly 1.0
+    assert 2 * df._FAR == 38.0
+    assert -np.expm1(-38.0) == 1.0
+    assert -np.expm1(-37.5) == 1.0       # room for a few roundings
 
 
 def test_bridge_exit_times_on_coarse_grid(a1, rho1):
