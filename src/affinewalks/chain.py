@@ -35,7 +35,7 @@ from .algebra import (AffineAlgebra, Weight, classify_weight, inner_product,
                       pair_delta, weyl_vector)
 from .characters import (EvalResult, _alternant_exponents, _alternant_terms,
                          eval_character)
-from .highestweight import (_brancher, character_series_oracle,
+from .highestweight import (_brancher, _SupportBall, character_series_oracle,
                             log_kac_product, tensor_power_table)
 
 __all__ = [
@@ -137,12 +137,6 @@ def dominant_states(alg: AffineAlgebra, level: int) -> list[Weight]:
             for row in zq.tolist()]
 
 
-def _state_index(alg: AffineAlgebra, lam: Weight) -> int:
-    """Index of ``lam`` in :func:`dominant_states` order, from integer rows."""
-    zq, den = _dominant_coords(alg, int(lam.k))
-    return int(np.flatnonzero((zq == [int(x * den) for x in lam.z]).all(axis=1))[0])
-
-
 # -- kernel rows -------------------------------------------------------------------
 
 
@@ -174,28 +168,21 @@ def _row_candidates(alg: AffineAlgebra, lam: Weight, omega: Weight):
     """``candidates(d)``: the dominant candidates for components
     ``beta = lam + omega - d*delta - m`` of V(lam) (x) V(omega) at depth
     ``d``, as the integer offsets ``m`` stacked in increasing order.  They
-    are the states of the level inside the Minkowski sum of the two
-    orbit-hull balls, a proven superset of the tensor-product weights,
-    ``|beta_z| <= sqrt(|lam_z|^2 + 2 k_lam d) + sqrt(|omega_z|^2 + 2 k_omega d)``.
+    are the states of the level in the root-lattice coset of ``Lambda = lam
+    + omega`` inside its orbit-hull ball
+    (:class:`~affinewalks.highestweight._SupportBall`),
+    ``|beta_z|^2 <= |Lambda_z|^2 + 2 k d``, which is ``|beta|^2 <=
+    |Lambda|^2`` in the affine form: every component is a dominant
+    ``beta <= Lambda``, and then ``|Lambda|^2 - |beta|^2 =
+    (Lambda - beta | Lambda + beta) >= 0``.
     """
     top = lam + omega
     zq, den = _dominant_coords(alg, int(top.k))
-    zq = zq[::-1]                       # zq is sorted, so m = top - beta increases
-    ms = np.array([int(x * den) for x in top.z]) - zq
-    coset = (ms % den == 0).all(axis=1)  # top - beta on the root lattice
-    ms, zq = ms[coset] // den, zq[coset]
-    gn, gd = alg.finite_gram_int
-    scale = den * den * gd              # makes the squared norms integers
-    beta2 = np.einsum("ni,ij,nj->n", zq, gn, zq)
-    lam2, om2 = alg.finite_norm2(lam.z), alg.finite_norm2(omega.z)
-
-    def candidates(d: int) -> np.ndarray:
-        a = int((lam2 + 2 * lam.k * d) * scale)
-        b = int((om2 + 2 * omega.k * d) * scale)
-        gap = beta2 - a - b             # |beta_z| <= sqrt(a) + sqrt(b), squared twice
-        return ms[(gap <= 0) | (gap * gap <= 4 * a * b)]
-
-    return candidates
+    # zq is sorted, so m = top - beta increases
+    ms = np.array([int(x * den) for x in top.z]) - zq[::-1]
+    ms = ms[(ms % den == 0).all(axis=1)] // den     # top - beta on the root lattice
+    ball = _SupportBall(alg, top)
+    return lambda d: ms[ball.contains(d, ms)]
 
 
 def q_omega_row(alg: AffineAlgebra, lam: Weight, omega: Weight,
@@ -375,10 +362,10 @@ class FastBarredKernel:
     numerators' terms, offsets and exact exponents come from
     :func:`affinewalks.characters._alternant_exponents` for any rank, cut
     at the largest ``|lam0 + rho|`` of the level and formed for a row's
-    sources alone, so batched and single rows are bit-equal; the sums are
-    float64.  At ``h = rho/n`` (the point must be a positive multiple of
-    rho) ``Nhat(mu)`` is the survival function ``h(mu/n)``, so
-    ``log Nhat`` comes from Kac's product
+    sources alone, so a source's row does not depend on the sources that
+    share its call; the sums are float64.  At ``h = rho/n`` (the point
+    must be a positive multiple of rho) ``Nhat(mu)`` is the survival
+    function ``h(mu/n)``, so ``log Nhat`` comes from Kac's product
     (:func:`affinewalks.highestweight.log_kac_product`), which does not
     cancel at low levels, and the rows take ``Nhat`` ratios as exponentials
     of its differences.
@@ -498,15 +485,14 @@ class FastBarredKernel:
         step = np.array(table.strides) // table.itemsize
         return table.ravel(), (x - lo + pad) @ step, z @ step, live
 
-    def row(self, level: int, q):
-        """``(states, probs, cdf, defect)`` for the source state of index
-        ``q``: the indices of the next level's states in its root-lattice
-        coset (:meth:`_coset`), the probabilities over them, their cdf and
-        the row defect; stacked per source state (one row per entry,
-        defects as an array) when ``q`` is an int array, whose states must
-        share a coset (else ``ValueError``).  Every other next state has
-        probability exactly zero."""
-        qs = np.atleast_1d(np.asarray(q, dtype=np.int64))
+    def row(self, level: int, qs: np.ndarray):
+        """``(states, probs, cdf, defect)`` for the source states of the int
+        array of indices ``qs``, which must share a root-lattice coset
+        (else ``ValueError``): the indices of the next level's states in
+        that coset (:meth:`_coset`), and stacked per source, one row per
+        entry of ``qs``, the probabilities over them, their cdf and the row
+        defects.  Every other next state has probability exactly zero."""
+        qs = np.asarray(qs, dtype=np.int64)
         nxt = level + int(self.omega.k)
         zq, log_nhat, _, _ = cur = self._level(level)
         zq_next, log_nhat_next, _, _ = new = self._level(nxt)
@@ -539,10 +525,7 @@ class FastBarredKernel:
             raise ChainDefectError(
                 f"fast row defect {defect[i]:.3e} above threshold at "
                 f"level={level} q={qs[i]}")
-        cdf = np.cumsum(probs, axis=1)
-        if np.ndim(q) == 0:
-            return states, probs[0], cdf[0], float(defect[0])
-        return states, probs, cdf, defect
+        return states, probs, np.cumsum(probs, axis=1), defect
 
     def sample(self, start: Weight, steps: int, n_paths: int, seed: int,
                record_steps=()) -> dict[int, np.ndarray]:
@@ -571,10 +554,12 @@ class FastBarredKernel:
         rng = np.random.Generator(np.random.Philox(seed))
         level = int(start.k)
         k_om = int(self.omega.k)
-        cur = np.full(n_paths, _state_index(self.alg, start))
+        zq = self._level(level)[0]
+        at = (zq == [int(x * self._den) for x in start.z]).all(axis=1)
+        cur = np.full(n_paths, at.argmax())
         recorded: dict[int, np.ndarray] = {}
         if 0 in record_steps:
-            recorded[0] = _dominant_coords(self.alg, level)[0][cur] / self._den
+            recorded[0] = zq[cur] / self._den
         for k in range(1, steps + 1):
             # a 16-bit key sorts by radix, several times faster
             order = np.argsort(cur.astype(np.min_scalar_type(cur.max())),

@@ -75,9 +75,6 @@ class SpaceTimePoint:
     s: float
     z: np.ndarray
 
-    def copy(self) -> "SpaceTimePoint":
-        return SpaceTimePoint(self.s, self.z.copy())
-
 
 @dataclass
 class PathBatch:

@@ -702,10 +702,10 @@ def run_cli(argv=None) -> int:
         return args.func(args)
     # an input out of reach: a Weyl group too large (E7~, E8~), a series or
     # a row that does not converge under its cap, a sampler grid past its
-    # cap, a value past float range
+    # cap, a value past float range, an array numpy refuses to allocate
     except (_InputError, WeylEnumerationError, ConvergenceError,
             chain.ChainDefectError, diffusion.GridSizeError,
-            OverflowError) as exc:
+            OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -150,14 +150,12 @@ def _fraction_ball(alg, center, r2):
 
 def _fraction_ball_candidates(alg, lam, om, depth):
     # the Fraction walk the integer candidates replace: every integer m in
-    # the Minkowski ball around lam + omega, kept when lam + omega - m - d
+    # the orbit-hull ball of lam + omega, kept when lam + omega - m - d
     # delta is dominant
     top = lam + om
     out = []
     for d in range(depth + 1):
-        rad = (math.sqrt(alg.finite_norm2(lam.z) + 2 * lam.k * d)
-               + math.sqrt(alg.finite_norm2(om.z) + 2 * om.k * d))
-        r2 = Fraction(rad * rad * (1 + 1e-9)).limit_denominator(10**12)
+        r2 = alg.finite_norm2(top.z) + 2 * top.k * d
         for m in _fraction_ball(alg, top.z, r2):
             if al.classify_weight(alg, top - Weight.make(0, m, d)).dominant:
                 out.append((d, m))
@@ -175,6 +173,58 @@ def test_row_candidates_match_fraction_ball(a1, a2):
                for m in candidates(d).tolist()]
         assert got == _fraction_ball_candidates(alg, lam, om, depth)
         assert got
+
+
+def _minkowski_candidates(alg, lam, om):
+    # the wider ball the orbit-hull ball replaced, in integers: the same
+    # states in the same order, kept when |beta_z| <= sqrt(|lam_z|^2 +
+    # 2 k_lam d) + sqrt(|omega_z|^2 + 2 k_omega d)
+    top = lam + om
+    zq, den = cn._dominant_coords(alg, int(top.k))
+    zq = zq[::-1]
+    ms = np.array([int(x * den) for x in top.z]) - zq
+    coset = (ms % den == 0).all(axis=1)
+    ms, zq = ms[coset] // den, zq[coset]
+    gn, gd = alg.finite_gram_int
+    scale = den * den * gd
+    beta2 = np.einsum("ni,ij,nj->n", zq, gn, zq)
+    lam2, om2 = alg.finite_norm2(lam.z), alg.finite_norm2(om.z)
+
+    def candidates(d):
+        a = int((lam2 + 2 * lam.k * d) * scale)
+        b = int((om2 + 2 * om.k * d) * scale)
+        gap = beta2 - a - b
+        return ms[(gap <= 0) | (gap * gap <= 4 * a * b)]
+
+    return candidates
+
+
+def test_row_candidates_drop_only_zero_multiplicities():
+    # the orbit-hull ball against the Minkowski-sum ball it replaced: its
+    # candidates are the wider ball's in the same order, less some whose
+    # branching multiplicity is 0, so a row's entries do not change
+    kept = dropped = 0
+    for name, depth in (("A1~", 12), ("A2~", 12), ("C2~", 12), ("G2~", 12), ("A3~", 6)):
+        alg = al.algebra_from_name(name)
+        fundamental = [0] * (alg.rank + 1)
+        fundamental[1] = 1
+        omegas = [alg.Lambda0().scale(alg.dual_coxeter),
+                  al.weight_from_pairings(alg, fundamental)]
+        sources = [alg.Lambda0()] + [al.weight_from_pairings(alg, p) for p in
+                                     ([1] * (alg.rank + 1), [0, 2] + [1] * (alg.rank - 1),
+                                      [3] + [0] * alg.rank)]
+        for lam, om in itertools.product(sources, omegas):
+            new, wide = cn._row_candidates(alg, lam, om), _minkowski_candidates(alg, lam, om)
+            branch = hw._brancher(alg, lam, om, 1)
+            for d in range(depth + 1):
+                got, ms = new(d).tolist(), wide(d)
+                inside = np.array([m in got for m in ms.tolist()], dtype=bool)
+                assert ms[inside].tolist() == got
+                if not inside.all():
+                    assert not any(branch(d, ms[~inside]))
+                kept += len(got)
+                dropped += (~inside).sum()
+    assert kept and dropped
 
 
 def _criterion4_rows(a1, a2):
@@ -227,8 +277,8 @@ def test_branching_stack_matches_single_calls(a1, a2, monkeypatch):
 
 
 def test_row_checks_once_per_row(a1, monkeypatch):
-    # the entry checks, the branching calls and the Fraction norms of one
-    # row do not grow with its depth or its candidate count
+    # the entry checks and the branching calls of one row do not grow with
+    # its depth or its candidate count, and it takes no Fraction norm
     s = ch.rho_specialization(a1, 5)
     rows = [(a1.Lambda0(), 5), (Weight.make(2, (Fraction(1, 2),), 0), 150)]
     for lam, depth in rows:          # character values cached beforehand
@@ -257,7 +307,7 @@ def test_row_checks_once_per_row(a1, monkeypatch):
         cn.q_omega_row(a1, lam, omega(a1), s, depth)
         seen.append((dict(calls), sizes["candidates"]))
     (c1, n1), (c2, n2) = seen
-    assert c1 == c2 == {"classify_weight": 2, "finite_norm2": 2}
+    assert c1 == c2 == {"classify_weight": 2}     # no Fraction norm
     assert n2 > n1 + 100
 
 
@@ -302,7 +352,7 @@ def test_row_aggregation_matches_fast_kernel(a1):
         agg = np.zeros(level + 2 + 1)
         for w, p in cn.barred_row(a1, lam0, om, s, 40):
             agg[int(2 * w.z[0])] += p
-        states, probs, _, _ = fast.row(level, int(2 * lam0.z[0]))
+        states, (probs,), _, _ = fast.row(level, np.array([int(2 * lam0.z[0])]))
         assert np.abs(probs - agg[states]).max() < 1e-9
         assert not np.delete(agg, states).any()
 
@@ -478,7 +528,7 @@ def test_fast_kernel_defect_guard(a1, monkeypatch):
     fk = cn.FastBarredKernel(a1, omega(a1), s)
     monkeypatch.setattr(cn, "_ROW_DEFECT_MAX", 1e-30)
     with pytest.raises(cn.ChainDefectError):
-        fk.row(1, 0)
+        fk.row(1, np.array([0]))
 
 
 def test_fast_kernel_defect_guard_batched(a1, monkeypatch):
@@ -498,7 +548,8 @@ def test_simulate_chain_defect_guard(a1, monkeypatch):
 
 
 def test_fast_kernel_batched_rows_match_scalar(a1, a2):
-    # one batched row per coset of the sources, every coset of the level
+    # one batched row per coset of the sources, every coset of the level,
+    # against a call per source
     for alg, n, level, step, det in ((a1, 20, 60, 3, 2), (a2, 2, 2, 1, 3)):
         om = Weight.make(alg.dual_coxeter, (0,) * alg.rank, 0)
         fk = cn.FastBarredKernel(alg, om, ch.rho_specialization(alg, n))
@@ -508,11 +559,11 @@ def test_fast_kernel_batched_rows_match_scalar(a1, a2):
             states, probs, cdf, defect = fk.row(level, qs)
             assert probs.shape == cdf.shape == (qs.size, states.size)
             for i, q in enumerate(qs):
-                s1, p1, c1, d1 = fk.row(level, int(q))
+                s1, (p1,), (c1,), (d1,) = fk.row(level, np.array([q]))
                 assert np.array_equal(s1, states)
                 assert np.array_equal(probs[i], p1)
                 assert np.array_equal(cdf[i], c1)
-                assert defect[i] == d1 and isinstance(d1, float)
+                assert defect[i] == d1
 
 
 def test_fast_kernel_row_states_are_the_source_coset(a1, a2):
@@ -528,7 +579,7 @@ def test_fast_kernel_row_states_are_the_source_coset(a1, a2):
         nxt = cn.dominant_states(alg, level + alg.dual_coxeter)
         cosets = set()
         for q, lam in enumerate(sources):
-            states = fk.row(level, q)[0]
+            states = fk.row(level, np.array([q]))[0]
             assert np.array_equal(states, _coset(alg, level + alg.dual_coxeter, lam))
             cosets.add(tuple(states))
         assert len(cosets) == det
@@ -617,7 +668,7 @@ def test_fast_kernel_rank_two_matches_aggregated_row(a2):
     for w, p in cn.barred_row(a2, a2.Lambda0(), om, s, 4):
         agg[states.index(w)] += p
     lam0 = cn.dominant_states(a2, 1).index(a2.Lambda0())
-    cols, probs, _, _ = cn.FastBarredKernel(a2, om, s).row(1, lam0)
+    cols, (probs,), _, _ = cn.FastBarredKernel(a2, om, s).row(1, np.array([lam0]))
     assert np.abs(probs - agg[cols]).max() < 1e-12
     assert not np.delete(agg, cols).any()
 
@@ -628,7 +679,7 @@ def test_fast_kernel_refuses_near_critical_line(a1, level):
     # refuse with the typed error, never come back silently wrong
     fk = cn.FastBarredKernel(a1, omega(a1), ch.rho_specialization(a1, 100))
     with pytest.raises(cn.ChainDefectError):
-        fk.row(level, 0)
+        fk.row(level, np.array([0]))
 
 
 def test_fast_kernel_rows_from_level_three_at_rho_100(a1):
@@ -636,8 +687,8 @@ def test_fast_kernel_rows_from_level_three_at_rho_100(a1):
     # the rows of the wall state sum to one within the defect threshold
     # (level 3 loses about 5 digits), and by level 10 within rounding
     fk = cn.FastBarredKernel(a1, omega(a1), ch.rho_specialization(a1, 100))
-    assert fk.row(3, 0)[3] < 1e-4
-    assert fk.row(10, 0)[3] < 1e-12
+    assert fk.row(3, np.array([0]))[3] < 1e-4
+    assert fk.row(10, np.array([0]))[3] < 1e-12
 
 
 def test_fast_kernel_keeps_two_levels(a1):
@@ -647,7 +698,7 @@ def test_fast_kernel_keeps_two_levels(a1):
 
 
 def test_fast_kernel_sample_matches_scalar_reference(a1, a2):
-    # the per-state loop of scalar rows, each state's paths drawing their
+    # the per-state loop of one-source rows, each state's paths drawing their
     # uniforms in path order, states in ascending order; on A2~ and C2~ the
     # states of a level lie in several root-lattice cosets, on G2~ in one
     c2, g2 = al.algebra_from_name("C2~"), al.algebra_from_name("G2~")
@@ -666,7 +717,7 @@ def test_fast_kernel_sample_matches_scalar_reference(a1, a2):
                 new = np.empty_like(cur)
                 for uid in np.unique(cur):
                     sel = np.flatnonzero(cur == uid)
-                    states, _, cdf, _ = fk.row(level, int(uid))
+                    states, _, (cdf,), _ = fk.row(level, np.array([uid]))
                     new[sel] = states[np.searchsorted(cdf, rng.random(sel.size))]
                 cur = new
                 level += alg.dual_coxeter
@@ -757,9 +808,11 @@ def test_dominant_coords_match_product_enumeration(a1, a2):
             want = np.array(pairings, dtype=np.int64) @ cinv.T
             assert zq.dtype == np.int64
             assert np.array_equal(zq, want[np.lexsort(want.T[::-1])])
-            # the fast kernel's start index is the state's place among them
-            states = cn.dominant_states(alg, level)
-            assert [cn._state_index(alg, st) for st in states] == list(range(len(states)))
+            # the fast kernel's step 0 from every state is that state
+            fk = _fast(alg, 10)
+            for st in cn.dominant_states(alg, level):
+                (got,) = fk.sample(st, 0, 2, 1, record_steps=(0,)).values()
+                assert got.tolist() == [[float(x) for x in st.z]] * 2
 
 
 def test_dominant_states_pairings(a1, a2):
@@ -786,7 +839,7 @@ def test_nan_defects_fail_the_gates(a1, monkeypatch):
     fk = cn.FastBarredKernel(a1, omega(a1), s)
     fk.atoms.prob[fk.atoms.prob.size // 2] = math.nan
     with pytest.raises(cn.ChainDefectError):
-        fk.row(4, 1)
+        fk.row(4, np.array([1]))
     atoms = fk.atoms
     monkeypatch.setattr(hs, "increment_atoms", lambda *args: dataclasses.replace(
         atoms, defect=math.nan))

@@ -302,7 +302,10 @@ def test_verify_all_refuses_other_algebras():
     (["experiment", "chain"], {"time_grid": []}),
     (["experiment", "calibrate"], {"time_grid": []}),
     (["experiment", "walk"], {"time_grid": [0]}),
-    (["experiment", "chain"], {"dt": 1e-300})])
+    (["experiment", "chain"], {"dt": 1e-300}),
+    (["experiment", "walk"], {"samples": 10 ** 12}),
+    (["experiment", "chain"], {"samples": 10 ** 12}),
+    (["experiment", "walk"], {"time_grid": [1e9]})])
 def test_bad_input_exits_2(argv, config, tmp_path, capsys):
     if config is not None:
         cfg_path = tmp_path / "cfg.json"

@@ -62,7 +62,7 @@ def test_weight_from_pairings(a1):
         harness.weight_from_pairings(a1, ("1",))
 
 
-def test_round_to_dominant(a1):
+def test_round_to_dominant(a1, a2):
     x = harness.weight_from_pairings(a1, ("1", "1"))
     for n in (10, 37, 100):
         xn = harness.round_to_dominant(a1, x, n)
@@ -70,6 +70,12 @@ def test_round_to_dominant(a1):
         assert cls.dominant and cls.integral
         assert abs(float(xn.k) / n - float(x.k)) <= 1.0 / n
         assert abs(float(xn.z[0]) / n - float(x.z[0])) <= 1.0 / n
+    # pairings (1/100, 19/20, 19/20) at n = 10 round to (-1, 10, 10), off
+    # the chamber; the dominance repair reflects them to (1, 9, 9)
+    x = harness.weight_from_pairings(a2, ("1/100", "19/20", "19/20"))
+    xn = harness.round_to_dominant(a2, x, 10)
+    assert xn == al.weight_from_pairings(a2, [1, 9, 9])
+    assert xn.k == 19
 
 
 def test_walk_experiment_smoke_and_reproducible():

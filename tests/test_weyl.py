@@ -163,7 +163,7 @@ _CAP_CALLS = {
     "reflection_discrete_residual": lambda a1: cn.reflection_discrete_residual(
         a1, _OMEGA, _spec(a1), 0, a1.Lambda0(), a1.Lambda0(), 20),
     "FastBarredKernel.row": lambda a1: cn.FastBarredKernel(
-        a1, _OMEGA, ch.rho_specialization(a1, 5)).row(2, 1),
+        a1, _OMEGA, ch.rho_specialization(a1, 5)).row(2, np.array([1])),
 }
 
 
